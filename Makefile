@@ -18,9 +18,12 @@ lint:
 lint-fast:
 	PYTHONPATH=src python -m repro.analysis --no-dataflow
 
-# Everything a PR must keep green: the linter (incl. R6) plus the tier-1 suite.
+# Everything a PR must keep green: the linter (incl. R6), the tier-1
+# suite, and the benchmark's own tests (perf/ calls the program's public
+# surface, so breaking that surface fails here).
 check: lint
 	PYTHONPATH=src python -m pytest -x -q
+	python -m pytest perf/ -q
 
 # The resilience/chaos suite alone (docs/ROBUSTNESS.md).
 chaos:

@@ -17,22 +17,168 @@ and Dia-Appro).  The scheme:
 
 Feasibility inside the disk is guaranteed: every ``NN(q, t)`` lies within
 ``d_f ≤ d(o, q)`` of the query.
+
+Owners come from one ``nearest_relevant_iter(q, q.ψ)`` stream, and
+``C(q, d(o, q))`` is exactly the part of that stream read so far, so
+:class:`OwnerStream` records the stream once per query and every owner
+is served from a slice of it (shared with the exact search,
+:mod:`repro.algorithms.owner_exact`).
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from array import array
-from typing import List, Optional
+from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.algorithms.base import CoSKQAlgorithm
+from repro.cost.base import CostFunction
 from repro.geometry.circle import Circle
+from repro.index.protocol import SpatialTextIndex
 from repro.index.signatures import mask_of, pack_masks, signatures_enabled
-from repro.kernels import kernels_enabled, max_distance_from
+from repro.kernels import kernels_enabled, lens_gather, lens_lower_bound, max_distance_from
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
 
-__all__ = ["OwnerRingApproximation", "greedy_completion_near"]
+__all__ = ["OwnerRingApproximation", "OwnerStream", "greedy_completion_near"]
+
+#: Relative early-exit tolerance for the numeric ``combine`` inversions
+#: of the owner-driven searches.  Each bisection keeps a valid bracket
+#: invariant at every step (``hi`` infeasible-side, ``lo`` feasible-side),
+#: so exiting once the bracket width is negligible returns the same
+#: conservative endpoint a fixed 100-iteration loop would — minus the
+#: dead iterations where the bracket can no longer move a pruning
+#: decision.
+_BISECTION_TOLERANCE = 1e-12
+
+
+def _pairwise_budget(cost: CostFunction, query_component: float, bound: float) -> float:
+    """``sup { c ≥ 0 : combine(query_component, c) < bound }`` (or -1).
+
+    Numeric inversion (exponential search + bisection); ``combine`` is
+    nondecreasing in the pairwise component for every cost in the
+    library.  The returned value errs on the generous side, so it is safe
+    to use as a pruning radius: ``combine(query_component, c) >= bound``
+    for every ``c`` beyond it.
+    """
+    combine = cost.combine  # hoisted: the loops below run ~40 iterations
+    if combine(query_component, 0.0) >= bound:
+        return -1.0
+    hi = max(bound, query_component, 1.0)
+    for _ in range(200):
+        if combine(query_component, hi) >= bound:
+            break
+        hi *= 2.0
+    else:
+        return math.inf  # cost ignores the pairwise component
+    lo = 0.0
+    # ``hi`` only shrinks below, so a threshold fixed at the initial
+    # bracket is the loosest the per-iteration one ever gets — exiting
+    # against it can only stop earlier, and ``hi`` stays on the generous
+    # side throughout, so no safety is lost (only dead iterations past
+    # the point where (lo+hi)/2 stops moving a pruning decision).
+    tol = _BISECTION_TOLERANCE * (hi if hi > 1.0 else 1.0)
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        if combine(query_component, mid) < bound:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return hi
+
+
+class OwnerStream:
+    """One query's owner stream, recorded as the owner loop reads it.
+
+    Iterating yields ``nearest_relevant_iter(q, q.ψ)`` entries in stream
+    order, pulling from the index only on demand.  Each pulled entry is
+    kept with its exact stream distance, packed x/y, keyword mask and
+    the running keyword union of the prefix, so an owner at distance
+    ``r`` finds ``C(q, r)`` — every completion's home — as the first
+    :meth:`disk_end` entries instead of walking the index again.
+    Masks have one bit per query keyword (:meth:`mask_of`), so they stay
+    small ints however large the vocabulary.  ``checkpoint`` is the
+    solver's deadline probe, called once per entry read.
+    """
+
+    def __init__(
+        self, index: SpatialTextIndex, query: Query, checkpoint: Callable[[], None]
+    ):
+        self._entries = index.nearest_relevant_iter(query.location, query.keywords)
+        self._checkpoint = checkpoint
+        self._bits = tuple((1 << i, t) for i, t in enumerate(sorted(query.keywords)))
+        self.objects: List[SpatialObject] = []
+        self.dists: List[float] = []
+        self.xs = array("d")
+        self.ys = array("d")
+        self.masks: List[int] = []
+        #: ``unions[i]`` is the OR of ``masks[: i + 1]``.
+        self.unions: List[int] = []
+
+    def mask_of(self, keywords: FrozenSet[int]) -> int:
+        """The query keywords among ``keywords``, as a stream mask."""
+        mask = 0
+        for bit, t in self._bits:
+            if t in keywords:
+                mask |= bit
+        return mask
+
+    def _pull(self) -> bool:
+        """Record the stream's next entry; False once it is exhausted."""
+        entry = next(self._entries, None)
+        if entry is None:
+            return False
+        dist, obj = entry
+        mask = self.mask_of(obj.keywords)
+        self.objects.append(obj)
+        self.dists.append(dist)
+        self.xs.append(obj.location.x)
+        self.ys.append(obj.location.y)
+        self.masks.append(mask)
+        self.unions.append(self.unions[-1] | mask if self.unions else mask)
+        return True
+
+    def __iter__(self) -> Iterator[Tuple[float, SpatialObject]]:
+        i = 0
+        while i < len(self.dists) or self._pull():
+            self._checkpoint()
+            yield self.dists[i], self.objects[i]
+            i += 1
+
+    def disk_end(self, r: float) -> int:
+        """How many entries lie in the closed disk ``C(q, r)``.
+
+        Pulls every entry at distance ``r`` first, so ties with the
+        owner (which is itself at ``r``) are inside the disk.
+        """
+        while (not self.dists or self.dists[-1] <= r) and self._pull():
+            self._checkpoint()
+        return bisect.bisect_right(self.dists, r)
+
+    def keywords_within(self, r: float) -> int:
+        """The keyword union of ``C(q, r)``'s entries, as a mask."""
+        end = self.disk_end(r)
+        return self.unions[end - 1] if end else 0
+
+    def lens(
+        self, owner: SpatialObject, r: float, budget: float, want: int
+    ) -> Tuple[List[int], array]:
+        """Entries of ``C(q, r) ∩ C(owner, budget)`` carrying a ``want`` bit.
+
+        Returns ``(indices, owner distances)`` in stream order.  The
+        bisect floor (:func:`lens_lower_bound`) only skips entries
+        certain to fail the exact owner-disk test.
+        """
+        end = self.disk_end(r)
+        start = bisect.bisect_left(self.dists, lens_lower_bound(r, budget), 0, end)
+        loc = owner.location
+        return lens_gather(
+            range(start, end), self.masks, want, loc.x, loc.y, self.xs, self.ys, budget
+        )
 
 
 def greedy_completion_near(
@@ -42,9 +188,9 @@ def greedy_completion_near(
 ) -> List[SpatialObject] | None:
     """Cover ``uncovered`` greedily with candidates nearest to ``anchor``.
 
-    Repeatedly picks the candidate closest to ``anchor`` that covers at
-    least one still-uncovered keyword.  Returns the chosen objects, or
-    None when the candidates cannot cover everything.
+    Repeatedly picks the candidate closest to ``anchor`` (ties by oid)
+    that covers at least one still-uncovered keyword.  Returns the
+    chosen objects, or None when the candidates cannot cover everything.
     """
     chosen: List[SpatialObject] = []
     # One sort up front; each pass consumes the next useful candidate.
@@ -111,9 +257,9 @@ class OwnerRingApproximation(CoSKQAlgorithm):
         best: List[SpatialObject] = list(nn.objects)
         best_cost = self._evaluate(query, best)
         d_f = nn.d_f
-        index = self.context.index
-        for dist, owner in index.nearest_relevant_iter(query.location, query.keywords):
-            self._checkpoint()
+        use_flat = kernels_enabled()
+        stream = OwnerStream(self.context.index, query, self._checkpoint)
+        for dist, owner in stream:
             if dist < d_f:
                 # Cannot be the farthest member of any feasible set.
                 continue
@@ -122,7 +268,21 @@ class OwnerRingApproximation(CoSKQAlgorithm):
                 # later owners are farther, so stop.
                 break
             self._bump("owners_tried")
-            candidate_set = self._build_for_owner(query, owner, dist, best_cost)
+            uncovered = query.keywords - owner.keywords
+            if not uncovered:
+                candidate_set: Optional[List[SpatialObject]] = [owner]
+            elif use_flat:
+                candidate_set = self._complete_from_stream(
+                    stream, owner, dist, stream.mask_of(uncovered), best_cost
+                )
+            else:
+                # Reference arm: the same greedy over a range query.
+                completion = greedy_completion_near(
+                    owner,
+                    uncovered,
+                    self.context.relevant_in_circle(Circle(query.location, dist), uncovered),
+                )
+                candidate_set = None if completion is None else [owner] + completion
             if candidate_set is None:
                 continue
             cost_value = self._evaluate(query, candidate_set)
@@ -131,82 +291,54 @@ class OwnerRingApproximation(CoSKQAlgorithm):
                 best = candidate_set
         return self._result(best, best_cost)
 
-    def _build_for_owner(
+    def _complete_from_stream(
         self,
-        query: Query,
+        stream: OwnerStream,
         owner: SpatialObject,
         owner_dist: float,
-        cost_bound: float = float("inf"),
+        remaining: int,
+        cost_bound: float,
     ) -> List[SpatialObject] | None:
-        uncovered = set(query.keywords - owner.keywords)
-        if not uncovered:
-            return [owner]
-        use_sig = signatures_enabled()
-        u_mask = mask_of(frozenset(uncovered)) if use_sig else 0
-        # Greedy nearest-to-owner completion in a single disk-pruned walk:
-        # objects stream in ascending distance from the owner, so the
-        # first one covering a still-uncovered keyword is exactly the
-        # greedy pick.  An object skipped as useless can never become
-        # useful later (the uncovered set only shrinks), so one pass
-        # suffices.
+        """The greedy completion of ``owner``, aborted once it cannot win.
+
+        Walks the in-budget slice of ``C(q, r)`` in ``greedy_completion_near``
+        order: the first entry covering a still-uncovered keyword is the
+        greedy pick.  The picks are forced, so once the partial set
+        already costs at least ``cost_bound`` the owner cannot win and
+        the completion is aborted.  An entry farther than the budget
+        from the owner would abort on sight, which is why the slice can
+        stop at the budget.
+        """
+        budget = _pairwise_budget(self.cost, owner_dist, cost_bound)
+        hits, owner_d = stream.lens(owner, owner_dist, budget, remaining)
+        objects = stream.objects
+        xs = stream.xs
+        ys = stream.ys
+        masks = stream.masks
         chosen: List[SpatialObject] = [owner]
-        index = self.context.index
-        disk = Circle(query.location, owner_dist)
+        # Flat coordinates of the chosen set: each greedy pick's diameter
+        # update is one packed-array kernel call.
+        chosen_xs = array("d", (owner.location.x,))
+        chosen_ys = array("d", (owner.location.y,))
         diam_so_far = 0.0
-        # Flat coordinates of the chosen set: the incremental-diameter
-        # update becomes one packed-array kernel call per greedy pick
-        # instead of per-member attribute chasing.  The kernel's maximum
-        # is the same exact hypot value the scalar loop tracks.
-        chosen_xs: Optional[array]
-        chosen_ys: Optional[array]
-        use_flat = kernels_enabled()
-        if use_flat:
-            chosen_xs = array("d", (owner.location.x,))
-            chosen_ys = array("d", (owner.location.y,))
-        else:
-            chosen_xs = None
-            chosen_ys = None
-        for _, obj in index.nearest_relevant_iter(
-            owner.location, frozenset(uncovered), within=disk
-        ):
-            self._checkpoint()
-            if use_sig:
-                covered_mask = mask_of(obj.keywords) & u_mask
-                if not covered_mask:
-                    continue
-            else:
-                covered_now = obj.keywords & uncovered  # repro: noqa(R9) — toggle-off baseline
-                if not covered_now:
-                    continue
-            if use_flat:
-                loc = obj.location
-                d = max_distance_from(loc.x, loc.y, chosen_xs, chosen_ys)
-                if d > diam_so_far:
-                    diam_so_far = d
-            else:
-                for member in chosen:
-                    d = member.location.distance_to(obj.location)
-                    if d > diam_so_far:
-                        diam_so_far = d
-            # The greedy picks are forced; once the partial set already
-            # costs at least the incumbent this owner cannot win.
+        for _, _, i in sorted(zip(owner_d, (objects[i].oid for i in hits), hits)):
+            covered = masks[i] & remaining
+            if not covered:
+                continue
+            d = max_distance_from(xs[i], ys[i], chosen_xs, chosen_ys)
+            if d > diam_so_far:
+                diam_so_far = d
             if self.cost.combine(owner_dist, diam_so_far) >= cost_bound:
                 self._bump("completions_aborted")
                 return None
-            chosen.append(obj)
-            if use_flat:
-                chosen_xs.append(obj.location.x)
-                chosen_ys.append(obj.location.y)
-            else:
-                # The scalar path reads `chosen` directly; no flat mirror
-                # to maintain.
-                pass
-            if use_sig:
-                u_mask &= ~covered_mask
-                if not u_mask:
-                    return chosen
-            else:
-                uncovered -= covered_now
-                if not uncovered:
-                    return chosen
+            chosen.append(objects[i])
+            chosen_xs.append(xs[i])
+            chosen_ys.append(ys[i])
+            remaining &= ~covered
+            if not remaining:
+                return chosen
+        if stream.keywords_within(owner_dist) & remaining:
+            # A carrier of an uncovered keyword lies in C(q, r) beyond
+            # the budget: the next greedy pick, and it prices the set out.
+            self._bump("completions_aborted")
         return None

@@ -40,73 +40,26 @@ Constructor switches (`seed_with_appro`, `filter_candidates`,
 
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.algorithms.base import CoSKQAlgorithm, SearchContext
 from repro.algorithms.cover import CoverBudgetExceeded, find_constrained_cover
-from repro.algorithms.owner_appro import OwnerRingApproximation
+from repro.algorithms.owner_appro import (
+    _BISECTION_TOLERANCE,
+    OwnerRingApproximation,
+    OwnerStream,
+    _pairwise_budget,
+)
 from repro.cost.base import CostFunction, QueryAggregate, pairwise_max_distance
 from repro.geometry.circle import Circle
-from repro.index.signatures import bits_of, mask_of, pack_masks
-from repro.kernels import (
-    DistanceOracle,
-    distances_from,
-    kernels_enabled,
-    lens_gather,
-    lens_lower_bound,
-    pack_objects,
-)
+from repro.index.signatures import bits_of, mask_of
+from repro.kernels import DistanceOracle, kernels_enabled
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 
 __all__ = ["OwnerDrivenExact"]
-
-#: Relative early-exit tolerance for the numeric ``combine`` inversions
-#: below.  Both bisections keep a valid bracket invariant at every step
-#: (``hi`` infeasible-side, ``lo`` feasible-side), so exiting once the
-#: bracket width is negligible returns the same conservative endpoint a
-#: fixed 100-iteration loop would — minus the dead iterations where the
-#: bracket can no longer move a pruning decision.
-_BISECTION_TOLERANCE = 1e-12
-
-
-def _pairwise_budget(cost: CostFunction, query_component: float, bound: float) -> float:
-    """``sup { c ≥ 0 : combine(query_component, c) < bound }`` (or -1).
-
-    Numeric inversion (exponential search + bisection); ``combine`` is
-    nondecreasing in the pairwise component for every cost in the
-    library.  The returned value errs on the generous side, so it is safe
-    to use as a pruning radius.
-    """
-    combine = cost.combine  # hoisted: the loops below run ~40 iterations
-    if combine(query_component, 0.0) >= bound:
-        return -1.0
-    hi = max(bound, query_component, 1.0)
-    for _ in range(200):
-        if combine(query_component, hi) >= bound:
-            break
-        hi *= 2.0
-    else:
-        return math.inf  # cost ignores the pairwise component
-    lo = 0.0
-    # ``hi`` only shrinks below, so a threshold fixed at the initial
-    # bracket is the loosest the per-iteration one ever gets — exiting
-    # against it can only stop earlier, and ``hi`` stays on the generous
-    # side throughout, so no safety is lost (only dead iterations past
-    # the point where (lo+hi)/2 stops moving a pruning decision).
-    tol = _BISECTION_TOLERANCE * (hi if hi > 1.0 else 1.0)
-    for _ in range(100):
-        mid = (lo + hi) / 2.0
-        if combine(query_component, mid) < bound:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return hi
 
 
 def _indifferent_cap(cost: CostFunction, query_component: float, pairwise_lb: float) -> float:
@@ -171,11 +124,6 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         self.filter_candidates = filter_candidates
         self.ring_pruning = ring_pruning
         self.cover_node_budget = cover_node_budget
-        #: Per-query memo of the keyword-relevant universe in traversal
-        #: order, with packed coordinates and stored query distances —
-        #: every owner's lens region is carved out of this one list
-        #: instead of re-walking the index (see _lens_candidates).
-        self._lens_cache: Optional[tuple] = None
 
     # -- main loop -----------------------------------------------------------
 
@@ -183,7 +131,6 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         self, query: Query, initial_upper_bound: Optional[float] = None
     ) -> CoSKQResult:
         self._reset_counters()
-        self._lens_cache = None  # memo is valid for one query only
         nn = self.context.nn_set(query)
         best: List[SpatialObject] = list(nn.objects)
         best_cost = self._evaluate(query, best)
@@ -200,15 +147,14 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         bound = self._pruning_bound(best_cost, initial_upper_bound)
 
         d_f = nn.d_f if self.ring_pruning else 0.0
-        index = self.context.index
-        for dist, owner in index.nearest_relevant_iter(query.location, query.keywords):
-            self._checkpoint()
+        stream = OwnerStream(self.context.index, query, self._checkpoint)
+        for dist, owner in stream:
             if dist < d_f:
                 continue
             if self.cost.combine(dist, 0.0) >= bound:
                 break
             self._bump("owners_tried")
-            outcome = self._best_for_owner(query, owner, dist, bound)
+            outcome = self._best_for_owner(query, stream, owner, dist, bound)
             if outcome is not None:
                 owner_set, owner_cost = outcome
                 if owner_cost < best_cost:
@@ -223,6 +169,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
     def _best_for_owner(
         self,
         query: Query,
+        stream: OwnerStream,
         owner: SpatialObject,
         r: float,
         cur_cost: float,
@@ -242,12 +189,16 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         if self.filter_candidates and not math.isinf(budget):
             # Candidates live in C(q, r) ∩ C(owner, budget): any farther
             # object would push the pairwise term past the incumbent.
-            lens = self._lens_candidates(query, owner, r, budget, uncovered)
-            if lens is not None:
-                candidates, packed = lens
+            # Both arms list them by oid, so the cover search (whose
+            # dedup keeps the first of equal candidates) sees one list.
+            if kernels_enabled():
+                candidates, packed = self._lens_candidates(stream, owner, r, budget, uncovered)
             else:
-                candidates = self.context.index.relevant_in_region(
-                    [disk, Circle(owner.location, budget)], uncovered
+                candidates = sorted(
+                    self.context.index.relevant_in_region(
+                        [disk, Circle(owner.location, budget)], uncovered
+                    ),
+                    key=lambda o: o.oid,
                 )
         else:
             candidates = self.context.relevant_in_circle(disk, uncovered)
@@ -308,71 +259,33 @@ class OwnerDrivenExact(CoSKQAlgorithm):
                         hi = best_diam
         return best_set, self._evaluate(query, best_set)
 
+    @staticmethod
     def _lens_candidates(
-        self,
-        query: Query,
+        stream: OwnerStream,
         owner: SpatialObject,
         r: float,
         budget: float,
         uncovered: frozenset,
-    ) -> Optional[Tuple[List[SpatialObject], Tuple]]:
-        """Kernel-path replacement for the per-owner region traversal.
+    ) -> Tuple[List[SpatialObject], Tuple[array, array, array]]:
+        """``C(q, r) ∩ C(owner, budget)``'s relevant objects, by oid.
 
-        The keyword-relevant universe (in index traversal order, with
-        packed coordinates and stored query distances) is fetched once
-        per query; each owner's ``C(q, r) ∩ C(owner, budget)`` lens is
-        then a flat guarded scan over it.  Because filtering preserves
-        the traversal order and every disk test compares the very same
-        ``math.hypot`` values, the result list is element-for-element
-        identical to ``relevant_in_region([disk, owner_disk], uncovered)``.
-        Returns ``(candidates, (xs, ys, anchor_d))`` — coordinates and
-        exact owner distances are gathered while filtering, so the
-        per-owner :class:`DistanceOracle` neither re-packs nor re-measures
-        them.  None (fall back to the traversal) when the kernels are
-        off or the index does not expose :meth:`relevant_objects`.
+        Carved out of the query's owner stream (:meth:`OwnerStream.lens`)
+        instead of a region walk; the disk tests compare the same
+        ``math.hypot`` values a region query does, so the set is the
+        same.  Returns ``(candidates, (xs, ys, anchor_d))`` — coordinates
+        and exact owner distances ride along, so the per-owner
+        :class:`DistanceOracle` neither re-packs nor re-measures them.
         """
-        if not kernels_enabled():
-            return None
-        cache = self._lens_cache
-        if cache is None:
-            fetch = getattr(self.context.index, "relevant_objects", None)
-            if fetch is None:
-                return None
-            universe = fetch(query.keywords)
-            xs, ys = pack_objects(universe)
-            dq = distances_from(query.location.x, query.location.y, xs, ys)
-            # Universe indices sorted by query distance: a bisect gives
-            # each owner's C(q, r) members without scanning the rest.
-            order = sorted(range(len(universe)), key=dq.__getitem__)
-            sorted_dq = [dq[i] for i in order]
-            # Global signature masks (repro.index.signatures): the
-            # per-owner keyword filter below is a machine-int AND
-            # instead of a frozenset intersection.  ``uncovered ⊆
-            # query.keywords ⊆ keywords(universe member)`` relevance
-            # means a nonzero AND is exactly "shares a keyword with
-            # ``uncovered``" — no per-query bit compilation needed.
-            masks = pack_masks(universe)
-            cache = self._lens_cache = (universe, xs, ys, order, sorted_dq, masks)
-        universe, xs, ys, order, sorted_dq, masks = cache
-        # All i with dq[i] <= r — exactly the query-disk membership test.
-        # The annulus floor (triangle inequality with guard margins) only
-        # drops points certain to fail the exact owner-disk test below.
-        start = bisect.bisect_left(sorted_dq, lens_lower_bound(r, budget))
-        prefix = order[start : bisect.bisect_right(sorted_dq, r)]
-        unc = mask_of(uncovered)
-        loc = owner.location
-        hits, dists = lens_gather(prefix, masks, unc, loc.x, loc.y, xs, ys, budget)
-        # Universe indices are traversal-ordered, so sorting the
-        # surviving indices restores the traversal output order (the
-        # owner distances ride along for the oracle's anchor vector).
+        hits, dists = stream.lens(owner, r, budget, stream.mask_of(uncovered))
+        objects = stream.objects
         out: List[SpatialObject] = []
         cxs = array("d")
         cys = array("d")
         anchor_d = array("d")
-        for i, d in sorted(zip(hits, dists)):
-            out.append(universe[i])
-            cxs.append(xs[i])
-            cys.append(ys[i])
+        for i, d in sorted(zip(hits, dists), key=lambda hit: objects[hit[0]].oid):
+            out.append(objects[i])
+            cxs.append(stream.xs[i])
+            cys.append(stream.ys[i])
             anchor_d.append(d)
         return out, (cxs, cys, anchor_d)
 

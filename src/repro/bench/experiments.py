@@ -592,8 +592,8 @@ def experiment_kernels(scale: Scale) -> str:
     whatever machine runs the bench (the JSON records ``cpu_count``);
     the speedups come from removing per-pair attribute chasing, from the
     per-owner :class:`~repro.kernels.DistanceOracle` memoizing distances
-    across bisection probes, and from the per-query lens memo replacing
-    per-owner index traversals — not from parallelism.
+    across bisection probes, and from the per-query owner stream prefix
+    replacing per-owner index traversals — not from parallelism.
     """
     import json
     import os

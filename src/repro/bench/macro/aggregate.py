@@ -65,9 +65,11 @@ class LatencyAccumulator:
         if not self._samples:
             raise InvalidParameterError("summary() of an empty accumulator")
         ordered = sorted(self._samples)
+        # Clamped: ``sum/n`` can round past the extremes ([0.1] * 3).
+        mean = min(max(sum(ordered) / len(ordered), ordered[0]), ordered[-1])
         out: Dict[str, float] = {
             "count": len(ordered),
-            "mean_ms": sum(ordered) / len(ordered),
+            "mean_ms": mean,
             "min_ms": ordered[0],
         }
         for label, fraction in PERCENTILES:

@@ -14,6 +14,7 @@ for the dirty files real corpora tend to be.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -58,6 +59,10 @@ def _parse_line(
         y = float(parts[fmt.y_column])
     except (ValueError, IndexError) as exc:
         raise DatasetFormatError("line %d: bad coordinates (%s)" % (lineno, exc)) from exc
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DatasetFormatError(
+            "line %d: coordinates must be finite, got %r %r" % (lineno, x, y)
+        )
     if fmt.keyword_column is None:
         used = {fmt.x_column, fmt.y_column}
         raw = [p for i, p in enumerate(parts) if i not in used]

@@ -192,10 +192,6 @@ class ChaosIndex:
         self._intercept("relevant_in_region")
         return self.inner.relevant_in_region(circles, keywords)
 
-    def relevant_objects(self, keywords: FrozenSet[int]) -> List[SpatialObject]:
-        self._intercept("relevant_objects")
-        return self.inner.relevant_objects(keywords)
-
     def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:
         self._intercept("objects_in_circle")
         return self.inner.objects_in_circle(circle)

@@ -226,13 +226,6 @@ class CachingIndex:
         )
         return list(snapshot)
 
-    def relevant_objects(self, keywords: FrozenSet[int]) -> List[SpatialObject]:
-        key = ("relevant", keywords)
-        snapshot = self._memoized(
-            key, lambda: tuple(self.inner.relevant_objects(keywords))
-        )
-        return list(snapshot)
-
     def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:
         key = ("objects", _circle_key(circle))
         snapshot = self._memoized(

@@ -239,14 +239,20 @@ class IRTree:
         elsewhere, and pruning the disk inside the traversal is what
         makes that cheap.  With signatures enabled the keyword tests run
         on node/entry bitmasks (decision-identical to the set algebra).
+
+        Equal distances come out by ascending oid: a node sorts before an
+        object at the same key, so every object at that distance is in
+        the heap before the first of them pops.  The order is therefore
+        the total ``(distance, oid)`` order, whatever the tree's shape.
         """
         if self.root.mbr is None:
             return
         use_sig = signatures_enabled()
         w_mask = mask_of(keywords) if use_sig else 0
         counter = itertools.count()
-        # Heap entries are either unopened nodes or materialized objects.
-        heap: List[Tuple[float, int, bool, Union[IRTreeNode, SpatialObject]]] = []
+        # Heap entries are unopened nodes ``(key, 0, counter, node)`` or
+        # materialized objects ``(distance, 1, oid, object)``.
+        heap: List[Tuple[float, int, int, Union[IRTreeNode, SpatialObject]]] = []
         if (
             self.root.kw_mask & w_mask
             if use_sig
@@ -254,7 +260,7 @@ class IRTree:
         ):
             heapq.heappush(
                 heap,
-                (self.root.mbr.min_distance(point), next(counter), False, self.root),
+                (self.root.mbr.min_distance(point), 0, next(counter), self.root),
             )
         w_center = within.center if within is not None else None
         w_radius = within.radius if within is not None else 0.0
@@ -270,7 +276,7 @@ class IRTree:
                 w_lo2 = w_hi2 = 0.0
                 w_fast = False
         while heap:
-            dist, _, is_object, item = heapq.heappop(heap)
+            dist, is_object, _, item = heapq.heappop(heap)
             if is_object:
                 yield dist, item  # type: ignore[misc]
                 continue
@@ -301,7 +307,7 @@ class IRTree:
                             ) > w_radius:
                                 continue
                         d = math.hypot(px - xs[i], py - ys[i])
-                        heapq.heappush(heap, (d, next(counter), True, obj))
+                        heapq.heappush(heap, (d, 1, obj.oid, obj))
                     continue
                 masks = node.obj_masks
                 for i, obj in enumerate(node.objects):
@@ -316,7 +322,7 @@ class IRTree:
                     ):
                         continue
                     d = point.distance_to(obj.location)
-                    heapq.heappush(heap, (d, next(counter), True, obj))
+                    heapq.heappush(heap, (d, 1, obj.oid, obj))
             else:
                 for child in node.children:
                     if child.mbr is None:
@@ -375,7 +381,7 @@ class IRTree:
                             key = dx
                         else:
                             key = math.hypot(dx, dy)
-                        heapq.heappush(heap, (key, next(counter), False, child))
+                        heapq.heappush(heap, (key, 0, next(counter), child))
                         continue
                     if (
                         w_center is not None
@@ -384,7 +390,7 @@ class IRTree:
                         continue
                     heapq.heappush(
                         heap,
-                        (child.mbr.min_distance(point), next(counter), False, child),
+                        (child.mbr.min_distance(point), 0, next(counter), child),
                     )
 
     def keyword_nn(
@@ -393,9 +399,8 @@ class IRTree:
         """The paper's ``NN(point, t)``: nearest object carrying ``t``.
 
         Returns ``(distance, object)`` or None when no object carries the
-        keyword.  Ties on distance are broken deterministically by object
-        id through the traversal's insertion counter, so repeated calls
-        agree.
+        keyword.  Ties on distance go to the lowest object id (the
+        stream's ``(distance, oid)`` order).
         """
         target = frozenset((keyword_id,))
         for dist, obj in self.nearest_relevant_iter(point, target):
@@ -419,9 +424,7 @@ class IRTree:
         subtrees are skipped that the signatures-off path (filtering a
         relevance-ordered stream) must still walk.  Results are
         identical: both paths emit covering objects in ascending
-        ``(distance, push order)``, and the relative push order of the
-        surviving entries matches the off path's traversal (pruned
-        entries contribute no results and do not reorder the rest).
+        ``(distance, oid)`` order (see :meth:`nearest_relevant_iter`).
         """
         out: List[Tuple[float, SpatialObject]] = []
         if k <= 0:
@@ -434,11 +437,11 @@ class IRTree:
                 return out
             point = query.location
             counter = itertools.count()
-            heap: List[Tuple[float, int, bool, Union[IRTreeNode, SpatialObject]]] = [
-                (self.root.mbr.min_distance(point), next(counter), False, self.root)
+            heap: List[Tuple[float, int, int, Union[IRTreeNode, SpatialObject]]] = [
+                (self.root.mbr.min_distance(point), 0, next(counter), self.root)
             ]
             while heap:
-                dist, _, is_object, item = heapq.heappop(heap)
+                dist, is_object, _, item = heapq.heappop(heap)
                 if is_object:
                     out.append((dist, item))  # type: ignore[arg-type]
                     if len(out) >= k:
@@ -451,14 +454,14 @@ class IRTree:
                         if q_mask & ~masks[i]:
                             continue
                         d = point.distance_to(obj.location)
-                        heapq.heappush(heap, (d, next(counter), True, obj))
+                        heapq.heappush(heap, (d, 1, obj.oid, obj))
                 else:
                     for child in node.children:
                         if child.mbr is None or q_mask & ~child.kw_mask:
                             continue
                         heapq.heappush(
                             heap,
-                            (child.mbr.min_distance(point), next(counter), False, child),
+                            (child.mbr.min_distance(point), 0, next(counter), child),
                         )
             return out
         for dist, obj in self.nearest_relevant_iter(query.location, query.keywords):
@@ -684,41 +687,6 @@ class IRTree:
                     elif obj.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
                         continue
                     if all(c.contains(obj.location) for c in circles):
-                        out.append(obj)
-            else:
-                stack.extend(node.children)
-        return out
-
-    def relevant_objects(self, keywords: FrozenSet[int]) -> List[SpatialObject]:
-        """Every object carrying any keyword of ``keywords``.
-
-        Same stack discipline (and therefore the same output order) as
-        :meth:`relevant_in_region` minus the spatial pruning: filtering
-        this list by the disk tests reproduces a region query's result
-        list element-for-element, which is what lets the owner-driven
-        search memoize one keyword-relevant universe per query and carve
-        per-owner lens regions out of it with the flat kernels.
-        """
-        out: List[SpatialObject] = []
-        use_sig = signatures_enabled()
-        w_mask = mask_of(keywords) if use_sig else 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.mbr is None:
-                continue
-            if use_sig:
-                if not node.kw_mask & w_mask:
-                    continue
-            elif node.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
-                continue
-            if node.is_leaf:
-                masks = node.obj_masks
-                for i, obj in enumerate(node.objects):
-                    if use_sig:
-                        if masks[i] & w_mask:
-                            out.append(obj)
-                    elif not obj.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
                         out.append(obj)
             else:
                 stack.extend(node.children)

@@ -95,18 +95,6 @@ class LinearScanIndex:
             and all(c.contains(o.location) for c in circles)
         ]
 
-    def relevant_objects(self, keywords: FrozenSet[int]) -> List[SpatialObject]:
-        """Every object carrying any keyword of ``keywords`` (scan order)."""
-        if signatures_enabled():
-            w_mask = mask_of(keywords)
-            masks = self._masks
-            return [o for i, o in enumerate(self._objects) if masks[i] & w_mask]
-        return [
-            o
-            for o in self._objects
-            if not o.keywords.isdisjoint(keywords)  # repro: noqa(R9) — toggle-off baseline
-        ]
-
     def keyword_nn(
         self, point: Point, keyword_id: int
     ) -> Optional[Tuple[float, SpatialObject]]:

@@ -78,16 +78,6 @@ class SpatialTextIndex(Protocol):
         """Relevant objects inside the intersection of all ``circles``."""
         ...
 
-    def relevant_objects(self, keywords: FrozenSet[int]) -> List[SpatialObject]:
-        """Every object carrying any keyword of ``keywords``.
-
-        Must enumerate in the same traversal order as
-        :meth:`relevant_in_region` so that spatially filtering this list
-        reproduces a region query's output exactly (the owner-driven
-        search memoizes it per query; see ``docs/PERFORMANCE.md``).
-        """
-        ...
-
     def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:
         """All objects in the closed disk, regardless of keywords."""
         ...

@@ -9,11 +9,6 @@ implementation of the index protocol: the parity suite
 (``tests/test_index_parity.py``) runs IR-tree, R-tree+inverted and the
 linear-scan oracle against each other, so a bug in any one traversal
 shows up as a three-way disagreement.
-
-Ordering contract: ``relevant_objects`` and ``relevant_in_region``
-enumerate in ascending-oid scan order (the same discipline as
-``LinearScanIndex``), so filtering the former by the disk tests
-reproduces the latter element-for-element as the protocol requires.
 """
 
 from __future__ import annotations
@@ -141,11 +136,6 @@ class RTreeTextIndex:
             if self._relevant(obj, keywords, w_mask)
             and all(c.contains(obj.location) for c in circles)
         ]
-
-    def relevant_objects(self, keywords: FrozenSet[int]) -> List[SpatialObject]:
-        """Every relevant object, in the scan order of ``relevant_in_region``."""
-        w_mask = mask_of(keywords) if signatures_enabled() else 0
-        return [obj for obj in self._objects if self._relevant(obj, keywords, w_mask)]
 
     def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:
         """All objects inside the closed disk."""

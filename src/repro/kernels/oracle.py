@@ -65,7 +65,7 @@ class DistanceOracle:
         if xs is None or ys is None:
             xs, ys = pack_objects(self.objects)
         #: Packed candidate coordinates.  Callers that already hold the
-        #: coordinates flat (the solver's per-query lens memo) pass them
+        #: coordinates flat (the solver's owner stream prefix) pass them
         #: in to skip re-chasing ``obj.location`` per candidate; the
         #: arrays must mirror ``candidates`` element-for-element.
         self.xs, self.ys = xs, ys

@@ -10,6 +10,7 @@ repeatable without regenerating data.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Sequence
@@ -175,6 +176,11 @@ class Dataset:
                     raise DatasetFormatError(
                         "line %d: bad coordinates: %s" % (lineno, exc)
                     ) from exc
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise DatasetFormatError(
+                        "line %d: coordinates must be finite, got %r %r"
+                        % (lineno, parts[0], parts[1])
+                    )
                 words = [w for w in parts[2].split(" ") if w]
                 if not words:
                     raise DatasetFormatError("line %d: object has no keywords" % lineno)

@@ -7,6 +7,7 @@ against a dataset's vocabulary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
@@ -27,6 +28,11 @@ class Query:
     def __post_init__(self) -> None:
         if not self.keywords:
             raise InvalidParameterError("a CoSKQ query needs at least one keyword")
+        if not (math.isfinite(self.location.x) and math.isfinite(self.location.y)):
+            raise InvalidParameterError(
+                "query coordinates must be finite, got (%r, %r)"
+                % (self.location.x, self.location.y)
+            )
 
     @staticmethod
     def create(x: float, y: float, keywords: Iterable[int]) -> "Query":

@@ -116,8 +116,13 @@ class CoSKQRequestHandler(BaseHTTPRequestHandler):
             )
         for name, value in response.headers:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would send the headers on their own.  Written
+        # apart, the body of a keep-alive response waits for the client's
+        # delayed ACK of the headers (about 40 ms under Nagle's
+        # algorithm), so the blank line and the body join the buffered
+        # headers and all leave in one write.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _write_simple(self, status: int, payload: Dict[str, object]) -> None:
         self._write_response(ServeResponse(status=status, payload=payload))

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -86,6 +87,20 @@ OUTCOME_STATUS: Dict[str, int] = {
 
 #: ``failed`` status when the chain died purely of deadline aborts.
 STATUS_DEADLINE = 504
+
+
+def _refuse_constant(name: str) -> float:
+    """``json.loads`` hook: ``NaN`` and ``Infinity`` are not JSON numbers."""
+    raise ValueError("%s is not a number" % name)
+
+
+def _is_finite_number(value: object) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 def provenance_to_dict(provenance: ExecutionProvenance) -> Dict[str, object]:
@@ -336,17 +351,15 @@ class QueryService:
     def _parse(self, body: bytes) -> Dict[str, object]:
         """The request JSON, validated to primitives (raises typed errors)."""
         try:
-            document = json.loads(body.decode("utf-8"))
+            document = json.loads(body.decode("utf-8"), parse_constant=_refuse_constant)
         except (ValueError, UnicodeDecodeError) as err:
             raise InvalidParameterError("request body is not JSON: %s" % err)
         if not isinstance(document, dict):
             raise InvalidParameterError("request body must be a JSON object")
         for coordinate in ("x", "y"):
-            if not isinstance(document.get(coordinate), (int, float)) or isinstance(
-                document.get(coordinate), bool
-            ):
+            if not _is_finite_number(document.get(coordinate)):
                 raise InvalidParameterError(
-                    "field %r must be a number" % coordinate
+                    "field %r must be a finite number" % coordinate
                 )
         keywords = document.get("keywords")
         if (

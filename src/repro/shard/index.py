@@ -17,12 +17,8 @@ single-tree counterpart documents:
 - ``keyword_nn`` probes shards in ascending MBR-lower-bound order and
   stops as soon as the bound can no longer improve on the best hit.
 - The bulk retrievals (``relevant_in_circle`` / ``relevant_in_region`` /
-  ``relevant_objects`` / ``objects_in_circle``) concatenate per-shard
-  results in fixed ``shard_id`` order.  Spatially filtering a
-  concatenation equals concatenating the filtered lists, so the
-  protocol's memoization contract — ``relevant_objects`` enumerates in
-  the same traversal order ``relevant_in_region`` filters — holds for
-  the facade exactly because it holds per shard.
+  ``objects_in_circle``) concatenate per-shard results in fixed
+  ``shard_id`` order.
 
 Thread safety mirrors the PR-7 :class:`~repro.index.cache.CachingIndex`
 pattern: the shards, trees and summaries are immutable after ``build``
@@ -210,8 +206,9 @@ class ShardedIndex:
         Shard bounds are the exact point-to-rectangle distances (inlined
         clamped-offset ``hypot``, the same arithmetic the IR-tree inlines
         for its node bounds).  Any object in a shard is at least that far
-        away, so stopping once the next bound cannot beat the incumbent
-        never discards a closer hit.
+        away, so stopping once the next bound exceeds the incumbent never
+        discards a closer hit — nor a tie with a lower oid, which wins as
+        it does in a single tree.
         """
         keyword_mask = mask_of((keyword_id,))
         px = point.x
@@ -226,11 +223,13 @@ class ShardedIndex:
         best: Optional[Tuple[float, SpatialObject]] = None
         probes = 0
         for bound, _, tree in order:
-            if best is not None and bound >= best[0]:
+            if best is not None and bound > best[0]:
                 break
             probes += 1
             hit = tree.keyword_nn(point, keyword_id)
-            if hit is not None and (best is None or hit[0] < best[0]):
+            if hit is not None and (
+                best is None or (hit[0], hit[1].oid) < (best[0], best[1].oid)
+            ):
                 best = hit
         self.stats.bump("keyword_nn_calls")
         self.stats.bump("keyword_nn_shard_probes", probes)
@@ -241,20 +240,21 @@ class ShardedIndex:
     ) -> Iterator[Tuple[float, SpatialObject]]:
         """Ascending-distance merge of the shards' relevant streams.
 
-        Heap entries are ``(key, kind, shard_id, payload)`` where a stub
-        (``kind=1``) holds the un-started shard traversal and an entry
-        (``kind=0``) holds one pulled object plus its generator.  Each
-        shard has at most one element in the heap, so the first three
-        fields are always a unique sort key and the payloads are never
-        compared.  A popped object's distance is a lower bound for every
-        remaining heap element, which makes the merged stream globally
-        ascending.
+        Heap entries are ``(key, kind, tiebreak, payload)`` where a stub
+        (``kind=0``, tiebreak ``shard_id``) holds the un-started shard
+        traversal and an entry (``kind=1``, tiebreak ``oid``) holds one
+        pulled object plus its generator.  Shard ids and oids are unique,
+        so the first three fields are always a unique sort key and the
+        payloads are never compared.  A popped object's key is a lower
+        bound for every remaining heap element, and a stub sorts before
+        an entry at the same key, so the merged stream has the shards'
+        own ``(distance, oid)`` order.
 
-        The owner-driven solvers call this once per owner per keyword
-        with a small ``within`` disk, so the setup loop is the facade's
-        hottest path: shard bounds are exact point-to-rectangle
-        distances via inlined clamped-offset ``hypot`` (admissible —
-        every shard object is at least that far from the anchor), a
+        Callers that pass a small ``within`` disk make the setup loop
+        the hot part, so it is kept lean: shard bounds are exact
+        point-to-rectangle distances via inlined clamped-offset ``hypot``
+        (admissible — every shard object is at least that far from the
+        anchor), a
         shard whose rectangle lies strictly outside the closed ``within``
         disk is skipped (its objects would all fail the traversal's
         exact membership test), and when exactly one shard survives the
@@ -288,25 +288,25 @@ class ShardedIndex:
             yield from live[0][2].nearest_relevant_iter(point, keywords, within=within)
             return
         heap: List[Tuple[float, int, int, object]] = [
-            (bound, 1, shard_id, tree) for bound, shard_id, tree in live
+            (bound, 0, shard_id, tree) for bound, shard_id, tree in live
         ]
         heapq.heapify(heap)
         while heap:  # repro: noqa(R11) — bounded k-way merge; budget hooks live in the consuming solver
-            key, kind, shard_id, payload = heapq.heappop(heap)
-            if kind == 1:
+            key, kind, _, payload = heapq.heappop(heap)
+            if kind == 0:
                 stats.bump("relevant_iter_shards_expanded")
                 stream = payload.nearest_relevant_iter(  # type: ignore[union-attr]
                     point, keywords, within=within
                 )
                 first = next(stream, None)
                 if first is not None:
-                    heapq.heappush(heap, (first[0], 0, shard_id, (first, stream)))
+                    heapq.heappush(heap, (first[0], 1, first[1].oid, (first, stream)))
                 continue
             (item, stream) = payload  # type: ignore[misc]
             yield item
             after = next(stream, None)
             if after is not None:
-                heapq.heappush(heap, (after[0], 0, shard_id, (after, stream)))
+                heapq.heappush(heap, (after[0], 1, after[1].oid, (after, stream)))
 
     def nearest_neighbor_set(
         self, query: Query
@@ -353,15 +353,6 @@ class ShardedIndex:
             ):
                 continue
             out.extend(shard.tree.relevant_in_region(circles, keywords))
-        return out
-
-    def relevant_objects(self, keywords: FrozenSet[int]) -> List[SpatialObject]:
-        q_mask = mask_of(keywords)
-        out: List[SpatialObject] = []
-        for shard in self._shards:
-            if not overlaps(q_mask, shard.summary.kw_mask):
-                continue
-            out.extend(shard.tree.relevant_objects(keywords))
         return out
 
     def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:

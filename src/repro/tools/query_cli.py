@@ -45,6 +45,7 @@ stage, which is how the non-zero taxonomy exits become reachable.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -364,6 +365,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         if args.at is None or args.keywords is None:
             print("--at and --keywords are required without --batch", file=sys.stderr)
+            return 2
+        if not all(math.isfinite(v) for v in args.at):
+            print("--at coordinates must be finite", file=sys.stderr)
             return 2
         if args.workers != 1 or args.cache != "none":
             print("--workers/--cache only apply to --batch runs", file=sys.stderr)

@@ -57,9 +57,9 @@ def summarize(values: Iterable[float]) -> Summary:
     data: List[float] = list(values)
     if not data:
         raise ValueError("summarize() of an empty sample")
-    return Summary(
-        mean=sum(data) / len(data),
-        minimum=min(data),
-        maximum=max(data),
-        count=len(data),
-    )
+    low = min(data)
+    high = max(data)
+    # ``sum/n`` can round past the extremes: [0.1] * 3 averages to
+    # 0.10000000000000002.
+    mean = min(max(sum(data) / len(data), low), high)
+    return Summary(mean=mean, minimum=low, maximum=high, count=len(data))

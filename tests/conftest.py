@@ -17,6 +17,8 @@ from repro.algorithms.base import SearchContext
 from repro.analysis import contracts
 from repro.data.generators import clustered_dataset, uniform_dataset
 from repro.data.queries import generate_queries
+from repro.model.dataset import Dataset
+from repro.model.query import Query
 
 # Opt-in runtime contract checking: REPRO_CHECK_CONTRACTS=1 wraps every
 # solve() with feasibility/cost/optimality post-conditions, so the whole
@@ -105,3 +107,57 @@ def make_random_instance(seed: int, num_objects: int = 60, vocab: int = 8):
     context = SearchContext(dataset)
     queries = generate_queries(dataset, 3, 3, seed=seed + 1)
     return dataset, context, queries
+
+
+#: ``(x, y, words)`` rows of :func:`make_tie_instance`.  Integer offsets
+#: make the tied distances exactly equal floats: ``hypot(3, 4) == 5.0``.
+TIE_ROWS = (
+    (0, 0, "a"),
+    (3, 4, "b"),
+    (-3, 4, "c"),
+    (4, -3, "b c"),
+    (-4, -3, "d"),
+    (5, 0, "c d"),
+    (0, -5, "a d"),
+    (3, 4, "b"),  # same place and keywords as oid 1
+    (3, 4, "d"),  # same place as oid 1, other keywords
+    (-3, 4, "c"),  # same place and keywords as oid 2
+    (6, 8, "a b c d"),
+    (1, 0, "b"),
+    (-1, 0, "b"),
+    (0, 1, "c"),
+    (0, -1, "c"),
+    # Around (100, 100): the MaxSum-Appro answer comes from owner oid 17,
+    # whose two f-carriers (oids 18 and 19) are equally near it.
+    (97, 100, "e"),
+    (103, 100, "f"),
+    (100, 104, "e"),
+    (101, 103, "f"),
+    (99, 103, "f"),
+)
+
+
+def make_tie_instance():
+    """A degenerate (dataset, context, queries) triple built on exact ties.
+
+    Objects share locations, many relevant objects share one query
+    distance (so an owner's disk must take in the stream entries tied
+    with it), greedy completions tie on their distance to the owner, and
+    two queries sit on top of objects.
+    """
+    dataset = Dataset.from_records(
+        ((float(x), float(y), words.split()) for x, y, words in TIE_ROWS), name="ties"
+    )
+    vocabulary = dataset.vocabulary
+    queries = [
+        Query.from_words(x, y, words.split(), vocabulary)
+        for x, y, words in (
+            (0.0, 0.0, "a b c"),
+            (0.0, 0.0, "b c d"),
+            (0.0, 0.0, "a d"),
+            (3.0, 4.0, "b d"),
+            (-3.0, 4.0, "a c d"),
+            (100.0, 100.0, "e f"),
+        )
+    ]
+    return dataset, SearchContext(dataset), queries

@@ -11,7 +11,7 @@ samples were sharded or ordered.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.bench.macro.aggregate import LatencyAccumulator, throughput_qps
@@ -38,6 +38,7 @@ def test_percentiles_are_monotone(samples):
 
 
 @given(latencies)
+@example([0.1, 0.1, 0.1])
 def test_statistics_lie_within_sample_bounds(samples):
     summary = LatencyAccumulator(samples).summary()
     lo, hi = min(samples), max(samples)

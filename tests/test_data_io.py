@@ -67,6 +67,12 @@ class TestLoadDelimited:
         with pytest.raises(DatasetFormatError):
             load_delimited(path)
 
+    @pytest.mark.parametrize("row", ["nan\t2.0\ta", "1.0\tinf\ta", "-Infinity\t0\ta"])
+    def test_non_finite_row_raises(self, tmp_path, row):
+        path = write(tmp_path, "1.0\t2.0\ta\n%s\n" % row)
+        with pytest.raises(DatasetFormatError, match="line 2"):
+            load_delimited(path)
+
     def test_bad_rows_skippable(self, tmp_path):
         path = write(tmp_path, "1.0\t2.0\ta\nbroken\n3.0\t4.0\tb\n")
         ds = load_delimited(path, on_error="skip")

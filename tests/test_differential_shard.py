@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_instance
+from conftest import make_random_instance, make_tie_instance
 from repro.algorithms.base import SearchContext
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
 from repro.cost.functions import ALL_COSTS, cost_by_name
@@ -56,6 +56,14 @@ def instance(request):
     return dataset, context, queries
 
 
+@pytest.fixture(scope="module", params=SEEDS + ("ties",))
+def identity_instance(request):
+    """The seeded instances plus the tie-laden one, for the identity gates."""
+    if request.param == "ties":
+        return make_tie_instance()
+    return make_random_instance(request.param, num_objects=40, vocab=8)
+
+
 def fingerprints(solver, queries):
     out = []
     for query in queries:
@@ -66,8 +74,8 @@ def fingerprints(solver, queries):
 
 class TestFacadeIdentity:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
-    def test_every_solver_over_the_facade(self, instance, name):
-        dataset, context, queries = instance
+    def test_every_solver_over_the_facade(self, identity_instance, name):
+        dataset, context, queries = identity_instance
         baseline = fingerprints(make_algorithm(name, context), queries)
         for num_shards in SHARD_COUNTS:
             sharded = SearchContext(
@@ -85,8 +93,8 @@ class TestFacadeIdentity:
 
 class TestEngineIdentity:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
-    def test_every_solver_through_the_engine(self, instance, name):
-        dataset, context, queries = instance
+    def test_every_solver_through_the_engine(self, identity_instance, name):
+        dataset, context, queries = identity_instance
         baseline = fingerprints(make_algorithm(name, context), queries)
         for num_shards in SHARD_COUNTS:
             sharded = SearchContext(
@@ -96,9 +104,9 @@ class TestEngineIdentity:
             assert fingerprints(engine, queries) == baseline
 
     @pytest.mark.parametrize("cost_name", sorted(ALL_COSTS))
-    def test_every_cost_through_the_engine(self, instance, cost_name):
+    def test_every_cost_through_the_engine(self, identity_instance, cost_name):
         """Bound pruning must defer to the cost (MIN costs: mask only)."""
-        dataset, context, queries = instance
+        dataset, context, queries = identity_instance
         for solver_name in ("maxsum-appro", "unified-exact"):
             baseline = fingerprints(
                 make_algorithm(solver_name, context, cost_by_name(cost_name)),

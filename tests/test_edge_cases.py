@@ -10,6 +10,7 @@ from repro.algorithms.dia_exact import DiaExact
 from repro.algorithms.maxsum_appro import MaxSumAppro
 from repro.algorithms.maxsum_exact import MaxSumExact
 from repro.cost.functions import DiaCost, MaxSumCost
+from repro.errors import DatasetFormatError, InvalidParameterError
 from repro.geometry.point import Point
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
@@ -123,6 +124,19 @@ class TestDegenerateQueries:
         ds = dataset_from([(1.0, 0.0, ["a"])])
         query = Query.create(0.0, 0.0, [0, 0, 0])
         assert query.size == 1
+
+    @pytest.mark.parametrize(
+        "x, y", [(float("nan"), 0.0), (float("inf"), 0.0), (0.0, float("-inf"))]
+    )
+    def test_non_finite_coordinates_are_rejected(self, x, y):
+        ds = dataset_from([(0.0, 0.0, ["a"]), (1.0, 0.0, ["b"])])
+        with pytest.raises(InvalidParameterError):
+            Query.create(x, y, [0, 1])
+        with pytest.raises(InvalidParameterError):
+            Query.from_words(x, y, ["a", "b"], ds.vocabulary)
+        row = "%r\t%r\ta" % (x, y)
+        with pytest.raises(DatasetFormatError, match="line 2"):
+            Dataset.parse(["0.0\t0.0\ta", row])
 
     def test_query_far_outside_data(self):
         ds = dataset_from([(0.0, 0.0, ["a"]), (1.0, 0.0, ["b"])])

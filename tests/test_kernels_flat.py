@@ -20,9 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import make_random_instance
 from repro.cost.base import pairwise_max_distance
-from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.index.neighbors import LinearScanIndex
 from repro.kernels import flat
 from repro.kernels.flat import (
     any_beyond,
@@ -315,40 +313,3 @@ class TestDistanceOracle:
             [2, 6, 11]
         )
         assert pre.index_of(candidates[5]) == oracle.index_of(candidates[5])
-
-
-# -- index-side order contracts ------------------------------------------------
-
-
-class TestRelevantObjectsContract:
-    """relevant_objects must enumerate in region-traversal order.
-
-    The solver's lens memo carves every per-owner candidate list out of
-    the relevant universe by pure filtering, so the universe's order must
-    be exactly the order ``relevant_in_region`` would emit — otherwise
-    the kernels-on candidate lists (and therefore the tie-breaking of
-    downstream scans) would silently diverge from the kernels-off path.
-    """
-
-    @pytest.mark.parametrize("seed", [41, 42])
-    def test_filtering_universe_reproduces_region_query(self, seed):
-        dataset, context, queries = make_random_instance(seed, num_objects=60)
-        index = context.index
-        for query in queries:
-            universe = index.relevant_objects(query.keywords)
-            assert all(
-                not o.keywords.isdisjoint(query.keywords) for o in universe
-            )
-            for radius in (0.1, 0.25, 0.6):
-                circle = Circle(query.location, radius)
-                want = index.relevant_in_region([circle], query.keywords)
-                got = [o for o in universe if circle.contains(o.location)]
-                assert [o.oid for o in got] == [o.oid for o in want]
-
-    def test_linear_scan_agrees_with_irtree_as_a_set(self):
-        dataset, context, queries = make_random_instance(43, num_objects=50)
-        linear = LinearScanIndex.build(dataset)
-        for query in queries:
-            a = {o.oid for o in context.index.relevant_objects(query.keywords)}
-            b = {o.oid for o in linear.relevant_objects(query.keywords)}
-            assert a == b

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import make_random_instance
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
+from repro.geometry.circle import Circle
 from repro.index import signatures
 from repro.index.cache import CacheStats, CachingIndex
 from repro.index.protocol import SpatialTextIndex
@@ -117,7 +118,10 @@ class TestSignatureToggleKeysUnchanged:
         cache = CachingIndex(context.index)
         signatures.set_enabled(False)
         warmed = {
-            q: (cache.nearest_neighbor_set(q), cache.relevant_objects(q.keywords))
+            q: (
+                cache.nearest_neighbor_set(q),
+                cache.relevant_in_circle(Circle(q.location, 0.3), q.keywords),
+            )
             for q in queries
         }
         misses = cache.stats.misses
@@ -125,7 +129,10 @@ class TestSignatureToggleKeysUnchanged:
         before = cache.stats.hits
         for q in queries:
             assert cache.nearest_neighbor_set(q) == warmed[q][0]
-            assert cache.relevant_objects(q.keywords) == warmed[q][1]
+            assert (
+                cache.relevant_in_circle(Circle(q.location, 0.3), q.keywords)
+                == warmed[q][1]
+            )
         assert cache.stats.hits == before + 2 * len(queries)
         assert cache.stats.misses == misses, "toggle flip must not re-key"
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.owner_appro import greedy_completion_near
-from repro.algorithms.owner_exact import _indifferent_cap, _pairwise_budget
+from repro.algorithms.owner_appro import _pairwise_budget, greedy_completion_near
+from repro.algorithms.owner_exact import _indifferent_cap
 from repro.cost.functions import DiaCost, MaxCost, MaxSumCost
 from repro.geometry.point import Point
 from repro.model.objects import SpatialObject

@@ -86,6 +86,13 @@ class TestQueryCli:
         code = main(["--at", "0", "0", "--keywords", "x"])
         assert code == 2
 
+    @pytest.mark.parametrize("at", [("nan", "0"), ("inf", "0"), ("0", "Infinity")])
+    def test_non_finite_location_is_usage_error(self, dataset_file, capsys, at):
+        words = frequent_words(dataset_file, 2)
+        code = main([dataset_file, "--at", *at, "--keywords", *words])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_demo_mode(self, capsys):
         code = main(["--demo", "--at", "500", "500", "--keywords", "w0000", "w0001"])
         assert code == 0

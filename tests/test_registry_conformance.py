@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import make_tie_instance
 from repro.algorithms.base import SearchContext
 from repro.algorithms.bruteforce import BruteForceExact
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
@@ -41,6 +42,13 @@ def instance():
     return dataset, context, queries
 
 
+@pytest.fixture(scope="module")
+def instances(instance):
+    """The shared instance plus the tie-laden one (colocated objects,
+    owners tied with other stream entries, a query on an object)."""
+    return [instance, make_tie_instance()]
+
+
 def oracle_cost(context, query, cost):
     return BruteForceExact(context, cost).solve(query).cost
 
@@ -59,39 +67,39 @@ def test_registered_algorithm_solves(name, instance):
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
-def test_exactness_claims_hold(name, instance):
-    _, context, queries = instance
-    algorithm = make_algorithm(name, context)
-    for query in queries:
-        result = algorithm.solve(query)
-        optimum = oracle_cost(context, query, algorithm.cost)
-        if algorithm.exact:
-            assert abs(result.cost - optimum) <= TOLERANCE, (
-                "%s claims exact but %.9f != optimum %.9f"
-                % (name, result.cost, optimum)
-            )
-        else:
-            assert float_geq(result.cost, optimum, TOLERANCE), (
-                "%s beat the oracle: %.9f < %.9f" % (name, result.cost, optimum)
-            )
+def test_exactness_claims_hold(name, instances):
+    for _, context, queries in instances:
+        algorithm = make_algorithm(name, context)
+        for query in queries:
+            result = algorithm.solve(query)
+            optimum = oracle_cost(context, query, algorithm.cost)
+            if algorithm.exact:
+                assert abs(result.cost - optimum) <= TOLERANCE, (
+                    "%s claims exact but %.9f != optimum %.9f"
+                    % (name, result.cost, optimum)
+                )
+            else:
+                assert float_geq(result.cost, optimum, TOLERANCE), (
+                    "%s beat the oracle: %.9f < %.9f" % (name, result.cost, optimum)
+                )
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
-def test_declared_ratios_respected(name, instance):
-    _, context, queries = instance
-    algorithm = make_algorithm(name, context)
-    ratio = getattr(algorithm, "ratio", None)
-    if ratio is None:
-        pytest.skip("%s declares no approximation ratio" % name)
-    if algorithm.ratio_cost != algorithm.cost.name:
-        pytest.skip("%s ratio applies to %s cost" % (name, algorithm.ratio_cost))
-    for query in queries:
-        result = algorithm.solve(query)
-        optimum = oracle_cost(context, query, algorithm.cost)
-        assert float_leq(result.cost, ratio * optimum, TOLERANCE), (
-            "%s exceeded its %.3f bound: %.9f > %.9f"
-            % (name, ratio, result.cost, ratio * optimum)
-        )
+def test_declared_ratios_respected(name, instances):
+    for _, context, queries in instances:
+        algorithm = make_algorithm(name, context)
+        ratio = getattr(algorithm, "ratio", None)
+        if ratio is None:
+            pytest.skip("%s declares no approximation ratio" % name)
+        if algorithm.ratio_cost != algorithm.cost.name:
+            pytest.skip("%s ratio applies to %s cost" % (name, algorithm.ratio_cost))
+        for query in queries:
+            result = algorithm.solve(query)
+            optimum = oracle_cost(context, query, algorithm.cost)
+            assert float_leq(result.cost, ratio * optimum, TOLERANCE), (
+                "%s exceeded its %.3f bound: %.9f > %.9f"
+                % (name, ratio, result.cost, ratio * optimum)
+            )
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)

@@ -44,11 +44,11 @@ def chaos_run():
         max_inflight=4,  # small bound: admission sheds under this load
         retry_after_s=0.001,
         cache_mode="index",
-        # faults AND slowness: every 5th index call stalls 5ms, so the
+        # faults AND slowness: every 3rd index call stalls 5ms, so the
         # 2ms deadline genuinely expires and in-flight requests pile up
         # past max_inflight (otherwise this dataset answers too fast to
         # exercise shedding at all)
-        chaos=ChaosSpec(seed=5, fail_rate=0.2, latency_s=0.005, latency_every=5),
+        chaos=ChaosSpec(seed=5, fail_rate=0.2, latency_s=0.005, latency_every=3),
     )
     server = create_server(dataset, config)
     server.serve_background()

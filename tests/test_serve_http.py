@@ -125,6 +125,10 @@ class TestQueryService:
             b'{"x": true, "y": 2.0, "keywords": ["w"]}',
             b'{"x": 1.0, "y": 2.0, "keywords": ["w"], "deadline_ms": "fast"}',
             b'{"x": 1.0, "y": 2.0, "keywords": ["w"], "max_retries": 99}',
+            b'{"x": NaN, "y": 2.0, "keywords": ["w0000"]}',
+            b'{"x": 1.0, "y": Infinity, "keywords": ["w0000"]}',
+            b'{"x": -Infinity, "y": 2.0, "keywords": ["w0000"]}',
+            b'{"x": 1e999, "y": 2.0, "keywords": ["w0000"]}',
         ],
     )
     def test_malformed_requests_are_bad_request(self, serve_dataset, body):
@@ -266,6 +270,50 @@ class TestHttpEndpoints:
         assert len(vocabulary["words"]) == 5
         counts = [entry["objects"] for entry in vocabulary["words"]]
         assert counts == sorted(counts, reverse=True)
+
+    def test_keep_alive_responses_are_single_writes(self, serve_dataset, frequent_words):
+        """Headers and body leave together, so keep-alive never stalls."""
+        import http.client
+
+        from repro.serve.httpd import CoSKQRequestHandler, CoSKQServer
+
+        writes = []
+
+        class CountingWriter:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def write(self, data):
+                writes.append(len(data))
+                return self.inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        class CountingHandler(CoSKQRequestHandler):
+            def setup(self):
+                super().setup()
+                self.wfile = CountingWriter(self.wfile)
+
+        server = CoSKQServer(
+            ("127.0.0.1", 0), QueryService(serve_dataset, ServerConfig())
+        )
+        server.RequestHandlerClass = CountingHandler
+        server.serve_background()
+        try:
+            connection = http.client.HTTPConnection(*server.server_address[:2])
+            for _ in range(2):
+                connection.request(
+                    "POST", "/query", body=query_body(frequent_words[:2])
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["outcome"] == "ok"
+            connection.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert len(writes) == 2  # one per response
 
     def test_unknown_paths_are_json_404(self, client):
         import urllib.error

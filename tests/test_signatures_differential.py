@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_random_instance
+from conftest import make_random_instance, make_tie_instance
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
 from repro.exec.batch import BatchExecutor
 from repro.exec.chaos import ChaosIndex, FaultPlan, chaos_context
@@ -31,8 +31,10 @@ def restore_toggle():
     signatures.set_enabled(None)
 
 
-@pytest.fixture(scope="module", params=SEEDS)
+@pytest.fixture(scope="module", params=SEEDS + ("ties",))
 def instance(request):
+    if request.param == "ties":
+        return make_tie_instance()
     dataset, context, queries = make_random_instance(
         request.param, num_objects=40, vocab=8
     )
@@ -69,7 +71,7 @@ def test_chaos_wrapped_index_stays_identical(instance):
     assert masked == baseline
     chaos = wrapped.index
     assert isinstance(chaos, ChaosIndex)
-    assert any(method == "relevant_objects" for method, _ in chaos.call_log)
+    assert any(method == "nearest_relevant_iter" for method, _ in chaos.call_log)
 
 
 @pytest.mark.parametrize("env_value", ["0", "1"])

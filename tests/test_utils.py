@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.utils.rng import make_rng, substream
@@ -54,6 +54,7 @@ class TestSummarize:
         assert row == {"avg": 1.0, "min": 1.0, "max": 1.0, "n": 1}
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
+    @example([0.1, 0.1, 0.1])
     def test_bounds(self, values):
         s = summarize(values)
         assert s.minimum <= s.mean <= s.maximum
