@@ -1,6 +1,6 @@
 # Convenience targets for the CoSKQ reproduction.
 
-.PHONY: install test lint lint-fast check chaos serve-check parallel-check parallel-bench kernels-check kernels-bench signatures-check signatures-bench shard-check shard-bench adaptive-check adaptive-bench bench bench-reports bench-smoke bench-check figures full-experiments clean
+.PHONY: install test lint lint-fast check contracts chaos serve-check parallel-check parallel-bench kernels-check kernels-bench signatures-check signatures-bench shard-check shard-bench adaptive-check adaptive-bench bench bench-reports bench-smoke bench-check figures full-experiments clean
 
 install:
 	pip install -e .
@@ -19,11 +19,21 @@ lint-fast:
 	PYTHONPATH=src python -m repro.analysis --no-dataflow
 
 # Everything a PR must keep green: the linter (incl. R6), the tier-1
-# suite, and the benchmark's own tests (perf/ calls the program's public
-# surface, so breaking that surface fails here).
+# suite, the runtime-contract run, and the benchmark's own tests (perf/
+# calls the program's public surface, so breaking that surface fails
+# here).
 check: lint
 	PYTHONPATH=src python -m pytest -x -q
+	$(MAKE) contracts
 	python -m pytest perf/ -q
+
+# Runtime contracts (docs/STATIC_ANALYSIS.md) over the suites that solve
+# with every registered algorithm, seeded and unseeded: each solve()
+# is checked for feasibility, honest cost, and optimality or its ratio.
+contracts:
+	REPRO_CHECK_CONTRACTS=1 PYTHONPATH=src python -m pytest -x -q \
+		tests/test_registry_conformance.py tests/test_adaptive_seeding.py \
+		tests/test_differential_shard.py tests/test_kernels_differential.py
 
 # The resilience/chaos suite alone (docs/ROBUSTNESS.md).
 chaos:

@@ -117,6 +117,10 @@ def _find_cover_with_oracle(
     budget = [node_budget]
     chosen: List[int] = []
     if signatures_enabled():
+        # The tables are fixed for the whole probe, so the branch order
+        # is too: sorted once here, each node takes its first uncovered
+        # keyword.
+        order = [(1 << t, t) for _, t in sorted((len(lst), t) for t, lst in by_keyword.items())]
         if _search_indexed_masked(
             mask_of(frozenset(uncovered)),
             by_keyword,
@@ -126,6 +130,7 @@ def _find_cover_with_oracle(
             budget,
             oracle,
             oracle.keyword_masks(),
+            order,
         ):
             return [oracle.objects[i] for i in chosen]
         return None
@@ -321,19 +326,23 @@ def _search_indexed_masked(
     budget: List[int],
     oracle: DistanceOracle,
     masks: Sequence[int],
+    order: Sequence[Tuple[int, int]],
 ) -> bool:
     """:func:`_search_indexed` with bitmask uncovered-set bookkeeping.
 
     ``masks`` are the oracle's per-candidate keyword masks, indexed like
-    ``oracle.objects``.  Same recursion structure, candidate order, cap
-    checks and budget accounting as the set-based twin.
+    ``oracle.objects``.  ``order`` lists ``(bit, keyword)`` for every
+    table keyword by ascending ``(len(by_keyword[t]), t)``, so its first
+    uncovered entry is the set-based twin's ``min`` over the uncovered
+    keywords.  Same recursion structure, candidate order, cap checks and
+    budget accounting as the set-based twin.
     """
     if not uncovered_mask:
         return True
     budget[0] -= 1
     if budget[0] < 0:
         raise CoverBudgetExceeded()
-    branch_keyword = min(bits_of(uncovered_mask), key=lambda t: (len(by_keyword[t]), t))
+    branch_keyword = next(t for bit, t in order if uncovered_mask & bit)
     objects = oracle.objects
     for idx in by_keyword[branch_keyword]:
         obj = objects[idx]
@@ -345,7 +354,7 @@ def _search_indexed_masked(
         chosen_oids.add(obj.oid)
         remaining = uncovered_mask & ~masks[idx]
         if _search_indexed_masked(
-            remaining, by_keyword, chosen, chosen_oids, pair_cap, budget, oracle, masks
+            remaining, by_keyword, chosen, chosen_oids, pair_cap, budget, oracle, masks, order
         ):
             return True
         chosen.pop()

@@ -37,7 +37,7 @@ from repro.cost.base import CostFunction
 from repro.geometry.circle import Circle
 from repro.index.protocol import SpatialTextIndex
 from repro.index.signatures import mask_of, pack_masks, signatures_enabled
-from repro.kernels import kernels_enabled, lens_gather, lens_lower_bound, max_distance_from
+from repro.kernels import kernels_enabled, lens_lower_bound, lens_scan, max_distance_from
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
@@ -96,13 +96,14 @@ class OwnerStream:
 
     Iterating yields ``nearest_relevant_iter(q, q.ψ)`` entries in stream
     order, pulling from the index only on demand.  Each pulled entry is
-    kept with its exact stream distance, packed x/y, keyword mask and
-    the running keyword union of the prefix, so an owner at distance
-    ``r`` finds ``C(q, r)`` — every completion's home — as the first
-    :meth:`disk_end` entries instead of walking the index again.
-    Masks have one bit per query keyword (:meth:`mask_of`), so they stay
-    small ints however large the vocabulary.  ``checkpoint`` is the
-    solver's deadline probe, called once per entry read.
+    kept with its exact stream distance, packed x/y and keyword mask, and
+    its index joins the carrier list of every query keyword it carries,
+    so an owner at distance ``r`` finds ``C(q, r)`` — every completion's
+    home — as the first :meth:`disk_end` entries instead of walking the
+    index again.  Masks have one bit per query keyword (:meth:`mask_of`),
+    so they stay small ints however large the vocabulary.
+    ``checkpoint`` is the solver's deadline probe, called once per entry
+    read.
     """
 
     def __init__(
@@ -110,19 +111,20 @@ class OwnerStream:
     ):
         self._entries = index.nearest_relevant_iter(query.location, query.keywords)
         self._checkpoint = checkpoint
-        self._bits = tuple((1 << i, t) for i, t in enumerate(sorted(query.keywords)))
+        # (bit, keyword, carriers of the keyword) per query keyword.
+        self._slots = tuple((1 << i, t, []) for i, t in enumerate(sorted(query.keywords)))
         self.objects: List[SpatialObject] = []
         self.dists: List[float] = []
         self.xs = array("d")
         self.ys = array("d")
         self.masks: List[int] = []
-        #: ``unions[i]`` is the OR of ``masks[: i + 1]``.
-        self.unions: List[int] = []
+        #: ``carriers[b]`` lists, ascending, the entries carrying bit ``1 << b``.
+        self.carriers: Tuple[List[int], ...] = tuple(c for _, _, c in self._slots)
 
     def mask_of(self, keywords: FrozenSet[int]) -> int:
         """The query keywords among ``keywords``, as a stream mask."""
         mask = 0
-        for bit, t in self._bits:
+        for bit, t, _ in self._slots:
             if t in keywords:
                 mask |= bit
         return mask
@@ -133,13 +135,18 @@ class OwnerStream:
         if entry is None:
             return False
         dist, obj = entry
-        mask = self.mask_of(obj.keywords)
+        i = len(self.dists)
+        keywords = obj.keywords
+        mask = 0
+        for bit, t, carriers in self._slots:
+            if t in keywords:
+                mask |= bit
+                carriers.append(i)
         self.objects.append(obj)
         self.dists.append(dist)
         self.xs.append(obj.location.x)
         self.ys.append(obj.location.y)
         self.masks.append(mask)
-        self.unions.append(self.unions[-1] | mask if self.unions else mask)
         return True
 
     def __iter__(self) -> Iterator[Tuple[float, SpatialObject]]:
@@ -159,25 +166,22 @@ class OwnerStream:
             self._checkpoint()
         return bisect.bisect_right(self.dists, r)
 
-    def keywords_within(self, r: float) -> int:
-        """The keyword union of ``C(q, r)``'s entries, as a mask."""
-        end = self.disk_end(r)
-        return self.unions[end - 1] if end else 0
-
     def lens(
         self, owner: SpatialObject, r: float, budget: float, want: int
-    ) -> Tuple[List[int], array]:
+    ) -> Optional[Tuple[List[int], array]]:
         """Entries of ``C(q, r) ∩ C(owner, budget)`` carrying a ``want`` bit.
 
-        Returns ``(indices, owner distances)`` in stream order.  The
-        bisect floor (:func:`lens_lower_bound`) only skips entries
-        certain to fail the exact owner-disk test.
+        Returns ``(indices, owner distances)`` in stream order, or None
+        as soon as some ``want`` keyword has no carrier in the lens
+        (:func:`lens_scan`: rarest keyword first, each entry decided
+        once).  The bisect floor (:func:`lens_lower_bound`) only skips
+        entries certain to fail the exact owner-disk test.
         """
         end = self.disk_end(r)
         start = bisect.bisect_left(self.dists, lens_lower_bound(r, budget), 0, end)
         loc = owner.location
-        return lens_gather(
-            range(start, end), self.masks, want, loc.x, loc.y, self.xs, self.ys, budget
+        return lens_scan(
+            self.carriers, want, start, end, loc.x, loc.y, self.xs, self.ys, budget
         )
 
 
@@ -310,7 +314,14 @@ class OwnerRingApproximation(CoSKQAlgorithm):
         stop at the budget.
         """
         budget = _pairwise_budget(self.cost, owner_dist, cost_bound)
-        hits, owner_d = stream.lens(owner, owner_dist, budget, remaining)
+        lens = stream.lens(owner, owner_dist, budget, remaining)
+        if lens is None:
+            # An uncovered keyword has no carrier within the budget, yet
+            # ``r >= d_f`` puts one in C(q, r): the greedy would reach it
+            # beyond the budget, and it prices the set out.
+            self._bump("completions_aborted")
+            return None
+        hits, owner_d = lens
         objects = stream.objects
         xs = stream.xs
         ys = stream.ys
@@ -337,8 +348,5 @@ class OwnerRingApproximation(CoSKQAlgorithm):
             remaining &= ~covered
             if not remaining:
                 return chosen
-        if stream.keywords_within(owner_dist) & remaining:
-            # A carrier of an uncovered keyword lies in C(q, r) beyond
-            # the budget: the next greedy pick, and it prices the set out.
-            self._bump("completions_aborted")
+        # Not reached: every wanted keyword has a carrier among the hits.
         return None

@@ -97,6 +97,10 @@ class OwnerDrivenExact(CoSKQAlgorithm):
 
     Requires a cost whose query aggregate is MAX (MaxSum, Dia, Max —
     the costs the owner decomposition applies to).
+
+    ``candidates_scanned`` (a work unit under an execution budget)
+    counts, on every arm, the candidates of the owners whose candidates
+    carry every uncovered keyword; other owners charge nothing for them.
     """
 
     name = "owner-exact"
@@ -184,43 +188,42 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         if budget <= 0.0:
             return None
 
-        disk = Circle(query.location, r)
-        packed = None
-        if self.filter_candidates and not math.isinf(budget):
-            # Candidates live in C(q, r) ∩ C(owner, budget): any farther
-            # object would push the pairwise term past the incumbent.
-            # Both arms list them by oid, so the cover search (whose
-            # dedup keeps the first of equal candidates) sees one list.
-            if kernels_enabled():
-                candidates, packed = self._lens_candidates(stream, owner, r, budget, uncovered)
-            else:
+        lensed = self.filter_candidates and not math.isinf(budget)
+        if lensed and kernels_enabled():
+            state = self._lens_state(stream, owner, r, budget, uncovered, cur_cost)
+            if state is None:
+                return None
+            candidates, oracle, lower = state
+        else:
+            disk = Circle(query.location, r)
+            if lensed:
+                # Candidates live in C(q, r) ∩ C(owner, budget): any farther
+                # object would push the pairwise term past the incumbent.
+                # Listed by oid like the lens arm's, so the cover search
+                # (whose dedup keeps the first of equal candidates) sees
+                # one list.
                 candidates = sorted(
                     self.context.index.relevant_in_region(
                         [disk, Circle(owner.location, budget)], uncovered
                     ),
                     key=lambda o: o.oid,
                 )
-        else:
-            candidates = self.context.relevant_in_circle(disk, uncovered)
-        self._bump("candidates_scanned", len(candidates))
-
-        # One oracle per owner: the candidate↔owner vector is filled now
-        # (each entry is needed by the first probe's anchor filter), the
-        # candidate pairwise rows fill lazily on first use, and every
-        # bisection probe below reuses both instead of rebuilding them.
-        if kernels_enabled():
-            if packed is not None:
-                oracle = DistanceOracle(owner.location, candidates, *packed)
             else:
+                candidates = self.context.relevant_in_circle(disk, uncovered)
+            # One oracle per owner: the candidate↔owner vector is filled
+            # now (each entry is needed by the first probe's anchor
+            # filter), the candidate pairwise rows fill lazily on first
+            # use, and every bisection probe below reuses both.
+            if kernels_enabled():
                 oracle = DistanceOracle(owner.location, candidates)
-        else:
-            oracle = None
-
-        lower = self._diameter_lower_bound(owner, uncovered, candidates, oracle)
-        if lower is None:
-            return None  # some keyword has no candidate near this owner
-        if self.cost.combine(r, lower) >= cur_cost:
-            return None
+            else:
+                oracle = None
+            lower = self._diameter_lower_bound(owner, uncovered, candidates, oracle)
+            if lower is None:
+                return None  # some keyword has no candidate near this owner
+            self._bump("candidates_scanned", len(candidates))
+            if self.cost.combine(r, lower) >= cur_cost:
+                return None
 
         if not math.isinf(budget):
             cap_hi = budget
@@ -259,35 +262,49 @@ class OwnerDrivenExact(CoSKQAlgorithm):
                         hi = best_diam
         return best_set, self._evaluate(query, best_set)
 
-    @staticmethod
-    def _lens_candidates(
+    def _lens_state(
+        self,
         stream: OwnerStream,
         owner: SpatialObject,
         r: float,
         budget: float,
         uncovered: frozenset,
-    ) -> Tuple[List[SpatialObject], Tuple[array, array, array]]:
-        """``C(q, r) ∩ C(owner, budget)``'s relevant objects, by oid.
+        cur_cost: float,
+    ) -> Optional[Tuple[List[SpatialObject], DistanceOracle, float]]:
+        """The owner's candidates, oracle and diameter lower bound, or None.
 
-        Carved out of the query's owner stream (:meth:`OwnerStream.lens`)
-        instead of a region walk; the disk tests compare the same
-        ``math.hypot`` values a region query does, so the set is the
-        same.  Returns ``(candidates, (xs, ys, anchor_d))`` — coordinates
-        and exact owner distances ride along, so the per-owner
-        :class:`DistanceOracle` neither re-packs nor re-measures them.
+        Decided on the query's own stream before anything is built: None
+        when the lens misses an uncovered keyword (:meth:`OwnerStream.lens`)
+        or the lower bound already prices the owner out of ``cur_cost``.
+        A survivor gets its oid-ordered candidate list and a
+        :class:`DistanceOracle` over the coordinates and exact owner
+        distances the lens already holds.
         """
-        hits, dists = stream.lens(owner, r, budget, stream.mask_of(uncovered))
+        want = stream.mask_of(uncovered)
+        lens = stream.lens(owner, r, budget, want)
+        if lens is None:
+            return None
+        hits, owner_d = lens
+        self._bump("candidates_scanned", len(hits))
+        # max_t min d(carrier of t, owner) is the owner distance at which
+        # the hits, taken nearest first, first carry every keyword.
+        masks = stream.masks
+        covered = 0
+        lower = 0.0
+        for k in sorted(range(len(hits)), key=owner_d.__getitem__):
+            covered |= masks[hits[k]]
+            if not want & ~covered:
+                lower = owner_d[k]
+                break
+        if self.cost.combine(r, lower) >= cur_cost:
+            return None
         objects = stream.objects
-        out: List[SpatialObject] = []
-        cxs = array("d")
-        cys = array("d")
-        anchor_d = array("d")
-        for i, d in sorted(zip(hits, dists), key=lambda hit: objects[hit[0]].oid):
-            out.append(objects[i])
-            cxs.append(stream.xs[i])
-            cys.append(stream.ys[i])
-            anchor_d.append(d)
-        return out, (cxs, cys, anchor_d)
+        order = sorted(range(len(hits)), key=lambda k: objects[hits[k]].oid)
+        candidates = [objects[hits[k]] for k in order]
+        xs = array("d", [stream.xs[hits[k]] for k in order])
+        ys = array("d", [stream.ys[hits[k]] for k in order])
+        anchor_d = array("d", [owner_d[k] for k in order])
+        return candidates, DistanceOracle(owner.location, candidates, xs, ys, anchor_d), lower
 
     def _probe(
         self,

@@ -159,11 +159,18 @@ def check_result(
 
 
 def _wrap_solve(
-    original: Callable[[CoSKQAlgorithm, Query], CoSKQResult],
-) -> Callable[[CoSKQAlgorithm, Query], CoSKQResult]:
+    original: Callable[..., CoSKQResult],
+) -> Callable[..., CoSKQResult]:
     @functools.wraps(original)
-    def checked_solve(self: CoSKQAlgorithm, query: Query) -> CoSKQResult:
-        result = original(self, query)
+    def checked_solve(
+        self: CoSKQAlgorithm, query: Query, initial_upper_bound: Optional[float] = None
+    ) -> CoSKQResult:
+        # The seeding bound is forwarded only when given, so a ``solve``
+        # that predates it keeps working unseeded.
+        if initial_upper_bound is None:
+            result = original(self, query)
+        else:
+            result = original(self, query, initial_upper_bound=initial_upper_bound)
         check_result(self, query, result)
         return result
 

@@ -21,13 +21,12 @@ from repro.kernels.flat import (
     distances_from,
     farthest_pair,
     kernels_enabled,
-    lens_gather,
     lens_lower_bound,
+    lens_scan,
     max_distance_from,
     pack_objects,
     pack_points,
     pairwise_max,
-    select_within_indices,
     select_within,
     set_enabled,
 )
@@ -40,13 +39,12 @@ __all__ = [
     "distances_from",
     "farthest_pair",
     "kernels_enabled",
-    "lens_gather",
     "lens_lower_bound",
+    "lens_scan",
     "max_distance_from",
     "pack_objects",
     "pack_points",
     "pairwise_max",
-    "select_within_indices",
     "select_within",
     "set_enabled",
 ]

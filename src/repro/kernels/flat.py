@@ -37,7 +37,8 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from typing import Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "kernels_enabled",
@@ -50,8 +51,7 @@ __all__ = [
     "farthest_pair",
     "any_beyond",
     "lens_lower_bound",
-    "lens_gather",
-    "select_within_indices",
+    "lens_scan",
     "select_within",
     "cap_bands",
 ]
@@ -276,79 +276,77 @@ def lens_lower_bound(r: float, budget: float) -> float:
     return lo if lo > 0.0 else 0.0
 
 
-def lens_gather(
-    indices: Iterable[int],
-    masks: Sequence[int],
+def lens_scan(
+    carriers: Sequence[Sequence[int]],
     want: int,
+    start: int,
+    end: int,
     cx: float,
     cy: float,
     xs: Sequence[float],
     ys: Sequence[float],
     cap: float,
-) -> Tuple[List[int], array]:
-    """Masked disk selection that also returns the exact distances.
+) -> Optional[Tuple[List[int], array]]:
+    """Fail-fast masked disk selection that also returns exact distances.
 
-    For each candidate index, keep it when ``masks[i] & want`` is
-    nonzero (it carries a wanted keyword bit) **and** its packed point
-    lies in the closed disk ``hypot((cx, cy) - p_i) <= cap``.  Returns
-    ``(kept_indices, distances)`` in input order, where ``distances[k]``
-    is the correctly rounded ``math.hypot`` center distance of
-    ``kept_indices[k]`` — the value a later scalar ``distance_to`` call
-    would produce, so callers (the per-owner :class:`DistanceOracle`)
-    can store it instead of recomputing.  Membership decisions are
-    exactly :func:`select_within`'s: the guarded squared test only
-    skips the ``hypot`` where rejection is already certain; accepted
-    points always pay the one ``hypot`` their stored distance needs.
+    ``carriers[b]`` lists, ascending, the indices of the packed points
+    carrying bit ``1 << b``; every bit of ``want`` has such a list.
+    The wanted bits are scanned rarest first (fewest carriers in
+    ``[start, end)``), each testing its carriers against the closed disk
+    ``hypot((cx, cy) - p_i) <= cap``, and the scan returns None as soon
+    as one wanted bit has no carrier inside the disk.  Otherwise it
+    returns ``(indices, distances)``: every index in ``[start, end)``
+    that carries a wanted bit and lies in the disk, ascending, with its
+    correctly rounded ``math.hypot`` center distance — the value a later
+    scalar ``distance_to`` call would produce, so callers (the per-owner
+    :class:`DistanceOracle`) can store it instead of recomputing.
+
+    Each point is decided once, however many wanted bits it carries.
+    Membership is decided exactly as in :func:`select_within`: the
+    guarded squared test only skips the ``hypot`` where rejection is
+    already certain (a squared distance that overflows to ``inf`` is
+    such a rejection whenever the band is finite); accepted points
+    always pay the one ``hypot`` their stored distance needs.
     """
-    lo2, hi2, fast = cap_bands(cap)
-    out: List[int] = []
-    dists = array("d")
+    ranked = []
+    for b in range(len(carriers)):
+        if want >> b & 1:
+            lst = carriers[b]
+            lo = bisect_left(lst, start)
+            hi = bisect_left(lst, end, lo)
+            if lo >= hi:
+                return None
+            ranked.append((hi - lo, b, lo, hi))
+    ranked.sort()
+    _, hi2, fast = cap_bands(cap)
     hypot = math.hypot
-    for i in indices:
-        if not masks[i] & want:
-            continue
-        dx = cx - xs[i]
-        dy = cy - ys[i]
-        if fast and dx * dx + dy * dy > hi2:
-            continue
-        d = hypot(dx, dy)
-        if d <= cap:
-            out.append(i)
-            dists.append(d)
-    return out, dists
-
-
-def select_within_indices(
-    indices: Iterable[int],
-    cx: float,
-    cy: float,
-    xs: Sequence[float],
-    ys: Sequence[float],
-    cap: float,
-) -> List[int]:
-    """Subset of ``indices`` whose packed point lies in the closed disk.
-
-    Gather-flavoured :func:`select_within`: the caller has already
-    narrowed the candidate indices (e.g. a bisect prefix over stored
-    query distances) and only the disk test ``hypot((cx, cy) - p_i) <=
-    cap`` remains.  Membership is decided exactly as in
-    :func:`select_within`; the output preserves the input index order.
-    """
-    lo2, hi2, fast = cap_bands(cap)
-    out: List[int] = []
-    for i in indices:
-        dx = cx - xs[i]
-        dy = cy - ys[i]
-        sq = dx * dx + dy * dy
-        if fast:
-            if sq < lo2:
-                out.append(i)
-                continue
-            if sq > hi2:
-                continue
-        if math.hypot(dx, dy) <= cap:
-            out.append(i)
-    return out
+    # Index -> exact distance, or -1.0 once rejected.
+    decided: Dict[int, float] = {}
+    hits: List[int] = []
+    for _, b, lo, hi in ranked:
+        lst = carriers[b]
+        inside = False
+        for k in range(lo, hi):
+            i = lst[k]
+            d = decided.get(i)
+            if d is None:
+                dx = cx - xs[i]
+                dy = cy - ys[i]
+                if fast and dx * dx + dy * dy > hi2:
+                    d = -1.0
+                else:
+                    d = hypot(dx, dy)
+                    if d <= cap:
+                        hits.append(i)
+                    else:
+                        d = -1.0
+                decided[i] = d
+            if d >= 0.0:
+                inside = True
+        if not inside:
+            return None
+    hits.sort()
+    return hits, array("d", [decided[i] for i in hits])
 
 
 def select_within(

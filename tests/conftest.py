@@ -161,3 +161,52 @@ def make_tie_instance():
         )
     ]
     return dataset, SearchContext(dataset), queries
+
+
+#: Coordinate unit of :func:`make_extreme_instance`.  A distance beyond
+#: about 1.34e154 squares to ``inf`` although it stays finite itself, so
+#: the kernels' guarded squared tests meet ``inf`` on most pairs.
+EXTREME_SCALE = 1e154
+
+#: ``(x, y, words)`` rows of :func:`make_extreme_instance`, in units of
+#: :data:`EXTREME_SCALE`.
+EXTREME_ROWS = (
+    (0.0, 0.0, "a"),
+    (1.0, 1.0, "a b c d"),  # the one object carrying every keyword
+    (-1.0, 1.0, "b"),
+    (1.0, -1.0, "c"),
+    (-1.0, -1.0, "d"),
+    (2.0, 0.0, "b c"),
+    (0.0, -2.0, "a d"),
+    (3.0, 4.0, "c"),
+    (-0.5, 0.25, "d"),
+    (0.125, 0.125, "b"),
+)
+
+
+def make_extreme_instance():
+    """A degenerate (dataset, context, queries) triple at huge magnitudes.
+
+    One object carries every keyword, two queries ask for a single
+    keyword, and coordinates sit near 1e154, where the guarded squared
+    distances overflow to ``inf``.
+    """
+    dataset = Dataset.from_records(
+        (
+            (x * EXTREME_SCALE, y * EXTREME_SCALE, words.split())
+            for x, y, words in EXTREME_ROWS
+        ),
+        name="extreme",
+    )
+    vocabulary = dataset.vocabulary
+    queries = [
+        Query.from_words(x * EXTREME_SCALE, y * EXTREME_SCALE, words.split(), vocabulary)
+        for x, y, words in (
+            (0.0, 0.0, "a"),
+            (0.5, 0.5, "c"),
+            (0.0, 0.0, "a b c d"),
+            (-1.0, 0.0, "b d"),
+            (1.0, 1.0, "b c d"),
+        )
+    ]
+    return dataset, SearchContext(dataset), queries

@@ -15,7 +15,7 @@ import math
 from array import array
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_instance
@@ -27,14 +27,13 @@ from repro.kernels.flat import (
     cap_bands,
     distances_from,
     farthest_pair,
-    lens_gather,
     lens_lower_bound,
+    lens_scan,
     max_distance_from,
     pack_objects,
     pack_points,
     pairwise_max,
     select_within,
-    select_within_indices,
 )
 from repro.kernels.oracle import DistanceOracle
 
@@ -136,22 +135,6 @@ class TestKernelBitIdentity:
             c[0], c[1], pts, cap
         )
 
-    @given(pts=st.lists(st.tuples(coords, coords), min_size=1, max_size=24),
-           c=st.tuples(coords, coords), data=st.data())
-    def test_select_within_indices_preserves_order(self, pts, c, data):
-        xs, ys = _pack(pts)
-        indices = data.draw(
-            st.lists(st.integers(0, len(pts) - 1), max_size=30)
-        )
-        cap = data.draw(caps)
-        got = select_within_indices(indices, c[0], c[1], xs, ys, cap)
-        want = [
-            i
-            for i in indices
-            if math.hypot(c[0] - xs[i], c[1] - ys[i]) <= cap
-        ]
-        assert got == want
-
     @given(pts=point_lists, c=st.tuples(coords, coords))
     def test_on_band_distances_decide_exactly(self, pts, c):
         """Caps equal to a realized distance sit inside the guard band."""
@@ -167,29 +150,44 @@ class TestKernelBitIdentity:
 
 
 class TestLensKernels:
-    @given(pts=st.lists(st.tuples(coords, coords), min_size=1, max_size=24),
-           c=st.tuples(coords, coords), data=st.data())
-    def test_lens_gather_matches_masked_select(self, pts, c, data):
+    @settings(max_examples=100)
+    @given(pts=point_lists, c=st.tuples(coords, coords),
+           scale=st.sampled_from([1.0, 1e148, 1e152]), data=st.data())
+    def test_lens_scan_matches_masked_hypot_scan(self, pts, c, scale, data):
+        """None iff a wanted bit has no carrier in the disk; else the scan.
+
+        At the large scales most squared distances overflow to ``inf``;
+        caps below ~1.34e154 keep a finite guard band, larger ones take
+        the exact path.
+        """
+        pts = [(a * scale, b * scale) for a, b in pts]
+        cx, cy = c[0] * scale, c[1] * scale
         xs, ys = _pack(pts)
-        masks = data.draw(
-            st.lists(st.integers(0, 7), min_size=len(pts), max_size=len(pts))
-        )
+        n = len(pts)
+        masks = data.draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
         want = data.draw(st.integers(0, 7))
-        indices = data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=30))
-        cap = data.draw(caps)
-        got_idx, got_d = lens_gather(
-            indices, masks, want, c[0], c[1], xs, ys, cap
-        )
-        want_idx = [
+        start = data.draw(st.integers(0, n))
+        end = data.draw(st.integers(start, n))
+        realized = [math.hypot(cx - a, cy - b) for a, b in pts[start:end]]
+        if realized:
+            # Caps placed exactly on realized distances land in the band.
+            cap = data.draw(st.one_of(caps.map(lambda v: v * scale), st.sampled_from(realized)))
+        else:
+            cap = data.draw(caps) * scale
+        carriers = [[i for i in range(n) if masks[i] >> b & 1] for b in range(3)]
+        got = lens_scan(carriers, want, start, end, cx, cy, xs, ys, cap)
+        inside = [
             i
-            for i in indices
-            if masks[i] & want
-            and math.hypot(c[0] - xs[i], c[1] - ys[i]) <= cap
+            for i in range(start, end)
+            if masks[i] & want and math.hypot(cx - xs[i], cy - ys[i]) <= cap
         ]
-        assert got_idx == want_idx
-        assert list(got_d) == [
-            math.hypot(c[0] - xs[i], c[1] - ys[i]) for i in got_idx
-        ]
+        if any(want >> b & 1 and not any(masks[i] >> b & 1 for i in inside) for b in range(3)):
+            assert got is None
+            return
+        assert got is not None
+        got_idx, got_d = got
+        assert got_idx == inside
+        assert list(got_d) == [math.hypot(cx - xs[i], cy - ys[i]) for i in inside]
 
     @given(pts=point_lists, owner=st.tuples(coords, coords),
            q=st.tuples(coords, coords), budget=caps)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_random_instance, make_tie_instance
+from conftest import make_extreme_instance, make_random_instance, make_tie_instance
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
 from repro.exec.batch import BatchExecutor
 from repro.exec.chaos import ChaosIndex, FaultPlan, chaos_context
@@ -31,10 +31,12 @@ def restore_toggle():
     signatures.set_enabled(None)
 
 
-@pytest.fixture(scope="module", params=SEEDS + ("ties",))
+@pytest.fixture(scope="module", params=SEEDS + ("ties", "extreme"))
 def instance(request):
     if request.param == "ties":
         return make_tie_instance()
+    if request.param == "extreme":
+        return make_extreme_instance()
     dataset, context, queries = make_random_instance(
         request.param, num_objects=40, vocab=8
     )
