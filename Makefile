@@ -1,6 +1,6 @@
 # Convenience targets for the CoSKQ reproduction.
 
-.PHONY: install test lint lint-fast check contracts chaos serve-check parallel-check parallel-bench kernels-check kernels-bench signatures-check signatures-bench shard-check shard-bench adaptive-check adaptive-bench bench bench-reports bench-smoke bench-check figures full-experiments clean
+.PHONY: install test lint lint-fast check contracts chaos serve-check parallel-check parallel-bench kernels-check signatures-check shard-check shard-bench adaptive-check adaptive-bench bench bench-reports bench-smoke bench-check figures full-experiments clean
 
 install:
 	pip install -e .
@@ -9,7 +9,7 @@ test:
 	pytest tests/
 
 # Repo-specific static analysis, including the interprocedural dataflow
-# pass R10-R12 (docs/STATIC_ANALYSIS.md).  Per-module summaries are
+# pass R10-R11 (docs/STATIC_ANALYSIS.md).  Per-module summaries are
 # cached in .coskq_lint_cache.json, so warm runs stay fast.
 lint:
 	PYTHONPATH=src python -m repro.analysis --strict
@@ -63,32 +63,20 @@ parallel-bench:
 		experiments.PARALLEL_JSON_PATH = pathlib.Path('BENCH_parallel.json'); \
 		print(experiments.run_experiment('parallel_study', quick=True))"
 
-# The kernels gate: flat-kernel property suite + the solver differential
-# suite proving kernels on/off bit-identity (docs/PERFORMANCE.md).
+# The kernels gate: the flat-kernel property suite (each kernel against
+# a naive math.hypot loop) + the differential suite holding every solver
+# to its golden answers over the IR-tree (docs/PERFORMANCE.md).
 kernels-check:
 	PYTHONPATH=src python -m pytest -q tests/test_kernels_flat.py \
 		tests/test_kernels_differential.py
 
-# Regenerate BENCH_kernels.json (quick-scale kernels_study).
-kernels-bench:
-	PYTHONPATH=src python -c "import pathlib; \
-		from repro.bench import experiments; \
-		experiments.KERNELS_JSON_PATH = pathlib.Path('BENCH_kernels.json'); \
-		print(experiments.run_experiment('kernels_study', quick=True))"
-
-# The signatures gate: mask/set bijection properties, the three-backend
-# index parity suite, and the solver differential suite proving
-# signatures on/off bit-identity (docs/PERFORMANCE.md).
+# The signatures gate: mask/set bijection properties, the IR-tree vs
+# linear-scan index parity suite, and the differential suite holding
+# every solver to its golden answers over LinearScanIndex
+# (docs/PERFORMANCE.md).
 signatures-check:
 	PYTHONPATH=src python -m pytest -q tests/test_signatures.py \
 		tests/test_index_parity.py tests/test_signatures_differential.py
-
-# Regenerate BENCH_signatures.json (quick-scale signatures_study).
-signatures-bench:
-	PYTHONPATH=src python -c "import pathlib; \
-		from repro.bench import experiments; \
-		experiments.SIGNATURES_JSON_PATH = pathlib.Path('BENCH_signatures.json'); \
-		print(experiments.run_experiment('signatures_study', quick=True))"
 
 # The sharding gate: the differential suite proving the scatter-gather
 # engine and the ShardedIndex facade bit-identical to a single IR-tree
@@ -105,7 +93,7 @@ shard-bench:
 		--out BENCH_shard.json
 
 # The adaptive gate: seeding soundness (seeded == unseeded costs for
-# every exact solver, toggles and shards), planner/feature/model units,
+# every exact solver, with and without shards), planner/feature/model units,
 # and the CLI surfaces (docs/ADAPTIVE.md).
 adaptive-check:
 	PYTHONPATH=src python -m pytest -q tests/test_adaptive_seeding.py \
@@ -123,8 +111,8 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Record a macro-benchmark baseline: the pinned smoke profile through
-# the whole stack (solvers, kNN, fallback chain, parallel batches, cache
-# and toggle ablations), one summary JSON out (docs/BENCHMARKS.md).
+# the whole stack (solvers, kNN, fallback chain, parallel batches, cold
+# and warm caches), one summary JSON out (docs/BENCHMARKS.md).
 bench-smoke:
 	PYTHONPATH=src python -m repro.tools.macro_cli run --profile smoke \
 		--out bench_macro_smoke.json

@@ -31,7 +31,7 @@ from repro.algorithms.base import CoSKQAlgorithm
 from repro.cost.base import QueryAggregate
 from repro.errors import BudgetExceededError
 from repro.index.signatures import covers_all, shared_keywords
-from repro.kernels import kernels_enabled, max_distance_from
+from repro.kernels import max_distance_from
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
@@ -43,41 +43,34 @@ class _State:
     """A partial set on the branch-and-bound frontier.
 
     ``xs``/``ys`` mirror the chosen objects' coordinates as packed
-    arrays (None when the kernels are toggled off) so the incremental
-    diameter in :meth:`extend` runs on flat doubles; the kernel tracks
-    the same exact hypot maximum as the scalar loop.
+    arrays so the incremental diameter in :meth:`extend` runs on flat
+    doubles; the kernel tracks the same exact hypot maximum as a scalar
+    loop over ``chosen``.
     """
 
     __slots__ = ("chosen", "covered", "qdist_sum", "qdist_max", "qdist_min", "diam", "xs", "ys")
 
-    def __init__(self, chosen, covered, qdist_sum, qdist_max, qdist_min, diam, xs=None, ys=None):
+    def __init__(self, chosen, covered, qdist_sum, qdist_max, qdist_min, diam, xs, ys):
         self.chosen: Tuple[SpatialObject, ...] = chosen
         self.covered: FrozenSet[int] = covered
         self.qdist_sum = qdist_sum
         self.qdist_max = qdist_max
         self.qdist_min = qdist_min
         self.diam = diam
-        self.xs: Optional[array] = xs
-        self.ys: Optional[array] = ys
+        self.xs: array = xs
+        self.ys: array = ys
 
     def extend(self, obj: SpatialObject, qdist: float, query_keywords: FrozenSet[int]) -> "_State":
         loc = obj.location
         new_diam = self.diam
-        new_xs = new_ys = None
-        if self.xs is not None:
-            if len(self.xs):
-                d = max_distance_from(loc.x, loc.y, self.xs, self.ys)
-                if d > new_diam:
-                    new_diam = d
-            new_xs = array("d", self.xs)
-            new_xs.append(loc.x)
-            new_ys = array("d", self.ys)
-            new_ys.append(loc.y)
-        else:
-            for other in self.chosen:
-                d = loc.distance_to(other.location)
-                if d > new_diam:
-                    new_diam = d
+        if len(self.xs):
+            d = max_distance_from(loc.x, loc.y, self.xs, self.ys)
+            if d > new_diam:
+                new_diam = d
+        new_xs = array("d", self.xs)
+        new_xs.append(loc.x)
+        new_ys = array("d", self.ys)
+        new_ys.append(loc.y)
         return _State(
             chosen=self.chosen + (obj,),
             covered=self.covered | shared_keywords(obj.keywords, query_keywords),
@@ -139,10 +132,7 @@ class BranchBoundExact(CoSKQAlgorithm):
 
         aggregate = self.cost.query_aggregate
         counter = itertools.count()
-        if kernels_enabled():
-            root = _State((), frozenset(), 0.0, 0.0, math.inf, 0.0, array("d"), array("d"))
-        else:
-            root = _State((), frozenset(), 0.0, 0.0, math.inf, 0.0)
+        root = _State((), frozenset(), 0.0, 0.0, math.inf, 0.0, array("d"), array("d"))
         heap: List[Tuple[float, int, _State]] = [(0.0, next(counter), root)]
         expansions = 0
         pushes = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.index.signatures import bits_of, mask_of, shared_keywords, signatures_enabled
+from repro.index.signatures import bits_of, mask_of, shared_keywords
 from repro.kernels.oracle import DistanceOracle
 from repro.model.objects import SpatialObject
 
@@ -74,14 +74,7 @@ def find_constrained_cover(
         return None
     budget = [node_budget]
     chosen: List[SpatialObject] = []
-    if signatures_enabled():
-        # Bitmask twin of ``_search``: same branch keyword, candidate
-        # order, cap checks and budget accounting — the uncovered-set
-        # bookkeeping just runs on integer masks.
-        if _search_masked(mask_of(uncovered), by_keyword, chosen, set(), pair_cap, budget):
-            return list(chosen)
-        return None
-    if _search(frozenset(uncovered), by_keyword, chosen, set(), pair_cap, budget):
+    if _search_masked(mask_of(uncovered), by_keyword, chosen, set(), pair_cap, budget):
         return list(chosen)
     return None
 
@@ -116,26 +109,19 @@ def _find_cover_with_oracle(
             by_keyword[t] = kept
     budget = [node_budget]
     chosen: List[int] = []
-    if signatures_enabled():
-        # The tables are fixed for the whole probe, so the branch order
-        # is too: sorted once here, each node takes its first uncovered
-        # keyword.
-        order = [(1 << t, t) for _, t in sorted((len(lst), t) for t, lst in by_keyword.items())]
-        if _search_indexed_masked(
-            mask_of(frozenset(uncovered)),
-            by_keyword,
-            chosen,
-            set(),
-            pair_cap,
-            budget,
-            oracle,
-            oracle.keyword_masks(),
-            order,
-        ):
-            return [oracle.objects[i] for i in chosen]
-        return None
-    if _search_indexed(
-        frozenset(uncovered), by_keyword, chosen, set(), pair_cap, budget, oracle
+    # The tables are fixed for the whole probe, so the branch order is
+    # too: sorted once here, each node takes its first uncovered keyword.
+    order = [(1 << t, t) for _, t in sorted((len(lst), t) for t, lst in by_keyword.items())]
+    if _search_indexed_masked(
+        mask_of(frozenset(uncovered)),
+        by_keyword,
+        chosen,
+        set(),
+        pair_cap,
+        budget,
+        oracle,
+        oracle.keyword_masks(),
+        order,
     ):
         return [oracle.objects[i] for i in chosen]
     return None
@@ -156,85 +142,30 @@ def _candidates_by_keyword(
     """
     anchor_locations = [a.location for a in anchors]
     by_keyword: Dict[int, List[SpatialObject]] = {t: [] for t in uncovered}
-    if signatures_enabled():
-        # Mask traces: the dedup key carries the trace bitmask instead of
-        # the trace frozenset (a bijection, so the same candidates are
-        # kept) and richness is a popcount instead of a set-len.
-        u_mask = mask_of(uncovered)
-        seen_mask_traces: set[Tuple[float, float, int]] = set()
-        for obj in candidates:
-            trace_mask = mask_of(obj.keywords) & u_mask
-            if not trace_mask:
-                continue
-            if pair_cap is not None and any(
-                obj.location.distance_to(loc) > pair_cap for loc in anchor_locations
-            ):
-                continue
-            key = (obj.location.x, obj.location.y, trace_mask)
-            if key in seen_mask_traces:
-                continue
-            seen_mask_traces.add(key)
-            for t in bits_of(trace_mask):
-                by_keyword[t].append(obj)
-        for t, lst in by_keyword.items():
-            if not lst:
-                return None
-            # Richer candidates first: maximizes coverage per branch.
-            lst.sort(key=lambda o: (-(mask_of(o.keywords) & u_mask).bit_count(), o.oid))
-        return by_keyword
-    seen_traces: set[Tuple[float, float, FrozenSet[int]]] = set()
+    # The dedup key carries the trace bitmask (a bijection with the trace
+    # set) and richness is its popcount.
+    u_mask = mask_of(uncovered)
+    seen_mask_traces: set[Tuple[float, float, int]] = set()
     for obj in candidates:
-        trace = obj.keywords & uncovered  # repro: noqa(R9) — toggle-off baseline
-        if not trace:
+        trace_mask = mask_of(obj.keywords) & u_mask
+        if not trace_mask:
             continue
         if pair_cap is not None and any(
             obj.location.distance_to(loc) > pair_cap for loc in anchor_locations
         ):
             continue
-        key = (obj.location.x, obj.location.y, trace)
-        if key in seen_traces:
+        key = (obj.location.x, obj.location.y, trace_mask)
+        if key in seen_mask_traces:
             continue
-        seen_traces.add(key)
-        for t in trace:
+        seen_mask_traces.add(key)
+        for t in bits_of(trace_mask):
             by_keyword[t].append(obj)
     for t, lst in by_keyword.items():
         if not lst:
             return None
         # Richer candidates first: maximizes coverage per branch.
-        lst.sort(key=lambda o: (-len(o.keywords & uncovered), o.oid))  # repro: noqa(R9) — toggle-off baseline
+        lst.sort(key=lambda o: (-(mask_of(o.keywords) & u_mask).bit_count(), o.oid))
     return by_keyword
-
-
-def _search(
-    uncovered: FrozenSet[int],
-    by_keyword: Dict[int, List[SpatialObject]],
-    chosen: List[SpatialObject],
-    chosen_oids: Set[int],
-    pair_cap: Optional[float],
-    budget: List[int],
-) -> bool:
-    if not uncovered:
-        return True
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise CoverBudgetExceeded()
-    # Branch on the rarest uncovered keyword.
-    branch_keyword = min(uncovered, key=lambda t: (len(by_keyword[t]), t))
-    for obj in by_keyword[branch_keyword]:
-        if obj.oid in chosen_oids:
-            continue
-        if pair_cap is not None and any(
-            obj.location.distance_to(o.location) > pair_cap for o in chosen
-        ):
-            continue
-        chosen.append(obj)
-        chosen_oids.add(obj.oid)
-        remaining = uncovered - obj.keywords
-        if _search(remaining, by_keyword, chosen, chosen_oids, pair_cap, budget):
-            return True
-        chosen.pop()
-        chosen_oids.discard(obj.oid)
-    return False
 
 
 def _search_masked(
@@ -245,13 +176,13 @@ def _search_masked(
     pair_cap: Optional[float],
     budget: List[int],
 ) -> bool:
-    """:func:`_search` with the uncovered set carried as a bitmask.
+    """Depth-first cover search with the uncovered set as a bitmask.
 
-    The branch keyword minimizes ``(len(by_keyword[t]), t)``, which has a
-    unique minimum regardless of iteration order, so branching matches
-    the set-based search bit for bit; ``uncovered - obj.keywords``
-    becomes ``mask & ~obj_mask``.  Node visits, candidate order and
-    budget accounting are identical.
+    Branches on the rarest uncovered keyword, minimizing
+    ``(len(by_keyword[t]), t)`` (a unique minimum regardless of
+    iteration order); every candidate must be within ``pair_cap`` of
+    every object chosen so far.  Each visited node costs one unit of
+    ``budget``.
     """
     if not uncovered_mask:
         return True
@@ -276,47 +207,6 @@ def _search_masked(
     return False
 
 
-def _search_indexed(
-    uncovered: FrozenSet[int],
-    by_keyword: Dict[int, List[int]],
-    chosen: List[int],
-    chosen_oids: Set[int],
-    pair_cap: Optional[float],
-    budget: List[int],
-    oracle: DistanceOracle,
-) -> bool:
-    """:func:`_search` over candidate *indices* with memoized distances.
-
-    Identical recursion structure (branch keyword, candidate order, cap
-    checks, budget accounting) so the two paths visit the same nodes and
-    return the same cover; only the distance evaluations differ — each
-    is computed at most once per owner instead of once per probe.
-    """
-    if not uncovered:
-        return True
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise CoverBudgetExceeded()
-    branch_keyword = min(uncovered, key=lambda t: (len(by_keyword[t]), t))
-    objects = oracle.objects
-    for idx in by_keyword[branch_keyword]:
-        obj = objects[idx]
-        if obj.oid in chosen_oids:
-            continue
-        if pair_cap is not None and oracle.any_pair_beyond(idx, chosen, pair_cap):
-            continue
-        chosen.append(idx)
-        chosen_oids.add(obj.oid)
-        remaining = uncovered - obj.keywords
-        if _search_indexed(
-            remaining, by_keyword, chosen, chosen_oids, pair_cap, budget, oracle
-        ):
-            return True
-        chosen.pop()
-        chosen_oids.discard(obj.oid)
-    return False
-
-
 def _search_indexed_masked(
     uncovered_mask: int,
     by_keyword: Dict[int, List[int]],
@@ -328,14 +218,15 @@ def _search_indexed_masked(
     masks: Sequence[int],
     order: Sequence[Tuple[int, int]],
 ) -> bool:
-    """:func:`_search_indexed` with bitmask uncovered-set bookkeeping.
+    """:func:`_search_masked` over candidate *indices* with memoized distances.
 
     ``masks`` are the oracle's per-candidate keyword masks, indexed like
     ``oracle.objects``.  ``order`` lists ``(bit, keyword)`` for every
     table keyword by ascending ``(len(by_keyword[t]), t)``, so its first
-    uncovered entry is the set-based twin's ``min`` over the uncovered
-    keywords.  Same recursion structure, candidate order, cap checks and
-    budget accounting as the set-based twin.
+    uncovered entry is the rarest uncovered keyword.  Same recursion
+    structure, candidate order, cap checks and budget accounting as
+    :func:`_search_masked`; only the distance evaluations differ — each
+    is computed at most once per owner instead of once per probe.
     """
     if not uncovered_mask:
         return True

@@ -34,10 +34,9 @@ from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.algorithms.base import CoSKQAlgorithm
 from repro.cost.base import CostFunction
-from repro.geometry.circle import Circle
 from repro.index.protocol import SpatialTextIndex
-from repro.index.signatures import mask_of, pack_masks, signatures_enabled
-from repro.kernels import kernels_enabled, lens_lower_bound, lens_scan, max_distance_from
+from repro.index.signatures import mask_of
+from repro.kernels import lens_lower_bound, lens_scan, max_distance_from
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
@@ -203,40 +202,22 @@ def greedy_completion_near(
         key=lambda o: (anchor.location.distance_to(o.location), o.oid),
     )
     taken = [False] * len(ordered)
-    if signatures_enabled():
-        # Mask twin: "covers a still-uncovered keyword" is a nonzero AND
-        # and consuming the coverage is ``&= ~covered`` — same picks.
-        remaining_mask = mask_of(uncovered)
-        masks = pack_masks(ordered)
-        # Bounded: every pass either consumes one candidate or returns,
-        # so the loop runs at most len(ordered) iterations.
-        while remaining_mask:  # repro: noqa(R11) — bounded by len(ordered)
-            progressed = False
-            for i, obj in enumerate(ordered):
-                if taken[i]:
-                    continue
-                covered_mask = masks[i] & remaining_mask
-                if covered_mask:
-                    taken[i] = True
-                    chosen.append(obj)
-                    remaining_mask &= ~covered_mask
-                    progressed = True
-                    break
-            if not progressed:
-                return None
-        return chosen
-    remaining = set(uncovered)
-    # Bounded for the same reason as the mask twin above.
-    while remaining:  # repro: noqa(R11) — bounded by len(ordered)
+    # "Covers a still-uncovered keyword" is a nonzero AND and consuming
+    # the coverage is ``&= ~covered``.
+    remaining_mask = mask_of(uncovered)
+    masks = [mask_of(o.keywords) for o in ordered]
+    # Bounded: every pass either consumes one candidate or returns, so
+    # the loop runs at most len(ordered) iterations.
+    while remaining_mask:  # repro: noqa(R11) — bounded by len(ordered)
         progressed = False
         for i, obj in enumerate(ordered):
             if taken[i]:
                 continue
-            covered_now = obj.keywords & remaining  # repro: noqa(R9) — toggle-off baseline
-            if covered_now:
+            covered_mask = masks[i] & remaining_mask
+            if covered_mask:
                 taken[i] = True
                 chosen.append(obj)
-                remaining -= covered_now
+                remaining_mask &= ~covered_mask
                 progressed = True
                 break
         if not progressed:
@@ -261,7 +242,6 @@ class OwnerRingApproximation(CoSKQAlgorithm):
         best: List[SpatialObject] = list(nn.objects)
         best_cost = self._evaluate(query, best)
         d_f = nn.d_f
-        use_flat = kernels_enabled()
         stream = OwnerStream(self.context.index, query, self._checkpoint)
         for dist, owner in stream:
             if dist < d_f:
@@ -275,18 +255,10 @@ class OwnerRingApproximation(CoSKQAlgorithm):
             uncovered = query.keywords - owner.keywords
             if not uncovered:
                 candidate_set: Optional[List[SpatialObject]] = [owner]
-            elif use_flat:
+            else:
                 candidate_set = self._complete_from_stream(
                     stream, owner, dist, stream.mask_of(uncovered), best_cost
                 )
-            else:
-                # Reference arm: the same greedy over a range query.
-                completion = greedy_completion_near(
-                    owner,
-                    uncovered,
-                    self.context.relevant_in_circle(Circle(query.location, dist), uncovered),
-                )
-                candidate_set = None if completion is None else [owner] + completion
             if candidate_set is None:
                 continue
             cost_value = self._evaluate(query, candidate_set)

@@ -52,10 +52,10 @@ from repro.algorithms.owner_appro import (
     OwnerStream,
     _pairwise_budget,
 )
-from repro.cost.base import CostFunction, QueryAggregate, pairwise_max_distance
+from repro.cost.base import CostFunction, QueryAggregate
 from repro.geometry.circle import Circle
 from repro.index.signatures import bits_of, mask_of
-from repro.kernels import DistanceOracle, kernels_enabled
+from repro.kernels import DistanceOracle
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 
@@ -99,8 +99,8 @@ class OwnerDrivenExact(CoSKQAlgorithm):
     the costs the owner decomposition applies to).
 
     ``candidates_scanned`` (a work unit under an execution budget)
-    counts, on every arm, the candidates of the owners whose candidates
-    carry every uncovered keyword; other owners charge nothing for them.
+    counts the candidates of the owners whose candidates carry every
+    uncovered keyword; other owners charge nothing for them.
     """
 
     name = "owner-exact"
@@ -188,37 +188,20 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         if budget <= 0.0:
             return None
 
-        lensed = self.filter_candidates and not math.isinf(budget)
-        if lensed and kernels_enabled():
+        if self.filter_candidates and not math.isinf(budget):
             state = self._lens_state(stream, owner, r, budget, uncovered, cur_cost)
             if state is None:
                 return None
             candidates, oracle, lower = state
         else:
             disk = Circle(query.location, r)
-            if lensed:
-                # Candidates live in C(q, r) ∩ C(owner, budget): any farther
-                # object would push the pairwise term past the incumbent.
-                # Listed by oid like the lens arm's, so the cover search
-                # (whose dedup keeps the first of equal candidates) sees
-                # one list.
-                candidates = sorted(
-                    self.context.index.relevant_in_region(
-                        [disk, Circle(owner.location, budget)], uncovered
-                    ),
-                    key=lambda o: o.oid,
-                )
-            else:
-                candidates = self.context.relevant_in_circle(disk, uncovered)
+            candidates = self.context.relevant_in_circle(disk, uncovered)
             # One oracle per owner: the candidate↔owner vector is filled
             # now (each entry is needed by the first probe's anchor
             # filter), the candidate pairwise rows fill lazily on first
             # use, and every bisection probe below reuses both.
-            if kernels_enabled():
-                oracle = DistanceOracle(owner.location, candidates)
-            else:
-                oracle = None
-            lower = self._diameter_lower_bound(owner, uncovered, candidates, oracle)
+            oracle = DistanceOracle(owner.location, candidates)
+            lower = self._diameter_lower_bound(uncovered, candidates, oracle)
             if lower is None:
                 return None  # some keyword has no candidate near this owner
             self._bump("candidates_scanned", len(candidates))
@@ -227,13 +210,8 @@ class OwnerDrivenExact(CoSKQAlgorithm):
 
         if not math.isinf(budget):
             cap_hi = budget
-        elif oracle is not None:
-            cap_hi = oracle.max_anchor_distance() * 2.0
         else:
-            cap_hi = max(
-                (owner.location.distance_to(c.location) for c in candidates),
-                default=0.0,
-            ) * 2.0
+            cap_hi = oracle.max_anchor_distance() * 2.0
         probe = self._probe(uncovered, candidates, owner, cap_hi, oracle)
         if probe is None:
             return None
@@ -312,7 +290,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         candidates: List[SpatialObject],
         owner: SpatialObject,
         cap: float,
-        oracle: Optional[DistanceOracle] = None,
+        oracle: DistanceOracle,
     ) -> Optional[Tuple[List[SpatialObject], float]]:
         """Try covering under a diameter cap; return (set, true diameter)."""
         self._bump("cover_probes")
@@ -331,18 +309,13 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         if cover is None:
             return None
         full = [owner] + cover
-        if oracle is not None:
-            diam = oracle.diameter_with_anchor([oracle.index_of(o) for o in cover])
-        else:
-            diam = pairwise_max_distance(full)
-        return full, diam
+        return full, oracle.diameter_with_anchor([oracle.index_of(o) for o in cover])
 
     @staticmethod
     def _diameter_lower_bound(
-        owner: SpatialObject,
         uncovered: frozenset,
         candidates: List[SpatialObject],
-        oracle: Optional[DistanceOracle] = None,
+        oracle: DistanceOracle,
     ) -> Optional[float]:
         """``max_t min_{candidate covering t} d(candidate, owner)``.
 
@@ -351,14 +324,11 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         ``owner`` has a smaller diameter.  None when some keyword has no
         candidate at all.
         """
-        anchor_d = oracle.anchor_d if oracle is not None else None
+        anchor_d = oracle.anchor_d
         u_mask = mask_of(uncovered)
         best_per_keyword: Dict[int, float] = {}
         for i, cand in enumerate(candidates):
-            if anchor_d is not None:
-                d = anchor_d[i]
-            else:
-                d = owner.location.distance_to(cand.location)
+            d = anchor_d[i]
             for t in bits_of(mask_of(cand.keywords) & u_mask):
                 cur = best_per_keyword.get(t)
                 if cur is None or d < cur:

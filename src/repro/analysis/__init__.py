@@ -8,8 +8,8 @@ Two complementary correctness nets over the same invariants:
   registration, determinism, epsilon-safe float comparison, API
   hygiene, counter resets, typed aborts, read-only search state, and
   the single-definition distance/signature rules) plus the
-  interprocedural dataflow set R10–R12 (:mod:`repro.analysis.dataflow`:
-  call-graph escape analysis, checkpoint reachability, toggle parity);
+  interprocedural dataflow set R10–R11 (:mod:`repro.analysis.dataflow`:
+  call-graph escape analysis, checkpoint reachability);
 - the **runtime contract layer** (:mod:`repro.analysis.contracts`,
   opt-in via ``REPRO_CHECK_CONTRACTS=1``) re-validates every ``solve()``
   result: feasibility, cost recomputation, and exactness/ratio bounds

@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="coskq-lint",
         description="Repo-specific static analysis for the CoSKQ reproduction "
         "(syntactic rules R1-R9 plus interprocedural dataflow rules "
-        "R10-R12; see docs/STATIC_ANALYSIS.md).",
+        "R10-R11; see docs/STATIC_ANALYSIS.md).",
     )
     parser.add_argument(
         "paths",
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-dataflow",
         action="store_true",
-        help="skip the interprocedural pass (rules R10-R12); "
+        help="skip the interprocedural pass (rules R10-R11); "
         "syntactic rules only",
     )
     parser.add_argument(
@@ -110,9 +110,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     overrides = {}
     if args.no_dataflow:
         overrides["dataflow"] = False
-    if config.dataflow and not args.no_dataflow and not args.no_cache:
-        cache_dir = pyproject.parent if pyproject is not None else Path(".")
-        overrides["cache_path"] = str(cache_dir / CACHE_BASENAME)
+    # The summary cache lives beside the pyproject.toml the config came
+    # from; a loose file outside any project is linted uncached.
+    caching = config.dataflow and not args.no_dataflow and not args.no_cache
+    if pyproject is not None and caching:
+        overrides["cache_path"] = str(pyproject.parent / CACHE_BASENAME)
     if overrides:
         config = dataclasses.replace(config, **overrides)
     report = run_analysis(targets, config)

@@ -76,13 +76,6 @@ _DEFAULT_INCLUDE: Dict[str, Tuple[str, ...]] = {
         "repro/algorithms/",
         "repro/network/",
     ),
-    # Toggle parity: kernels/signatures-guarded branches keep both arms
-    # and their off-arms never reach the fast-path modules.
-    "R12": (
-        "repro/algorithms/",
-        "repro/index/",
-        "repro/geometry/",
-    ),
 }
 
 _DEFAULT_EXCLUDE: Dict[str, Tuple[str, ...]] = {
@@ -92,8 +85,6 @@ _DEFAULT_EXCLUDE: Dict[str, Tuple[str, ...]] = {
     "R2": ("repro/utils/rng.py", "repro/bench/", "repro/exec/clock.py"),
     # The signature module itself is the sanctioned home of the algebra.
     "R9": ("repro/index/signatures.py",),
-    # The toggle-owning modules define the on/off machinery themselves.
-    "R12": ("repro/index/signatures.py", "repro/kernels/"),
 }
 
 _DEFAULT_REGISTRY = "repro/algorithms/registry.py"
@@ -145,7 +136,7 @@ class AnalysisConfig:
         default_factory=lambda: dict(_DEFAULT_EXCLUDE)
     )
     registry: str = _DEFAULT_REGISTRY
-    #: Run the interprocedural dataflow pass (R10-R12).  ``coskq-lint
+    #: Run the interprocedural dataflow pass (R10-R11).  ``coskq-lint
     #: --no-dataflow`` / ``make lint-fast`` turn it off for quick loops.
     dataflow: bool = True
     #: Where to persist per-module dataflow summaries between runs,

@@ -1,4 +1,4 @@
-"""Interprocedural dataflow analysis: call graph, effects, rules R10-R12.
+"""Interprocedural dataflow analysis: call graph, effects, rules R10-R11.
 
 The syntactic rules R1-R9 (:mod:`repro.analysis.rules`) are per-module
 and per-statement: a one-line helper function silently defeats them.
@@ -6,7 +6,7 @@ This module closes that hole with a project-wide **call graph** (AST
 symbol resolution over ``src/repro`` — module functions, methods
 resolved through the class hierarchy the engine's :class:`Project`
 already tracks, and simple local aliasing) plus a fixed-point
-purity/effect lattice.  Three interprocedural rules run on top:
+purity/effect lattice.  Two interprocedural rules run on top:
 
 - **R10 (escape-hardened R7)** — any function *transitively reachable*
   from a registered solver's ``solve()`` that writes through a
@@ -22,12 +22,6 @@ purity/effect lattice.  Three interprocedural rules run on top:
   ``_bump``/``_checkpoint`` call on every iteration path, directly or
   via a called function, so :class:`repro.exec.policy.ExecutionPolicy`
   deadlines keep their ±1-checkpoint abort-latency guarantee.
-- **R12 (toggle parity)** — every branch guarded by the
-  ``REPRO_KERNELS``/``REPRO_SIGNATURES`` toggles must have both arms,
-  and the code reachable with the toggle *off* must not touch
-  ``repro.kernels``/``repro.index.signatures`` symbols — the off-paths
-  are the frozen, measured baselines of PRs 4-5, and a stray fast-path
-  call there is silent baseline drift.
 
 Everything is stdlib-only.  Per-module extraction
 (:func:`summarize_module`) is purely local and serializes to plain
@@ -66,7 +60,6 @@ __all__ = [
     "CallDesc",
     "MutationSite",
     "LoopSummary",
-    "ToggleSite",
     "FunctionSummary",
     "ModuleSummary",
     "DataflowGraph",
@@ -78,7 +71,9 @@ __all__ = [
 #: Bump when the summary shape or extraction semantics change: the
 #: engine's content-hash cache keys on it, so stale cached summaries
 #: from an older analyzer version can never leak into a run.
-SUMMARY_VERSION = 1
+#: 2: function summaries no longer carry toggle-branch sites or off-path
+#: slices.
+SUMMARY_VERSION = 2
 
 #: Owners that denote shared search state (R7's set plus the PR-4
 #: distance oracle).
@@ -145,18 +140,6 @@ _CHA_OPAQUE = _MUTATOR_METHODS | frozenset(
         "appendleft",
     }
 )
-
-#: Toggle predicates, exempt from R12's symbol-use check.
-_TOGGLE_PREDICATES = {
-    "kernels_enabled": "kernels",
-    "signatures_enabled": "signatures",
-}
-
-#: Dotted module prefixes whose imported symbols belong to each toggle.
-_TOGGLE_MODULES = {
-    "kernels": ("repro.kernels",),
-    "signatures": ("repro.index.signatures",),
-}
 
 #: ``for`` loops over these producers count as unbounded streams (R11):
 #: index walks and network expansions yield in ascending distance until
@@ -281,26 +264,6 @@ class LoopSummary:
 
 
 @dataclass
-class ToggleSite:
-    """One ``if`` whose test is decided by a kernels/signatures toggle."""
-
-    lineno: int
-    toggle: str  # "kernels" | "signatures"
-    missing_off_arm: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "lineno": self.lineno,
-            "toggle": self.toggle,
-            "missing_off_arm": self.missing_off_arm,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ToggleSite":
-        return cls(**data)
-
-
-@dataclass
 class FunctionSummary:
     """Everything the interprocedural rules need to know about one function."""
 
@@ -315,11 +278,6 @@ class FunctionSummary:
     mutates_self: bool = False
     bumps: bool = False
     loops: List[LoopSummary] = field(default_factory=list)
-    toggle_sites: List[ToggleSite] = field(default_factory=list)
-    #: Per toggle: (lineno, symbol) uses in the toggle-off slice of the
-    #: whole body, and the calls reachable in that slice.
-    off_uses: Dict[str, List[Tuple[int, str]]] = field(default_factory=dict)
-    off_calls: Dict[str, List[CallDesc]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -334,15 +292,6 @@ class FunctionSummary:
             "mutates_self": self.mutates_self,
             "bumps": self.bumps,
             "loops": [l.to_dict() for l in self.loops],
-            "toggle_sites": [t.to_dict() for t in self.toggle_sites],
-            "off_uses": {
-                toggle: [list(u) for u in uses]
-                for toggle, uses in self.off_uses.items()
-            },
-            "off_calls": {
-                toggle: [c.to_dict() for c in calls]
-                for toggle, calls in self.off_calls.items()
-            },
         }
 
     @classmethod
@@ -359,15 +308,6 @@ class FunctionSummary:
             mutates_self=data["mutates_self"],
             bumps=data["bumps"],
             loops=[LoopSummary.from_dict(l) for l in data["loops"]],
-            toggle_sites=[ToggleSite.from_dict(t) for t in data["toggle_sites"]],
-            off_uses={
-                toggle: [(u[0], u[1]) for u in uses]
-                for toggle, uses in data["off_uses"].items()
-            },
-            off_calls={
-                toggle: [CallDesc.from_dict(c) for c in calls]
-                for toggle, calls in data["off_calls"].items()
-            },
         )
 
 
@@ -424,26 +364,6 @@ def _chain_text(node: ast.AST) -> str:
     return ".".join(reversed(parts)) if parts else "<expr>"
 
 
-def _toggle_symbols(tree: ast.Module) -> Dict[str, str]:
-    """Local alias -> toggle, for names imported from toggle modules."""
-    out: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            for toggle, prefixes in _TOGGLE_MODULES.items():
-                for prefix in prefixes:
-                    if node.module == prefix or node.module.startswith(prefix + "."):
-                        for alias in node.names:
-                            out[alias.asname or alias.name] = toggle
-                    elif prefix.startswith(node.module + "."):
-                        # ``from repro.index import signatures`` binds the
-                        # submodule under its own name.
-                        remainder = prefix[len(node.module) + 1 :]
-                        for alias in node.names:
-                            if alias.name == remainder:
-                                out[alias.asname or alias.name] = toggle
-    return out
-
-
 def _module_imports(tree: ast.Module) -> Dict[str, Tuple[str, str]]:
     out: Dict[str, Tuple[str, str]] = {}
     for node in ast.walk(tree):
@@ -457,17 +377,15 @@ def _module_imports(tree: ast.Module) -> Dict[str, Tuple[str, str]]:
 
 
 class _FunctionExtractor:
-    """Single-function walker: calls, mutations, bumps, loops, toggles."""
+    """Single-function walker: calls, mutations, bumps, loops."""
 
     def __init__(
         self,
         fn: ast.FunctionDef,
         qualname: str,
         cls_name: Optional[str],
-        toggle_symbols: Dict[str, str],
     ):
         self.fn = fn
-        self.toggle_symbols = toggle_symbols
         decorators = {
             _terminal_identifier(d) for d in fn.decorator_list
         }
@@ -489,12 +407,11 @@ class _FunctionExtractor:
         self.param_alias: Dict[str, int] = dict(self.param_index)
         if self.self_name is not None:
             self.param_alias.pop(self.self_name, None)
-        self.toggle_vars: Dict[str, Tuple[str, bool]] = {}
 
     # -- pre-passes ---------------------------------------------------------
 
     def prepass(self) -> None:
-        """Flow-insensitive alias/taint/toggle-var discovery."""
+        """Flow-insensitive alias/taint discovery."""
         for _ in range(2):  # two rounds: catches alias-of-alias
             for node in self._walk_stmts(self.fn.body):
                 if not isinstance(node, ast.Assign):
@@ -512,9 +429,6 @@ class _FunctionExtractor:
                         self.param_alias.setdefault(
                             target.id, self.param_alias[root]
                         )
-                    off = self._eval_off_raw(node.value)
-                    if off is not None:
-                        self.toggle_vars[target.id] = off
 
     def _expr_shared(self, node: ast.AST) -> bool:
         """Does this expression reach through shared search state?"""
@@ -527,48 +441,6 @@ class _FunctionExtractor:
         if set(parts) & _SHARED_OWNERS:
             return True
         return root in self.tainted
-
-    def _eval_off_raw(self, expr: ast.AST) -> Optional[Tuple[str, bool]]:
-        """(toggle, value-under-off) when ``expr`` is toggle-determined."""
-        for toggle in ("kernels", "signatures"):
-            value = self._eval_off(expr, toggle)
-            if value is not None:
-                return (toggle, value)
-        return None
-
-    def _eval_off(self, expr: ast.AST, toggle: str) -> Optional[bool]:
-        """Truth value of ``expr`` when ``toggle`` is off, if decidable."""
-        if isinstance(expr, ast.Call):
-            term = _terminal_identifier(expr.func)
-            if term is not None and _TOGGLE_PREDICATES.get(term) == toggle:
-                return False
-            return None
-        if isinstance(expr, ast.Name):
-            entry = self.toggle_vars.get(expr.id)
-            if entry is not None and entry[0] == toggle:
-                return entry[1]
-            return None
-        if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.Not):
-            inner = self._eval_off(expr.operand, toggle)
-            return None if inner is None else not inner
-        if isinstance(expr, ast.BoolOp):
-            values = [self._eval_off(v, toggle) for v in expr.values]
-            if isinstance(expr.op, ast.And):
-                if any(v is False for v in values):
-                    return False
-                if all(v is True for v in values):
-                    return True
-                return None
-            if any(v is True for v in values):
-                return True
-            if all(v is False for v in values):
-                return False
-            return None
-        return None
-
-    def _guard_toggle(self, test: ast.AST) -> Optional[Tuple[str, bool]]:
-        """(toggle, off-value) when an ``if`` test is toggle-determined."""
-        return self._eval_off_raw(test)
 
     # -- generic statement walking (skips nested defs) ----------------------
 
@@ -719,19 +591,6 @@ class _FunctionExtractor:
                 stream = _stream_producer(node.iter)
                 if stream is not None:
                     self._record_loop(node, "for", stream)
-            elif isinstance(node, ast.If):
-                guard = self._guard_toggle(node.test)
-                if guard is not None:
-                    toggle, off_value = guard
-                    missing = (
-                        off_value is False
-                        and not node.orelse
-                        and not _terminates(node.body)
-                    )
-                    self.summary.toggle_sites.append(
-                        ToggleSite(node.lineno, toggle, missing)
-                    )
-        self._extract_off_slices()
         return self.summary
 
     # -- R11 loop-path analysis ----------------------------------------------
@@ -752,157 +611,6 @@ class _FunctionExtractor:
         self.summary.loops.append(
             LoopSummary(node.lineno, kind, stream, definite_leak, reliant)
         )
-
-    # -- R12 off-slice extraction --------------------------------------------
-
-    def _extract_off_slices(self) -> None:
-        toggles = {site.toggle for site in self.summary.toggle_sites}
-        # Functions that never branch on a toggle still get whole-body
-        # "slices" (their behavior is toggle-independent), used by the
-        # transitive off-path check in link().
-        for toggle in ("kernels", "signatures"):
-            uses: List[Tuple[int, str]] = []
-            calls: List[CallDesc] = []
-            self._slice(self.fn.body, toggle, uses, calls)
-            if toggle in toggles:
-                self.summary.off_uses[toggle] = uses
-                self.summary.off_calls[toggle] = calls
-            else:
-                # No branch on this toggle: record uses/calls unsliced so
-                # callers' off-arms can see through this function.
-                self.summary.off_uses[toggle] = uses
-                self.summary.off_calls[toggle] = calls
-
-    def _slice(
-        self,
-        stmts: Sequence[ast.stmt],
-        toggle: str,
-        uses: List[Tuple[int, str]],
-        calls: List[CallDesc],
-    ) -> None:
-        """Collect toggle-module uses/calls reachable with ``toggle`` off."""
-        for stmt in stmts:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if isinstance(stmt, ast.If):
-                decided = self._eval_off(stmt.test, toggle)
-                self._slice_expr(stmt.test, toggle, uses, calls)
-                if decided is False:
-                    self._slice(stmt.orelse, toggle, uses, calls)
-                    # A terminating else-arm (``if kernels_enabled(): ...
-                    # else: return fallback``) makes the rest of the block
-                    # on-path-only.
-                    if _terminates(stmt.orelse):
-                        return
-                elif decided is True:
-                    self._slice(stmt.body, toggle, uses, calls)
-                    # ``if not kernels_enabled(): return None`` — nothing
-                    # after this statement is reachable with the toggle
-                    # off, so the slice stops here.
-                    if _terminates(stmt.body):
-                        return
-                else:
-                    self._slice(stmt.body, toggle, uses, calls)
-                    self._slice(stmt.orelse, toggle, uses, calls)
-                continue
-            if isinstance(stmt, (ast.While,)):
-                self._slice_expr(stmt.test, toggle, uses, calls)
-                self._slice(stmt.body, toggle, uses, calls)
-                self._slice(stmt.orelse, toggle, uses, calls)
-                continue
-            if isinstance(stmt, ast.For):
-                self._slice_expr(stmt.iter, toggle, uses, calls)
-                self._slice(stmt.body, toggle, uses, calls)
-                self._slice(stmt.orelse, toggle, uses, calls)
-                continue
-            if isinstance(stmt, ast.Try):
-                self._slice(stmt.body, toggle, uses, calls)
-                for handler in stmt.handlers:
-                    self._slice(handler.body, toggle, uses, calls)
-                self._slice(stmt.orelse, toggle, uses, calls)
-                self._slice(stmt.finalbody, toggle, uses, calls)
-                continue
-            if isinstance(stmt, ast.With):
-                for item in stmt.items:
-                    self._slice_expr(item.context_expr, toggle, uses, calls)
-                self._slice(stmt.body, toggle, uses, calls)
-                continue
-            if isinstance(stmt, ast.AnnAssign):
-                # Annotations are types, not behavior: ``oracle:
-                # Optional[DistanceOracle] = None`` must not count as an
-                # off-path use of the kernels layer.
-                self._slice_expr(stmt.target, toggle, uses, calls)
-                if stmt.value is not None:
-                    self._slice_expr(stmt.value, toggle, uses, calls)
-                continue
-            # Leaf statement: slice every contained expression.
-            for child in ast.iter_child_nodes(stmt):
-                self._slice_expr(child, toggle, uses, calls)
-
-    def _slice_expr(
-        self,
-        node: ast.AST,
-        toggle: str,
-        uses: List[Tuple[int, str]],
-        calls: List[CallDesc],
-    ) -> None:
-        if node is None or isinstance(node, ast.stmt):
-            return
-        if isinstance(node, ast.IfExp):
-            decided = self._eval_off(node.test, toggle)
-            self._slice_expr(node.test, toggle, uses, calls)
-            if decided is False:
-                self._slice_expr(node.orelse, toggle, uses, calls)
-            elif decided is True:
-                self._slice_expr(node.body, toggle, uses, calls)
-            else:
-                self._slice_expr(node.body, toggle, uses, calls)
-                self._slice_expr(node.orelse, toggle, uses, calls)
-            return
-        if isinstance(node, ast.Call):
-            desc = self._classify_call(node)
-            if desc is not None:
-                calls.append(desc)
-            term = _terminal_identifier(node.func)
-            if term in _TOGGLE_PREDICATES:
-                # The predicate itself is exempt; still slice its args.
-                for arg in node.args:
-                    self._slice_expr(arg, toggle, uses, calls)
-                return
-        if isinstance(node, ast.Name):
-            if (
-                self.toggle_symbols.get(node.id) == toggle
-                and node.id not in _TOGGLE_PREDICATES
-            ):
-                uses.append((node.lineno, node.id))
-            return
-        if isinstance(node, ast.Attribute):
-            root = _root_name(node)
-            if (
-                root is not None
-                and self.toggle_symbols.get(root) == toggle
-                and node.attr not in _TOGGLE_PREDICATES
-            ):
-                uses.append((node.lineno, "%s.%s" % (root, node.attr)))
-                return
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.stmt,)):
-                continue
-            self._slice_expr(child, toggle, uses, calls)
-
-
-def _terminates(stmts: Sequence[ast.stmt]) -> bool:
-    """Whether a statement list never falls through its end."""
-    if not stmts:
-        return False
-    last = stmts[-1]
-    if isinstance(last, (ast.Return, ast.Raise, ast.Continue, ast.Break)):
-        return True
-    if isinstance(last, ast.If):
-        return bool(last.orelse) and _terminates(last.body) and _terminates(last.orelse)
-    return False
 
 
 class _LoopPaths:
@@ -1036,7 +744,6 @@ class _LoopPaths:
 
 def summarize_module(module: ModuleInfo) -> ModuleSummary:
     """Extract the (cacheable) dataflow summary of one parsed module."""
-    toggle_symbols = _toggle_symbols(module.tree)
     summary = ModuleSummary(
         relpath=module.relpath, imports=_module_imports(module.tree)
     )
@@ -1051,9 +758,7 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
                 if isinstance(stmt, ast.AsyncFunctionDef):
                     continue
                 qualname = prefix + stmt.name
-                extractor = _FunctionExtractor(
-                    stmt, qualname, cls_name, toggle_symbols
-                )
+                extractor = _FunctionExtractor(stmt, qualname, cls_name)
                 summary.functions.append(extractor.extract())
                 # Nested defs become their own summaries; calls to their
                 # bare name resolve module-locally via the name table.
@@ -1432,111 +1137,6 @@ def check_r11(
                     break
 
 
-def check_r12(
-    graph: DataflowGraph, config: AnalysisConfig
-) -> Iterator[Tuple[str, Violation]]:
-    """Toggle-guarded branches: both arms, and kernel/signature-free off-paths."""
-    # Closure: does a function's toggle-off slice use toggle symbols,
-    # directly or through its off-slice calls?  Functions inside the
-    # R12-excluded modules (the toggle layers themselves) never seed or
-    # carry taint: acquiring any object from those layers already takes
-    # a flagged symbol use, so a method call on one cannot be the
-    # *first* off-path contact with the fast-path code.
-    from repro.analysis.config import path_matches
-
-    excluded = config.exclude.get("R12", ())
-
-    def opaque(relpath: str) -> bool:
-        return any(path_matches(relpath, p) for p in excluded)
-
-    closure: Dict[str, Set[str]] = {"kernels": set(), "signatures": set()}
-    for toggle in closure:
-        for key, fn in graph.functions.items():
-            if fn.off_uses.get(toggle) and not opaque(graph.relpath_of(key)):
-                closure[toggle].add(key)
-        changed = True
-        rounds = 0
-        while changed and rounds < 50:
-            changed = False
-            rounds += 1
-            for key, fn in graph.functions.items():
-                if key in closure[toggle]:
-                    continue
-                relpath = graph.relpath_of(key)
-                if opaque(relpath):
-                    continue
-                for desc in fn.off_calls.get(toggle, ()):
-                    # Consensus on ambiguous resolution: every candidate
-                    # must reach toggle symbols before the taint spreads.
-                    candidates = graph.resolve(relpath, fn, desc)
-                    if candidates and all(
-                        c in closure[toggle] for c in candidates
-                    ):
-                        closure[toggle].add(key)
-                        changed = True
-                        break
-
-    module_of = {"kernels": "repro.kernels", "signatures": "repro.index.signatures"}
-    for key in sorted(graph.functions):
-        fn = graph.functions[key]
-        relpath = graph.relpath_of(key)
-        if not fn.toggle_sites or not config.applies_to("R12", relpath):
-            continue
-        toggles_here = {site.toggle for site in fn.toggle_sites}
-        for site in fn.toggle_sites:
-            if site.missing_off_arm:
-                yield relpath, Violation(
-                    "R12",
-                    relpath,
-                    site.lineno,
-                    "%s-toggle branch has no off-arm: add an explicit else "
-                    "(or terminate the on-arm) so the %s=off baseline stays "
-                    "an auditable path"
-                    % (
-                        site.toggle,
-                        "REPRO_KERNELS"
-                        if site.toggle == "kernels"
-                        else "REPRO_SIGNATURES",
-                    ),
-                    function=graph.display(key),
-                )
-        for toggle in sorted(toggles_here):
-            seen_lines: Set[int] = set()
-            for lineno, symbol in fn.off_uses.get(toggle, ()):
-                if lineno in seen_lines:
-                    continue
-                seen_lines.add(lineno)
-                yield relpath, Violation(
-                    "R12",
-                    relpath,
-                    lineno,
-                    "toggle-off path uses %s symbol %r; the off-path is the "
-                    "frozen measured baseline and must not reach the "
-                    "fast-path layer" % (module_of[toggle], symbol),
-                    function=graph.display(key),
-                )
-            for desc in fn.off_calls.get(toggle, ()):
-                if desc.lineno in seen_lines:
-                    continue
-                candidates = graph.resolve(relpath, fn, desc)
-                hit = None
-                if candidates and all(c in closure[toggle] for c in candidates):
-                    hit = candidates[0]
-                if hit is not None:
-                    seen_lines.add(desc.lineno)
-                    yield relpath, Violation(
-                        "R12",
-                        relpath,
-                        desc.lineno,
-                        "toggle-off path calls %s(), which reaches %s "
-                        "symbols with the toggle off; the off-path is the "
-                        "frozen measured baseline"
-                        % (desc.name, module_of[toggle]),
-                        function=graph.display(key),
-                        chain=(graph.display(key), graph.display(hit)),
-                    )
-
-
 def check_dataflow_rules(
     graph: DataflowGraph, config: AnalysisConfig
 ) -> Iterator[Tuple[str, Violation]]:
@@ -1545,5 +1145,3 @@ def check_dataflow_rules(
         yield from check_r10(graph, config)
     if config.rule_enabled("R11"):
         yield from check_r11(graph, config)
-    if config.rule_enabled("R12"):
-        yield from check_r12(graph, config)

@@ -353,7 +353,7 @@ def run_analysis(
             raw.append((module, violation))
 
     if config.dataflow and any(
-        config.rule_enabled(r) for r in ("R10", "R11", "R12")
+        config.rule_enabled(r) for r in ("R10", "R11")
     ):
         cache = SummaryCache(
             Path(config.cache_path) if config.cache_path else None

@@ -12,7 +12,7 @@ The JSON shape is stable for CI consumption::
       ]
     }
 
-Interprocedural findings (R10-R12) additionally carry ``"function"``
+Interprocedural findings (R10-R11) additionally carry ``"function"``
 (the enclosing ``relpath:Qual.name``) and ``"callchain"`` (the list of
 functions from the analysis root to the offending site); both keys are
 omitted on purely syntactic findings, SARIF-style.

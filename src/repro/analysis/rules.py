@@ -34,15 +34,13 @@ and the suppression mechanism (``# repro: noqa(RX)``).  The rules:
   (``isdisjoint``/``issubset`` calls, ``&`` or ordering comparisons on
   ``*keyword*`` operands): keyword predicates route through
   :mod:`repro.index.signatures`, so the bitmask representation has a
-  single home.  The toggle-off fallback branches keep the literal
-  frozenset expressions under ``# repro: noqa(R9)`` — those lines *are*
-  the measured baseline and must stay byte-comparable to PR-4.
+  single home.
 
 Rules are pure functions from parsed module/project structure to
 :class:`Violation` streams; the engine (see :mod:`repro.analysis.engine`)
 handles file walking, suppression and reporting.  The interprocedural
-rules R10-R12 (call-graph purity, checkpoint reachability, toggle
-parity) live in :mod:`repro.analysis.dataflow`.
+rules R10-R11 (call-graph purity, checkpoint reachability) live in
+:mod:`repro.analysis.dataflow`.
 """
 
 from __future__ import annotations
@@ -87,7 +85,6 @@ RULE_SUMMARIES: Dict[str, str] = {
     "R9": "no inline keyword-set algebra in index/solver code; use index.signatures",
     "R10": "nothing reachable from solve() mutates shared search state (call graph)",
     "R11": "every unbounded solver loop checkpoints on every iteration path",
-    "R12": "toggle branches have both arms; off-arms never reach kernel/signature code",
     "NOQA": "suppression comment suppresses nothing (reported with --strict)",
     "PARSE": "file failed to parse (syntax error or unreadable); exit code 3",
 }
@@ -97,7 +94,7 @@ RULE_SUMMARIES: Dict[str, str] = {
 class Violation:
     """One rule breach at a specific source location.
 
-    The interprocedural rules (R10-R12) also carry the enclosing
+    The interprocedural rules (R10-R11) also carry the enclosing
     ``function`` (``relpath:Qual.name``) and, where a finding is only
     explicable through the call graph, the ``chain`` of functions from
     the analysis root to the offending site.
@@ -650,12 +647,9 @@ def check_r9(module: ModuleInfo, config: AnalysisConfig) -> Iterator[Violation]:
     are ``&`` on masks.  An inline frozenset ``isdisjoint``/``issubset``
     call, a ``&`` intersection or a subset-ordering comparison on a
     ``*keyword*`` operand in the scoped directories forks that
-    representation and silently bypasses the bitmask fast paths, so the
-    differential suite can no longer vouch for the toggle.  Scoped by
+    representation and silently bypasses the bitmask paths.  Scoped by
     default to ``repro/index/`` and ``repro/algorithms/`` with the
-    signature module itself excluded; the signatures-off fallback
-    branches are the measured PR-4 baseline and carry explicit
-    ``# repro: noqa(R9)`` markers.
+    signature module itself excluded.
     """
     if not config.applies_to("R9", module.relpath):
         return

@@ -19,7 +19,7 @@ import functools
 import math
 import pathlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.algorithms.base import CoSKQAlgorithm, SearchContext
 from repro.algorithms.cao_appro import CaoAppro1, CaoAppro2
@@ -35,7 +35,6 @@ from repro.cost.unified import INTERESTING_SETTINGS, UnifiedCost
 from repro.data.augment import densify_keywords, scale_dataset
 from repro.data.generators import gn_like, hotel_like, web_like
 from repro.data.queries import generate_queries
-from repro.geometry.circle import Circle
 from repro.index.neighbors import LinearScanIndex
 from repro.model.dataset import Dataset
 
@@ -570,366 +569,6 @@ def experiment_parallel(scale: Scale) -> str:
     return report_text
 
 
-# -- flat-array kernels ----------------------------------------------------------------
-
-#: When set (``make kernels-bench`` / tests), :func:`experiment_kernels`
-#: additionally writes its machine-readable results to this JSON file.
-KERNELS_JSON_PATH: pathlib.Path | None = None
-
-
-def experiment_kernels(scale: Scale) -> str:
-    """Wall-clock effect of the flat-array kernels on the single-query path.
-
-    Each solver runs the same medium synthetic workload twice — kernels
-    forced *off* (the scalar pre-kernel code, kept as the toggle's off
-    path) and forced *on* — over one shared index, and per-query result
-    **bit-identity** (exact cost equality and identical object ids) is
-    asserted before any timing is reported.  A second section
-    microbenchmarks individual kernels against the naive scalar loops
-    they replace on packed coordinates from the same dataset.
-
-    Timings take the minimum of three interleaved passes per mode on
-    whatever machine runs the bench (the JSON records ``cpu_count``);
-    the speedups come from removing per-pair attribute chasing, from the
-    per-owner :class:`~repro.kernels.DistanceOracle` memoizing distances
-    across bisection probes, and from the per-query owner stream prefix
-    replacing per-owner index traversals — not from parallelism.
-    """
-    import json
-    import os
-    import time
-
-    from repro.algorithms.registry import make_algorithm
-    from repro.kernels import flat
-
-    # The medium synthetic workload is pinned (hotel-like at 0.25 scale,
-    # densified to ~4 keywords/object, |q.psi| = 9) rather than derived
-    # from the preset, so the headline speedup measures the same work at
-    # every scale; only the query count and seed follow ``scale``.
-    # Densification keeps candidate sets large enough for the distance
-    # work — the part the kernels accelerate — to dominate.
-    base = _dataset("hotel", 0.25, scale.seed)
-    dataset = densify_keywords(base, 4.0, seed=scale.seed)
-    k = 9
-    queries = generate_queries(dataset, k, scale.queries, seed=scale.seed)
-    context = SearchContext(dataset)
-    context.index  # build once, outside every timed region
-
-    solver_names = ("maxsum-exact", "dia-exact", "maxsum-appro", "dia-appro")
-    passes = 3
-    rows = []
-    json_rows = []
-    speedups: Dict[str, float] = {}
-    try:
-        for name in solver_names:
-            # Min of interleaved passes: both modes see the same machine
-            # noise, and the minimum is the stable estimate of the code's
-            # actual cost (same convention as timeit).
-            timings: Dict[bool, float] = {False: math.inf, True: math.inf}
-            outcomes: Dict[bool, list] = {}
-            for _ in range(passes):
-                for enabled in (False, True):
-                    flat.set_enabled(enabled)
-                    algo = make_algorithm(name, context)
-                    start = time.perf_counter()
-                    results = [algo.solve(q) for q in queries]
-                    timings[enabled] = min(
-                        timings[enabled], time.perf_counter() - start
-                    )
-                    run = [
-                        (r.cost, tuple(sorted(o.oid for o in r.objects)))
-                        for r in results
-                    ]
-                    outcomes.setdefault(enabled, run)
-                    assert outcomes[enabled] == run, (
-                        "%s is nondeterministic across passes" % name
-                    )
-            # Bit-identity, not tolerance: the kernels must produce the
-            # very same costs and object sets as the scalar path.
-            assert outcomes[False] == outcomes[True], (
-                "kernels changed %s results" % name
-            )
-            speedup = timings[False] / timings[True] if timings[True] else math.nan
-            speedups[name] = speedup
-            row = {
-                "solver": name,
-                "scalar_s": round(timings[False], 4),
-                "kernels_s": round(timings[True], 4),
-                "speedup": round(speedup, 2),
-            }
-            rows.append(row)
-            json_rows.append(dict(row, queries=len(queries)))
-
-        micro_rows = _kernel_microbench(dataset)
-    finally:
-        flat.set_enabled(None)
-
-    report_text = format_kv_table(
-        "flat-array kernels: %s, %d queries, |q.psi|=%d (bit-identical results)"
-        % (dataset.name, len(queries), k),
-        rows,
-        key="solver",
-    )
-    report_text += "\n\n" + format_kv_table(
-        "kernel microbenchmarks (packed arrays vs naive scalar loops)",
-        micro_rows,
-        key="kernel",
-    )
-    report_text += "\nowner-exact (maxsum) speedup: %.2fx" % speedups["maxsum-exact"]
-    if KERNELS_JSON_PATH is not None:
-        payload = {
-            "dataset": dataset.name,
-            "objects": len(dataset),
-            "queries": len(queries),
-            "query_keywords": k,
-            "cpu_count": os.cpu_count(),
-            "owner_exact_speedup": round(speedups["maxsum-exact"], 2),
-            "solvers": json_rows,
-            "kernels": micro_rows,
-            "note": (
-                "min of %d interleaved passes, one process; both modes "
-                "share one prebuilt index and per-query results are "
-                "asserted bit-identical before timing is reported (see "
-                "docs/PERFORMANCE.md)" % passes
-            ),
-        }
-        KERNELS_JSON_PATH.parent.mkdir(parents=True, exist_ok=True)
-        KERNELS_JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return report_text
-
-
-def _kernel_microbench(dataset: Dataset) -> List[Dict[str, object]]:
-    """Time individual kernels against their naive scalar equivalents."""
-    import time
-
-    from repro.kernels import flat
-
-    objects = dataset.objects[:256]
-    points = [o.location for o in objects]
-    xs, ys = flat.pack_objects(objects)
-    anchor = points[0]
-    ax, ay = anchor.x, anchor.y
-    cap = flat.max_distance_from(ax, ay, xs, ys) * 0.75
-    repeats = 40
-
-    def naive_pairwise() -> float:
-        best = 0.0
-        for i in range(len(points)):
-            pi = points[i]
-            for j in range(i + 1, len(points)):
-                d = pi.distance_to(points[j])
-                if d > best:
-                    best = d
-        return best
-
-    def naive_distances() -> List[float]:
-        return [anchor.distance_to(p) for p in points]
-
-    def naive_any_beyond() -> bool:
-        return any(anchor.distance_to(p) > cap for p in points)
-
-    def naive_select() -> List[int]:
-        return [
-            i for i, p in enumerate(points) if anchor.distance_to(p) <= cap
-        ]
-
-    cases = (
-        ("pairwise_max", naive_pairwise, lambda: flat.pairwise_max(xs, ys)),
-        ("distances_from", naive_distances, lambda: flat.distances_from(ax, ay, xs, ys)),
-        ("any_beyond", naive_any_beyond, lambda: flat.any_beyond(ax, ay, xs, ys, cap)),
-        ("select_within", naive_select, lambda: flat.select_within(ax, ay, xs, ys, cap)),
-    )
-    rows: List[Dict[str, object]] = []
-    for label, naive, kernel in cases:
-        start = time.perf_counter()
-        for _ in range(repeats):
-            naive()
-        naive_s = time.perf_counter() - start
-        start = time.perf_counter()
-        for _ in range(repeats):
-            kernel()
-        kernel_s = time.perf_counter() - start
-        rows.append(
-            {
-                "kernel": label,
-                "n": len(points),
-                "naive_s": round(naive_s, 4),
-                "kernel_s": round(kernel_s, 4),
-                "speedup": round(naive_s / kernel_s, 2) if kernel_s else math.nan,
-            }
-        )
-    return rows
-
-
-# -- keyword signatures ----------------------------------------------------------------
-
-#: When set (``make signatures-bench`` / tests), :func:`experiment_signatures`
-#: additionally writes its machine-readable results to this JSON file.
-SIGNATURES_JSON_PATH: pathlib.Path | None = None
-
-
-def experiment_signatures(scale: Scale) -> str:
-    """Wall-clock effect of the keyword-bitmap signatures on textual paths.
-
-    Each workload runs twice on one shared prebuilt index — signatures
-    forced *off* (the frozenset algebra, kept as the toggle's off path)
-    and forced *on* — and **bit-identity** of every per-run outcome
-    (costs, object ids, yielded distances) is asserted before any timing
-    is reported.  Timings take the minimum of three interleaved passes
-    per mode (same convention as ``kernels_study``).
-
-    The workloads separate the end-to-end solver effect (masks are one
-    ingredient among many) from the index-level hot paths the masks
-    rewrite directly:
-
-    - ``maxsum-exact`` / ``maxsum-appro`` — full solves, pinned workload;
-    - ``boolean-knn`` — the IR-tree's covering traversal, where the
-      signature path prunes whole subtrees that cannot cover ``q.ψ``
-      instead of filtering the relevant-object stream;
-    - ``early-break-scan`` — first 10 yields of the linear scan's
-      ``nearest_relevant_iter``, where the lazy heap stops paying the
-      full sort;
-    - ``circle-sweep`` — ``relevant_in_circle`` over the IR-tree with
-      mask-pruned nodes and mask-filtered leaves.
-    """
-    import json
-    import os
-    import time
-
-    from repro.algorithms.registry import make_algorithm
-    from repro.index import signatures
-
-    # Pinned medium workload (hotel-like at 0.25 scale, densified to
-    # ~4 keywords/object, |q.psi| = 9), as in ``kernels_study``: the
-    # headline numbers measure the same work at every scale; only the
-    # query count and seed follow ``scale``.
-    base = _dataset("hotel", 0.25, scale.seed)
-    dataset = densify_keywords(base, 4.0, seed=scale.seed)
-    k = 9
-    queries = generate_queries(dataset, k, scale.queries, seed=scale.seed)
-    # Covering objects are rare at |q.psi| = 9; boolean kNN gets its own
-    # 3-keyword queries so both toggle paths chase real results.
-    bool_queries = generate_queries(dataset, 3, scale.queries, seed=scale.seed + 1)
-    context = SearchContext(dataset)
-    irtree = context.index  # build once, outside every timed region
-    linear = LinearScanIndex(dataset)
-    circles = [
-        Circle(q.location, 2.0 * context.nn_set(q).d_f) for q in queries
-    ]
-
-    def solver_workload(name: str):
-        def run():
-            algo = make_algorithm(name, context)
-            return [
-                (r.cost, tuple(sorted(o.oid for o in r.objects)))
-                for r in (algo.solve(q) for q in queries)
-            ]
-
-        return run
-
-    def boolean_knn_workload():
-        out = []
-        for _ in range(20):
-            for q in bool_queries:
-                out.append(tuple((d, o.oid) for d, o in irtree.boolean_knn(q, 10)))
-        return out
-
-    def early_break_workload():
-        out = []
-        for _ in range(20):
-            for q in queries:
-                hits = []
-                for d, obj in linear.nearest_relevant_iter(q.location, q.keywords):
-                    hits.append((d, obj.oid))
-                    if len(hits) == 10:
-                        break
-                out.append(tuple(hits))
-        return out
-
-    def circle_sweep_workload():
-        out = []
-        for _ in range(20):
-            for q, circle in zip(queries, circles):
-                out.append(
-                    tuple(o.oid for o in irtree.relevant_in_circle(circle, q.keywords))
-                )
-        return out
-
-    workloads = (
-        ("maxsum-exact", solver_workload("maxsum-exact")),
-        ("maxsum-appro", solver_workload("maxsum-appro")),
-        ("boolean-knn", boolean_knn_workload),
-        ("early-break-scan", early_break_workload),
-        ("circle-sweep", circle_sweep_workload),
-    )
-    passes = 3
-    rows = []
-    json_rows = []
-    speedups: Dict[str, float] = {}
-    try:
-        for label, run in workloads:
-            timings: Dict[bool, float] = {False: math.inf, True: math.inf}
-            outcomes: Dict[bool, object] = {}
-            for _ in range(passes):
-                for enabled in (False, True):
-                    signatures.set_enabled(enabled)
-                    start = time.perf_counter()
-                    result = run()
-                    timings[enabled] = min(
-                        timings[enabled], time.perf_counter() - start
-                    )
-                    outcomes.setdefault(enabled, result)
-                    assert outcomes[enabled] == result, (
-                        "%s is nondeterministic across passes" % label
-                    )
-            # Bit-identity, not tolerance: the signature paths must
-            # produce the very same outcomes as the frozenset algebra.
-            assert outcomes[False] == outcomes[True], (
-                "signatures changed %s results" % label
-            )
-            speedup = timings[False] / timings[True] if timings[True] else math.nan
-            speedups[label] = speedup
-            row = {
-                "workload": label,
-                "baseline_s": round(timings[False], 4),
-                "signatures_s": round(timings[True], 4),
-                "speedup": round(speedup, 2),
-            }
-            rows.append(row)
-            json_rows.append(dict(row, queries=len(queries)))
-    finally:
-        signatures.set_enabled(None)
-
-    best = max(speedups, key=lambda label: speedups[label])
-    report_text = format_kv_table(
-        "keyword signatures: %s, %d queries, |q.psi|=%d (bit-identical results)"
-        % (dataset.name, len(queries), k),
-        rows,
-        key="workload",
-    )
-    report_text += "\nbest workload speedup: %s at %.2fx" % (best, speedups[best])
-    if SIGNATURES_JSON_PATH is not None:
-        payload = {
-            "dataset": dataset.name,
-            "objects": len(dataset),
-            "queries": len(queries),
-            "query_keywords": k,
-            "cpu_count": os.cpu_count(),
-            "best_workload": best,
-            "best_speedup": round(speedups[best], 2),
-            "workloads": json_rows,
-            "note": (
-                "min of %d interleaved passes, one process; both modes "
-                "share one prebuilt index and per-run outcomes are "
-                "asserted bit-identical before timing is reported (see "
-                "docs/PERFORMANCE.md)" % passes
-            ),
-        }
-        SIGNATURES_JSON_PATH.parent.mkdir(parents=True, exist_ok=True)
-        SIGNATURES_JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return report_text
-
-
 # -- the adaptive planner -------------------------------------------------------------
 
 #: When set (``make adaptive-bench`` / tests), :func:`experiment_adaptive`
@@ -1092,8 +731,6 @@ EXPERIMENTS: Dict[str, Callable[[Scale], str]] = {
     "ablation_index": experiment_ablation_index,
     "unified": experiment_unified,
     "parallel_study": experiment_parallel,
-    "kernels_study": experiment_kernels,
-    "signatures_study": experiment_signatures,
     "adaptive_study": experiment_adaptive,
 }
 

@@ -6,7 +6,7 @@ Where ``repro.bench.experiments`` regenerates the *paper's* tables
 harnesses do: pinned scalable datasets (10k → 1M objects, seeded,
 content-hash cached on disk), pinned mixed workloads (boolean-knn /
 approximate / small exact / fallback chains / parallel batches, cold vs
-warm caches, kernels and signatures toggled on and off), per-query
+warm caches), per-query
 latency capture, and one summary JSON per run under a versioned schema.
 
 The pieces (see docs/BENCHMARKS.md):

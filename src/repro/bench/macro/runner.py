@@ -12,10 +12,6 @@ The runner owns the measurement discipline:
   :class:`~repro.parallel.cache.ResultCache` over the same context, runs
   one untimed priming pass, then times the second pass — and reports the
   cache counters so hit rates are visible in the summary.
-- **Toggles are scoped.**  Kernels/signatures are forced per workload
-  via :func:`repro.kernels.set_enabled` /
-  :func:`repro.index.signatures.set_enabled` and restored to environment
-  control afterwards, even on failure.
 - **Failures never abort a run.**  A query that raises a typed CoSKQ
   error is counted in ``failures`` and excluded from the latency sample;
   an unexpected exception still propagates (a broken harness must not
@@ -40,10 +36,7 @@ from repro.bench.macro.schema import SCHEMA_VERSION, assert_valid
 from repro.bench.macro.workloads import Profile, WorkloadSpec, profile_by_name
 from repro.data.queries import generate_queries
 from repro.errors import CoSKQError
-from repro.index import signatures
 from repro.index.cache import CachingIndex
-from repro.kernels import flat as kernels_flat
-from repro.kernels.flat import kernels_enabled
 from repro.model.dataset import Dataset
 from repro.model.query import Query
 from repro.parallel.cache import CachedSolver, ResultCache
@@ -58,23 +51,6 @@ Echo = Optional[Callable[[str], None]]
 def _say(echo: Echo, message: str) -> None:
     if echo is not None:
         echo(message)
-
-
-class _Toggles:
-    """Force kernels/signatures for one workload; always restore."""
-
-    def __init__(self, kernels_on: bool, signatures_on: bool):
-        self.kernels_on = kernels_on
-        self.signatures_on = signatures_on
-
-    def __enter__(self) -> "_Toggles":
-        kernels_flat.set_enabled(self.kernels_on)
-        signatures.set_enabled(self.signatures_on)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        kernels_flat.set_enabled(None)
-        signatures.set_enabled(None)
 
 
 def _timed_pass(
@@ -306,7 +282,6 @@ def _workload_entry(
         "kind": spec.kind,
         "solver": spec.solver,
         "cache": spec.cache,
-        "toggles": {"kernels": spec.kernels, "signatures": spec.signatures},
         "queries": spec.queries,
         "num_keywords": spec.num_keywords,
         "shards": spec.shards,
@@ -325,18 +300,17 @@ def _run_workload(
     context: SearchContext,
     queries: List[Query],
 ) -> Dict[str, object]:
-    with _Toggles(spec.kernels, spec.signatures):
-        if spec.kind == "batch":
-            return _batch_workload(spec, dataset, queries)
-        if spec.kind == "sharded":
-            return _sharded_workload(spec, dataset, context, queries)
-        if spec.kind == "adaptive":
-            return _adaptive_workload(spec, context, queries)
-        if spec.kind == "boolean-knn":
-            return _knn_workload(spec, context, queries)
-        if spec.kind == "chain":
-            return _chain_workload(spec, context, queries)
-        return _solver_workload(spec, context, queries)
+    if spec.kind == "batch":
+        return _batch_workload(spec, dataset, queries)
+    if spec.kind == "sharded":
+        return _sharded_workload(spec, dataset, context, queries)
+    if spec.kind == "adaptive":
+        return _adaptive_workload(spec, context, queries)
+    if spec.kind == "boolean-knn":
+        return _knn_workload(spec, context, queries)
+    if spec.kind == "chain":
+        return _chain_workload(spec, context, queries)
+    return _solver_workload(spec, context, queries)
 
 
 def run_profile(
@@ -408,8 +382,6 @@ def run_profile(
         "environment": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
-            "kernels": kernels_enabled(),
-            "signatures": signatures.signatures_enabled(),
         },
         "datasets": dataset_entries,
         "workloads": workload_entries,

@@ -37,7 +37,9 @@ __all__ = [
 #: /2: added the ``sharded`` workload kind, the per-workload ``shards``
 #: count (0 = single IR-tree), and on sharded entries the paired
 #: ``baseline_wall_s`` / ``shard_build_s`` extras.
-SCHEMA_VERSION = "coskq-bench-macro/2"
+#: /3: removed the per-workload ``toggles`` and the ``environment``
+#: ``kernels`` / ``signatures`` flags (one code path, nothing to toggle).
+SCHEMA_VERSION = "coskq-bench-macro/3"
 
 #: How a workload is executed (see docs/BENCHMARKS.md).  ``adaptive``
 #: (the feature-driven planner) is a purely additive kind — cells of a
@@ -130,8 +132,6 @@ def validate_summary(doc: object) -> List[str]:
     if environment is not None:
         _require(environment, "python", str, "environment", problems)
         _require(environment, "platform", str, "environment", problems)
-        _require(environment, "kernels", bool, "environment", problems)
-        _require(environment, "signatures", bool, "environment", problems)
 
     dataset_names = set()
     datasets = _require(doc, "datasets", list, "summary", problems)
@@ -185,10 +185,6 @@ def validate_summary(doc: object) -> List[str]:
             cache = _require(entry, "cache", str, where, problems)
             if cache is not None and cache not in _CACHE_MODES:
                 problems.append("%s: cache must be one of %s" % (where, list(_CACHE_MODES)))
-            toggles = _require(entry, "toggles", dict, where, problems)
-            if toggles is not None:
-                _require(toggles, "kernels", bool, where + ".toggles", problems)
-                _require(toggles, "signatures", bool, where + ".toggles", problems)
             queries = _require(entry, "queries", int, where, problems)
             if queries is not None and queries < 1:
                 problems.append("%s: queries must be >= 1" % where)
@@ -295,14 +291,8 @@ def canonical_summary(doc: Dict) -> Dict:
 
     projected = walk(copy.deepcopy(doc))
     if isinstance(projected.get("environment"), dict):
-        # The host (and any REPRO_KERNELS/REPRO_SIGNATURES override in the
-        # caller's environment) must not leak into the golden file.
-        projected["environment"] = {
-            "python": "<python>",
-            "platform": "<platform>",
-            "kernels": True,
-            "signatures": True,
-        }
+        # The host must not leak into the golden file.
+        projected["environment"] = {"python": "<python>", "platform": "<platform>"}
     for dataset in projected.get("datasets", []):
         if isinstance(dataset, dict) and "cache" in dataset:
             # hit vs miss depends on what the cache dir already held.

@@ -2,11 +2,10 @@
 
 A *workload* is one measured cell: a dataset, a way of querying it
 (registry solver, fallback chain, boolean-kNN index op, a parallel
-batch, the sharded scatter-gather engine, or the adaptive planner), a
-cache temperature, and the kernels/signatures toggles.  A
-*profile* pins datasets + workloads + seed, so two runs of the same
-profile measure byte-identical work — which is what makes the diff gate
-meaningful.
+batch, the sharded scatter-gather engine, or the adaptive planner) and
+a cache temperature.  A *profile* pins datasets + workloads + seed, so
+two runs of the same profile measure byte-identical work — which is
+what makes the diff gate meaningful.
 
 Four profiles ship (docs/BENCHMARKS.md):
 
@@ -44,8 +43,6 @@ class WorkloadSpec:
     num_keywords: int = 6
     queries: int = 8
     cache: str = "cold"
-    kernels: bool = True
-    signatures: bool = True
     #: ``boolean-knn`` only: result-set size.
     k: int = 5
     #: ``batch`` only: process-pool width.
@@ -112,7 +109,7 @@ def _mixed_workloads(
     ``main`` hosts the fast paths, ``small`` the exponential exact
     search.  The mix covers the matrix the tentpole names: boolean-knn,
     appro, small exact, dia, a fallback chain (provenance counts), a
-    parallel batch, cold vs warm, and kernels/signatures ablations.
+    parallel batch, and cold vs warm.
     """
     return (
         WorkloadSpec(
@@ -138,22 +135,6 @@ def _mixed_workloads(
             num_keywords=num_keywords,
             queries=queries,
             cache="warm",
-        ),
-        WorkloadSpec(
-            id="maxsum-appro/cold/kernels-off",
-            dataset=main,
-            solver="maxsum-appro",
-            num_keywords=num_keywords,
-            queries=queries,
-            kernels=False,
-        ),
-        WorkloadSpec(
-            id="maxsum-appro/cold/signatures-off",
-            dataset=main,
-            solver="maxsum-appro",
-            num_keywords=num_keywords,
-            queries=queries,
-            signatures=False,
         ),
         WorkloadSpec(
             id="dia-appro/cold",

@@ -75,7 +75,7 @@ def pairwise_max_distance(objects: Sequence[SpatialObject]) -> float:
     every returned value is a plain ``math.hypot``).
     """
     n = len(objects)
-    if n >= _PACK_THRESHOLD and _flat.kernels_enabled():
+    if n >= _PACK_THRESHOLD:
         xs, ys = _flat.pack_objects(objects)
         return _flat.pairwise_max(xs, ys)
     best = 0.0

@@ -27,7 +27,7 @@ per call and the plan records which call numbers it sabotaged.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.algorithms.base import SearchContext
 from repro.errors import InjectedFaultError, InvalidParameterError
@@ -185,12 +185,6 @@ class ChaosIndex:
     ) -> List[SpatialObject]:
         self._intercept("relevant_in_circle")
         return self.inner.relevant_in_circle(circle, keywords)
-
-    def relevant_in_region(
-        self, circles: Sequence[Circle], keywords: FrozenSet[int]
-    ) -> List[SpatialObject]:
-        self._intercept("relevant_in_region")
-        return self.inner.relevant_in_region(circles, keywords)
 
     def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:
         self._intercept("objects_in_circle")

@@ -113,7 +113,7 @@ def diameter(points: Sequence[Point]) -> float:
     flat-array kernel (:func:`repro.kernels.flat.pairwise_max`).
     """
     n = len(points)
-    if n >= _PACK_THRESHOLD and _flat.kernels_enabled():
+    if n >= _PACK_THRESHOLD:
         xs, ys = _flat.pack_points(points)
         return _flat.pairwise_max(xs, ys)
     best = 0.0
@@ -134,7 +134,7 @@ def farthest_pair(points: Sequence[Point]) -> Tuple[int, int, float]:
     in scan order — preserved exactly by the kernel fast path.
     """
     n = len(points)
-    if n >= _PACK_THRESHOLD and _flat.kernels_enabled():
+    if n >= _PACK_THRESHOLD:
         xs, ys = _flat.pack_points(points)
         return _flat.farthest_pair(xs, ys)
     besti, bestj, best = 0, 0, 0.0

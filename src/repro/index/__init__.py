@@ -5,9 +5,8 @@ from repro.index.inverted import InvertedIndex
 from repro.index.irtree import IRTree, IRTreeNode
 from repro.index.neighbors import LinearScanIndex
 from repro.index.protocol import SpatialTextIndex
-from repro.index.rtext import RTreeTextIndex
 from repro.index.rtree import DEFAULT_MAX_ENTRIES, RTree, RTreeNode
-from repro.index.signatures import mask_of, pack_masks, signatures_enabled
+from repro.index.signatures import mask_of, pack_masks
 
 __all__ = [
     "SpatialTextIndex",
@@ -17,12 +16,10 @@ __all__ = [
     "DEFAULT_CACHE_CAPACITY",
     "RTree",
     "RTreeNode",
-    "RTreeTextIndex",
     "IRTree",
     "IRTreeNode",
     "LinearScanIndex",
     "DEFAULT_MAX_ENTRIES",
     "mask_of",
     "pack_masks",
-    "signatures_enabled",
 ]

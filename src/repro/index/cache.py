@@ -53,7 +53,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -210,19 +209,6 @@ class CachingIndex:
         key = ("circle", _circle_key(circle), keywords)
         snapshot = self._memoized(
             key, lambda: tuple(self.inner.relevant_in_circle(circle, keywords))
-        )
-        return list(snapshot)
-
-    def relevant_in_region(
-        self, circles: Sequence[Circle], keywords: FrozenSet[int]
-    ) -> List[SpatialObject]:
-        key = (
-            "region",
-            tuple(sorted(_circle_key(c) for c in circles)),
-            keywords,
-        )
-        snapshot = self._memoized(
-            key, lambda: tuple(self.inner.relevant_in_region(circles, keywords))
         )
         return list(snapshot)
 

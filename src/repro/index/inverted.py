@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Sequence
 
-from repro.index.signatures import keywords_of, mask_of, signatures_enabled
+from repro.index.signatures import keywords_of, mask_of
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
 
@@ -54,9 +54,7 @@ class InvertedIndex:
 
     def missing_keywords(self, keyword_ids: Iterable[int]) -> FrozenSet[int]:
         """The subset of ``keyword_ids`` carried by no object at all."""
-        if signatures_enabled():
-            return keywords_of(mask_of(keyword_ids) & ~self._present_mask)
-        return frozenset(k for k in keyword_ids if k not in self._postings)
+        return keywords_of(mask_of(keyword_ids) & ~self._present_mask)
 
     def relevant_objects(self, keyword_ids: FrozenSet[int]) -> List[SpatialObject]:
         """All objects carrying at least one keyword of ``keyword_ids``.

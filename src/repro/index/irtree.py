@@ -2,8 +2,9 @@
 
 The IR-tree (Cong et al., VLDB 2009) is the index the CoSKQ paper runs
 on.  Each node stores, besides its MBR, the union of the keyword sets in
-its subtree (a compact stand-in for the node's inverted file — sufficient
-for the boolean keyword containment tests CoSKQ needs).  This enables:
+its subtree as a keyword bitmask (``kw_mask``, :mod:`repro.index.signatures`;
+a compact stand-in for the node's inverted file — sufficient for the
+boolean keyword containment tests CoSKQ needs).  This enables:
 
 - ``keyword_nn(p, t)`` — the nearest object to ``p`` carrying keyword
   ``t`` (the paper's ``NN(p, t)``), via best-first traversal that skips
@@ -17,13 +18,10 @@ for the boolean keyword containment tests CoSKQ needs).  This enables:
 The tree is bulk-loaded with STR over the dataset; dynamic insertion is
 supported as well so incremental workloads can be modeled.
 
-Besides the ``Set[int]`` keyword summary each node carries its bitmask
-twin (``kw_mask``; leaves additionally keep per-entry ``obj_masks``),
-built unconditionally like the packed coordinate columns.  With
-``REPRO_SIGNATURES`` enabled (:mod:`repro.index.signatures`) every
-keyword test in the traversals runs on the masks — ``mask & w_mask``
-instead of ``isdisjoint`` — which is decision-identical because the
-mask↔set mapping is a bijection.  Summaries are maintained
+Leaves additionally keep per-entry keyword masks (``obj_masks``) beside
+their packed coordinate columns, so every keyword test in the
+traversals is ``mask & w_mask`` — decision-identical to ``isdisjoint``
+because the mask↔set mapping is a bijection.  Summaries are maintained
 *incrementally* on insert (union with the new entry) and rebuilt from
 scratch only when a node splits.
 """
@@ -41,8 +39,8 @@ from repro.geometry.circle import Circle
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
 from repro.index.rtree import DEFAULT_MAX_ENTRIES, _pack_upward, _str_tiles  # noqa: F401
-from repro.index.signatures import mask_of, signatures_enabled
-from repro.kernels import cap_bands, kernels_enabled
+from repro.index.signatures import mask_of, pack_masks
+from repro.kernels import cap_bands
 from repro.utils.floatcmp import EPSILON as _ZERO_EPS
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
@@ -52,7 +50,7 @@ __all__ = ["IRTree", "IRTreeNode"]
 
 
 class IRTreeNode:
-    """One IR-tree node: MBR + subtree keyword union.
+    """One IR-tree node: MBR + subtree keyword union (as a bitmask).
 
     Leaf nodes store objects directly; internal nodes store children.
     Leaves additionally keep their entry coordinates packed into
@@ -67,7 +65,6 @@ class IRTreeNode:
         "objects",
         "children",
         "mbr",
-        "keywords",
         "kw_mask",
         "obj_masks",
         "xs",
@@ -79,8 +76,7 @@ class IRTreeNode:
         self.objects: List[SpatialObject] = []
         self.children: List["IRTreeNode"] = []
         self.mbr: Optional[MBR] = None
-        self.keywords: Set[int] = set()
-        #: Bitmask twin of ``keywords`` (``repro.index.signatures``).
+        #: Union of the subtree's keyword sets (``repro.index.signatures``).
         self.kw_mask: int = 0
         #: Leaf-only: per-entry keyword masks, parallel to ``objects``.
         self.obj_masks: List[int] = []
@@ -96,7 +92,6 @@ class IRTreeNode:
         Called on bulk load and after splits; ordinary inserts maintain
         every summary incrementally instead (see ``_insert_into``).
         """
-        self.keywords = set()
         self.kw_mask = 0
         if self.is_leaf:
             self.mbr = (
@@ -104,11 +99,8 @@ class IRTreeNode:
                 if self.objects
                 else None
             )
-            self.obj_masks = []
-            for obj in self.objects:
-                self.keywords.update(obj.keywords)
-                mask = mask_of(obj.keywords)
-                self.obj_masks.append(mask)
+            self.obj_masks = pack_masks(self.objects)
+            for mask in self.obj_masks:
                 self.kw_mask |= mask
             self.xs = array("d", (o.location.x for o in self.objects))
             self.ys = array("d", (o.location.y for o in self.objects))
@@ -116,7 +108,6 @@ class IRTreeNode:
             rects = [c.mbr for c in self.children if c.mbr is not None]
             self.mbr = MBR.union_all(rects) if rects else None
             for child in self.children:
-                self.keywords.update(child.keywords)
                 self.kw_mask |= child.kw_mask
 
 
@@ -164,18 +155,17 @@ class IRTree:
         """Insert ``obj`` below ``node``, maintaining summaries incrementally.
 
         The non-split path unions the new entry into each summary along
-        the insertion path (min/max and set/bit unions are associative,
+        the insertion path (min/max and bit unions are associative,
         so the result equals a from-scratch rebuild); only a split — the
         one event that *removes* entries from a node — rebuilds, inside
         ``_split_leaf``/``_split_internal``.
         """
-        obj_mask = mask_of(obj.keywords)
+        (obj_mask,) = pack_masks((obj,))
         point_rect = MBR.from_point(obj.location)
         if node.is_leaf:
             node.objects.append(obj)
             if len(node.objects) > self.max_entries:
                 return self._split_leaf(node)
-            node.keywords |= obj.keywords
             node.kw_mask |= obj_mask
             node.obj_masks.append(obj_mask)
             node.xs.append(obj.location.x)
@@ -190,7 +180,6 @@ class IRTree:
                 return self._split_internal(node)
             node.recompute_summaries()
             return None
-        node.keywords |= obj.keywords
         node.kw_mask |= obj_mask
         node.mbr = point_rect if node.mbr is None else node.mbr.union(point_rect)
         return None
@@ -237,8 +226,8 @@ class IRTree:
         additionally restricts results (and the traversal) to a closed
         disk — the owner-driven algorithms search ``C(q, r)`` anchored
         elsewhere, and pruning the disk inside the traversal is what
-        makes that cheap.  With signatures enabled the keyword tests run
-        on node/entry bitmasks (decision-identical to the set algebra).
+        makes that cheap.  The keyword tests run on node/entry bitmasks
+        (decision-identical to the set algebra).
 
         Equal distances come out by ascending oid: a node sorts before an
         object at the same key, so every object at that distance is in
@@ -247,34 +236,24 @@ class IRTree:
         """
         if self.root.mbr is None:
             return
-        use_sig = signatures_enabled()
-        w_mask = mask_of(keywords) if use_sig else 0
+        w_mask = mask_of(keywords)
         counter = itertools.count()
         # Heap entries are unopened nodes ``(key, 0, counter, node)`` or
         # materialized objects ``(distance, 1, oid, object)``.
         heap: List[Tuple[float, int, int, Union[IRTreeNode, SpatialObject]]] = []
-        if (
-            self.root.kw_mask & w_mask
-            if use_sig
-            else not self.root.keywords.isdisjoint(keywords)  # repro: noqa(R9) — toggle-off baseline
-        ):
+        if self.root.kw_mask & w_mask:
             heapq.heappush(
                 heap,
                 (self.root.mbr.min_distance(point), 0, next(counter), self.root),
             )
         w_center = within.center if within is not None else None
         w_radius = within.radius if within is not None else 0.0
-        use_flat = kernels_enabled()
         px = point.x
         py = point.y
         if w_center is not None:
             wx = w_center.x
             wy = w_center.y
-            if use_flat:
-                w_lo2, w_hi2, w_fast = cap_bands(w_radius)
-            else:
-                w_lo2 = w_hi2 = 0.0
-                w_fast = False
+            w_lo2, w_hi2, w_fast = cap_bands(w_radius)
         while heap:
             dist, is_object, _, item = heapq.heappop(heap)
             if is_object:
@@ -282,23 +261,59 @@ class IRTree:
                 continue
             node: IRTreeNode = item  # type: ignore[assignment]
             if node.is_leaf:
-                if use_flat:
-                    # Packed-column scan: the window test decides most
-                    # entries from the squared distance alone, and the
-                    # heap key is the same exact hypot the scalar path
-                    # computes — just without the attribute chasing.
-                    xs = node.xs
-                    ys = node.ys
-                    masks = node.obj_masks
-                    for i, obj in enumerate(node.objects):
-                        if use_sig:
-                            if not masks[i] & w_mask:
-                                continue
-                        elif obj.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
+                # Packed-column scan: the window test decides most
+                # entries from the squared distance alone, and the heap
+                # key is the exact hypot ``distance_to`` computes — just
+                # without the attribute chasing.
+                xs = node.xs
+                ys = node.ys
+                masks = node.obj_masks
+                for i, obj in enumerate(node.objects):
+                    if not masks[i] & w_mask:
+                        continue
+                    if w_center is not None:
+                        dx = wx - xs[i]
+                        dy = wy - ys[i]
+                        sq = dx * dx + dy * dy
+                        if w_fast and sq > w_hi2:
                             continue
-                        if w_center is not None:
-                            dx = wx - xs[i]
-                            dy = wy - ys[i]
+                        if (not w_fast or sq >= w_lo2) and math.hypot(
+                            dx, dy
+                        ) > w_radius:
+                            continue
+                    d = math.hypot(px - xs[i], py - ys[i])
+                    heapq.heappush(heap, (d, 1, obj.oid, obj))
+            else:
+                for child in node.children:
+                    if child.mbr is None:
+                        continue
+                    if not child.kw_mask & w_mask:
+                        continue
+                    # Inlined min_distance: same clamped-offset branch
+                    # structure as MBR.min_distance (offsets are
+                    # non-negative, so ``<= _ZERO_EPS`` is exactly
+                    # floatcmp.is_zero()).  The window test is
+                    # decision-guarded; the heap key is the exact
+                    # min_distance value.
+                    mbr = child.mbr
+                    if w_center is not None:
+                        dx = 0.0
+                        if wx < mbr.min_x:
+                            dx = mbr.min_x - wx
+                        elif wx > mbr.max_x:
+                            dx = wx - mbr.max_x
+                        dy = 0.0
+                        if wy < mbr.min_y:
+                            dy = mbr.min_y - wy
+                        elif wy > mbr.max_y:
+                            dy = wy - mbr.max_y
+                        if dx <= _ZERO_EPS:
+                            if dy > w_radius:
+                                continue
+                        elif dy <= _ZERO_EPS:
+                            if dx > w_radius:
+                                continue
+                        else:
                             sq = dx * dx + dy * dy
                             if w_fast and sq > w_hi2:
                                 continue
@@ -306,92 +321,23 @@ class IRTree:
                                 dx, dy
                             ) > w_radius:
                                 continue
-                        d = math.hypot(px - xs[i], py - ys[i])
-                        heapq.heappush(heap, (d, 1, obj.oid, obj))
-                    continue
-                masks = node.obj_masks
-                for i, obj in enumerate(node.objects):
-                    if use_sig:
-                        if not masks[i] & w_mask:
-                            continue
-                    elif obj.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
-                        continue
-                    if (
-                        w_center is not None
-                        and w_center.distance_to(obj.location) > w_radius
-                    ):
-                        continue
-                    d = point.distance_to(obj.location)
-                    heapq.heappush(heap, (d, 1, obj.oid, obj))
-            else:
-                for child in node.children:
-                    if child.mbr is None:
-                        continue
-                    if use_sig:
-                        if not child.kw_mask & w_mask:
-                            continue
-                    elif child.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
-                        continue
-                    if use_flat:
-                        # Inlined min_distance: same clamped-offset
-                        # branch structure as MBR.min_distance (offsets
-                        # are non-negative, so ``<= _ZERO_EPS`` is
-                        # exactly floatcmp.is_zero()).  The window test
-                        # is decision-guarded; the heap key is the exact
-                        # min_distance value.
-                        mbr = child.mbr
-                        if w_center is not None:
-                            dx = 0.0
-                            if wx < mbr.min_x:
-                                dx = mbr.min_x - wx
-                            elif wx > mbr.max_x:
-                                dx = wx - mbr.max_x
-                            dy = 0.0
-                            if wy < mbr.min_y:
-                                dy = mbr.min_y - wy
-                            elif wy > mbr.max_y:
-                                dy = wy - mbr.max_y
-                            if dx <= _ZERO_EPS:
-                                if dy > w_radius:
-                                    continue
-                            elif dy <= _ZERO_EPS:
-                                if dx > w_radius:
-                                    continue
-                            else:
-                                sq = dx * dx + dy * dy
-                                if w_fast and sq > w_hi2:
-                                    continue
-                                if (not w_fast or sq >= w_lo2) and math.hypot(
-                                    dx, dy
-                                ) > w_radius:
-                                    continue
-                        dx = 0.0
-                        if px < mbr.min_x:
-                            dx = mbr.min_x - px
-                        elif px > mbr.max_x:
-                            dx = px - mbr.max_x
-                        dy = 0.0
-                        if py < mbr.min_y:
-                            dy = mbr.min_y - py
-                        elif py > mbr.max_y:
-                            dy = py - mbr.max_y
-                        if dx <= _ZERO_EPS:
-                            key = dy
-                        elif dy <= _ZERO_EPS:
-                            key = dx
-                        else:
-                            key = math.hypot(dx, dy)
-                        heapq.heappush(heap, (key, 0, next(counter), child))
-                        continue
-                    if (
-                        w_center is not None
-                        and child.mbr.min_distance(w_center) > w_radius
-                    ):
-                        continue
-                    heapq.heappush(
-                        heap,
-                        (child.mbr.min_distance(point), 0, next(counter), child),
-                    )
+                    dx = 0.0
+                    if px < mbr.min_x:
+                        dx = mbr.min_x - px
+                    elif px > mbr.max_x:
+                        dx = px - mbr.max_x
+                    dy = 0.0
+                    if py < mbr.min_y:
+                        dy = mbr.min_y - py
+                    elif py > mbr.max_y:
+                        dy = py - mbr.max_y
+                    if dx <= _ZERO_EPS:
+                        key = dy
+                    elif dy <= _ZERO_EPS:
+                        key = dx
+                    else:
+                        key = math.hypot(dx, dy)
+                    heapq.heappush(heap, (key, 0, next(counter), child))
 
     def keyword_nn(
         self, point: Point, keyword_id: int
@@ -417,58 +363,47 @@ class IRTree:
         empty list when no single object covers the whole query — the
         situation CoSKQ exists to solve).
 
-        With signatures enabled this runs a dedicated best-first
-        traversal with the *covering* prune ``q_mask & ~kw_mask != 0``:
-        a subtree whose keyword union does not cover ``q.ψ`` cannot
-        contain a covering object, so whole relevant-but-insufficient
-        subtrees are skipped that the signatures-off path (filtering a
-        relevance-ordered stream) must still walk.  Results are
-        identical: both paths emit covering objects in ascending
-        ``(distance, oid)`` order (see :meth:`nearest_relevant_iter`).
+        A dedicated best-first traversal with the *covering* prune
+        ``q_mask & ~kw_mask != 0``: a subtree whose keyword union does
+        not cover ``q.ψ`` cannot contain a covering object, so whole
+        relevant-but-insufficient subtrees are skipped.  Covering objects
+        come out in ascending ``(distance, oid)`` order (see
+        :meth:`nearest_relevant_iter`).
         """
         out: List[Tuple[float, SpatialObject]] = []
-        if k <= 0:
+        if k <= 0 or self.root.mbr is None:
             return out
-        if signatures_enabled():
-            if self.root.mbr is None:
-                return out
-            q_mask = mask_of(query.keywords)
-            if q_mask & ~self.root.kw_mask:
-                return out
-            point = query.location
-            counter = itertools.count()
-            heap: List[Tuple[float, int, int, Union[IRTreeNode, SpatialObject]]] = [
-                (self.root.mbr.min_distance(point), 0, next(counter), self.root)
-            ]
-            while heap:
-                dist, is_object, _, item = heapq.heappop(heap)
-                if is_object:
-                    out.append((dist, item))  # type: ignore[arg-type]
-                    if len(out) >= k:
-                        break
-                    continue
-                node: IRTreeNode = item  # type: ignore[assignment]
-                if node.is_leaf:
-                    masks = node.obj_masks
-                    for i, obj in enumerate(node.objects):
-                        if q_mask & ~masks[i]:
-                            continue
-                        d = point.distance_to(obj.location)
-                        heapq.heappush(heap, (d, 1, obj.oid, obj))
-                else:
-                    for child in node.children:
-                        if child.mbr is None or q_mask & ~child.kw_mask:
-                            continue
-                        heapq.heappush(
-                            heap,
-                            (child.mbr.min_distance(point), 0, next(counter), child),
-                        )
+        q_mask = mask_of(query.keywords)
+        if q_mask & ~self.root.kw_mask:
             return out
-        for dist, obj in self.nearest_relevant_iter(query.location, query.keywords):
-            if query.keywords <= obj.keywords:  # repro: noqa(R9) — toggle-off baseline
-                out.append((dist, obj))
+        point = query.location
+        counter = itertools.count()
+        heap: List[Tuple[float, int, int, Union[IRTreeNode, SpatialObject]]] = [
+            (self.root.mbr.min_distance(point), 0, next(counter), self.root)
+        ]
+        while heap:
+            dist, is_object, _, item = heapq.heappop(heap)
+            if is_object:
+                out.append((dist, item))  # type: ignore[arg-type]
                 if len(out) >= k:
                     break
+                continue
+            node: IRTreeNode = item  # type: ignore[assignment]
+            if node.is_leaf:
+                masks = node.obj_masks
+                for i, obj in enumerate(node.objects):
+                    if q_mask & ~masks[i]:
+                        continue
+                    d = point.distance_to(obj.location)
+                    heapq.heappush(heap, (d, 1, obj.oid, obj))
+            else:
+                for child in node.children:
+                    if child.mbr is None or q_mask & ~child.kw_mask:
+                        continue
+                    heapq.heappush(
+                        heap,
+                        (child.mbr.min_distance(point), 0, next(counter), child),
+                    )
         return out
 
     def nearest_neighbor_set(self, query: Query) -> Dict[int, Tuple[float, SpatialObject]]:
@@ -497,196 +432,39 @@ class IRTree:
         out: List[SpatialObject] = []
         if self.root.mbr is None:
             return out
-        center = circle.center
         radius = circle.radius
-        use_flat = kernels_enabled()
-        use_sig = signatures_enabled()
-        w_mask = mask_of(keywords) if use_sig else 0
-        cx = center.x
-        cy = center.y
-        if use_flat:
-            lo2, hi2, fast = cap_bands(radius)
-        else:
-            lo2 = hi2 = 0.0
-            fast = False
+        w_mask = mask_of(keywords)
+        cx = circle.center.x
+        cy = circle.center.y
+        lo2, hi2, fast = cap_bands(radius)
         stack = [self.root]
         while stack:
             node = stack.pop()
             if node.mbr is None:
                 continue
-            if use_sig:
-                if not node.kw_mask & w_mask:
-                    continue
-            elif node.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
+            if not node.kw_mask & w_mask:
                 continue
-            if use_flat:
-                if _mbr_beyond(node.mbr, cx, cy, radius, lo2, hi2, fast):
-                    continue
-            elif not circle.intersects_mbr(node.mbr):
+            if _mbr_beyond(node.mbr, cx, cy, radius, lo2, hi2, fast):
                 continue
             if node.is_leaf:
                 masks = node.obj_masks
-                if use_flat:
-                    # Guarded squared-distance scan over the packed
-                    # columns; only band-ambiguous entries pay a hypot.
-                    xs = node.xs
-                    ys = node.ys
-                    for i, obj in enumerate(node.objects):
-                        if use_sig:
-                            if not masks[i] & w_mask:
-                                continue
-                        elif obj.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
-                            continue
-                        dx = cx - xs[i]
-                        dy = cy - ys[i]
-                        sq = dx * dx + dy * dy
-                        if fast:
-                            if sq < lo2:
-                                out.append(obj)
-                                continue
-                            if sq > hi2:
-                                continue
-                        if math.hypot(dx, dy) <= radius:
-                            out.append(obj)
-                    continue
+                # Guarded squared-distance scan over the packed columns;
+                # only band-ambiguous entries pay a hypot.
+                xs = node.xs
+                ys = node.ys
                 for i, obj in enumerate(node.objects):
-                    if use_sig:
-                        if not masks[i] & w_mask:
-                            continue
-                    elif obj.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
+                    if not masks[i] & w_mask:
                         continue
-                    if center.distance_to(obj.location) <= radius:
-                        out.append(obj)
-            else:
-                stack.extend(node.children)
-        return out
-
-    def relevant_in_region(
-        self, circles: Sequence[Circle], keywords: FrozenSet[int]
-    ) -> List[SpatialObject]:
-        """Relevant objects inside the intersection of all ``circles``.
-
-        The owner-driven exact search restricts completion candidates to
-        ``C(q, r) ∩ C(owner, budget)``; pruning both disks during one
-        traversal avoids materializing the (much larger) single-disk set.
-        """
-        out: List[SpatialObject] = []
-        if self.root.mbr is None or not circles:
-            return out
-        use_flat = kernels_enabled()
-        use_sig = signatures_enabled()
-        w_mask = mask_of(keywords) if use_sig else 0
-        if use_flat:
-            # Guard bands per disk: (cx, cy, radius, lo2, hi2, fast).
-            bands = [
-                (c.center.x, c.center.y, c.radius, *cap_bands(c.radius))
-                for c in circles
-            ]
-        else:
-            bands = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.mbr is None:
-                continue
-            if use_sig:
-                if not node.kw_mask & w_mask:
-                    continue
-            elif node.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
-                continue
-            if use_flat:
-                # Inlined MBR/disk prune, decision-identical to
-                # ``mbr.min_distance(center) > radius``: the clamped
-                # offsets are non-negative, so ``<= _ZERO_EPS`` is
-                # exactly floatcmp.is_zero(), and the hypot branch is
-                # decided from the squared distance where the guard band
-                # makes that conclusive.
-                mbr = node.mbr
-                pruned = False
-                for cx, cy, rr, lo2, hi2, fast in bands:
-                    dx = 0.0
-                    if cx < mbr.min_x:
-                        dx = mbr.min_x - cx
-                    elif cx > mbr.max_x:
-                        dx = cx - mbr.max_x
-                    dy = 0.0
-                    if cy < mbr.min_y:
-                        dy = mbr.min_y - cy
-                    elif cy > mbr.max_y:
-                        dy = cy - mbr.max_y
-                    if dx <= _ZERO_EPS:
-                        md = dy
-                    elif dy <= _ZERO_EPS:
-                        md = dx
-                    else:
-                        sq = dx * dx + dy * dy
-                        if fast:
-                            if sq < lo2:
-                                continue  # provably min_distance < radius
-                            if sq > hi2:
-                                pruned = True
-                                break
-                        md = math.hypot(dx, dy)
-                    if md > rr:
-                        pruned = True
-                        break
-                if pruned:
-                    continue
-            elif any(node.mbr.min_distance(c.center) > c.radius for c in circles):
-                continue
-            if node.is_leaf:
-                masks = node.obj_masks
-                if use_flat:
-                    # Disks that contain the whole leaf MBR need no
-                    # per-object test: correctly rounded subtraction and
-                    # hypot are monotone, so ``max_distance <= radius``
-                    # implies every member object passes its exact
-                    # ``hypot <= radius`` check.
-                    live = [
-                        b
-                        for b in bands
-                        if not _mbr_within(node.mbr, b[0], b[1], b[2], b[3], b[4], b[5])
-                    ]
-                    if not live:
-                        for i, obj in enumerate(node.objects):
-                            if use_sig:
-                                if masks[i] & w_mask:
-                                    out.append(obj)
-                            elif not obj.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
-                                out.append(obj)
-                        continue
-                    xs = node.xs
-                    ys = node.ys
-                    for i, obj in enumerate(node.objects):
-                        if use_sig:
-                            if not masks[i] & w_mask:
-                                continue
-                        elif obj.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
-                            continue
-                        inside = True
-                        for cx, cy, rr, lo2, hi2, fast in live:
-                            dx = cx - xs[i]
-                            dy = cy - ys[i]
-                            sq = dx * dx + dy * dy
-                            if fast:
-                                if sq < lo2:
-                                    continue
-                                if sq > hi2:
-                                    inside = False
-                                    break
-                            if math.hypot(dx, dy) > rr:
-                                inside = False
-                                break
-                        if inside:
+                    dx = cx - xs[i]
+                    dy = cy - ys[i]
+                    sq = dx * dx + dy * dy
+                    if fast:
+                        if sq < lo2:
                             out.append(obj)
-                    continue
-                for i, obj in enumerate(node.objects):
-                    if use_sig:
-                        if not masks[i] & w_mask:
                             continue
-                    elif obj.keywords.isdisjoint(keywords):  # repro: noqa(R9) — toggle-off baseline
-                        continue
-                    if all(c.contains(obj.location) for c in circles):
+                        if sq > hi2:
+                            continue
+                    if math.hypot(dx, dy) <= radius:
                         out.append(obj)
             else:
                 stack.extend(node.children)
@@ -697,45 +475,31 @@ class IRTree:
         out: List[SpatialObject] = []
         if self.root.mbr is None:
             return out
-        center = circle.center
         radius = circle.radius
-        use_flat = kernels_enabled()
-        cx = center.x
-        cy = center.y
-        if use_flat:
-            lo2, hi2, fast = cap_bands(radius)
-        else:
-            lo2 = hi2 = 0.0
-            fast = False
+        cx = circle.center.x
+        cy = circle.center.y
+        lo2, hi2, fast = cap_bands(radius)
         stack = [self.root]
         while stack:
             node = stack.pop()
             if node.mbr is None:
                 continue
-            if use_flat:
-                if _mbr_beyond(node.mbr, cx, cy, radius, lo2, hi2, fast):
-                    continue
-            elif not circle.intersects_mbr(node.mbr):
+            if _mbr_beyond(node.mbr, cx, cy, radius, lo2, hi2, fast):
                 continue
             if node.is_leaf:
-                if use_flat:
-                    xs = node.xs
-                    ys = node.ys
-                    for i, obj in enumerate(node.objects):
-                        dx = cx - xs[i]
-                        dy = cy - ys[i]
-                        sq = dx * dx + dy * dy
-                        if fast:
-                            if sq < lo2:
-                                out.append(obj)
-                                continue
-                            if sq > hi2:
-                                continue
-                        if math.hypot(dx, dy) <= radius:
+                xs = node.xs
+                ys = node.ys
+                for i, obj in enumerate(node.objects):
+                    dx = cx - xs[i]
+                    dy = cy - ys[i]
+                    sq = dx * dx + dy * dy
+                    if fast:
+                        if sq < lo2:
                             out.append(obj)
-                    continue
-                for obj in node.objects:
-                    if center.distance_to(obj.location) <= radius:
+                            continue
+                        if sq > hi2:
+                            continue
+                    if math.hypot(dx, dy) <= radius:
                         out.append(obj)
             else:
                 stack.extend(node.children)
@@ -753,7 +517,7 @@ class IRTree:
 
     def check_invariants(self) -> None:
         """Raise AssertionError on any structural or summary violation."""
-        count = _check_ir_node(self.root, self.max_entries, is_root=True)
+        count, _ = _check_ir_node(self.root, self.max_entries, is_root=True)
         assert count == self._size, "entry count %d != size %d" % (count, self._size)
 
     def all_objects(self) -> Iterator[SpatialObject]:
@@ -810,36 +574,6 @@ def _mbr_beyond(
     return math.hypot(dx, dy) > radius
 
 
-def _mbr_within(
-    mbr: MBR,
-    cx: float,
-    cy: float,
-    radius: float,
-    lo2: float,
-    hi2: float,
-    fast: bool,
-) -> bool:
-    """Whether the closed disk certainly contains the whole rectangle.
-
-    Decision-identical to ``mbr.max_distance(Point(cx, cy)) <= radius``
-    (same operations, guarded by the squared distance where conclusive).
-    Soundness of skipping per-object tests on a True result: correctly
-    rounded subtraction is monotone, so every member offset is bounded
-    by the corner offsets, and correctly rounded ``hypot`` is monotone
-    in both magnitudes — hence every member's exact distance value is
-    ``<= max_distance <= radius``.
-    """
-    dxm = max(abs(cx - mbr.min_x), abs(cx - mbr.max_x))
-    dym = max(abs(cy - mbr.min_y), abs(cy - mbr.max_y))
-    sq = dxm * dxm + dym * dym
-    if fast:
-        if sq < lo2:
-            return True
-        if sq > hi2:
-            return False
-    return math.hypot(dxm, dym) <= radius
-
-
 def _sort_key(obj: SpatialObject) -> Tuple[float, float, int]:
     return (obj.location.x, obj.location.y, obj.oid)
 
@@ -879,12 +613,15 @@ def _pack_ir_upward(nodes: List[IRTreeNode], capacity: int) -> IRTreeNode:
     return nodes[0]
 
 
-def _check_ir_node(node: IRTreeNode, max_entries: int, is_root: bool) -> int:
+def _check_ir_node(
+    node: IRTreeNode, max_entries: int, is_root: bool
+) -> Tuple[int, Set[int]]:
+    """Check ``node``'s subtree; return its entry count and keyword union."""
     assert node.entry_count() <= max_entries, "node overflow"
     if not is_root:
         assert node.entry_count() >= 1, "empty non-root node"
+    expected: Set[int] = set()
     if node.is_leaf:
-        expected: Set[int] = set()
         assert len(node.xs) == len(node.objects), "stale leaf x column"
         assert len(node.ys) == len(node.objects), "stale leaf y column"
         assert len(node.obj_masks) == len(node.objects), "stale leaf mask column"
@@ -899,21 +636,14 @@ def _check_ir_node(node: IRTreeNode, max_entries: int, is_root: bool) -> int:
             assert node.obj_masks[i] == mask_of(obj.keywords), (
                 "leaf mask column diverges from object keywords"
             )
-        assert node.keywords == expected, "stale leaf keyword summary"
-        assert node.kw_mask == mask_of(frozenset(expected)), "stale leaf keyword mask"
-        return len(node.objects)
+        assert node.kw_mask == mask_of(expected), "stale leaf keyword mask"
+        return len(node.objects), expected
     total = 0
-    expected = set()
-    expected_mask = 0
     for child in node.children:
         assert child.mbr is not None and node.mbr is not None
         assert node.mbr.contains(child.mbr), "loose internal MBR"
-        expected.update(child.keywords)
-        expected_mask |= child.kw_mask
-        total += _check_ir_node(child, max_entries, is_root=False)
-    assert node.keywords == expected, "stale internal keyword summary"
-    assert node.kw_mask == expected_mask, "stale internal keyword mask"
-    assert node.kw_mask == mask_of(frozenset(expected)), (
-        "internal keyword mask diverges from keyword summary"
-    )
-    return total
+        count, keywords = _check_ir_node(child, max_entries, is_root=False)
+        total += count
+        expected |= keywords
+    assert node.kw_mask == mask_of(expected), "stale internal keyword mask"
+    return total, expected

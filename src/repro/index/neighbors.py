@@ -7,11 +7,11 @@ Two uses:
 - it is the no-index baseline of the ``ablation_index`` benchmark, showing
   what the IR-tree buys the CoSKQ algorithms.
 
-With signatures enabled the scan filters by precomputed keyword masks
-and serves ``nearest_relevant_iter`` from a lazy ``heapq`` heap, so a
-consumer that breaks after the first few neighbours pays O(n + k·log n)
-instead of the full O(n·log n) sort.  The pop order equals the sorted
-order because ``(distance, oid)`` is a total order over the hits.
+The scan filters by precomputed keyword masks and serves
+``nearest_relevant_iter`` from a lazy ``heapq`` heap, so a consumer that
+breaks after the first few neighbours pays O(n + k·log n) instead of
+the full O(n·log n) sort.  The pop order is the sorted order because
+``(distance, oid)`` is a total order over the hits.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from repro.errors import InfeasibleQueryError
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.index.signatures import mask_of, pack_masks, signatures_enabled
+from repro.index.signatures import mask_of, pack_masks
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
@@ -35,8 +35,7 @@ class LinearScanIndex:
 
     def __init__(self, dataset: Dataset):
         self._objects = list(dataset.objects)
-        #: Keyword bitmasks parallel to ``_objects`` — always built;
-        #: ``signatures_enabled()`` only selects which filter runs.
+        #: Keyword bitmasks parallel to ``_objects``.
         self._masks = pack_masks(self._objects)
 
     @classmethod
@@ -51,63 +50,28 @@ class LinearScanIndex:
         self, point: Point, keywords: FrozenSet[int], within: Circle | None = None
     ) -> Iterator[Tuple[float, SpatialObject]]:
         """Relevant objects by ascending ``(distance, oid)``."""
-        if signatures_enabled():
-            w_mask = mask_of(keywords)
-            masks = self._masks
-            heap = [
-                (point.distance_to(o.location), o.oid, o)
-                for i, o in enumerate(self._objects)
-                if masks[i] & w_mask
-                and (within is None or within.contains(o.location))
-            ]
-            heapq.heapify(heap)
-            while heap:
-                dist, _, obj = heapq.heappop(heap)
-                yield dist, obj
-            return
-        hits = [
+        w_mask = mask_of(keywords)
+        masks = self._masks
+        heap = [
             (point.distance_to(o.location), o.oid, o)
-            for o in self._objects
-            if not o.keywords.isdisjoint(keywords)  # repro: noqa(R9) — toggle-off baseline
+            for i, o in enumerate(self._objects)
+            if masks[i] & w_mask
             and (within is None or within.contains(o.location))
         ]
-        hits.sort(key=lambda t: (t[0], t[1]))
-        for dist, _, obj in hits:
+        heapq.heapify(heap)
+        while heap:
+            dist, _, obj = heapq.heappop(heap)
             yield dist, obj
-
-    def relevant_in_region(
-        self, circles, keywords: FrozenSet[int]
-    ) -> List[SpatialObject]:
-        """Relevant objects inside the intersection of all ``circles``."""
-        if signatures_enabled():
-            w_mask = mask_of(keywords)
-            masks = self._masks
-            return [
-                o
-                for i, o in enumerate(self._objects)
-                if masks[i] & w_mask
-                and all(c.contains(o.location) for c in circles)
-            ]
-        return [
-            o
-            for o in self._objects
-            if not o.keywords.isdisjoint(keywords)  # repro: noqa(R9) — toggle-off baseline
-            and all(c.contains(o.location) for c in circles)
-        ]
 
     def keyword_nn(
         self, point: Point, keyword_id: int
     ) -> Optional[Tuple[float, SpatialObject]]:
         """Nearest object carrying ``keyword_id`` (ties by object id)."""
-        use_masks = signatures_enabled()
         bit = 1 << keyword_id
         masks = self._masks
         best: Optional[Tuple[float, int, SpatialObject]] = None
         for i, obj in enumerate(self._objects):
-            if use_masks:
-                if not masks[i] & bit:
-                    continue
-            elif keyword_id not in obj.keywords:
+            if not masks[i] & bit:
                 continue
             d = point.distance_to(obj.location)
             key = (d, obj.oid, obj)
@@ -137,19 +101,12 @@ class LinearScanIndex:
         self, circle: Circle, keywords: FrozenSet[int]
     ) -> List[SpatialObject]:
         """Relevant objects inside the closed disk."""
-        if signatures_enabled():
-            w_mask = mask_of(keywords)
-            masks = self._masks
-            return [
-                o
-                for i, o in enumerate(self._objects)
-                if masks[i] & w_mask and circle.contains(o.location)
-            ]
+        w_mask = mask_of(keywords)
+        masks = self._masks
         return [
             o
-            for o in self._objects
-            if not o.keywords.isdisjoint(keywords)  # repro: noqa(R9) — toggle-off baseline
-            and circle.contains(o.location)
+            for i, o in enumerate(self._objects)
+            if masks[i] & w_mask and circle.contains(o.location)
         ]
 
     def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:

@@ -18,7 +18,6 @@ from typing import (
     Iterator,
     List,
     Protocol,
-    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -70,12 +69,6 @@ class SpatialTextIndex(Protocol):
         self, circle: Circle, keywords: FrozenSet[int]
     ) -> List[SpatialObject]:
         """Objects in the closed disk carrying any keyword of ``keywords``."""
-        ...
-
-    def relevant_in_region(
-        self, circles: Sequence[Circle], keywords: FrozenSet[int]
-    ) -> List[SpatialObject]:
-        """Relevant objects inside the intersection of all ``circles``."""
         ...
 
     def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:

@@ -23,7 +23,7 @@ from typing import Generic, Iterable, Iterator, List, Optional, Sequence, Tuple,
 from repro.geometry.circle import Circle
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
-from repro.kernels import cap_bands, kernels_enabled
+from repro.kernels import cap_bands
 
 __all__ = ["RTree", "RTreeNode", "DEFAULT_MAX_ENTRIES"]
 
@@ -42,7 +42,7 @@ class RTreeNode(Generic[T]):
     arrays ``xs``/``ys`` (struct-of-arrays) so leaf distance scans read
     contiguous doubles instead of chasing ``Point`` attributes.  The
     columns hold exactly the same doubles as ``points`` — every distance
-    computed from them is bit-identical to the scalar path.
+    computed from them is bit-identical to ``Point.distance_to``.
     """
 
     __slots__ = ("is_leaf", "points", "payloads", "children", "mbr", "xs", "ys")
@@ -179,41 +179,29 @@ class RTree(Generic[T]):
             return out
         stack = [self.root]
         radius = circle.radius
-        center = circle.center
-        use_flat = kernels_enabled()
-        cx, cy = center.x, center.y
-        if use_flat:
-            lo2, hi2, fast = cap_bands(radius)
-        else:
-            lo2 = hi2 = 0.0
-            fast = False
+        cx, cy = circle.center.x, circle.center.y
+        lo2, hi2, fast = cap_bands(radius)
         while stack:
             node = stack.pop()
             if node.mbr is None or not circle.intersects_mbr(node.mbr):
                 continue
             if node.is_leaf:
-                if use_flat:
-                    # Packed-column scan: squared distance classifies
-                    # conclusively outside the guard band; the ambiguous
-                    # sliver falls back to the exact hypot test.
-                    xs, ys, payloads = node.xs, node.ys, node.payloads
-                    for i in range(len(xs)):
-                        dx = cx - xs[i]
-                        dy = cy - ys[i]
-                        sq = dx * dx + dy * dy
-                        if fast:
-                            if sq < lo2:
-                                out.append(payloads[i])
-                                continue
-                            if sq > hi2:
-                                continue
-                        if math.hypot(dx, dy) <= radius:
+                # Packed-column scan: squared distance classifies
+                # conclusively outside the guard band; the ambiguous
+                # sliver falls back to the exact hypot test.
+                xs, ys, payloads = node.xs, node.ys, node.payloads
+                for i in range(len(xs)):
+                    dx = cx - xs[i]
+                    dy = cy - ys[i]
+                    sq = dx * dx + dy * dy
+                    if fast:
+                        if sq < lo2:
                             out.append(payloads[i])
-                    continue
-                # Non-squared distance, matching MBR min_distance exactly.
-                for point, payload in zip(node.points, node.payloads):
-                    if center.distance_to(point) <= radius:
-                        out.append(payload)
+                            continue
+                        if sq > hi2:
+                            continue
+                    if math.hypot(dx, dy) <= radius:
+                        out.append(payloads[i])
             else:
                 stack.extend(node.children)
         return out
@@ -244,20 +232,13 @@ class RTree(Generic[T]):
                 continue
             node: RTreeNode[T] = item
             if node.is_leaf:
-                if kernels_enabled():
-                    px, py = point.x, point.y
-                    xs, ys = node.xs, node.ys
-                    points, payloads = node.points, node.payloads
-                    for i in range(len(xs)):
-                        d = math.hypot(px - xs[i], py - ys[i])
-                        heapq.heappush(
-                            heap, (d, next(counter), True, (points[i], payloads[i]))
-                        )
-                    continue
-                for entry_point, payload in zip(node.points, node.payloads):
-                    d = point.distance_to(entry_point)
+                px, py = point.x, point.y
+                xs, ys = node.xs, node.ys
+                points, payloads = node.points, node.payloads
+                for i in range(len(xs)):
+                    d = math.hypot(px - xs[i], py - ys[i])
                     heapq.heappush(
-                        heap, (d, next(counter), True, (entry_point, payload))
+                        heap, (d, next(counter), True, (points[i], payloads[i]))
                     )
             else:
                 for child in node.children:

@@ -22,15 +22,7 @@ set expression              mask expression
 The mask↔set mapping is a bijection (each keyword id owns one bit and
 ints are exact), so every mask predicate returns *exactly* the boolean
 the set expression returns — pruning decisions, candidate orderings and
-tie-breaks are unchanged, which is what the differential suite
-(``tests/test_signatures_differential.py``) asserts over every
-registered solver.
-
-The mask *query paths* are toggleable with ``REPRO_SIGNATURES`` (or
-:func:`set_enabled`), mirroring ``REPRO_KERNELS``: masks are always
-*built* (they are cheap columns, like the flat coordinate arrays), but
-with the toggle off every index and solver runs the original frozenset
-algebra so the benchmark baseline stays honest.
+tie-breaks are those of the set algebra.
 
 This module is the sanctioned home for keyword-set algebra in the index
 and solver packages; inline ``isdisjoint``/``issubset``/``&`` keyword
@@ -39,12 +31,9 @@ ops there are barred by lint rule R9 (``docs/STATIC_ANALYSIS.md``).
 
 from __future__ import annotations
 
-import os
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterable, Iterator, List
 
 __all__ = [
-    "signatures_enabled",
-    "set_enabled",
     "mask_of",
     "pack_masks",
     "bits_of",
@@ -55,67 +44,44 @@ __all__ = [
     "covers_all",
 ]
 
-#: Module-level override for the environment toggle; None means
-#: "follow the environment".
-_FORCED: Optional[bool] = None
-
-#: Environment variable controlling the signature query paths.  Read
-#: per call (cheap) rather than at import, and env-based rather than a
-#: module global alone, so the setting propagates into forked parallel
-#: workers (:mod:`repro.parallel`) without extra plumbing.
-_ENV_VAR = "REPRO_SIGNATURES"
-
-_FALSE_VALUES = frozenset({"0", "false", "no", "off"})
-
-
-def signatures_enabled() -> bool:
-    """Whether the bitmask query paths are active (default: yes).
-
-    Disabled by ``REPRO_SIGNATURES=0`` (or ``false``/``no``/``off``) or
-    by :func:`set_enabled`.  Masks encode the same sets exactly, so the
-    switch exists for the differential test suite and for benchmarking
-    the speedup honestly — not for safety.
-    """
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get(_ENV_VAR, "1").strip().lower() not in _FALSE_VALUES
-
-
-def set_enabled(value: Optional[bool]) -> None:
-    """Force the toggle (True/False) or restore env control (None)."""
-    global _FORCED
-    _FORCED = value
-
-
 # -- building masks ------------------------------------------------------------
 
-#: Memo from frozen keyword set to its mask.  Keyword sets are shared
-#: heavily (every query carries one frozenset; objects repeat traces),
-#: and frozensets cache their hash, so the dict probe is cheap.  The
-#: memo is unbounded but keys are interned-ish small sets; a dataset
-#: with V keywords admits at most the sets actually seen.
+#: Memo from an object's frozen keyword set to its mask.  Objects repeat
+#: keyword sets heavily and frozensets cache their hash, so the dict
+#: probe is cheap.  Only :func:`pack_masks` (index builds) fills it, so
+#: it holds at most the distinct keyword sets of the indexed objects;
+#: query and per-owner sets are computed, never stored, so a long-lived
+#: server does not grow it with its traffic.
 _MASK_MEMO: Dict[FrozenSet[int], int] = {}
 
 
-def mask_of(keywords: Iterable[int]) -> int:
-    """The bitmask of a keyword id set (memoized for frozensets)."""
-    if isinstance(keywords, frozenset):
-        cached = _MASK_MEMO.get(keywords)
-        if cached is None:
-            cached = 0
-            for t in keywords:
-                cached |= 1 << t
-            _MASK_MEMO[keywords] = cached
-        return cached
+def _bits(keywords: Iterable[int]) -> int:
     mask = 0
     for t in keywords:
         mask |= 1 << t
     return mask
 
 
+def mask_of(keywords: Iterable[int]) -> int:
+    """The bitmask of a keyword id set (read from the memo when packed)."""
+    if isinstance(keywords, frozenset):
+        cached = _MASK_MEMO.get(keywords)
+        if cached is not None:
+            return cached
+    return _bits(keywords)
+
+
 def pack_masks(objects: Iterable) -> List[int]:
-    """Per-object keyword masks, parallel to the input order."""
-    return [mask_of(o.keywords) for o in objects]
+    """Per-object keyword masks, parallel to the input order (memoized)."""
+    out: List[int] = []
+    memo = _MASK_MEMO
+    for o in objects:
+        keywords = o.keywords
+        mask = memo.get(keywords)
+        if mask is None:
+            mask = memo[keywords] = _bits(keywords)
+        out.append(mask)
+    return out
 
 
 # -- reading masks -------------------------------------------------------------

@@ -9,42 +9,31 @@ candidate↔candidate distances the owner-driven exact search re-asks on
 every bisection probe.
 
 The whole layer sits below :mod:`repro.geometry` in the dependency
-stack (it imports nothing from the rest of the package) and can be
-switched off with ``REPRO_KERNELS=0`` or
-:func:`~repro.kernels.flat.set_enabled` — the differential test suite
-runs every solver both ways and requires identical answers.
+stack (it imports nothing from the rest of the package).
 """
 
 from repro.kernels.flat import (
-    any_beyond,
     cap_bands,
     distances_from,
     farthest_pair,
-    kernels_enabled,
     lens_lower_bound,
     lens_scan,
     max_distance_from,
     pack_objects,
     pack_points,
     pairwise_max,
-    select_within,
-    set_enabled,
 )
 from repro.kernels.oracle import DistanceOracle
 
 __all__ = [
     "DistanceOracle",
-    "any_beyond",
     "cap_bands",
     "distances_from",
     "farthest_pair",
-    "kernels_enabled",
     "lens_lower_bound",
     "lens_scan",
     "max_distance_from",
     "pack_objects",
     "pack_points",
     "pairwise_max",
-    "select_within",
-    "set_enabled",
 ]

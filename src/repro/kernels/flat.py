@@ -35,24 +35,19 @@ math; solver modules are barred from it by lint rule R8
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "kernels_enabled",
-    "set_enabled",
     "pack_points",
     "pack_objects",
     "distances_from",
     "max_distance_from",
     "pairwise_max",
     "farthest_pair",
-    "any_beyond",
     "lens_lower_bound",
     "lens_scan",
-    "select_within",
     "cap_bands",
 ]
 
@@ -68,38 +63,6 @@ _GUARD_HI = 1.0 + 1e-9
 #: take the exact path.  (See the denormal note in
 #: :meth:`repro.geometry.circle.Circle.contains`.)
 _NORMAL_FLOOR = 1e-300
-
-#: Module-level override for the environment toggle; None means
-#: "follow the environment".
-_FORCED: Optional[bool] = None
-
-#: Environment variable controlling the kernels fast paths.  Read per
-#: call (cheap) rather than at import, and env-based rather than a
-#: module global alone, so the setting propagates into forked parallel
-#: workers (:mod:`repro.parallel`) without extra plumbing.
-_ENV_VAR = "REPRO_KERNELS"
-
-_FALSE_VALUES = frozenset({"0", "false", "no", "off"})
-
-
-def kernels_enabled() -> bool:
-    """Whether the flat-array fast paths are active (default: yes).
-
-    Disabled by ``REPRO_KERNELS=0`` (or ``false``/``no``/``off``) or by
-    :func:`set_enabled`.  The kernels are bit-identical to the scalar
-    code they replace, so this switch exists for the differential test
-    suite and for benchmarking the speedup honestly — not for safety.
-    """
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get(_ENV_VAR, "1").strip().lower() not in _FALSE_VALUES
-
-
-def set_enabled(value: Optional[bool]) -> None:
-    """Force the toggle (True/False) or restore env control (None)."""
-    global _FORCED
-    _FORCED = value
-
 
 # -- packing -------------------------------------------------------------------
 
@@ -232,33 +195,6 @@ def farthest_pair(xs: Sequence[float], ys: Sequence[float]) -> Tuple[int, int, f
     return besti, bestj, best
 
 
-def any_beyond(
-    x: float,
-    y: float,
-    xs: Sequence[float],
-    ys: Sequence[float],
-    cap: float,
-) -> bool:
-    """Whether any packed point lies strictly farther than ``cap``.
-
-    Equivalent to ``any(hypot(...) > cap for ...)`` including NaN/inf
-    semantics (those magnitudes take the exact path).
-    """
-    lo2, hi2, fast = cap_bands(cap)
-    for i in range(len(xs)):
-        dx = x - xs[i]
-        dy = y - ys[i]
-        sq = dx * dx + dy * dy
-        if fast:
-            if sq < lo2:
-                continue
-            if sq > hi2:
-                return True
-        if math.hypot(dx, dy) > cap:
-            return True
-    return False
-
-
 def lens_lower_bound(r: float, budget: float) -> float:
     """Conservative floor on the query distance of any lens member.
 
@@ -302,7 +238,7 @@ def lens_scan(
     :class:`DistanceOracle`) can store it instead of recomputing.
 
     Each point is decided once, however many wanted bits it carries.
-    Membership is decided exactly as in :func:`select_within`: the
+    Membership matches ``center.distance_to(p) <= cap`` exactly: the
     guarded squared test only skips the ``hypot`` where rejection is
     already certain (a squared distance that overflows to ``inf`` is
     such a rejection whenever the band is finite); accepted points
@@ -348,32 +284,3 @@ def lens_scan(
     hits.sort()
     return hits, array("d", [decided[i] for i in hits])
 
-
-def select_within(
-    cx: float,
-    cy: float,
-    xs: Sequence[float],
-    ys: Sequence[float],
-    radius: float,
-) -> List[int]:
-    """Indices of packed points inside the closed disk around ``(cx, cy)``.
-
-    Matches ``center.distance_to(p) <= radius`` exactly; the guarded
-    squared comparison only skips the ``hypot`` where the outcome is
-    already certain.
-    """
-    lo2, hi2, fast = cap_bands(radius)
-    out: List[int] = []
-    for i in range(len(xs)):
-        dx = cx - xs[i]
-        dy = cy - ys[i]
-        sq = dx * dx + dy * dy
-        if fast:
-            if sq < lo2:
-                out.append(i)
-                continue
-            if sq > hi2:
-                continue
-        if math.hypot(dx, dy) <= radius:
-            out.append(i)
-    return out

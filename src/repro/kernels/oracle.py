@@ -97,9 +97,9 @@ class DistanceOracle:
         """
         cached = self._kw_masks
         if cached is None:
-            from repro.index.signatures import pack_masks
+            from repro.index.signatures import mask_of
 
-            cached = tuple(pack_masks(self.objects))
+            cached = tuple(mask_of(o.keywords) for o in self.objects)
             self._kw_masks = cached
         return cached
 

@@ -16,9 +16,8 @@ single-tree counterpart documents:
   shard the query never gets close to is never touched.
 - ``keyword_nn`` probes shards in ascending MBR-lower-bound order and
   stops as soon as the bound can no longer improve on the best hit.
-- The bulk retrievals (``relevant_in_circle`` / ``relevant_in_region`` /
-  ``objects_in_circle``) concatenate per-shard results in fixed
-  ``shard_id`` order.
+- The bulk retrievals (``relevant_in_circle`` / ``objects_in_circle``)
+  concatenate per-shard results in fixed ``shard_id`` order.
 
 Thread safety mirrors the PR-7 :class:`~repro.index.cache.CachingIndex`
 pattern: the shards, trees and summaries are immutable after ``build``
@@ -336,23 +335,6 @@ class ShardedIndex:
             if summary.mbr.min_distance(circle.center) > circle.radius:
                 continue
             out.extend(shard.tree.relevant_in_circle(circle, keywords))
-        return out
-
-    def relevant_in_region(
-        self, circles: Sequence[Circle], keywords: FrozenSet[int]
-    ) -> List[SpatialObject]:
-        q_mask = mask_of(keywords)
-        out: List[SpatialObject] = []
-        for shard in self._shards:
-            summary = shard.summary
-            if not overlaps(q_mask, summary.kw_mask):
-                continue
-            if any(
-                summary.mbr.min_distance(circle.center) > circle.radius
-                for circle in circles
-            ):
-                continue
-            out.extend(shard.tree.relevant_in_region(circles, keywords))
         return out
 
     def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:

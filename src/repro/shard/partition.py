@@ -10,11 +10,10 @@ tiles are spatially compact — which is what makes the per-shard MBR a
 useful pruning bound.
 
 Each shard carries a :class:`ShardSummary`: its MBR, its keyword union
-(as a frozenset and as a signature mask, the PR-5 twin representation),
-and its object count.  The summary is the *only* thing the query engine
-reads before deciding to touch a shard, so it is deliberately tiny and
-immutable — safe to share read-only across request threads
-(docs/SHARDING.md).
+(as a signature mask) and its object count.  The summary is the *only*
+thing the query engine reads before deciding to touch a shard, so it is
+deliberately tiny and immutable — safe to share read-only across
+request threads (docs/SHARDING.md).
 
 Partition invariants (property-tested in ``tests/test_differential_shard.py``):
 
@@ -46,7 +45,6 @@ class ShardSummary:
 
     shard_id: int
     mbr: MBR
-    keywords: FrozenSet[int]
     kw_mask: int
     count: int
 
@@ -107,7 +105,6 @@ def summarize(shard_id: int, members: Sequence[SpatialObject]) -> ShardSummary:
     return ShardSummary(
         shard_id=shard_id,
         mbr=MBR.from_points(o.location for o in members),
-        keywords=keywords,
         kw_mask=mask_of(keywords),
         count=len(members),
     )

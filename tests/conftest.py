@@ -8,12 +8,15 @@ textually non-trivial.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.algorithms.base import SearchContext
+from repro.algorithms.registry import make_algorithm
 from repro.analysis import contracts
 from repro.data.generators import clustered_dataset, uniform_dataset
 from repro.data.queries import generate_queries
@@ -210,3 +213,37 @@ def make_extreme_instance():
         )
     ]
     return dataset, SearchContext(dataset), queries
+
+
+#: Every registry solver's answers on the :data:`GOLDEN_INSTANCES`,
+#: recorded once with the scalar/frozenset reference paths (since
+#: removed) and the flat-kernel/bitmask paths agreeing bit for bit, over
+#: both the IR-tree and ``LinearScanIndex``.
+GOLDEN_PATH = Path(__file__).parent / "fixtures" / "golden_answers.json"
+
+#: The differential instances, by the id their tests are parametrized with.
+GOLDEN_INSTANCES = {
+    101: lambda: make_random_instance(101, num_objects=40, vocab=8),
+    202: lambda: make_random_instance(202, num_objects=40, vocab=8),
+    303: lambda: make_random_instance(303, num_objects=40, vocab=8),
+    "ties": make_tie_instance,
+    "extreme": make_extreme_instance,
+}
+
+
+def load_golden_answers():
+    """``{instance id: {solver: [[cost, sorted oids], ...]}}``, per query.
+
+    JSON keys are strings, so instance ids come back as ``str(id)``.
+    """
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def solve_all(context, name, queries):
+    """``[[cost, sorted oids], ...]`` of solver ``name`` over ``queries``."""
+    solver = make_algorithm(name, context)
+    out = []
+    for query in queries:
+        result = solver.solve(query)
+        out.append([result.cost, sorted(o.oid for o in result.objects)])
+    return out

@@ -9,7 +9,7 @@ from every angle:
 - every registered appro counterpart's cost seeds its exact solver to
   the same answer (the pairing :data:`APPRO_COUNTERPARTS` ships);
 - hypothesis-drawn bounds (optimum × factor, factor >= 1) never change
-  the cost, under kernels/signatures forced on *and* off;
+  the cost;
 - the bound survives the sharded scatter-gather engine and the
   resilient executor unchanged;
 - the adversarial ladder dataset behaves as designed (seed == optimum,
@@ -37,8 +37,6 @@ from repro.data.generators import (
     ladder_dataset,
     ladder_keywords,
 )
-from repro.index import signatures
-from repro.kernels import flat as kernels_flat
 from repro.model.query import Query
 
 #: The exact solvers whose seeding the package vouches for.
@@ -103,29 +101,21 @@ class TestComputeSeed:
 
 
 class TestSeedingSoundnessProperty:
-    """Hypothesis: any feasible bound, any toggles → identical cost."""
+    """Hypothesis: any feasible bound → identical cost."""
 
     @settings(max_examples=20, deadline=None)
     @given(
         query_index=st.integers(min_value=0, max_value=9),
         factor=st.floats(min_value=1.0, max_value=50.0),
-        kernels_on=st.booleans(),
-        signatures_on=st.booleans(),
     )
     def test_bound_never_changes_the_answer(
-        self, tiny_context, tiny_queries, query_index, factor, kernels_on, signatures_on
+        self, tiny_context, tiny_queries, query_index, factor
     ):
         query = tiny_queries[query_index]
         exact = make_algorithm("maxsum-exact", tiny_context)
-        kernels_flat.set_enabled(kernels_on)
-        signatures.set_enabled(signatures_on)
-        try:
-            plain = exact.solve(query)
-            bound = plain.cost * factor  # >= optimum, hence feasible-valued
-            seeded = exact.solve(query, initial_upper_bound=bound)
-        finally:
-            kernels_flat.set_enabled(None)
-            signatures.set_enabled(None)
+        plain = exact.solve(query)
+        bound = plain.cost * factor  # >= optimum, hence feasible-valued
+        seeded = exact.solve(query, initial_upper_bound=bound)
         assert outcome(seeded) == outcome(plain)
 
     @settings(max_examples=10, deadline=None)

@@ -1,4 +1,4 @@
-"""The interprocedural dataflow pass: rules R10-R12 and their plumbing.
+"""The interprocedural dataflow pass: rules R10-R11 and their plumbing.
 
 Four layers of guarantees:
 
@@ -31,7 +31,6 @@ SRC = ROOT / "src" / "repro"
 FIXTURES = ROOT / "tests" / "fixtures"
 R10_FIXTURE = FIXTURES / "dataflow_r10.py"
 R11_FIXTURE = FIXTURES / "dataflow_r11.py"
-R12_FIXTURE = FIXTURES / "dataflow_r12.py"
 GOLDEN = FIXTURES / "dataflow_r10.golden.json"
 
 #: Every rule on every path — the dataflow fixtures live outside the
@@ -84,41 +83,15 @@ class TestR11CheckpointReachability:
         assert not any(fn.endswith("polite_drain") for fn in flagged if fn)
 
 
-class TestR12ToggleParity:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return run_analysis([R12_FIXTURE], PERMISSIVE)
-
-    def test_missing_off_arm_and_off_path_symbol_flagged(self, report):
-        hits = rule_hits(report, "R12")
-        assert [line for line, _ in hits] == [20, 27]
-        messages = [v.message for _, v in hits]
-        assert "no off-arm" in messages[0]
-        assert "mask_of" in messages[1]
-
-    def test_noqa_twin_is_suppressed(self, report):
-        assert report.suppressed == 1
-
-    def test_gated_twin_stays_clean(self, report):
-        flagged = {v.function for _, v in rule_hits(report, "R12")}
-        assert not any(fn.endswith("clean_parity") for fn in flagged if fn)
-
-
 class TestDeterministicOutput:
     def test_violations_sorted_by_path_line_rule(self):
-        report = run_analysis(
-            [R12_FIXTURE, R10_FIXTURE, R11_FIXTURE], PERMISSIVE
-        )
+        report = run_analysis([R11_FIXTURE, R10_FIXTURE], PERMISSIVE)
         keys = [(v.path, v.line, v.rule) for v in report.violations]
         assert keys == sorted(keys)
 
     def test_input_order_does_not_change_output(self):
-        forward = run_analysis(
-            [R10_FIXTURE, R11_FIXTURE, R12_FIXTURE], PERMISSIVE
-        )
-        scrambled = run_analysis(
-            [R12_FIXTURE, R10_FIXTURE, R11_FIXTURE], PERMISSIVE
-        )
+        forward = run_analysis([R10_FIXTURE, R11_FIXTURE], PERMISSIVE)
+        scrambled = run_analysis([R11_FIXTURE, R10_FIXTURE], PERMISSIVE)
         assert [v.format() for v in forward.violations] == [
             v.format() for v in scrambled.violations
         ]
@@ -158,7 +131,7 @@ class TestJsonGolden:
 
 
 class TestSummaryCache:
-    FIXTURE_SET = (R10_FIXTURE, R11_FIXTURE, R12_FIXTURE)
+    FIXTURE_SET = (R10_FIXTURE, R11_FIXTURE)
 
     def _config(self, tmp_path):
         return AnalysisConfig(
@@ -184,8 +157,8 @@ class TestSummaryCache:
         assert warm.suppressed == cold.suppressed
 
     def test_content_change_invalidates_entry(self, tmp_path):
-        source = R12_FIXTURE.read_text(encoding="utf-8")
-        target = tmp_path / "dataflow_r12.py"
+        source = R11_FIXTURE.read_text(encoding="utf-8")
+        target = tmp_path / "dataflow_r11.py"
         target.write_text(source, encoding="utf-8")
         config = AnalysisConfig(
             include={}, exclude={}, cache_path=str(tmp_path / "cache.json")
@@ -215,7 +188,7 @@ class TestRepositoryDataflowClean:
         config = AnalysisConfig.load(find_pyproject(SRC))
         report = run_analysis([SRC], config)
         dataflow = [
-            v for v in report.violations if v.rule in ("R10", "R11", "R12")
+            v for v in report.violations if v.rule in ("R10", "R11")
         ]
         assert dataflow == [], "\n".join(v.format() for v in dataflow)
 

@@ -38,8 +38,6 @@ class TestExperimentRegistry:
             "ablation_index",
             "unified",
             "parallel_study",
-            "kernels_study",
-            "signatures_study",
             "adaptive_study",
         }
         assert expected == set(EXPERIMENTS)
@@ -117,58 +115,3 @@ class TestExperimentsRun:
             "full/x2",
             "full/x4",
         }
-
-    def test_kernels_study(self, tmp_path, monkeypatch):
-        import json
-
-        from repro.bench import experiments
-        from repro.kernels import flat
-
-        json_path = tmp_path / "BENCH_kernels.json"
-        monkeypatch.setattr(experiments, "KERNELS_JSON_PATH", json_path)
-        report = run_experiment("kernels_study", scale=MICRO)
-        assert "bit-identical" in report
-        assert "owner-exact (maxsum) speedup" in report
-        # The experiment restores the toggle even though it forces both
-        # modes while timing.
-        assert flat._FORCED is None
-        payload = json.loads(json_path.read_text())
-        assert payload["cpu_count"] >= 1
-        assert {row["solver"] for row in payload["solvers"]} == {
-            "maxsum-exact",
-            "dia-exact",
-            "maxsum-appro",
-            "dia-appro",
-        }
-        for row in payload["solvers"]:
-            assert row["scalar_s"] > 0 and row["kernels_s"] > 0
-        assert {row["kernel"] for row in payload["kernels"]} >= {
-            "pairwise_max",
-            "distances_from",
-        }
-
-    def test_signatures_study(self, tmp_path, monkeypatch):
-        import json
-
-        from repro.bench import experiments
-        from repro.index import signatures
-
-        json_path = tmp_path / "BENCH_signatures.json"
-        monkeypatch.setattr(experiments, "SIGNATURES_JSON_PATH", json_path)
-        report = run_experiment("signatures_study", scale=MICRO)
-        assert "bit-identical" in report
-        assert "best workload speedup" in report
-        # The experiment restores the toggle even though it forces both
-        # modes while timing.
-        assert signatures._FORCED is None
-        payload = json.loads(json_path.read_text())
-        assert payload["cpu_count"] >= 1
-        assert {row["workload"] for row in payload["workloads"]} == {
-            "maxsum-exact",
-            "maxsum-appro",
-            "boolean-knn",
-            "early-break-scan",
-            "circle-sweep",
-        }
-        for row in payload["workloads"]:
-            assert row["baseline_s"] > 0 and row["signatures_s"] > 0

@@ -43,7 +43,6 @@ def make_summary(
                 "kind": "solver",
                 "solver": "maxsum-appro",
                 "cache": "warm" if workload_id.endswith("warm") else "cold",
-                "toggles": {"kernels": True, "signatures": True},
                 "queries": 200,
                 "num_keywords": 6,
                 "shards": 0,
@@ -67,12 +66,7 @@ def make_summary(
         "schema_version": schema_version,
         "profile": "fixture",
         "seed": seed,
-        "environment": {
-            "python": "3.x",
-            "platform": "fixture",
-            "kernels": True,
-            "signatures": True,
-        },
+        "environment": {"python": "3.x", "platform": "fixture"},
         "datasets": [
             {
                 "name": "fixture",

@@ -77,19 +77,6 @@ class TestSmokeRun:
         assert batch["cache_stats"] is not None
         assert batch["cache_stats"]["workers"] >= 1
 
-    def test_toggle_ablations_present(self, summary):
-        kernels_off = workload(summary, "maxsum-appro/cold/kernels-off")
-        assert kernels_off["toggles"] == {"kernels": False, "signatures": True}
-        signatures_off = workload(summary, "maxsum-appro/cold/signatures-off")
-        assert signatures_off["toggles"] == {"kernels": True, "signatures": False}
-
-    def test_toggles_restored_after_run(self):
-        from repro.index import signatures
-        from repro.kernels import flat
-
-        assert flat._FORCED is None
-        assert signatures._FORCED is None
-
 
 class TestDiffGate:
     def test_self_diff_exits_zero(self, macro_smoke_run, capsys):

@@ -178,7 +178,6 @@ class TestResilienceUnderChaos:
             .fail_method("keyword_nn")
             .fail_method("nearest_relevant_iter")
             .fail_method("relevant_in_circle")
-            .fail_method("relevant_in_region")
             .fail_method("objects_in_circle")
         )
         ctx = chaos_context(tiny_context, plan)

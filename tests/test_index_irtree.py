@@ -10,6 +10,7 @@ from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.index.irtree import IRTree
 from repro.index.neighbors import LinearScanIndex
+from repro.index.signatures import mask_of
 from repro.model.dataset import Dataset
 from repro.model.query import Query
 
@@ -45,7 +46,7 @@ class TestStructure:
         expected = set()
         for o in ds:
             expected.update(o.keywords)
-        assert tree.root.keywords == expected
+        assert tree.root.kw_mask == mask_of(expected)
 
     def test_incremental_insert_matches(self, ds):
         tree = IRTree(max_entries=5)
@@ -111,19 +112,6 @@ class TestRegions:
             got = sorted(o.oid for o in tree.relevant_in_circle(circle, keywords))
             expected = sorted(o.oid for o in oracle.relevant_in_circle(circle, keywords))
             assert got == expected
-
-    def test_relevant_in_region_is_intersection(self, tree, oracle):
-        keywords = frozenset({0, 1, 2, 3})
-        a = Circle(Point(400, 400), 300.0)
-        b = Circle(Point(600, 400), 300.0)
-        got = sorted(o.oid for o in tree.relevant_in_region([a, b], keywords))
-        expected = sorted(o.oid for o in oracle.relevant_in_region([a, b], keywords))
-        assert got == expected
-        single = {o.oid for o in tree.relevant_in_circle(a, keywords)}
-        assert set(got) <= single
-
-    def test_relevant_in_region_empty_circles(self, tree):
-        assert tree.relevant_in_region([], frozenset({0})) == []
 
     def test_objects_in_circle(self, ds, tree):
         circle = Circle(Point(500, 500), 250.0)

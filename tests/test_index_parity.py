@@ -1,45 +1,33 @@
-"""Three-backend differential suite for the spatial-textual indexes.
+"""Differential suite for the spatial-textual indexes.
 
-:class:`IRTree`, :class:`RTreeTextIndex` (plain R-tree + inverted index
-+ signature masks) and :class:`LinearScanIndex` all claim the same
+:class:`IRTree` and the :class:`LinearScanIndex` oracle claim the same
 query semantics behind :class:`SpatialTextIndex`.  Hypothesis drives
-randomized instances through all three, with the keyword-signature
-toggle both on and off:
+randomized instances through both:
 
 - ``nearest_relevant_iter`` must yield the same ``(distance, oid)``
-  multiset in non-decreasing distance order from every backend — and
-  the *exact* same sequence with signatures on vs. off within one
-  backend (tie order among equal distances is a per-backend traversal
-  artifact, so cross-backend comparison normalizes equal-distance runs
-  by oid);
-- the three region queries and ``boolean_knn`` must agree across
-  backends and toggles;
-- the IR-tree's incrementally maintained summaries (keywords, masks,
-  MBRs, coordinate columns) must equal a from-scratch rebuild after any
+  multiset in non-decreasing distance order from both backends (tie
+  order among equal distances is a per-backend traversal artifact, so
+  the comparison normalizes equal-distance runs by oid);
+- ``relevant_in_circle`` must agree with a naive scan on both backends,
+  and the IR-tree's ``boolean_knn`` with the naive covering list;
+- the IR-tree's incrementally maintained summaries (masks, MBRs,
+  coordinate columns) must equal a from-scratch rebuild after any
   insert sequence (``check_invariants`` recomputes them all).
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.generators import uniform_dataset
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.index import IRTree, LinearScanIndex, RTreeTextIndex
-from repro.index import signatures
+from repro.index import IRTree, LinearScanIndex
 from repro.model.dataset import Dataset
 from repro.model.query import Query
 
-BACKENDS = (IRTree, RTreeTextIndex, LinearScanIndex)
-
-
-@pytest.fixture(autouse=True)
-def restore_toggle():
-    yield
-    signatures.set_enabled(None)
+BACKENDS = (IRTree, LinearScanIndex)
 
 
 def make_dataset(seed: int, num_objects: int = 50, vocab: int = 7) -> Dataset:
@@ -56,14 +44,6 @@ def normalized_stream(index, point, keywords):
     return sorted(seq)
 
 
-def with_toggle(enabled, fn, *args):
-    signatures.set_enabled(enabled)
-    try:
-        return fn(*args)
-    finally:
-        signatures.set_enabled(None)
-
-
 seeds = st.integers(min_value=0, max_value=10_000)
 keyword_subsets = st.frozensets(st.integers(min_value=0, max_value=6), min_size=1, max_size=4)
 
@@ -77,60 +57,38 @@ class TestCrossBackendParity:
         streams = {}
         for backend in BACKENDS:
             index = backend.build(dataset, max_entries=4)
-            on = with_toggle(True, normalized_stream, index, point, keywords)
-            off = with_toggle(False, normalized_stream, index, point, keywords)
-            assert on == off, backend.__name__
-            streams[backend.__name__] = on
+            streams[backend.__name__] = normalized_stream(index, point, keywords)
         assert streams["IRTree"] == streams["LinearScanIndex"]
-        assert streams["RTreeTextIndex"] == streams["LinearScanIndex"]
 
     @given(seed=seeds, keywords=keyword_subsets)
     @settings(max_examples=15, deadline=None)
     def test_region_queries_agree(self, seed, keywords):
         dataset = make_dataset(seed)
         circle = Circle(Point(0.5, 0.5), 0.35)
-        lens = [Circle(Point(0.3, 0.5), 0.4), Circle(Point(0.7, 0.5), 0.4)]
+        expected_relevant = {o.oid for o in dataset.objects if o.keywords & keywords}
         for backend in BACKENDS:
             index = backend.build(dataset, max_entries=4)
-            for enabled in (True, False):
-                signatures.set_enabled(enabled)
-                in_circle = {o.oid for o in index.relevant_in_circle(circle, keywords)}
-                in_region = {o.oid for o in index.relevant_in_region(lens, keywords)}
-                signatures.set_enabled(None)
-                expected_relevant = {
-                    o.oid for o in dataset.objects if o.keywords & keywords
-                }
-                assert in_circle == {
-                    oid
-                    for oid in expected_relevant
-                    if circle.contains(dataset[oid].location)
-                }
-                assert in_region == {
-                    oid
-                    for oid in expected_relevant
-                    if all(c.contains(dataset[oid].location) for c in lens)
-                }
+            in_circle = {o.oid for o in index.relevant_in_circle(circle, keywords)}
+            assert in_circle == {
+                oid
+                for oid in expected_relevant
+                if circle.contains(dataset[oid].location)
+            }
 
     @given(seed=seeds, keywords=keyword_subsets)
     @settings(max_examples=15, deadline=None)
     def test_boolean_knn_agrees(self, seed, keywords):
         dataset = make_dataset(seed)
         query = Query.create(0.45, 0.55, sorted(keywords))
-        results = {}
-        for backend in (IRTree, RTreeTextIndex):
-            index = backend.build(dataset, max_entries=4)
-            on = with_toggle(True, index.boolean_knn, query, 5)
-            off = with_toggle(False, index.boolean_knn, query, 5)
-            assert [(d, o.oid) for d, o in on] == [(d, o.oid) for d, o in off]
-            results[backend.__name__] = sorted((d, o.oid) for d, o in on)
-        assert results["IRTree"] == results["RTreeTextIndex"]
+        index = IRTree.build(dataset, max_entries=4)
+        got = [(d, o.oid) for d, o in index.boolean_knn(query, 5)]
         covering = [
             (query.location.distance_to(o.location), o.oid)
             for o in dataset.objects
             if keywords <= o.keywords
         ]
         covering.sort()
-        assert results["IRTree"] == covering[:5]
+        assert got == covering[:5]
 
 
 class TestIncrementalInsertParity:
@@ -138,27 +96,24 @@ class TestIncrementalInsertParity:
     @settings(max_examples=10, deadline=None)
     def test_insert_path_matches_bulk_build(self, seed):
         dataset = make_dataset(seed, num_objects=40)
-        for enabled in (True, False):
-            signatures.set_enabled(enabled)
-            tree = IRTree(max_entries=4)
-            for obj in dataset.objects:
-                tree.insert(obj)
-            tree.check_invariants()
-            oracle = LinearScanIndex(dataset)
-            keywords = frozenset({0, 1, 2})
-            got = normalized_stream(tree, Point(0.5, 0.5), keywords)
-            want = normalized_stream(oracle, Point(0.5, 0.5), keywords)
-            signatures.set_enabled(None)
-            assert got == want
+        tree = IRTree(max_entries=4)
+        for obj in dataset.objects:
+            tree.insert(obj)
+        tree.check_invariants()
+        oracle = LinearScanIndex(dataset)
+        keywords = frozenset({0, 1, 2})
+        got = normalized_stream(tree, Point(0.5, 0.5), keywords)
+        want = normalized_stream(oracle, Point(0.5, 0.5), keywords)
+        assert got == want
 
     def test_incremental_summaries_equal_rebuild(self):
         dataset = make_dataset(99, num_objects=60)
         tree = IRTree(max_entries=4)
         for obj in dataset.objects:
             tree.insert(obj)
-            # check_invariants recomputes every summary (keyword sets,
-            # kw_mask/obj_masks, MBRs, coordinate columns) from the
-            # entries and asserts the maintained ones match.
+            # check_invariants recomputes every summary (kw_mask/obj_masks,
+            # MBRs, coordinate columns) from the entries and asserts the
+            # maintained ones match.
         tree.check_invariants()
         rebuilt = IRTree.build(dataset, max_entries=4)
         keywords = frozenset({1, 3})

@@ -21,9 +21,7 @@ from hypothesis import strategies as st
 from conftest import make_random_instance
 from repro.cost.base import pairwise_max_distance
 from repro.geometry.point import Point
-from repro.kernels import flat
 from repro.kernels.flat import (
-    any_beyond,
     cap_bands,
     distances_from,
     farthest_pair,
@@ -33,7 +31,6 @@ from repro.kernels.flat import (
     pack_objects,
     pack_points,
     pairwise_max,
-    select_within,
 )
 from repro.kernels.oracle import DistanceOracle
 
@@ -80,18 +77,6 @@ def naive_max_from(x, y, pts):
     return best
 
 
-def naive_select(cx, cy, pts, radius):
-    return [
-        i
-        for i, (a, b) in enumerate(pts)
-        if math.hypot(cx - a, cy - b) <= radius
-    ]
-
-
-def naive_any_beyond(x, y, pts, cap):
-    return any(math.hypot(x - a, y - b) > cap for a, b in pts)
-
-
 # -- kernels vs references -----------------------------------------------------
 
 
@@ -120,33 +105,6 @@ class TestKernelBitIdentity:
         assert list(got) == [
             math.hypot(c[0] - a, c[1] - b) for a, b in pts
         ]
-
-    @given(pts=point_lists, c=st.tuples(coords, coords), cap=caps)
-    def test_select_within(self, pts, c, cap):
-        xs, ys = _pack(pts)
-        assert select_within(c[0], c[1], xs, ys, cap) == naive_select(
-            c[0], c[1], pts, cap
-        )
-
-    @given(pts=point_lists, c=st.tuples(coords, coords), cap=caps)
-    def test_any_beyond(self, pts, c, cap):
-        xs, ys = _pack(pts)
-        assert any_beyond(c[0], c[1], xs, ys, cap) == naive_any_beyond(
-            c[0], c[1], pts, cap
-        )
-
-    @given(pts=point_lists, c=st.tuples(coords, coords))
-    def test_on_band_distances_decide_exactly(self, pts, c):
-        """Caps equal to a realized distance sit inside the guard band."""
-        xs, ys = _pack(pts)
-        for a, b in pts[:4]:
-            cap = math.hypot(c[0] - a, c[1] - b)
-            assert select_within(c[0], c[1], xs, ys, cap) == naive_select(
-                c[0], c[1], pts, cap
-            )
-            assert any_beyond(c[0], c[1], xs, ys, cap) == naive_any_beyond(
-                c[0], c[1], pts, cap
-            )
 
 
 class TestLensKernels:
@@ -222,32 +180,6 @@ class TestPacking:
         xs, ys = pack_objects(dataset.objects)
         assert list(xs) == [o.location.x for o in dataset.objects]
         assert list(ys) == [o.location.y for o in dataset.objects]
-
-
-# -- the toggle ----------------------------------------------------------------
-
-
-class TestToggle:
-    def test_set_enabled_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "1")
-        flat.set_enabled(False)
-        try:
-            assert not flat.kernels_enabled()
-            flat.set_enabled(True)
-            assert flat.kernels_enabled()
-        finally:
-            flat.set_enabled(None)
-
-    def test_env_values(self, monkeypatch):
-        assert flat._FORCED is None
-        for value, expected in [
-            ("0", False), ("false", False), ("off", False), ("no", False),
-            ("1", True), ("yes", True), ("", True),
-        ]:
-            monkeypatch.setenv("REPRO_KERNELS", value)
-            assert flat.kernels_enabled() is expected, value
-        monkeypatch.delenv("REPRO_KERNELS")
-        assert flat.kernels_enabled()
 
 
 # -- the distance oracle -------------------------------------------------------

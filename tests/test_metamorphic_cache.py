@@ -15,8 +15,6 @@ import pytest
 
 from conftest import make_random_instance
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
-from repro.geometry.circle import Circle
-from repro.index import signatures
 from repro.index.cache import CacheStats, CachingIndex
 from repro.index.protocol import SpatialTextIndex
 from repro.parallel import (
@@ -94,58 +92,6 @@ class TestCachingIndexConformance:
                 cache.keyword_nn(query.location, keyword)
         assert len(cache._entries) <= 2
         assert cache.stats.evictions > 0
-
-
-class TestSignatureToggleKeysUnchanged:
-    """Cache keys must be oblivious to the keyword-signature toggle.
-
-    The signature layer changes how keyword predicates are *evaluated*,
-    never what is asked: memo keys are built from queries, points and
-    frozen keyword sets, not from masks.  So entries warmed with
-    signatures off must be served (as hits, with identical answers) to
-    a reader running with signatures on — anything else would mean the
-    toggle silently partitions the caches and the parallel engine's
-    warm-cache numbers would be comparing different things.
-    """
-
-    @pytest.fixture(autouse=True)
-    def restore_toggle(self):
-        yield
-        signatures.set_enabled(None)
-
-    def test_caching_index_entries_survive_toggle_flip(self, instance):
-        _, context, queries = instance
-        cache = CachingIndex(context.index)
-        signatures.set_enabled(False)
-        warmed = {
-            q: (
-                cache.nearest_neighbor_set(q),
-                cache.relevant_in_circle(Circle(q.location, 0.3), q.keywords),
-            )
-            for q in queries
-        }
-        misses = cache.stats.misses
-        signatures.set_enabled(True)
-        before = cache.stats.hits
-        for q in queries:
-            assert cache.nearest_neighbor_set(q) == warmed[q][0]
-            assert (
-                cache.relevant_in_circle(Circle(q.location, 0.3), q.keywords)
-                == warmed[q][1]
-            )
-        assert cache.stats.hits == before + 2 * len(queries)
-        assert cache.stats.misses == misses, "toggle flip must not re-key"
-
-    def test_result_cache_entries_survive_toggle_flip(self, instance):
-        _, context, queries = instance
-        cache = ResultCache(capacity=16)
-        solver = CachedSolver(make_algorithm("maxsum-appro", context), cache)
-        signatures.set_enabled(False)
-        warmed = [solver.solve(q) for q in queries]
-        signatures.set_enabled(True)
-        for query, first in zip(queries, warmed):
-            assert solver.solve(query) is first
-        assert cache.stats.hits == len(queries)
 
 
 class TestBatchMetamorphic:

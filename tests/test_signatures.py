@@ -4,16 +4,18 @@ The layer's whole correctness story is a bijection between frozen
 keyword sets and integer bitsets: every mask predicate must return
 exactly the boolean (or set) its frozenset twin returns.  Hypothesis
 drives the bijection over arbitrary small keyword sets; the rest pins
-the toggle semantics (`REPRO_SIGNATURES` / `set_enabled`) that the
-benchmarks and the differential suite rely on.
+how masks are built and memoized.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.algorithms.base import SearchContext
+from repro.algorithms.registry import make_algorithm
+from repro.data.generators import uniform_dataset
+from repro.data.queries import generate_queries
 from repro.index import signatures
 from repro.index.signatures import (
     bits_of,
@@ -24,18 +26,9 @@ from repro.index.signatures import (
     overlaps,
     pack_masks,
     shared_keywords,
-    signatures_enabled,
-    set_enabled,
 )
 
 keyword_sets = st.frozensets(st.integers(min_value=0, max_value=63), max_size=10)
-
-
-@pytest.fixture(autouse=True)
-def restore_toggle(monkeypatch):
-    monkeypatch.delenv("REPRO_SIGNATURES", raising=False)
-    yield
-    set_enabled(None)
 
 
 class TestMaskBijection:
@@ -92,31 +85,15 @@ class TestMaskBuilding:
             assert keywords_of(mask) == obj.keywords
 
 
-class TestToggle:
-    def test_default_is_enabled(self):
-        assert signatures_enabled() is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "No", " OFF "])
-    def test_env_false_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SIGNATURES", value)
-        assert signatures_enabled() is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on", "anything"])
-    def test_env_other_values_enable(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SIGNATURES", value)
-        assert signatures_enabled() is True
-
-    def test_set_enabled_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIGNATURES", "0")
-        set_enabled(True)
-        assert signatures_enabled() is True
-        set_enabled(False)
-        monkeypatch.setenv("REPRO_SIGNATURES", "1")
-        assert signatures_enabled() is False
-        set_enabled(None)
-        assert signatures_enabled() is True
-
-    def test_module_mirrors_kernels_toggle_shape(self):
-        # The benchmark harness flips both layers the same way.
-        assert hasattr(signatures, "set_enabled")
-        assert signatures._ENV_VAR == "REPRO_SIGNATURES"
+class TestMaskMemo:
+    def test_queries_do_not_grow_the_memo(self):
+        """Only index builds fill the memo, so a server's traffic cannot."""
+        dataset = uniform_dataset(300, 30, seed=41, name="memo")
+        context = SearchContext(dataset)
+        context.index  # noqa: B018 - build for effect
+        before = len(signatures._MASK_MEMO)
+        for seed, name in ((1, "maxsum-exact"), (2, "maxsum-appro")):
+            solver = make_algorithm(name, context)
+            for query in generate_queries(dataset, 4, 200, seed=seed):
+                solver.solve(query)
+        assert len(signatures._MASK_MEMO) == before

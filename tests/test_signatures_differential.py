@@ -1,91 +1,48 @@
-"""Differential gate: signatures on and off must be *bit-identical*.
+"""Golden gate for the keyword bitmasks, over ``LinearScanIndex``.
 
-The signature layer (repro.index.signatures) claims that swapping
-frozenset keyword algebra for integer bitmasks changes no observable
-behavior — not the costs, not the chosen objects, not the pruning
-decisions feeding either.  The gate mirrors the kernels differential:
-for every registered solver and several seeded instances, the
-signatures-on run must return the same cost float and the same object
-set as the signatures-off run, and the equality must survive a
-chaos-wrapped index and forked parallel workers (where the toggle
-travels via the environment).
+The signature layer (repro.index.signatures) claims that frozenset
+keyword algebra and integer bitmasks decide everything alike — costs,
+chosen objects and the pruning decisions feeding either.  The gate
+mirrors the kernels differential on the other index backend: for every
+registered solver and every differential instance, a run over the
+linear-scan oracle index must return the recorded cost float and object
+set of ``tests/fixtures/golden_answers.json`` bit for bit, and so must
+a run through a chaos-wrapped index.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import make_extreme_instance, make_random_instance, make_tie_instance
-from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
-from repro.exec.batch import BatchExecutor
+from conftest import GOLDEN_INSTANCES, load_golden_answers, solve_all
+from repro.algorithms.base import SearchContext
+from repro.algorithms.registry import ALGORITHM_NAMES
 from repro.exec.chaos import ChaosIndex, FaultPlan, chaos_context
-from repro.index import signatures
-from repro.parallel import ParallelBatchExecutor, SolverSpec, WorkerEnv
+from repro.index.neighbors import LinearScanIndex
 
-SEEDS = (101, 202, 303)
-
-
-@pytest.fixture(autouse=True)
-def restore_toggle():
-    yield
-    signatures.set_enabled(None)
+GOLDEN = load_golden_answers()
 
 
-@pytest.fixture(scope="module", params=SEEDS + ("ties", "extreme"))
+@pytest.fixture(scope="module", params=list(GOLDEN_INSTANCES))
 def instance(request):
-    if request.param == "ties":
-        return make_tie_instance()
-    if request.param == "extreme":
-        return make_extreme_instance()
-    dataset, context, queries = make_random_instance(
-        request.param, num_objects=40, vocab=8
-    )
-    return dataset, context, queries
-
-
-def run_solver(context, name, queries, enabled):
-    signatures.set_enabled(enabled)
-    try:
-        solver = make_algorithm(name, context)
-        out = []
-        for query in queries:
-            result = solver.solve(query)
-            out.append((result.cost, tuple(sorted(o.oid for o in result.objects))))
-        return out
-    finally:
-        signatures.set_enabled(None)
+    dataset, _, queries = GOLDEN_INSTANCES[request.param]()
+    context = SearchContext(dataset, index_cls=LinearScanIndex)
+    return GOLDEN[str(request.param)], context, queries
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def test_every_solver_is_bit_identical(instance, name):
-    _, context, queries = instance
-    baseline = run_solver(context, name, queries, enabled=False)
-    masked = run_solver(context, name, queries, enabled=True)
-    assert masked == baseline  # exact: same cost floats, same object sets
+    golden, context, queries = instance
+    # exact: same cost floats, same object sets
+    assert solve_all(context, name, queries) == golden[name]
 
 
 def test_chaos_wrapped_index_stays_identical(instance):
     """The signature path must survive (and use) a decorated index."""
-    _, context, queries = instance
+    golden, context, queries = instance
     wrapped = chaos_context(context, FaultPlan())
-    baseline = run_solver(wrapped, "maxsum-exact", queries, enabled=False)
-    masked = run_solver(wrapped, "maxsum-exact", queries, enabled=True)
-    assert masked == baseline
+    assert solve_all(wrapped, "maxsum-exact", queries) == golden["maxsum-exact"]
     chaos = wrapped.index
     assert isinstance(chaos, ChaosIndex)
+    assert isinstance(chaos.inner, LinearScanIndex)
     assert any(method == "nearest_relevant_iter" for method, _ in chaos.call_log)
-
-
-@pytest.mark.parametrize("env_value", ["0", "1"])
-def test_toggle_propagates_into_forked_workers(instance, monkeypatch, env_value):
-    """REPRO_SIGNATURES travels by environment, so workers see the setting."""
-    dataset, context, queries = instance
-    monkeypatch.setenv("REPRO_SIGNATURES", env_value)
-    serial = BatchExecutor(make_algorithm("maxsum-exact", context)).run(queries)
-    env = WorkerEnv(dataset=dataset)
-    with ParallelBatchExecutor(env, workers=2) as engine:
-        parallel = engine.run(queries, SolverSpec(algorithm="maxsum-exact"))
-    assert parallel.failed == serial.failed == 0
-    for mine, theirs in zip(serial.results, parallel.results):
-        assert theirs.cost == mine.cost
-        assert {o.oid for o in theirs.objects} == {o.oid for o in mine.objects}

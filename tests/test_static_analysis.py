@@ -193,7 +193,7 @@ class TestCommandLine:
         out = capsys.readouterr().out
         for rule in (
             "R1", "R2", "R3", "R4", "R5", "R6",
-            "R7", "R8", "R9", "R10", "R11", "R12",
+            "R7", "R8", "R9", "R10", "R11",
         ):
             assert rule in out
 
@@ -211,6 +211,21 @@ class TestCommandLine:
         # src/repro is clean either way; the flag must not break the run.
         assert lint_main(["--no-dataflow", str(SRC)]) == 0
         assert "no violations" in capsys.readouterr().out
+
+    def test_loose_file_is_linted_uncached(self, tmp_path, monkeypatch):
+        # Outside any project there is no pyproject.toml to cache beside,
+        # so nothing may land in the working directory.
+        workdir = tmp_path / "cwd"
+        workdir.mkdir()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        loose = elsewhere / "loose.py"
+        loose.write_text("x = 1\n", encoding="utf-8")
+        monkeypatch.chdir(workdir)
+        assert find_pyproject(loose) is None
+        lint_main([str(loose)])
+        assert list(workdir.iterdir()) == []
+        assert list(elsewhere.iterdir()) == [loose]
 
 
 class TestParseFailures:
