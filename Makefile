@@ -1,6 +1,6 @@
 # Convenience targets for the CoSKQ reproduction.
 
-.PHONY: install test lint lint-fast check contracts chaos serve-check parallel-check parallel-bench kernels-check signatures-check shard-check shard-bench adaptive-check adaptive-bench bench bench-reports bench-smoke bench-check figures full-experiments clean
+.PHONY: install test lint lint-fast check contracts chaos serve-check parallel-check parallel-bench kernels-check signatures-check shard-check shard-bench bench bench-reports bench-smoke bench-check figures full-experiments clean
 
 install:
 	pip install -e .
@@ -91,21 +91,6 @@ shard-check:
 shard-bench:
 	PYTHONPATH=src python -m repro.tools.macro_cli run --profile shard \
 		--out BENCH_shard.json
-
-# The adaptive gate: seeding soundness (seeded == unseeded costs for
-# every exact solver, with and without shards), planner/feature/model units,
-# and the CLI surfaces (docs/ADAPTIVE.md).
-adaptive-check:
-	PYTHONPATH=src python -m pytest -q tests/test_adaptive_seeding.py \
-		tests/test_adaptive_planner.py tests/test_adaptive_cli.py
-
-# Regenerate BENCH_adaptive.json (quick-scale adaptive_study: the
-# seeded-vs-plain exact ladder plus planner routing).
-adaptive-bench:
-	PYTHONPATH=src python -c "import pathlib; \
-		from repro.bench import experiments; \
-		experiments.ADAPTIVE_JSON_PATH = pathlib.Path('BENCH_adaptive.json'); \
-		print(experiments.run_experiment('adaptive_study', quick=True))"
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -176,8 +176,8 @@ class CoSKQAlgorithm(ABC):
 
         ``initial_upper_bound``, when given, must be the cost of some
         feasible solution for this query under this algorithm's cost
-        function — e.g. the result of the registered approximation
-        counterpart (see :mod:`repro.adaptive.seeding`).  Exact solvers
+        function — e.g. the result of the structural appro seeder
+        (see :mod:`repro.algorithms.seeding`).  Exact solvers
         prune against it from the first node (through
         :func:`repro.utils.floatcmp.prune_cutoff`, so seeded and
         unseeded runs return bit-identical costs); approximation

@@ -192,7 +192,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
             state = self._lens_state(stream, owner, r, budget, uncovered, cur_cost)
             if state is None:
                 return None
-            candidates, oracle, lower = state
+            oracle, lower = state
         else:
             disk = Circle(query.location, r)
             candidates = self.context.relevant_in_circle(disk, uncovered)
@@ -212,7 +212,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
             cap_hi = budget
         else:
             cap_hi = oracle.max_anchor_distance() * 2.0
-        probe = self._probe(uncovered, candidates, owner, cap_hi, oracle)
+        probe = self._probe(uncovered, owner, cap_hi, oracle)
         if probe is None:
             return None
         best_set, best_diam = probe
@@ -222,7 +222,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         # same as the lower bound — one probe settles the owner.
         cap0 = _indifferent_cap(self.cost, r, lower)
         if best_diam > cap0:
-            settled = self._probe(uncovered, candidates, owner, cap0, oracle)
+            settled = self._probe(uncovered, owner, cap0, oracle)
             if settled is not None:
                 best_set, best_diam = settled
             else:
@@ -232,7 +232,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
                 while hi - lo > tol:
                     self._bump("bisection_probes")
                     mid = (lo + hi) / 2.0
-                    shrunk = self._probe(uncovered, candidates, owner, mid, oracle)
+                    shrunk = self._probe(uncovered, owner, mid, oracle)
                     if shrunk is None:
                         lo = mid
                     else:
@@ -248,15 +248,15 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         budget: float,
         uncovered: frozenset,
         cur_cost: float,
-    ) -> Optional[Tuple[List[SpatialObject], DistanceOracle, float]]:
-        """The owner's candidates, oracle and diameter lower bound, or None.
+    ) -> Optional[Tuple[DistanceOracle, float]]:
+        """The owner's candidate oracle and diameter lower bound, or None.
 
         Decided on the query's own stream before anything is built: None
         when the lens misses an uncovered keyword (:meth:`OwnerStream.lens`)
         or the lower bound already prices the owner out of ``cur_cost``.
-        A survivor gets its oid-ordered candidate list and a
-        :class:`DistanceOracle` over the coordinates and exact owner
-        distances the lens already holds.
+        A survivor gets a :class:`DistanceOracle` over its oid-ordered
+        candidates, built from the coordinates and exact owner distances
+        the lens already holds.
         """
         want = stream.mask_of(uncovered)
         lens = stream.lens(owner, r, budget, want)
@@ -282,12 +282,11 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         xs = array("d", [stream.xs[hits[k]] for k in order])
         ys = array("d", [stream.ys[hits[k]] for k in order])
         anchor_d = array("d", [owner_d[k] for k in order])
-        return candidates, DistanceOracle(owner.location, candidates, xs, ys, anchor_d), lower
+        return DistanceOracle(owner.location, candidates, xs, ys, anchor_d), lower
 
     def _probe(
         self,
         uncovered: frozenset,
-        candidates: List[SpatialObject],
         owner: SpatialObject,
         cap: float,
         oracle: DistanceOracle,
@@ -296,12 +295,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         self._bump("cover_probes")
         try:
             cover = find_constrained_cover(
-                uncovered,
-                candidates,
-                anchors=[owner],
-                pair_cap=cap,
-                node_budget=self.cover_node_budget,
-                oracle=oracle,
+                uncovered, oracle, cap, node_budget=self.cover_node_budget
             )
         except CoverBudgetExceeded:
             self._bump("cover_budget_exceeded")

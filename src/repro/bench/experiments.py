@@ -569,150 +569,6 @@ def experiment_parallel(scale: Scale) -> str:
     return report_text
 
 
-# -- the adaptive planner -------------------------------------------------------------
-
-#: When set (``make adaptive-bench`` / tests), :func:`experiment_adaptive`
-#: additionally writes its machine-readable results to this JSON file.
-ADAPTIVE_JSON_PATH: pathlib.Path | None = None
-
-
-def experiment_adaptive(scale: Scale) -> str:
-    """Appro-seeded exact pruning on the adversarial ladder (docs/ADAPTIVE.md §5).
-
-    Three measurements over one pinned query on the seeding-adversarial
-    :func:`~repro.data.generators.ladder_dataset`:
-
-    - ``plain``   — the exact search with no upper bound;
-    - ``seeded``  — the appro counterpart runs first and its feasible
-      cost is handed to the exact search as ``initial_upper_bound``; the
-      seeding pass is timed *inside* the seeded number, so the speedup
-      is end-to-end honest;
-    - ``planner`` — the full :class:`~repro.adaptive.AdaptivePlanner`
-      (features + hardness model + routing) end to end.
-
-    Cost identity between plain and seeded is asserted before any timing
-    is reported; every timing is the min of 3 passes.  A second section
-    routes a generated hotel-style workload through the planner under a
-    deadline and reports the easy/hard split.
-    """
-    import json
-    import time
-
-    from repro.adaptive import AdaptivePlanner
-    from repro.adaptive.seeding import compute_seed
-    from repro.algorithms.registry import make_algorithm
-    from repro.data.generators import WORLD_SIZE, ladder_dataset, ladder_keywords
-    from repro.exec.policy import ExecutionPolicy
-    from repro.model.query import Query
-
-    algorithm = "maxsum-exact"
-    passes = 3
-    if scale is QUICK or scale.queries <= QUICK.queries:
-        ladder = ladder_dataset(seed=scale.seed)
-    else:
-        ladder = ladder_dataset(rungs=14, choices=14, seed=scale.seed)
-    context = SearchContext(ladder)
-    context.index  # build outside every timed pass
-    exact = make_algorithm(algorithm, context)
-    center = WORLD_SIZE / 2.0
-    query = Query.create(center, center, ladder_keywords(ladder, 9))
-
-    def min_of(run: Callable[[], object]) -> float:
-        best = math.inf
-        for _ in range(passes):
-            started = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    plain_result = exact.solve(query)
-    seed = compute_seed(context, exact.cost, query)
-    assert seed is not None, "%s has no structural seeder" % algorithm
-    seeded_result = exact.solve(query, initial_upper_bound=seed.cost)
-    assert seeded_result.cost == plain_result.cost, (
-        "seeding changed the answer: %r vs %r"
-        % (seeded_result.cost, plain_result.cost)
-    )
-
-    plain_s = min_of(lambda: exact.solve(query))
-
-    def seeded_run() -> None:
-        outcome = compute_seed(context, exact.cost, query)
-        exact.solve(query, initial_upper_bound=outcome.cost)
-
-    seeded_s = min_of(seeded_run)
-    planner = AdaptivePlanner(context, algorithm=algorithm)
-    planner_s = min_of(lambda: planner.solve(query))
-    speedup = plain_s / seeded_s if seeded_s else math.nan
-
-    rows = [
-        {"mode": "plain", "min_s": round(plain_s, 5), "cost": round(plain_result.cost, 4)},
-        {"mode": "seeded", "min_s": round(seeded_s, 5), "cost": round(seeded_result.cost, 4)},
-        {"mode": "planner", "min_s": round(planner_s, 5), "cost": round(plain_result.cost, 4)},
-    ]
-
-    # Routing: a generated hotel-style workload through the planner.
-    hotel = _dataset("hotel", min(scale.hotel_scale, 0.12), scale.seed)
-    hotel_context = SearchContext(hotel)
-    workload = generate_queries(
-        hotel, min(scale.keyword_sweep), max(8, scale.queries // 2), seed=scale.seed
-    )
-    routed = AdaptivePlanner(
-        hotel_context,
-        algorithm=algorithm,
-        policy=ExecutionPolicy(deadline_ms=500.0, always_answer=True),
-    )
-    routing = {"easy": 0, "hard": 0, "seeded": 0}
-    for routed_query in workload:
-        stamp = routed.solve(routed_query).provenance
-        decision = stamp.planner if stamp is not None else None
-        if decision is None:
-            continue
-        if decision["hard"]:
-            routing["hard"] += 1
-            if decision["seed_cost"] is not None:
-                routing["seeded"] += 1
-        else:
-            routing["easy"] += 1
-
-    report_text = format_kv_table(
-        "adaptive planner: ladder %d objects, |q.psi|=9, %s, min of %d"
-        % (len(ladder), algorithm, passes),
-        rows,
-        key="mode",
-    )
-    report_text += "\nseeded speedup over plain exact: %.2fx" % speedup
-    report_text += "\nrouting on %s (%d queries): %d easy / %d hard (%d seeded)" % (
-        hotel.name,
-        len(workload),
-        routing["easy"],
-        routing["hard"],
-        routing["seeded"],
-    )
-    if ADAPTIVE_JSON_PATH is not None:
-        payload = {
-            "dataset": ladder.name,
-            "objects": len(ladder),
-            "algorithm": algorithm,
-            "query_keywords": 9,
-            "passes": passes,
-            "plain_s": round(plain_s, 5),
-            "seeded_s": round(seeded_s, 5),
-            "planner_s": round(planner_s, 5),
-            "speedup": round(speedup, 2),
-            "cost": plain_result.cost,
-            "seed_cost": seed.cost,
-            "routing": dict(routing, dataset=hotel.name, queries=len(workload)),
-            "note": (
-                "seeded_s includes the seeding pass; costs asserted "
-                "bit-identical before timing (see docs/ADAPTIVE.md)"
-            ),
-        }
-        ADAPTIVE_JSON_PATH.parent.mkdir(parents=True, exist_ok=True)
-        ADAPTIVE_JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return report_text
-
-
 # -- registry -------------------------------------------------------------------------
 
 
@@ -731,7 +587,6 @@ EXPERIMENTS: Dict[str, Callable[[Scale], str]] = {
     "ablation_index": experiment_ablation_index,
     "unified": experiment_unified,
     "parallel_study": experiment_parallel,
-    "adaptive_study": experiment_adaptive,
 }
 
 

@@ -231,42 +231,6 @@ def _sharded_workload(
     return entry
 
 
-def _adaptive_workload(
-    spec: WorkloadSpec, context: SearchContext, queries: List[Query]
-) -> Dict[str, object]:
-    """The feature-driven planner over its exact target solver.
-
-    Provenance counts the planner's routing (``planned_hard`` /
-    ``planned_easy`` / ``planned_seeded``) alongside the usual
-    answered-by tallies, so a profile diff shows routing drift as well
-    as latency drift.
-    """
-    from repro.adaptive import AdaptivePlanner
-    from repro.exec.policy import ExecutionPolicy
-
-    policy = None
-    if spec.deadline_ms is not None:
-        policy = ExecutionPolicy(deadline_ms=spec.deadline_ms, always_answer=True)
-    planner = AdaptivePlanner(context, algorithm=spec.solver, policy=policy)
-    provenance: "Counter[str]" = Counter()
-
-    def solve(query: Query) -> object:
-        result = planner.solve(query)
-        stamp = getattr(result, "provenance", None)
-        decision = stamp.planner if stamp is not None else None
-        if decision is not None:
-            if decision.get("hard"):
-                provenance["planned_hard"] += 1
-                if decision.get("seed_cost") is not None:
-                    provenance["planned_seeded"] += 1
-            else:
-                provenance["planned_easy"] += 1
-        return result
-
-    latencies, failures, wall_s = _timed_pass(solve, queries, provenance)
-    return _workload_entry(spec, latencies, failures, wall_s, provenance, None)
-
-
 def _workload_entry(
     spec: WorkloadSpec,
     latencies: LatencyAccumulator,
@@ -304,8 +268,6 @@ def _run_workload(
         return _batch_workload(spec, dataset, queries)
     if spec.kind == "sharded":
         return _sharded_workload(spec, dataset, context, queries)
-    if spec.kind == "adaptive":
-        return _adaptive_workload(spec, context, queries)
     if spec.kind == "boolean-knn":
         return _knn_workload(spec, context, queries)
     if spec.kind == "chain":

@@ -39,12 +39,11 @@ __all__ = [
 #: ``baseline_wall_s`` / ``shard_build_s`` extras.
 #: /3: removed the per-workload ``toggles`` and the ``environment``
 #: ``kernels`` / ``signatures`` flags (one code path, nothing to toggle).
-SCHEMA_VERSION = "coskq-bench-macro/3"
+#: /4: removed the ``adaptive`` workload kind (the learned planner).
+SCHEMA_VERSION = "coskq-bench-macro/4"
 
-#: How a workload is executed (see docs/BENCHMARKS.md).  ``adaptive``
-#: (the feature-driven planner) is a purely additive kind — cells of a
-#: new kind reuse the existing entry shape, so no version bump.
-WORKLOAD_KINDS = ("solver", "chain", "boolean-knn", "batch", "sharded", "adaptive")
+#: How a workload is executed (see docs/BENCHMARKS.md).
+WORKLOAD_KINDS = ("solver", "chain", "boolean-knn", "batch", "sharded")
 
 _CACHE_MODES = ("cold", "warm")
 _LATENCY_KEYS = ("count", "mean_ms", "min_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms")

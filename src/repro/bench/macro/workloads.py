@@ -2,10 +2,10 @@
 
 A *workload* is one measured cell: a dataset, a way of querying it
 (registry solver, fallback chain, boolean-kNN index op, a parallel
-batch, the sharded scatter-gather engine, or the adaptive planner) and
-a cache temperature.  A *profile* pins datasets + workloads + seed, so
-two runs of the same profile measure byte-identical work — which is
-what makes the diff gate meaningful.
+batch, or the sharded scatter-gather engine) and a cache temperature.
+A *profile* pins datasets + workloads + seed, so two runs of the same
+profile measure byte-identical work — which is what makes the diff
+gate meaningful.
 
 Four profiles ship (docs/BENCHMARKS.md):
 
@@ -196,19 +196,6 @@ _SMOKE = Profile(
         batch_queries=12,
         workers=2,
         chain_deadline_ms=250.0,
-    )
-    + (
-        # The adaptive planner rides the small dataset (its target is the
-        # exponential exact search) — kept out of _mixed_workloads so the
-        # full profile never gains an unbounded exact cell.
-        WorkloadSpec(
-            id="adaptive/maxsum-exact/cold",
-            dataset="smoke-small",
-            kind="adaptive",
-            solver="maxsum-exact",
-            num_keywords=4,
-            queries=4,
-        ),
     ),
     seed=7,
 )
@@ -240,14 +227,6 @@ _QUICK = Profile(
             num_keywords=6,
             queries=16,
             shards=64,
-        ),
-        WorkloadSpec(
-            id="adaptive/maxsum-exact/cold",
-            dataset="quick-small",
-            kind="adaptive",
-            solver="maxsum-exact",
-            num_keywords=4,
-            queries=8,
         ),
     ),
     seed=7,

@@ -192,12 +192,12 @@ def ladder_dataset(
 ) -> Dataset:
     """The seeding-adversarial "ladder": a staircase of near-optimal traps.
 
-    Built for the adaptive-planner benchmark (docs/ADAPTIVE.md §5): a
-    query at the world center asking for ``k0..k{m-1}`` forces the
-    owner-driven exact search down a staircase of ``rungs`` trap groups
-    whose costs decrease slowly, each triggering an expensive diameter
-    bisection — unless a feasible upper bound from the appro counterpart
-    prunes the staircase up front.
+    Built to exercise appro seeding (docs/SEEDING.md §4): a query at
+    the world center asking for ``k0..k{m-1}`` forces the owner-driven
+    exact search down a staircase of ``rungs`` trap groups whose costs
+    decrease slowly, each triggering an expensive diameter bisection —
+    unless a feasible upper bound from the appro counterpart prunes the
+    staircase up front.
 
     Geometry (all deliberate, all load-bearing):
 

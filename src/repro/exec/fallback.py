@@ -71,12 +71,6 @@ class ExecutionProvenance:
     failures: Tuple[StageFailure, ...] = ()
     attempts: int = 1
     elapsed_ms: Optional[float] = None
-    #: Adaptive-planner decision record (the JSON-ready dict from
-    #: ``repro.adaptive.planner.PlanDecision.as_dict``: extracted
-    #: features, predicted hardness, chosen solver, seed cost), or None
-    #: when no planner was involved.  Typed loosely so the exec layer
-    #: stays independent of :mod:`repro.adaptive`.
-    planner: Optional[Dict[str, object]] = None
 
     def describe(self) -> str:
         """One line for CLIs and logs."""

@@ -19,6 +19,7 @@ therefore bounded by one checkpoint interval of work, which is the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Protocol, Tuple, Type, runtime_checkable
 
@@ -169,8 +170,11 @@ class ExecutionPolicy:
     always_answer: bool = True
 
     def __post_init__(self) -> None:
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise InvalidParameterError("deadline_ms must be positive")
+        # ``deadline_ms <= 0`` is False for NaN, and +inf is no deadline.
+        if self.deadline_ms is not None and not (
+            math.isfinite(self.deadline_ms) and self.deadline_ms > 0
+        ):
+            raise InvalidParameterError("deadline_ms must be finite and positive")
         if self.work_budget is not None and self.work_budget < 0:
             raise InvalidParameterError("work_budget must be >= 0")
         if self.max_retries < 0:

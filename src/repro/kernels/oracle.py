@@ -172,10 +172,11 @@ class DistanceOracle:
     ) -> Optional[Dict[int, List[int]]]:
         """Cap-independent per-keyword candidate index tables.
 
-        Mirrors ``cover._candidates_by_keyword`` with the anchor filter
-        factored out: candidates are deduplicated by exact location plus
-        relevant keyword trace, and each keyword's list is sorted
-        richest-trace-first with oid tie-break.  Returns None when some
+        The tables :func:`repro.algorithms.cover.find_constrained_cover`
+        branches over, before its per-cap anchor filter: candidates are
+        deduplicated by exact location plus relevant keyword trace, and
+        each keyword's list is sorted richest-trace-first with oid
+        tie-break.  Returns None when some
         keyword of ``uncovered`` has no candidate at all (no cap can
         make a cover exist).  Cached per ``uncovered`` set, so all
         bisection probes of one owner share a single construction.

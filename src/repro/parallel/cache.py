@@ -16,6 +16,9 @@ When result reuse is **unsound** (and therefore refused or bypassed):
 - for nondeterministic or stateful solvers — everything in the registry
   is deterministic by construction (lint rule R2) and index-read-only
   (lint rule R7), which is exactly what makes this cache sound;
+- for degraded fallback answers — the key holds no deadline or budget,
+  so a degraded answer would be served to later requests that have the
+  time for the strongest stage;
 - when per-solve provenance matters: a cached hit returns the original
   result object, whose ``provenance.elapsed_ms``/``attempts`` describe
   the *first* solve, not the hit.  Costs and objects are identical;
@@ -108,8 +111,10 @@ class CachedSolver:
 
     Duck-types the solver interface (``solve`` + ``name``), so it can be
     timed, batched and chained exactly like the solver it wraps.  Only
-    successful solves are cached: failures must re-execute (a deadline
-    blow-up yesterday says nothing about the retry budget today).
+    full-strength answers are cached: failures and degraded fallback
+    answers must re-execute, because the key holds no deadline or budget
+    (a deadline blow-up yesterday says nothing about the retry budget
+    today).
     """
 
     def __init__(
@@ -141,7 +146,8 @@ class CachedSolver:
             result = self.solver.solve(query)
         else:
             result = self.solver.solve(query, initial_upper_bound=initial_upper_bound)
-        self.cache.put(key, result)
+        if result.provenance is None or not result.provenance.degraded:
+            self.cache.put(key, result)
         return result
 
     def __repr__(self) -> str:

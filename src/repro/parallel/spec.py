@@ -123,15 +123,6 @@ class SolverSpec:
     over a :class:`~repro.exec.fallback.FallbackChain` — deadlines and
     fallback degrade **per worker**, exactly as they do serially);
     otherwise the bare registry algorithm is built.
-
-    ``adaptive`` builds the feature-driven
-    :class:`~repro.adaptive.planner.AdaptivePlanner` around
-    ``algorithm`` instead — each worker plans every query it receives.
-    The trained hardness model travels as its JSON text
-    (``model_json``), not a path, so the spec stays self-contained
-    across the process boundary; unset, workers use the heuristic
-    default.  ``adaptive`` subsumes ``chain`` (the planner builds its
-    own degradation chains) and the two cannot be combined.
     """
 
     algorithm: str = "maxsum-exact"
@@ -141,18 +132,6 @@ class SolverSpec:
     work_budget: Optional[int] = None
     max_retries: int = 0
     always_answer: bool = True
-    adaptive: bool = False
-    model_json: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.adaptive and self.chain is not None:
-            raise InvalidParameterError(
-                "adaptive specs plan their own chains; drop chain="
-            )
-        if self.model_json is not None and not self.adaptive:
-            raise InvalidParameterError(
-                "model_json only applies to adaptive specs (set adaptive=True)"
-            )
 
     @property
     def resilient(self) -> bool:
@@ -175,8 +154,6 @@ class SolverSpec:
     @property
     def label(self) -> str:
         """The name the built solver will report (for batch alignment)."""
-        if self.adaptive:
-            return "adaptive[%s]" % self.algorithm
         if self.resilient:
             return "exec[%s]" % "|".join(self.stage_names)
         return self.algorithm
@@ -184,28 +161,6 @@ class SolverSpec:
     def build(self, context: SearchContext):
         """Instantiate the described solver over ``context``."""
         cost = cost_by_name(self.cost) if self.cost is not None else None
-        if self.adaptive:
-            from repro.adaptive.model import HardnessModel
-            from repro.adaptive.planner import AdaptivePlanner
-
-            model = (
-                HardnessModel.from_json(self.model_json)
-                if self.model_json is not None
-                else None
-            )
-            policy = ExecutionPolicy(
-                deadline_ms=self.deadline_ms,
-                work_budget=self.work_budget,
-                max_retries=self.max_retries,
-                always_answer=self.always_answer,
-            )
-            return AdaptivePlanner(
-                context,
-                algorithm=self.algorithm,
-                cost=cost,
-                model=model,
-                policy=policy,
-            )
         if not self.resilient:
             return make_algorithm(self.algorithm, context, cost=cost)
         from repro.exec.executor import ResilientExecutor

@@ -107,11 +107,7 @@ class WorkerRuntime:
             return spec.build(context)
         solver = self._solvers.get(spec)
         if solver is None:
-            if (
-                self._sharded_context is not None
-                and not spec.resilient
-                and not spec.adaptive
-            ):
+            if self._sharded_context is not None and not spec.resilient:
                 # Bare registry solvers route through the scatter-gather
                 # engine so shard pruning happens inside the worker;
                 # resilient chains run directly over the sharded facade

@@ -93,21 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a sharded index with N STR shards (0 = single IR-tree)",
     )
     parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help=(
-            "plan each request with the feature-driven hardness planner "
-            "(appro-seeded exact for predicted-hard queries) instead of "
-            "running the chain statically"
-        ),
-    )
-    parser.add_argument(
-        "--model",
-        default=None,
-        metavar="FILE",
-        help="trained hardness model for --adaptive (coskq-adaptive train)",
-    )
-    parser.add_argument(
         "--chaos-fail-rate",
         type=float,
         default=None,
@@ -155,8 +140,6 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
         max_inflight=args.max_inflight,
         cache_mode=cache_mode,
         shards=args.shards,
-        adaptive=args.adaptive,
-        model_path=args.model,
         chaos=chaos,
         verbose=args.verbose,
     )
@@ -166,9 +149,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.demo == (args.dataset is not None):
         print("provide a dataset file or --demo (not both)", file=sys.stderr)
-        return 2
-    if args.model is not None and not args.adaptive:
-        print("--model requires --adaptive", file=sys.stderr)
         return 2
     try:
         if args.demo:
@@ -183,13 +163,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     print(
-        "serving %d objects on %s (chain: %s%s%s)"
+        "serving %d objects on %s (chain: %s%s)"
         % (
             len(dataset),
             server.url,
             config.chain,
             ", shards: %d" % config.shards if config.shards else "",
-            ", adaptive" if config.adaptive else "",
         ),
         file=sys.stderr,
     )

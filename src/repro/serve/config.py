@@ -11,6 +11,7 @@ buildable from CLI flags or tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,6 +41,11 @@ DEFAULT_MAX_INFLIGHT = 32
 
 #: Default latency ring-buffer size for the ``/stats`` percentiles.
 DEFAULT_LATENCY_WINDOW = 2048
+
+
+def _finite_positive(value: float) -> bool:
+    # ``value <= 0`` is False for NaN, and +inf would disable the bound.
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -84,14 +90,6 @@ class ServerConfig:
     #: shard summaries are shared read-only across request threads
     #: (docs/SHARDING.md).
     shards: int = 0
-    #: Plan each request with the feature-driven
-    #: :class:`~repro.adaptive.planner.AdaptivePlanner` instead of the
-    #: static fallback chain; the chain's strongest stage becomes the
-    #: planner's target solver (docs/ADAPTIVE.md).
-    adaptive: bool = False
-    #: Trained hardness model (JSON from ``coskq-adaptive train``); the
-    #: built-in heuristic default is used when unset.
-    model_path: Optional[str] = None
     chaos: Optional[ChaosSpec] = field(default=None)
     #: Log one line per request to stderr (off by default: the load
     #: generator would drown the terminal).
@@ -102,16 +100,18 @@ class ServerConfig:
             raise InvalidParameterError("shards must be >= 0")
         if self.max_inflight < 0:
             raise InvalidParameterError("max_inflight must be >= 0 (0 = drain)")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise InvalidParameterError("deadline_ms must be positive")
-        if self.max_deadline_ms is not None and self.max_deadline_ms <= 0:
-            raise InvalidParameterError("max_deadline_ms must be positive")
+        if self.deadline_ms is not None and not _finite_positive(self.deadline_ms):
+            raise InvalidParameterError("deadline_ms must be finite and positive")
+        if self.max_deadline_ms is not None and not _finite_positive(
+            self.max_deadline_ms
+        ):
+            raise InvalidParameterError("max_deadline_ms must be finite and positive")
         if self.work_budget is not None and self.work_budget < 0:
             raise InvalidParameterError("work_budget must be >= 0")
         if self.max_retries < 0:
             raise InvalidParameterError("max_retries must be >= 0")
-        if self.retry_after_s <= 0:
-            raise InvalidParameterError("retry_after_s must be positive")
+        if not _finite_positive(self.retry_after_s):
+            raise InvalidParameterError("retry_after_s must be finite and positive")
         if self.cache_mode not in CACHE_MODES:
             raise InvalidParameterError(
                 "unknown cache mode %r; known: %s"
@@ -119,10 +119,6 @@ class ServerConfig:
             )
         if self.latency_window < 1:
             raise InvalidParameterError("latency_window must be >= 1")
-        if self.model_path is not None and not self.adaptive:
-            raise InvalidParameterError(
-                "model_path only applies to adaptive serving (set adaptive=True)"
-            )
         if self.chaos is not None and self.caches_results:
             raise InvalidParameterError(
                 "result caching under chaos is unsound: a cached answer "

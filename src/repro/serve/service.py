@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.adaptive.model import HardnessModel
-from repro.adaptive.planner import AdaptivePlanner
 from repro.algorithms.base import SearchContext
 from repro.cost.functions import cost_by_name
 from repro.errors import (
@@ -111,7 +109,6 @@ def provenance_to_dict(provenance: ExecutionProvenance) -> Dict[str, object]:
         "guaranteed_ratio": provenance.guaranteed_ratio,
         "attempts": provenance.attempts,
         "elapsed_ms": provenance.elapsed_ms,
-        "planner": provenance.planner,
         "failures": [
             {
                 "stage": failure.stage,
@@ -174,13 +171,6 @@ class QueryService:
             self.result_cache = ResultCache(
                 capacity=self.config.result_cache_capacity
             )
-        self.hardness_model: Optional[HardnessModel] = None
-        if self.config.adaptive:
-            if self.config.model_path is not None:
-                with open(self.config.model_path, "r", encoding="utf-8") as handle:
-                    self.hardness_model = HardnessModel.from_json(handle.read())
-            else:
-                self.hardness_model = HardnessModel.default()
         self.admission = AdmissionController(
             self.config.max_inflight, retry_after_s=self.config.retry_after_s
         )
@@ -234,7 +224,6 @@ class QueryService:
         """Parse, solve and count one admitted request."""
         stage: Optional[str] = None
         failure_classes: Tuple[str, ...] = ()
-        planner_label: Optional[str] = None
         try:
             request = self._parse(body)
             query = Query.from_words(
@@ -252,7 +241,6 @@ class QueryService:
                 failure_classes = tuple(
                     failure.error_type for failure in provenance.failures
                 )
-                planner_label = self._planner_label(provenance.planner)
             response = ServeResponse(
                 status=OUTCOME_STATUS[outcome],
                 outcome=outcome,
@@ -327,26 +315,11 @@ class QueryService:
                 request_id, started, "internal", type(err).__name__, str(err)
             )
         self._record(
-            response,
-            started,
-            stage=stage,
-            failure_classes=failure_classes,
-            planner=planner_label,
+            response, started, stage=stage, failure_classes=failure_classes
         )
         return response
 
     # -- request-path helpers ----------------------------------------------------
-
-    @staticmethod
-    def _planner_label(planner: Optional[Dict[str, object]]) -> Optional[str]:
-        """The ``/stats`` bucket of one planner decision (None = unplanned)."""
-        if planner is None:
-            return None
-        if not planner.get("hard"):
-            return "easy"
-        return (
-            "hard_seeded" if planner.get("seed_cost") is not None else "hard_unseeded"
-        )
 
     def _parse(self, body: bytes) -> Dict[str, object]:
         """The request JSON, validated to primitives (raises typed errors)."""
@@ -416,20 +389,7 @@ class QueryService:
             max_retries=int(max_retries),
             always_answer=config.always_answer,
         )
-        if config.adaptive:
-            # The chain's strongest stage becomes the planner's target;
-            # the planner builds its own degradation chains around it.
-            algorithm = chain.names[0]
-            solver = AdaptivePlanner(
-                context,
-                algorithm=algorithm,
-                cost=cost,
-                model=self.hardness_model,
-                policy=policy,
-                clock=self.clock,
-            )
-        else:
-            solver = ResilientExecutor(chain, policy, clock=self.clock)
+        solver = ResilientExecutor(chain, policy, clock=self.clock)
         if self.result_cache is not None:
             return (
                 CachedSolver(
@@ -488,7 +448,6 @@ class QueryService:
         started: float,
         stage: Optional[str],
         failure_classes: Tuple[str, ...],
-        planner: Optional[str] = None,
     ) -> None:
         """Count the finished request before its bytes leave the server."""
         self.stats.record(
@@ -497,7 +456,6 @@ class QueryService:
             elapsed_ms=(self.clock.now() - started) * 1000.0,
             stage=stage,
             failure_classes=failure_classes,
-            planner=planner,
         )
 
     def reject_bad_request(self, message: str) -> ServeResponse:
@@ -544,7 +502,6 @@ class QueryService:
         payload["cache"] = caches
         payload["chain"] = self.config.chain
         payload["chaos"] = self.config.chaos is not None
-        payload["adaptive"] = self.config.adaptive
         sharded = self.sharded_index
         if sharded is not None:
             payload["shards"] = {

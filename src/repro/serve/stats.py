@@ -67,11 +67,6 @@ class ServerStats:
         self.by_status: "Counter[int]" = Counter()
         self.by_stage: "Counter[str]" = Counter()
         self.by_failure: "Counter[str]" = Counter()
-        #: Planner outcomes (``--adaptive`` only): how each planned
-        #: request was shaped — ``easy`` (direct exact), ``hard_seeded``
-        #: (appro seed fed the exact search), ``hard_unseeded`` (the
-        #: seeding pass was starved by its budget split).
-        self.by_planner: "Counter[str]" = Counter()
         self._latencies: "deque[float]" = deque(maxlen=latency_window)
 
     def record(
@@ -81,7 +76,6 @@ class ServerStats:
         elapsed_ms: Optional[float] = None,
         stage: Optional[str] = None,
         failure_classes: Sequence[str] = (),
-        planner: Optional[str] = None,
     ) -> None:
         """Count one finished request (thread-safe, one call per request)."""
         if outcome not in OUTCOMES:
@@ -94,8 +88,6 @@ class ServerStats:
             self.by_status[status] += 1
             if stage is not None:
                 self.by_stage[stage] += 1
-            if planner is not None:
-                self.by_planner[planner] += 1
             for failure_class in failure_classes:
                 self.by_failure[failure_class] += 1
             if elapsed_ms is not None:
@@ -115,7 +107,6 @@ class ServerStats:
                 },
                 "by_stage": dict(sorted(self.by_stage.items())),
                 "by_failure_class": dict(sorted(self.by_failure.items())),
-                "by_planner": dict(sorted(self.by_planner.items())),
             }
         latency: Dict[str, object] = {"window": len(latencies)}
         if latencies:

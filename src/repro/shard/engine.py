@@ -44,9 +44,9 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional
 
-from repro.adaptive.seeding import compute_seed
 from repro.algorithms.base import CoSKQAlgorithm, SearchContext
 from repro.algorithms.registry import make_algorithm
+from repro.algorithms.seeding import compute_seed
 from repro.cost.base import CostFunction, QueryAggregate
 from repro.errors import InvalidParameterError
 from repro.index.signatures import covers, mask_of, overlaps
@@ -178,7 +178,7 @@ class ScatterGather(CoSKQAlgorithm):  # repro: noqa(R1) — wrapper, not a regis
         the approximation alone; among those, the one whose MBR is
         closest to the query is the likeliest to hold a cheap feasible
         set.  The seeder itself comes from the shared seeding API
-        (:func:`repro.adaptive.seeding.compute_seed`), so the
+        (:func:`repro.algorithms.seeding.compute_seed`), so the
         structure→seeder dispatch lives in exactly one place.  Returns
         ``incumbent`` unchanged when no shard qualifies or no seeder
         exists for this cost.

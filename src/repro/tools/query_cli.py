@@ -209,29 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(disables the always-answer exemption of the last stage)"
         ),
     )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help=(
-            "plan the query with the feature-driven hardness planner: "
-            "predicted-hard queries run the appro counterpart first and "
-            "the exact solver seeded with its cost (answers unchanged)"
-        ),
-    )
-    parser.add_argument(
-        "--model",
-        default=None,
-        metavar="FILE",
-        help="trained hardness model for --adaptive (coskq-adaptive train)",
-    )
-    parser.add_argument(
-        "--explain",
-        action="store_true",
-        help=(
-            "with --adaptive: print the extracted features, the planner "
-            "decision and the seed bound before the answer"
-        ),
-    )
     return parser
 
 
@@ -252,35 +229,6 @@ def _print_result(result, dataset: Dataset, query: Query, rank: Optional[int]) -
         )
 
 
-def _print_explain(planner: dict) -> None:
-    """The --explain block: features, decision, seed bound."""
-    shape = (
-        "hard (appro-seeded exact)" if planner.get("hard") else "easy (direct exact)"
-    )
-    print("plan: %s" % shape)
-    print(
-        "  hardness %.4f  solver %s  seeder %s"
-        % (
-            planner.get("hardness", float("nan")),
-            planner.get("solver"),
-            planner.get("seeder") or "-",
-        )
-    )
-    seed_cost = planner.get("seed_cost")
-    if seed_cost is not None:
-        print(
-            "  seed bound %.6g (feasible appro cost; prunes, never answers)"
-            % seed_cost
-        )
-    features = planner.get("features") or {}
-    print(
-        "  features: %s"
-        % "  ".join(
-            "%s=%.6g" % (name, value) for name, value in sorted(features.items())
-        )
-    )
-
-
 def _run_batch(args: argparse.Namespace, dataset: Dataset) -> int:
     """--batch mode: the whole file through the parallel engine."""
     from repro.data.queries import load_query_file
@@ -292,10 +240,6 @@ def _run_batch(args: argparse.Namespace, dataset: Dataset) -> int:
     )
 
     queries = load_query_file(args.batch, dataset.vocabulary)
-    model_json = None
-    if args.model is not None:
-        with open(args.model, "r", encoding="utf-8") as handle:
-            model_json = handle.read()
     spec = SolverSpec(
         algorithm=args.algorithm,
         chain=args.fallback,
@@ -303,8 +247,6 @@ def _run_batch(args: argparse.Namespace, dataset: Dataset) -> int:
         deadline_ms=args.deadline_ms,
         work_budget=args.budget,
         always_answer=not args.hard_deadline,
-        adaptive=args.adaptive,
-        model_json=model_json,
     )
     env = WorkerEnv(
         dataset=dataset, cache=CacheSpec(mode=args.cache), shards=args.shards
@@ -337,21 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.shards < 0:
         print("--shards must be >= 0", file=sys.stderr)
         return 2
-    if (args.model is not None or args.explain) and not args.adaptive:
-        print("--model/--explain require --adaptive", file=sys.stderr)
-        return 2
-    if args.adaptive:
-        if args.fallback is not None:
-            print(
-                "--adaptive plans its own chains; drop --fallback", file=sys.stderr
-            )
-            return 2
-        if args.top is not None:
-            print("--top cannot be combined with --adaptive", file=sys.stderr)
-            return 2
-        if args.explain and args.batch is not None:
-            print("--explain is per-query; drop --batch", file=sys.stderr)
-            return 2
     if args.batch is not None:
         if args.at is not None or args.keywords is not None:
             print("--batch replaces --at/--keywords", file=sys.stderr)
@@ -392,32 +319,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         x, y = args.at
         query = Query.from_words(x, y, args.keywords, dataset.vocabulary)
         cost = cost_by_name(args.cost) if args.cost else None
-        if args.adaptive:
-            from repro.adaptive import AdaptivePlanner
-            from repro.adaptive.model import HardnessModel
-            from repro.exec import ExecutionPolicy
-
-            model = None
-            if args.model is not None:
-                with open(args.model, "r", encoding="utf-8") as handle:
-                    model = HardnessModel.from_json(handle.read())
-            policy = ExecutionPolicy(
-                deadline_ms=args.deadline_ms,
-                work_budget=args.budget,
-                always_answer=not args.hard_deadline,
-            )
-            planner = AdaptivePlanner(
-                context, algorithm=args.algorithm, cost=cost,
-                model=model, policy=policy,
-            )
-            result = planner.solve(query)
-            provenance = result.provenance
-            if args.explain and provenance is not None and provenance.planner:
-                _print_explain(provenance.planner)
-            _print_result(result, dataset, query, None)
-            if provenance is not None:
-                print("  [%s]" % provenance.describe())
-            return 0
         resilient = (
             args.fallback is not None
             or args.deadline_ms is not None

@@ -1,13 +1,13 @@
 """Seeding soundness: an external upper bound prunes, never answers.
 
-The ``initial_upper_bound`` contract (docs/ADAPTIVE.md §3) promises that
+The ``initial_upper_bound`` contract (docs/SEEDING.md §3) promises that
 for any *feasible* bound — the true cost of some feasible set, so always
 >= the optimum — every exact solver returns the bit-identical optimum
 cost it would have found unseeded.  This suite distrusts that promise
 from every angle:
 
-- every registered appro counterpart's cost seeds its exact solver to
-  the same answer (the pairing :data:`APPRO_COUNTERPARTS` ships);
+- the structural seeder's cost seeds every seedable exact solver to
+  the same answer;
 - hypothesis-drawn bounds (optimum × factor, factor >= 1) never change
   the cost;
 - the bound survives the sharded scatter-gather engine and the
@@ -24,14 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adaptive.seeding import (
-    APPRO_COUNTERPARTS,
-    appro_counterpart,
-    compute_seed,
-    make_seeder,
-)
 from repro.algorithms.base import SearchContext
-from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
+from repro.algorithms.registry import make_algorithm
+from repro.algorithms.seeding import compute_seed, make_seeder
 from repro.data.generators import (
     WORLD_SIZE,
     ladder_dataset,
@@ -39,29 +34,22 @@ from repro.data.generators import (
 )
 from repro.model.query import Query
 
-#: The exact solvers whose seeding the package vouches for.
-SEEDED_EXACTS = sorted(APPRO_COUNTERPARTS)
+#: The exact solvers an appro seed may bound.  top-k is absent (a bound
+#: on the best set says nothing about the k-th) and so is the brute-force
+#: oracle (kept exhaustive so the differential tests can distrust
+#: everyone else's pruning).
+SEEDED_EXACTS = (
+    "bnb-exact",
+    "cao-exact",
+    "dia-exact",
+    "maxsum-exact",
+    "sum-exact",
+    "unified-exact",
+)
 
 
 def outcome(result):
     return (result.cost, tuple(sorted(o.oid for o in result.objects)))
-
-
-class TestCounterpartTable:
-    def test_every_pairing_is_registered(self):
-        for exact_name, appro_name in APPRO_COUNTERPARTS.items():
-            assert exact_name in ALGORITHM_NAMES
-            assert appro_name in ALGORITHM_NAMES
-
-    def test_unseedable_solvers_absent(self):
-        # top-k and the brute-force oracle must never be seeded.
-        assert "topk" not in APPRO_COUNTERPARTS
-        assert "bruteforce" not in APPRO_COUNTERPARTS
-        assert appro_counterpart("topk") is None
-
-    def test_counterpart_lookup(self):
-        assert appro_counterpart("maxsum-exact") == "maxsum-appro"
-        assert appro_counterpart("no-such-solver") is None
 
 
 class TestComputeSeed:

@@ -38,7 +38,6 @@ class TestExperimentRegistry:
             "ablation_index",
             "unified",
             "parallel_study",
-            "adaptive_study",
         }
         assert expected == set(EXPERIMENTS)
 

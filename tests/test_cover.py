@@ -8,6 +8,7 @@ from repro.algorithms.cover import (
     iter_covers,
 )
 from repro.geometry.point import Point
+from repro.kernels.oracle import DistanceOracle
 from repro.model.objects import SpatialObject
 
 
@@ -15,84 +16,96 @@ def obj(oid, x, y, keywords):
     return SpatialObject(oid, Point(x, y), frozenset(keywords))
 
 
+#: The keyword-less owner every cover search is anchored at.
+ANCHOR = obj(99, 0, 0, [])
+
+
+def cover_of(uncovered, candidates, pair_cap, **kwargs):
+    oracle = DistanceOracle(ANCHOR.location, candidates)
+    return find_constrained_cover(frozenset(uncovered), oracle, pair_cap, **kwargs)
+
+
 class TestFindConstrainedCover:
     def test_empty_uncovered_is_trivial(self):
-        assert find_constrained_cover(frozenset(), [], [], None) == []
+        assert cover_of([], [], None) == []
 
     def test_simple_cover(self):
         candidates = [obj(0, 0, 0, [1]), obj(1, 1, 0, [2])]
-        cover = find_constrained_cover(frozenset({1, 2}), candidates, [], None)
+        cover = cover_of({1, 2}, candidates, None)
         assert cover is not None
         assert {o.oid for o in cover} == {0, 1}
 
     def test_missing_keyword_returns_none(self):
         candidates = [obj(0, 0, 0, [1])]
-        assert find_constrained_cover(frozenset({1, 2}), candidates, [], None) is None
+        assert cover_of({1, 2}, candidates, None) is None
 
     def test_pair_cap_excludes_far_candidates(self):
-        near = obj(0, 0, 0, [1])
-        far = obj(1, 100, 0, [2])
+        # Both are within the cap of the anchor but 12 apart, so only
+        # the candidate-to-candidate cap can rule the pair out.
+        near = obj(0, -6, 0, [1])
+        far = obj(1, 6, 0, [2])
         # Without cap a cover exists; with a tight cap it does not.
-        assert find_constrained_cover(frozenset({1, 2}), [near, far], [], None)
-        assert (
-            find_constrained_cover(frozenset({1, 2}), [near, far], [], pair_cap=10.0)
-            is None
-        )
+        assert cover_of({1, 2}, [near, far], None)
+        assert cover_of({1, 2}, [near, far], pair_cap=10.0) is None
 
     def test_anchor_constraint(self):
-        anchor = obj(9, 0, 0, [])
-        good = obj(0, 1, 0, [1])
-        bad = obj(1, 50, 0, [1])
-        cover = find_constrained_cover(
-            frozenset({1}), [bad, good], [anchor], pair_cap=5.0
-        )
+        # The far candidate sorts first (lower oid); only the anchor cap
+        # keeps it out.
+        bad = obj(0, 50, 0, [1])
+        good = obj(1, 1, 0, [1])
+        cover = cover_of({1}, [bad, good], pair_cap=5.0)
         assert cover is not None
-        assert cover[0].oid == 0
+        assert cover[0].oid == 1
 
     def test_cap_boundary_inclusive(self):
-        anchor = obj(9, 0, 0, [])
         candidate = obj(0, 3, 4, [1])  # distance exactly 5 from anchor
-        cover = find_constrained_cover(frozenset({1}), [candidate], [anchor], 5.0)
+        cover = cover_of({1}, [candidate], 5.0)
         assert cover is not None
 
     def test_multi_keyword_object_preferred(self):
         rich = obj(0, 0, 0, [1, 2, 3])
         poor = [obj(1, 1, 0, [1]), obj(2, 2, 0, [2]), obj(3, 3, 0, [3])]
-        cover = find_constrained_cover(frozenset({1, 2, 3}), [rich] + poor, [], None)
+        cover = cover_of({1, 2, 3}, [rich] + poor, None)
         assert cover is not None
         assert len(cover) == 1 and cover[0].oid == 0
 
     def test_requires_backtracking(self):
-        # Choosing the rich object for keyword 1 makes keyword 3
-        # uncoverable within the cap; the search must back off to the
-        # poor pair.
-        a = obj(0, 0, 0, [1, 2])
-        b = obj(1, 100, 0, [1])
-        c = obj(2, 101, 0, [2, 3])
-        cover = find_constrained_cover(
-            frozenset({1, 2, 3}), [a, b, c], [], pair_cap=5.0
-        )
+        # Every keyword has two carriers, so the search branches on
+        # keyword 1 and tries object 0 first.  No carrier of keyword 2 is
+        # within the cap of object 0, so the search must back off to
+        # object 1, whose completion fits.
+        a = obj(0, -2, 0, [1])
+        b = obj(1, 2, 0, [1])
+        c = obj(2, 4, 2, [2])
+        d = obj(3, 4, -2, [2])
+        e = obj(4, 0, 1, [3])
+        f = obj(5, 0, -1, [3])
+        cover = cover_of({1, 2, 3}, [a, b, c, d, e, f], pair_cap=5.0)
         assert cover is not None
-        assert {o.oid for o in cover} == {1, 2}
+        assert {o.oid for o in cover} == {1, 2, 4}
 
     def test_colocated_duplicate_traces_deduplicated(self):
         twins = [obj(i, 0, 0, [1]) for i in range(50)]
-        cover = find_constrained_cover(frozenset({1}), twins, [], None)
+        oracle = DistanceOracle(ANCHOR.location, twins)
+        cover = find_constrained_cover(frozenset({1}), oracle, None)
         assert cover is not None and len(cover) == 1
+        assert oracle.cover_tables(frozenset({1})) == {1: [0]}
 
     def test_budget_exceeded_raises(self):
-        # Many interchangeable candidates per keyword with an impossible
-        # joint constraint forces exhaustive backtracking.
+        # Many interchangeable candidates per keyword, each keyword on
+        # its own side of the anchor: all pass the anchor cap, but no two
+        # keywords fit together, which forces exhaustive backtracking.
         candidates = []
         oid = 0
-        for t in (1, 2, 3, 4):
+        for t, (ux, uy) in enumerate([(1, 0), (0, 1), (-1, 0), (0, -1)], start=1):
             for i in range(12):
-                candidates.append(obj(oid, t * 1000 + i, i * 7, [t]))
+                offset = 0.01 * i
+                candidates.append(
+                    obj(oid, 0.9 * ux - offset * uy, 0.9 * uy + offset * ux, [t])
+                )
                 oid += 1
         with pytest.raises(CoverBudgetExceeded):
-            find_constrained_cover(
-                frozenset({1, 2, 3, 4}), candidates, [], pair_cap=1.0, node_budget=5
-            )
+            cover_of({1, 2, 3, 4}, candidates, pair_cap=1.0, node_budget=5)
 
 
 class TestIterCovers:

@@ -31,7 +31,7 @@ class TestFilesExist:
             "docs/SERVING.md",
             "docs/BENCHMARKS.md",
             "docs/SHARDING.md",
-            "docs/ADAPTIVE.md",
+            "docs/SEEDING.md",
         ],
     )
     def test_present_and_substantial(self, name):
@@ -138,29 +138,19 @@ class TestReadme:
         shard_profile = PROFILES["shard"]
         assert all(w.kind == "sharded" for w in shard_profile.workloads)
 
-    def test_adaptive_doc_is_current(self):
-        # docs/ADAPTIVE.md promises the seeding pairings, the adaptive
-        # make targets, a recorded benchmark file and the CLI surfaces;
-        # fail if the code moves out from under them.
-        from repro.adaptive.seeding import APPRO_COUNTERPARTS
-        from repro.bench.macro.schema import WORKLOAD_KINDS
+    def test_seeding_doc_is_current(self):
+        # docs/SEEDING.md promises the seeding API, the solve contract
+        # and the frozen planner record; fail if the code moves away.
+        from repro.algorithms import seeding
 
-        doc = read("docs/ADAPTIVE.md")
-        for exact_name, appro_name in APPRO_COUNTERPARTS.items():
-            assert "`%s`" % exact_name in doc, exact_name
-            assert "`%s`" % appro_name in doc, appro_name
-        makefile = read("Makefile")
-        for target in ("adaptive-check", "adaptive-bench"):
-            assert "make %s" % target in doc, target
-            assert "%s:" % target in makefile, target
+        doc = read("docs/SEEDING.md")
+        for name in ("compute_seed", "make_seeder"):
+            assert "`%s`" % name in doc, name
+            assert hasattr(seeding, name), name
+        assert "`initial_upper_bound`" in doc
         assert "BENCH_adaptive.json" in doc
         assert (ROOT / "BENCH_adaptive.json").exists()
-        readme = read("README.md")
-        assert "coskq-adaptive" in read("pyproject.toml")
-        assert "coskq-adaptive" in readme
-        assert "docs/ADAPTIVE.md" in readme
-        # The macro harness must keep the workload kind the doc names.
-        assert "adaptive" in WORKLOAD_KINDS
+        assert "docs/SEEDING.md" in read("README.md")
 
     def test_macro_golden_fixture_exists(self):
         golden = ROOT / "tests" / "fixtures" / "bench_macro_smoke.golden.json"

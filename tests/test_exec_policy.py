@@ -147,6 +147,11 @@ class TestExecutionPolicy:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             ExecutionPolicy(deadline_ms=0)
+        # NaN slips past ``<= 0`` and +inf is no deadline at all.
+        with pytest.raises(InvalidParameterError):
+            ExecutionPolicy(deadline_ms=float("nan"))
+        with pytest.raises(InvalidParameterError):
+            ExecutionPolicy(deadline_ms=float("inf"))
         with pytest.raises(InvalidParameterError):
             ExecutionPolicy(work_budget=-5)
         with pytest.raises(InvalidParameterError):

@@ -215,9 +215,42 @@ class TestQueryService:
         stats = service.result_cache.stats_dict()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
+    def test_degraded_answer_is_not_cached(self, serve_dataset, frequent_words):
+        from repro.algorithms.base import SearchContext
+        from repro.algorithms.registry import make_algorithm
+        from repro.model.query import Query
+
+        service = QueryService(
+            serve_dataset, ServerConfig(cache_mode="result", deadline_ms=None)
+        )
+        starved = service.handle_query(
+            query_body(frequent_words[:3], work_budget=3)
+        )
+        assert starved.outcome == "degraded"
+        # The cache key holds no budget: a cached degraded answer would
+        # be served to this unbounded repeat.
+        response = service.handle_query(query_body(frequent_words[:3]))
+        direct = make_algorithm("maxsum-exact", SearchContext(serve_dataset)).solve(
+            Query.from_words(
+                500.0, 500.0, frequent_words[:3], serve_dataset.vocabulary
+            )
+        )
+        assert response.outcome == "ok"
+        assert response.payload["cost"] == direct.cost
+        assert service.result_cache.stats_dict()["hits"] == 0
+
     def test_chaos_with_result_cache_is_rejected(self):
         with pytest.raises(InvalidParameterError):
             ServerConfig(cache_mode="full", chaos=ChaosSpec(fail_rate=0.5))
+
+    @pytest.mark.parametrize(
+        "field", ["deadline_ms", "max_deadline_ms", "retry_after_s"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_envelope_is_rejected(self, field, value):
+        # NaN slips past ``<= 0`` and +inf turns the bound off.
+        with pytest.raises(InvalidParameterError):
+            ServerConfig(**{field: value})
 
     def test_per_request_deadline_is_clamped(self, serve_dataset, frequent_words):
         config = ServerConfig(max_deadline_ms=50.0)
