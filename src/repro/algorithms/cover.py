@@ -21,31 +21,30 @@ at the first success.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import BudgetExceededError
 from repro.index.signatures import mask_of, shared_keywords
 from repro.kernels.oracle import DistanceOracle
 from repro.model.objects import SpatialObject
 
-__all__ = ["find_constrained_cover", "iter_covers", "CoverBudgetExceeded"]
-
-
-class CoverBudgetExceeded(Exception):
-    """Raised when a cover search exceeds its node budget (safety valve)."""
+__all__ = ["find_constrained_cover", "iter_covers"]
 
 
 def find_constrained_cover(
     uncovered: FrozenSet[int],
     oracle: DistanceOracle,
-    pair_cap: Optional[float],
+    pair_cap: float,
     node_budget: int = 2_000_000,
-) -> Optional[List[SpatialObject]]:
+    counters: Optional[Dict[str, int]] = None,
+) -> Tuple[Optional[List[SpatialObject]], float]:
     """A set of the oracle's candidates covering ``uncovered`` under the cap.
 
     The oracle's anchor is the object already committed to the set (the
     distance owner); every chosen candidate must be within ``pair_cap``
-    of the anchor and of every other chosen candidate.  ``pair_cap`` of
-    None disables the distance constraint (pure set cover).
+    of the anchor and of every other chosen candidate (``inf`` makes it
+    a pure set cover).
 
     Every distance the search needs is a memoized oracle lookup shared
     across repeated calls — the bisection probes of the owner-driven
@@ -57,92 +56,83 @@ def find_constrained_cover(
     co-located duplicates share their anchor distance, so whichever
     representative survives, its cap verdict is the class's verdict.
 
-    Returns the chosen candidates (without the anchor) or None when no
-    valid cover exists.  Raises :class:`CoverBudgetExceeded` if the
-    search visits more than ``node_budget`` nodes — callers treat this as
-    "give up on this owner", which for the exact algorithms is prevented
-    by their pruning making regions small.
+    Returns ``(cover, beyond)``: the chosen candidates (without the
+    anchor), or None when no valid cover exists, and the smallest
+    anchor or pair distance the search rejected for exceeding the cap
+    (``inf`` when it rejected none).  At any cap in ``[pair_cap,
+    beyond)`` every comparison the search made comes out the same, so a
+    failed search fails there too: no cover has a diameter below
+    ``beyond``.  Raises :class:`~repro.errors.BudgetExceededError`,
+    carrying ``counters``, if the search visits more than
+    ``node_budget`` nodes; the exact algorithms' pruning keeps their
+    regions small enough that it does not.
     """
     if not uncovered:
-        return []
+        return [], math.inf
     tables = oracle.cover_tables(frozenset(uncovered))
     if tables is None:
-        return None
-    if pair_cap is None:
-        by_keyword = {t: list(lst) for t, lst in tables.items()}
-    else:
-        anchor_d = oracle.anchor_d
-        by_keyword = {}
-        for t, lst in tables.items():
-            kept = [i for i in lst if anchor_d[i] <= pair_cap]
-            if not kept:
-                return None
-            by_keyword[t] = kept
-    budget = [node_budget]
-    chosen: List[int] = []
+        return None, math.inf
+    anchor_d = oracle.anchor_d
+    by_keyword: Dict[int, List[int]] = {}
+    for t, lst in tables.items():
+        kept = [i for i in lst if anchor_d[i] <= pair_cap]
+        if not kept:
+            return None, min(anchor_d[i] for i in lst)
+        by_keyword[t] = kept
     # The tables are fixed for the whole probe, so the branch order is
     # too: sorted once here, each node takes its first uncovered keyword.
     order = [(1 << t, t) for _, t in sorted((len(lst), t) for t, lst in by_keyword.items())]
-    if _search_indexed_masked(
-        mask_of(frozenset(uncovered)),
-        by_keyword,
-        chosen,
-        set(),
-        pair_cap,
-        budget,
-        oracle,
-        oracle.keyword_masks(),
-        order,
-    ):
-        return [oracle.objects[i] for i in chosen]
-    return None
-
-
-def _search_indexed_masked(
-    uncovered_mask: int,
-    by_keyword: Dict[int, List[int]],
-    chosen: List[int],
-    chosen_oids: Set[int],
-    pair_cap: Optional[float],
-    budget: List[int],
-    oracle: DistanceOracle,
-    masks: Sequence[int],
-    order: Sequence[Tuple[int, int]],
-) -> bool:
-    """Depth-first cover search over candidate *indices*.
-
-    The uncovered set is a bitmask, and ``masks`` are the oracle's
-    per-candidate keyword masks, indexed like ``oracle.objects``.
-    ``order`` lists ``(bit, keyword)`` for every table keyword by
-    ascending ``(len(by_keyword[t]), t)``, so its first uncovered entry
-    is the rarest uncovered keyword.  Every candidate must be within
-    ``pair_cap`` of every candidate chosen so far; each distance is a
-    memoized oracle lookup, computed at most once per owner.  Each
-    visited node costs one unit of ``budget``.
-    """
-    if not uncovered_mask:
-        return True
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise CoverBudgetExceeded()
-    branch_keyword = next(t for bit, t in order if uncovered_mask & bit)
     objects = oracle.objects
-    for idx in by_keyword[branch_keyword]:
-        obj = objects[idx]
-        if obj.oid in chosen_oids:
-            continue
-        if pair_cap is not None and oracle.any_pair_beyond(idx, chosen, pair_cap):
-            continue
-        chosen.append(idx)
-        chosen_oids.add(obj.oid)
-        remaining = uncovered_mask & ~masks[idx]
-        if _search_indexed_masked(
-            remaining, by_keyword, chosen, chosen_oids, pair_cap, budget, oracle, masks, order
-        ):
+    masks = oracle.keyword_masks()
+    first_beyond = oracle.first_beyond
+    chosen: List[int] = []
+    chosen_oids: Set[int] = set()
+    nodes_left = node_budget
+    beyond = math.inf
+
+    def search(uncovered_mask: int) -> bool:
+        """Depth-first search over candidate indices and keyword bitmasks.
+
+        Every candidate must be within ``pair_cap`` of every candidate
+        chosen so far; each distance is a memoized oracle lookup,
+        computed at most once per owner, and the smallest one rejected
+        is kept in ``beyond``.  Each visited node costs one unit of the
+        node budget.
+        """
+        nonlocal nodes_left, beyond
+        if not uncovered_mask:
             return True
-        chosen.pop()
-        chosen_oids.discard(obj.oid)
-    return False
+        nodes_left -= 1
+        if nodes_left < 0:
+            raise BudgetExceededError(
+                "cover_nodes", node_budget, node_budget + 1, counters=counters
+            )
+        branch_keyword = next(t for bit, t in order if uncovered_mask & bit)
+        for idx in by_keyword[branch_keyword]:
+            oid = objects[idx].oid
+            if oid in chosen_oids:
+                continue
+            d = first_beyond(idx, chosen, pair_cap)
+            if d is not None:
+                if d < beyond:
+                    beyond = d
+                continue
+            chosen.append(idx)
+            chosen_oids.add(oid)
+            if search(uncovered_mask & ~masks[idx]):
+                return True
+            chosen.pop()
+            chosen_oids.discard(oid)
+        return False
+
+    if search(mask_of(frozenset(uncovered))):
+        return [objects[i] for i in chosen], beyond
+    for lst in tables.values():
+        for i in lst:
+            d = anchor_d[i]
+            if pair_cap < d < beyond:
+                beyond = d
+    return None, beyond
 
 
 def iter_covers(

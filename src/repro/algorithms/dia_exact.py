@@ -1,11 +1,12 @@
 """Dia-Exact: the paper's exact algorithm for the Dia cost.
 
 The distance owner-driven exact engine configured with :class:`DiaCost`.
-The max-combiner gives the engine its fast path: once a feasible
-completion with diameter at most the owner's query distance exists, the
-owner's cost is settled at that distance and no diameter bisection is
-needed (every diameter below ``r`` is cost-indifferent under
-``max(r, d12)``).
+The max-combiner gives the engine its fast path: the indifferent cap is
+``max(r, lb)`` exactly, so once a feasible completion with diameter at
+most that cap exists, the owner's cost is settled and no diameter search
+is needed (every diameter below ``r`` is cost-indifferent under
+``max(r, d12)``).  Otherwise the engine's search closes on the optimal
+``d12``, a realized distance, exactly.
 """
 
 from __future__ import annotations

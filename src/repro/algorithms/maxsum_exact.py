@@ -4,8 +4,12 @@ The distance owner-driven exact engine configured with
 :class:`MaxSumCost`.  For this cost the owner decomposition reads
 ``cost(S) = α·r + (1−α)·d12`` with ``r`` the query distance owner's
 distance and ``d12`` the pairwise owners' distance, so minimizing the
-achievable diameter per owner (what the engine's bisection does) is
-exactly the paper's Step-2/Step-3 search over pairwise distance owners.
+achievable diameter per owner is exactly the paper's Step-2/Step-3
+search over pairwise distance owners.  The engine's diameter search
+snaps both ends of its bracket to realized distances, so it returns the
+optimal ``d12`` itself, not an approximation of it; its in-budget
+radius is ``(curCost − α·r) / (1−α)``, stepped onto the first float
+that reaches ``curCost``.
 """
 
 from __future__ import annotations

@@ -28,12 +28,10 @@ is served from a slice of it (shared with the exact search,
 from __future__ import annotations
 
 import bisect
-import math
 from array import array
 from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.algorithms.base import CoSKQAlgorithm
-from repro.cost.base import CostFunction
 from repro.index.protocol import SpatialTextIndex
 from repro.index.signatures import mask_of
 from repro.kernels import lens_lower_bound, lens_scan, max_distance_from
@@ -42,53 +40,6 @@ from repro.model.query import Query
 from repro.model.result import CoSKQResult
 
 __all__ = ["OwnerRingApproximation", "OwnerStream", "greedy_completion_near"]
-
-#: Relative early-exit tolerance for the numeric ``combine`` inversions
-#: of the owner-driven searches.  Each bisection keeps a valid bracket
-#: invariant at every step (``hi`` infeasible-side, ``lo`` feasible-side),
-#: so exiting once the bracket width is negligible returns the same
-#: conservative endpoint a fixed 100-iteration loop would — minus the
-#: dead iterations where the bracket can no longer move a pruning
-#: decision.
-_BISECTION_TOLERANCE = 1e-12
-
-
-def _pairwise_budget(cost: CostFunction, query_component: float, bound: float) -> float:
-    """``sup { c ≥ 0 : combine(query_component, c) < bound }`` (or -1).
-
-    Numeric inversion (exponential search + bisection); ``combine`` is
-    nondecreasing in the pairwise component for every cost in the
-    library.  The returned value errs on the generous side, so it is safe
-    to use as a pruning radius: ``combine(query_component, c) >= bound``
-    for every ``c`` beyond it.
-    """
-    combine = cost.combine  # hoisted: the loops below run ~40 iterations
-    if combine(query_component, 0.0) >= bound:
-        return -1.0
-    hi = max(bound, query_component, 1.0)
-    for _ in range(200):
-        if combine(query_component, hi) >= bound:
-            break
-        hi *= 2.0
-    else:
-        return math.inf  # cost ignores the pairwise component
-    lo = 0.0
-    # ``hi`` only shrinks below, so a threshold fixed at the initial
-    # bracket is the loosest the per-iteration one ever gets — exiting
-    # against it can only stop earlier, and ``hi`` stays on the generous
-    # side throughout, so no safety is lost (only dead iterations past
-    # the point where (lo+hi)/2 stops moving a pruning decision).
-    tol = _BISECTION_TOLERANCE * (hi if hi > 1.0 else 1.0)
-    for _ in range(100):
-        mid = (lo + hi) / 2.0
-        if combine(query_component, mid) < bound:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return hi
-
 
 class OwnerStream:
     """One query's owner stream, recorded as the owner loop reads it.
@@ -285,7 +236,7 @@ class OwnerRingApproximation(CoSKQAlgorithm):
         from the owner would abort on sight, which is why the slice can
         stop at the budget.
         """
-        budget = _pairwise_budget(self.cost, owner_dist, cost_bound)
+        budget = self.cost.pairwise_budget(owner_dist, cost_bound)
         lens = stream.lens(owner, owner_dist, budget, remaining)
         if lens is None:
             # An uncovered keyword has no carrier within the budget, yet

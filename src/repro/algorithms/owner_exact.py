@@ -20,19 +20,21 @@ owners:
 3. For a fixed owner, the optimal set is the feasible set inside
    ``C(q, r)`` containing ``o`` with the smallest diameter.  Candidate
    completions live in ``C(q, r) ∩ C(o, budget)`` where ``budget`` is the
-   largest diameter that still beats the incumbent — the lens-region
-   pruning of the paper.  The minimum achievable diameter is found by
-   monotone bisection over the diameter cap: a cap is *feasible* iff a
-   constrained cover exists (every pairwise distance ≤ cap), feasibility
-   is monotone in the cap, and each successful probe snaps the upper end
-   to the *realized* diameter of the cover it found.  This visits the
-   same lens regions as the paper's explicit enumeration of pairwise
-   distance owner pairs, with the enumeration replaced by bisection.
+   diameter at which the owner's sets stop beating the incumbent — the
+   lens-region pruning of the paper.  The minimum achievable diameter ``d12`` is a
+   realized owner↔candidate or candidate↔candidate distance, and the
+   search finds it by probing diameter caps: a cap is *feasible* iff a
+   constrained cover exists (every pairwise distance ≤ cap), and
+   feasibility is monotone in the cap.  A successful probe snaps the
+   upper end of the bracket to the *realized* diameter of the cover it
+   found; a failed probe snaps the lower end to the smallest distance it
+   rejected, below which no cap can succeed.  Both ends are realized
+   distances, so the bracket closes on ``d12`` itself — the value the
+   paper's enumeration of pairwise distance owner pairs walks to.
 4. The true cost of every constructed set updates the incumbent.
 
-Exactness holds up to the bisection tolerance (``1e-9`` relative, the
-:attr:`OwnerDrivenExact.tolerance` attribute); distances are floats, so a
-tolerance-free claim would be illusory anyway.
+The search is exact at float precision, with no tolerance: its answer
+costs exactly what the brute-force optimum costs.
 
 Constructor switches (`seed_with_appro`, `filter_candidates`,
 `ring_pruning`) exist solely for the pruning-ablation benchmark.
@@ -45,13 +47,8 @@ from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.algorithms.base import CoSKQAlgorithm, SearchContext
-from repro.algorithms.cover import CoverBudgetExceeded, find_constrained_cover
-from repro.algorithms.owner_appro import (
-    _BISECTION_TOLERANCE,
-    OwnerRingApproximation,
-    OwnerStream,
-    _pairwise_budget,
-)
+from repro.algorithms.cover import find_constrained_cover
+from repro.algorithms.owner_appro import OwnerRingApproximation, OwnerStream
 from repro.cost.base import CostFunction, QueryAggregate
 from repro.geometry.circle import Circle
 from repro.index.signatures import bits_of, mask_of
@@ -62,36 +59,6 @@ from repro.model.query import Query
 __all__ = ["OwnerDrivenExact"]
 
 
-def _indifferent_cap(cost: CostFunction, query_component: float, pairwise_lb: float) -> float:
-    """The largest cap costing no more than ``pairwise_lb`` does.
-
-    For additive combiners this is ``pairwise_lb`` itself; for max
-    combiners every diameter up to the query component is free, so a
-    first probe at that cap short-circuits the whole bisection (the Dia
-    fast path).  Computed numerically from ``combine`` so it holds for
-    any cost.
-    """
-    combine = cost.combine
-    base = combine(query_component, pairwise_lb)
-    hi = max(query_component, pairwise_lb, 1.0) * 2.0 + 1.0
-    if combine(query_component, hi) <= base:
-        return hi
-    lo = pairwise_lb
-    # Fixed at the initial bracket (see _pairwise_budget): ``lo`` is
-    # always a certified-indifferent cap, so exiting earlier against the
-    # loosest threshold stays on the conservative side.
-    tol = _BISECTION_TOLERANCE * (hi if hi > 1.0 else 1.0)
-    for _ in range(100):
-        mid = (lo + hi) / 2.0
-        if combine(query_component, mid) <= base:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return lo
-
-
 class OwnerDrivenExact(CoSKQAlgorithm):
     """Exact CoSKQ search by distance-owner enumeration.
 
@@ -100,14 +67,14 @@ class OwnerDrivenExact(CoSKQAlgorithm):
 
     ``candidates_scanned`` (a work unit under an execution budget)
     counts the candidates of the owners whose candidates carry every
-    uncovered keyword; other owners charge nothing for them.
+    uncovered keyword; other owners charge nothing for them.  A cover
+    search that exceeds ``cover_node_budget`` nodes raises
+    :class:`~repro.errors.BudgetExceededError` rather than return an
+    answer it cannot prove optimal.
     """
 
     name = "owner-exact"
     exact = True
-
-    #: Relative tolerance of the diameter bisection.
-    tolerance = 1e-9
 
     def __init__(
         self,
@@ -184,7 +151,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
             singleton = [owner]
             return singleton, self._evaluate(query, singleton)
 
-        budget = _pairwise_budget(self.cost, r, cur_cost)
+        budget = self.cost.pairwise_budget(r, cur_cost)
         if budget <= 0.0:
             return None
 
@@ -212,32 +179,32 @@ class OwnerDrivenExact(CoSKQAlgorithm):
             cap_hi = budget
         else:
             cap_hi = oracle.max_anchor_distance() * 2.0
-        probe = self._probe(uncovered, owner, cap_hi, oracle)
-        if probe is None:
+        best_set, best_diam = self._probe(uncovered, owner, cap_hi, oracle)
+        if best_set is None:
             return None
-        best_set, best_diam = probe
         self._bump("covers_found")
 
         # Fast path: any diameter up to the indifferent cap costs the
         # same as the lower bound — one probe settles the owner.
-        cap0 = _indifferent_cap(self.cost, r, lower)
+        cap0 = self.cost.indifferent_cap(r, lower)
         if best_diam > cap0:
-            settled = self._probe(uncovered, owner, cap0, oracle)
+            settled, lo = self._probe(uncovered, owner, cap0, oracle)
             if settled is not None:
-                best_set, best_diam = settled
-            else:
-                lo = cap0
-                hi = best_diam
-                tol = self.tolerance * max(1.0, hi)
-                while hi - lo > tol:
-                    self._bump("bisection_probes")
-                    mid = (lo + hi) / 2.0
-                    shrunk = self._probe(uncovered, owner, mid, oracle)
-                    if shrunk is None:
-                        lo = mid
-                    else:
-                        best_set, best_diam = shrunk
-                        hi = best_diam
+                return settled, self._evaluate(query, settled)
+            # The optimal diameter lies in [lo, best_diam]: every cap
+            # below ``lo`` fails and ``best_diam`` is realized.  Probe
+            # the midpoint, or ``lo`` once the midpoint rounds onto an
+            # end; each probe snaps one end to a realized distance.
+            while lo < best_diam:
+                self._bump("bisection_probes")
+                mid = (lo + best_diam) / 2.0
+                if not lo < mid < best_diam:
+                    mid = lo
+                found, value = self._probe(uncovered, owner, mid, oracle)
+                if found is None:
+                    lo = value
+                else:
+                    best_set, best_diam = found, value
         return best_set, self._evaluate(query, best_set)
 
     def _lens_state(
@@ -290,18 +257,19 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         owner: SpatialObject,
         cap: float,
         oracle: DistanceOracle,
-    ) -> Optional[Tuple[List[SpatialObject], float]]:
-        """Try covering under a diameter cap; return (set, true diameter)."""
+    ) -> Tuple[Optional[List[SpatialObject]], float]:
+        """Try covering under a diameter cap.
+
+        Returns ``(set, its realized diameter)`` on success and ``(None,
+        the smallest rejected distance)`` on failure — no cap below that
+        distance can succeed (:func:`find_constrained_cover`).
+        """
         self._bump("cover_probes")
-        try:
-            cover = find_constrained_cover(
-                uncovered, oracle, cap, node_budget=self.cover_node_budget
-            )
-        except CoverBudgetExceeded:
-            self._bump("cover_budget_exceeded")
-            return None
+        cover, beyond = find_constrained_cover(
+            uncovered, oracle, cap, self.cover_node_budget, self.counters
+        )
         if cover is None:
-            return None
+            return None, beyond
         full = [owner] + cover
         return full, oracle.diameter_with_anchor([oracle.index_of(o) for o in cover])
 

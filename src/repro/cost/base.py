@@ -8,16 +8,16 @@ Every cost in this literature is assembled from two distance components:
   distance within ``S`` (the set diameter).
 
 A :class:`CostFunction` declares which query aggregate it uses and how the
-two components combine (addition or maximum), and evaluates sets.  The
-algorithms interrogate these declarations to choose pruning rules, so the
-same algorithm code serves several costs.
+two components combine (a weighted addition or maximum), and evaluates
+sets.  The algorithms interrogate these declarations to choose pruning
+rules, so the same algorithm code serves several costs.
 """
 
 from __future__ import annotations
 
 import enum
-from abc import ABC, abstractmethod
-from typing import Iterable, List, Sequence, Tuple
+import math
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geometry.point import Point
 from repro.kernels import flat as _flat
@@ -56,11 +56,6 @@ class Combiner(enum.Enum):
     ADD = "add"
     MAX = "max"
 
-    def apply(self, query_component: float, pairwise_component: float) -> float:
-        if self is Combiner.ADD:
-            return query_component + pairwise_component
-        return max(query_component, pairwise_component)
-
 
 #: Below this set size the quadratic scan beats packing coordinates into
 #: arrays first; CoSKQ result sets (≤ |q.ψ| members) usually sit under it.
@@ -93,12 +88,16 @@ def query_distances(location: Point, objects: Iterable[SpatialObject]) -> List[f
     return [location.distance_to(o.location) for o in objects]
 
 
-class CostFunction(ABC):
+class CostFunction:
     """A CoSKQ set cost.
 
-    Subclasses define :attr:`name`, the structural declarations
-    (:attr:`query_aggregate`, :attr:`combiner`) and :meth:`combine`.
-    ``evaluate`` derives the full set cost from those pieces.
+    Subclasses define :attr:`name` and the structural declarations: the
+    :attr:`query_aggregate`, and how the two components combine — the
+    :attr:`combiner` applied to ``query_weight · D_q`` and
+    ``pairwise_weight · D_p``.  Every cost in the library is such a
+    weighted ADD or MAX (the unified cost family, PAPER.md §6), so
+    :meth:`combine`, its two inversions and ``evaluate`` are derived
+    here from those declarations.
     """
 
     #: Short identifier used in result provenance and benchmark reports.
@@ -107,12 +106,86 @@ class CostFunction(ABC):
     #: Which aggregate the query-object component uses.
     query_aggregate: QueryAggregate = QueryAggregate.MAX
 
-    #: How the two components combine.
+    #: How the two weighted components combine.
     combiner: Combiner = Combiner.ADD
 
-    @abstractmethod
-    def combine(self, query_component: float, pairwise_component: float) -> float:
-        """The final cost given the two evaluated components."""
+    #: Weight of the query-object component.
+    query_weight: float = 1.0
+
+    #: Weight of the object-object component, or None for a cost that
+    #: ignores it (the unified family's α = 1 settings).  None rather
+    #: than 0.0, because the inversions divide by this weight.
+    pairwise_weight: Optional[float] = 1.0
+
+    def __init__(self) -> None:
+        #: ``combine(query_component, pairwise_component)``: the final
+        #: cost given the two evaluated components, nondecreasing in
+        #: both.  Specialized to the declarations once, here, so a call
+        #: runs no branch.
+        self.combine = _combine_for(
+            self.combiner, self.query_weight, self.pairwise_weight
+        )
+
+    # -- inversions ------------------------------------------------------------
+
+    def pairwise_budget(self, query_component: float, bound: float) -> float:
+        """The pairwise component at which the cost reaches ``bound``.
+
+        -1.0 when ``combine(query_component, 0) >= bound`` already, and
+        ``inf`` when the cost ignores the pairwise component.  Otherwise
+        a ``c > 0`` with ``combine(query_component, c) >= bound`` — so
+        every diameter of at least ``c`` prices a set out, which makes
+        ``c`` a sound pruning radius — within a few steps of the
+        smallest such value.  A step is the larger of ``ulp(c)`` and
+        ``ulp(bound) / pairwise_weight``: near ``bound`` an ADD cost
+        moves only in ulps of ``bound``, however small ``c`` is.
+        """
+        combine = self.combine
+        if combine(query_component, 0.0) >= bound:
+            return -1.0
+        weight = self.pairwise_weight
+        if weight is None:
+            return math.inf
+        if self.combiner is Combiner.ADD:
+            budget = (bound - self.query_weight * query_component) / weight
+        else:
+            budget = bound / weight
+        # The closed form may round below the threshold.  Each step moves
+        # the cost by about one ulp of ``bound``; doubling it keeps the
+        # fix-up short whatever the rounding did (at most two steps on
+        # the library's costs).
+        step = max(math.ulp(bound) / weight, math.ulp(budget))
+        while combine(query_component, budget) < bound:
+            budget += step
+            step *= 2.0
+        return budget
+
+    def indifferent_cap(self, query_component: float, pairwise_lb: float) -> float:
+        """The largest pairwise component costing no more than ``pairwise_lb``.
+
+        Returns a ``cap >= pairwise_lb`` with ``combine(query_component,
+        cap) <= combine(query_component, pairwise_lb)``: ``inf`` for a
+        cost that ignores the pairwise component, ``pairwise_lb`` itself
+        for ADD costs, and for MAX costs the component at which the
+        pairwise term overtakes the larger weighted term — for Dia
+        ``max(query_component, pairwise_lb)``, every diameter up to the
+        owner's query distance being free.
+        """
+        weight = self.pairwise_weight
+        if weight is None:
+            return math.inf
+        if self.combiner is Combiner.ADD:
+            # Rounding can leave a few larger components at the same
+            # cost, but finding them would step ulp by ulp.
+            return pairwise_lb
+        combine = self.combine
+        base = combine(query_component, pairwise_lb)
+        cap = base / weight
+        # ``weight * cap`` rounds to within two ulps of ``base``, so this
+        # steps down at most a few times.
+        while cap > pairwise_lb and combine(query_component, cap) > base:
+            cap = math.nextafter(cap, pairwise_lb)
+        return cap if cap > pairwise_lb else pairwise_lb
 
     # -- evaluation ----------------------------------------------------------
 
@@ -130,22 +203,27 @@ class CostFunction(ABC):
         query_component, pairwise_component = self.components(query, objects)
         return self.combine(query_component, pairwise_component)
 
-    # -- structural properties the algorithms rely on --------------------------
-
-    @property
-    def is_monotone(self) -> bool:
-        """Whether adding an object can never decrease the cost.
-
-        True for SUM and MAX query aggregates (both components are
-        monotone under insertion); false for MIN (a new closer object
-        shrinks the query component).  Branch-and-bound uses the current
-        partial cost as an admissible bound only when this holds.
-        """
-        return self.query_aggregate is not QueryAggregate.MIN
-
-    def lower_bound(self, query_component_bound: float, pairwise_bound: float) -> float:
-        """An admissible cost bound from component lower bounds."""
-        return self.combine(query_component_bound, pairwise_bound)
-
     def __repr__(self) -> str:
         return "%s(name=%r)" % (type(self).__name__, self.name)
+
+
+def _combine_for(
+    combiner: Combiner, query_weight: float, pairwise_weight: Optional[float]
+) -> Callable[[float, float], float]:
+    """``combine`` for one declaration; callers pass the two components.
+
+    The weights are bound as parameter defaults, the cheapest lookup a
+    call can make.
+    """
+    if pairwise_weight is None:
+        return lambda q, p, wq=query_weight: wq * q
+    if combiner is Combiner.ADD:
+        return lambda q, p, wq=query_weight, wp=pairwise_weight: wq * q + wp * p
+
+    def combine_max(q, p, wq=query_weight, wp=pairwise_weight):
+        q = wq * q
+        p = wp * p
+        # ``max(q, p)`` without the builtin call: the same float.
+        return p if p > q else q
+
+    return combine_max

@@ -35,29 +35,28 @@ __all__ = [
 ]
 
 
-class _WeightedAdd(CostFunction):
-    """Shared base for α-weighted additive costs."""
+class _AlphaWeighted(CostFunction):
+    """Shared base for the α-weighted costs: ``α·D_q`` against ``(1−α)·D_p``.
+
+    The paper fixes α = 0.5 and drops the common factor, which preserves
+    the ranking of candidate sets; the weighted form keeps other alphas
+    expressible.  An α within float tolerance of 1 drops the pairwise
+    component and leaves the query component unweighted.
+    """
 
     def __init__(self, alpha: float = 0.5):
         if not 0.0 < alpha <= 1.0:
             raise InvalidParameterError("alpha must be in (0, 1], got %r" % (alpha,))
         self.alpha = alpha
-        # Hoisted out of combine(): the owner search's numeric combine
-        # inversions call it tens of thousands of times per query, and
-        # alpha never changes after construction.
-        self._alpha_is_one = float_eq(alpha, 1.0)
-        self._beta = 1.0 - alpha
-
-    def combine(self, query_component: float, pairwise_component: float) -> float:
-        if self._alpha_is_one:
-            return query_component
-        # The paper fixes alpha = 0.5 and drops the common factor, which
-        # preserves the ranking of candidate sets; we keep the weighted
-        # form so other alphas remain expressible.
-        return self.alpha * query_component + self._beta * pairwise_component
+        if float_eq(alpha, 1.0):
+            self.pairwise_weight = None
+        else:
+            self.query_weight = alpha
+            self.pairwise_weight = 1.0 - alpha
+        super().__init__()
 
 
-class MaxSumCost(_WeightedAdd):
+class MaxSumCost(_AlphaWeighted):
     """The paper's primary cost: farthest query distance plus diameter.
 
     With the default ``alpha = 0.5`` this ranks sets exactly like the
@@ -76,9 +75,6 @@ class DiaCost(CostFunction):
     query_aggregate = QueryAggregate.MAX
     combiner = Combiner.MAX
 
-    def combine(self, query_component: float, pairwise_component: float) -> float:
-        return max(query_component, pairwise_component)
-
 
 class SumCost(CostFunction):
     """Sum of query distances (Cao et al.); ignores pairwise distances."""
@@ -86,12 +82,10 @@ class SumCost(CostFunction):
     name = "sum"
     query_aggregate = QueryAggregate.SUM
     combiner = Combiner.ADD
-
-    def combine(self, query_component: float, pairwise_component: float) -> float:
-        return query_component
+    pairwise_weight = None
 
 
-class SumMaxCost(_WeightedAdd):
+class SumMaxCost(_AlphaWeighted):
     """α·(sum of query distances) + (1−α)·diameter (Cao et al. TODS 2015)."""
 
     name = "summax"
@@ -99,7 +93,7 @@ class SumMaxCost(_WeightedAdd):
     combiner = Combiner.ADD
 
 
-class MinMaxCost(_WeightedAdd):
+class MinMaxCost(_AlphaWeighted):
     """α·(nearest query distance) + (1−α)·diameter (Cao et al. TODS 2015)."""
 
     name = "minmax"
@@ -114,9 +108,6 @@ class MinMax2Cost(CostFunction):
     query_aggregate = QueryAggregate.MIN
     combiner = Combiner.MAX
 
-    def combine(self, query_component: float, pairwise_component: float) -> float:
-        return max(query_component, pairwise_component)
-
 
 class MaxCost(CostFunction):
     """Farthest query distance only; ``N(q)`` is optimal for it."""
@@ -124,9 +115,7 @@ class MaxCost(CostFunction):
     name = "max"
     query_aggregate = QueryAggregate.MAX
     combiner = Combiner.ADD
-
-    def combine(self, query_component: float, pairwise_component: float) -> float:
-        return query_component
+    pairwise_weight = None
 
 
 class MinCost(CostFunction):
@@ -140,9 +129,7 @@ class MinCost(CostFunction):
     name = "min"
     query_aggregate = QueryAggregate.MIN
     combiner = Combiner.ADD
-
-    def combine(self, query_component: float, pairwise_component: float) -> float:
-        return query_component
+    pairwise_weight = None
 
 
 #: The two cost functions of the SIGMOD 2013 paper.

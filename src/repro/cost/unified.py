@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cost.base import Combiner, CostFunction, QueryAggregate
-from repro.errors import InvalidParameterError
+from repro.cost.base import Combiner, QueryAggregate
+from repro.cost.functions import _AlphaWeighted
 from repro.utils.floatcmp import float_eq
 
 __all__ = ["UnifiedCost", "INTERESTING_SETTINGS"]
 
 
-class UnifiedCost(CostFunction):
+class UnifiedCost(_AlphaWeighted):
     """The ``(α, φ1, φ2)``-parameterized cost family."""
 
     def __init__(
@@ -34,25 +34,14 @@ class UnifiedCost(CostFunction):
         phi1: QueryAggregate = QueryAggregate.MAX,
         phi2: Combiner = Combiner.ADD,
     ):
-        if not 0.0 < alpha <= 1.0:
-            raise InvalidParameterError("alpha must be in (0, 1], got %r" % (alpha,))
-        self.alpha = alpha
         self.query_aggregate = phi1
         self.combiner = phi2
+        super().__init__(alpha)
         self.name = "unified(a=%g,phi1=%s,phi2=%s)" % (
             alpha,
             phi1.value,
             phi2.value,
         )
-
-    def combine(self, query_component: float, pairwise_component: float) -> float:
-        if float_eq(self.alpha, 1.0):
-            # The pairwise term carries weight 0; with φ2 = max the query
-            # term still dominates a zero-weighted pairwise term.
-            return self.combiner.apply(query_component, 0.0)
-        weighted_q = self.alpha * query_component
-        weighted_p = (1.0 - self.alpha) * pairwise_component
-        return self.combiner.apply(weighted_q, weighted_p)
 
     def named_equivalent(self) -> Optional[str]:
         """The name of the classical cost this setting instantiates.

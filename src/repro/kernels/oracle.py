@@ -128,13 +128,18 @@ class DistanceOracle:
             return row[i]
         return self.row(i)[j]
 
-    def any_pair_beyond(self, i: int, others: Sequence[int], cap: float) -> bool:
-        """Whether candidate ``i`` is farther than ``cap`` from any of ``others``."""
+    def first_beyond(self, i: int, others: Sequence[int], cap: float) -> Optional[float]:
+        """The first distance from candidate ``i`` to ``others`` above ``cap``.
+
+        Scans ``others`` in order and stops at the first candidate
+        farther than ``cap`` from ``i``; None when all are within it.
+        """
         row = self.row(i)
         for j in others:
-            if row[j] > cap:
-                return True
-        return False
+            d = row[j]
+            if d > cap:
+                return d
+        return None
 
     def max_anchor_distance(self) -> float:
         """``max_i d(anchor, candidate_i)`` (0.0 with no candidates)."""

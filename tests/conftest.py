@@ -215,10 +215,50 @@ def make_extreme_instance():
     return dataset, SearchContext(dataset), queries
 
 
+#: Coordinate unit and gap of :func:`make_near_tie_instance`.
+NEAR_TIE_SCALE = 1e4
+NEAR_TIE_EPS = 5e-10
+
+#: ``(x, y, words)`` rows of :func:`make_near_tie_instance`, in units of
+#: :data:`NEAR_TIE_SCALE`.
+NEAR_TIE_ROWS = (
+    (10.0, 0.0, "a"),  # the owner of both completions
+    (7.0, 3.0, "b"),
+    (7.0, 3.0 - NEAR_TIE_EPS, "b"),
+    (7.0, -3.0, "c"),
+    (7.0, -3.0 + NEAR_TIE_EPS, "c"),
+    (-5.0, 0.0, "b"),  # bait: the nearest b and c, far from the owner
+    (-5.0, 0.1, "c"),
+)
+
+
+def make_near_tie_instance():
+    """A 7-object (dataset, context, queries) triple with a near-tie optimum.
+
+    The query ``(0, 0) "a b c"`` is best served by the owner at
+    ``(10, 0)`` and one b–c pair at ``x = 7``.  The inner pair is
+    ``2 · NEAR_TIE_EPS`` closer than the outer one: 1e-5 apart at this
+    scale, which is past the conformance tolerance, yet only about 2e-10
+    of the diameter, so a diameter search that stops at a relative
+    tolerance returns the outer pair.
+    """
+    dataset = Dataset.from_records(
+        (
+            (x * NEAR_TIE_SCALE, y * NEAR_TIE_SCALE, words.split())
+            for x, y, words in NEAR_TIE_ROWS
+        ),
+        name="near_tie",
+    )
+    query = Query.from_words(0.0, 0.0, ["a", "b", "c"], dataset.vocabulary)
+    return dataset, SearchContext(dataset), [query]
+
+
 #: Every registry solver's answers on the :data:`GOLDEN_INSTANCES`,
 #: recorded once with the scalar/frozenset reference paths (since
 #: removed) and the flat-kernel/bitmask paths agreeing bit for bit, over
-#: both the IR-tree and ``LinearScanIndex``.
+#: both the IR-tree and ``LinearScanIndex``.  The ``near_tie`` block,
+#: added with its instance, was recorded over both indexes agreeing, and
+#: its exact costs equal ``bruteforce``'s like every other block's.
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "golden_answers.json"
 
 #: The differential instances, by the id their tests are parametrized with.
@@ -228,6 +268,7 @@ GOLDEN_INSTANCES = {
     303: lambda: make_random_instance(303, num_objects=40, vocab=8),
     "ties": make_tie_instance,
     "extreme": make_extreme_instance,
+    "near_tie": make_near_tie_instance,
 }
 
 

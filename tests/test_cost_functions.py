@@ -101,11 +101,6 @@ class TestRegistry:
         with pytest.raises(InvalidParameterError):
             cost_by_name("nope")
 
-    def test_monotonicity_flags(self):
-        assert MaxSumCost().is_monotone
-        assert SumCost().is_monotone
-        assert not MinMaxCost().is_monotone
-
 
 class TestAggregates:
     def test_apply(self):
@@ -117,10 +112,6 @@ class TestAggregates:
     def test_apply_empty_raises(self):
         with pytest.raises(ValueError):
             QueryAggregate.SUM.apply([])
-
-    def test_combiner(self):
-        assert Combiner.ADD.apply(2.0, 3.0) == 5.0
-        assert Combiner.MAX.apply(2.0, 3.0) == 3.0
 
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)

@@ -1,12 +1,11 @@
 """Tests for the constrained cover search and cover enumeration."""
 
+import math
+
 import pytest
 
-from repro.algorithms.cover import (
-    CoverBudgetExceeded,
-    find_constrained_cover,
-    iter_covers,
-)
+from repro.algorithms.cover import find_constrained_cover, iter_covers
+from repro.errors import BudgetExceededError
 from repro.geometry.point import Point
 from repro.kernels.oracle import DistanceOracle
 from repro.model.objects import SpatialObject
@@ -22,22 +21,23 @@ ANCHOR = obj(99, 0, 0, [])
 
 def cover_of(uncovered, candidates, pair_cap, **kwargs):
     oracle = DistanceOracle(ANCHOR.location, candidates)
-    return find_constrained_cover(frozenset(uncovered), oracle, pair_cap, **kwargs)
+    cover, _ = find_constrained_cover(frozenset(uncovered), oracle, pair_cap, **kwargs)
+    return cover
 
 
 class TestFindConstrainedCover:
     def test_empty_uncovered_is_trivial(self):
-        assert cover_of([], [], None) == []
+        assert cover_of([], [], math.inf) == []
 
     def test_simple_cover(self):
         candidates = [obj(0, 0, 0, [1]), obj(1, 1, 0, [2])]
-        cover = cover_of({1, 2}, candidates, None)
+        cover = cover_of({1, 2}, candidates, math.inf)
         assert cover is not None
         assert {o.oid for o in cover} == {0, 1}
 
     def test_missing_keyword_returns_none(self):
         candidates = [obj(0, 0, 0, [1])]
-        assert cover_of({1, 2}, candidates, None) is None
+        assert cover_of({1, 2}, candidates, math.inf) is None
 
     def test_pair_cap_excludes_far_candidates(self):
         # Both are within the cap of the anchor but 12 apart, so only
@@ -45,7 +45,7 @@ class TestFindConstrainedCover:
         near = obj(0, -6, 0, [1])
         far = obj(1, 6, 0, [2])
         # Without cap a cover exists; with a tight cap it does not.
-        assert cover_of({1, 2}, [near, far], None)
+        assert cover_of({1, 2}, [near, far], math.inf)
         assert cover_of({1, 2}, [near, far], pair_cap=10.0) is None
 
     def test_anchor_constraint(self):
@@ -65,7 +65,7 @@ class TestFindConstrainedCover:
     def test_multi_keyword_object_preferred(self):
         rich = obj(0, 0, 0, [1, 2, 3])
         poor = [obj(1, 1, 0, [1]), obj(2, 2, 0, [2]), obj(3, 3, 0, [3])]
-        cover = cover_of({1, 2, 3}, [rich] + poor, None)
+        cover = cover_of({1, 2, 3}, [rich] + poor, math.inf)
         assert cover is not None
         assert len(cover) == 1 and cover[0].oid == 0
 
@@ -87,7 +87,7 @@ class TestFindConstrainedCover:
     def test_colocated_duplicate_traces_deduplicated(self):
         twins = [obj(i, 0, 0, [1]) for i in range(50)]
         oracle = DistanceOracle(ANCHOR.location, twins)
-        cover = find_constrained_cover(frozenset({1}), oracle, None)
+        cover, _ = find_constrained_cover(frozenset({1}), oracle, math.inf)
         assert cover is not None and len(cover) == 1
         assert oracle.cover_tables(frozenset({1})) == {1: [0]}
 
@@ -104,8 +104,13 @@ class TestFindConstrainedCover:
                     obj(oid, 0.9 * ux - offset * uy, 0.9 * uy + offset * ux, [t])
                 )
                 oid += 1
-        with pytest.raises(CoverBudgetExceeded):
-            cover_of({1, 2, 3, 4}, candidates, pair_cap=1.0, node_budget=5)
+        counters = {"cover_probes": 1}
+        with pytest.raises(BudgetExceededError) as info:
+            cover_of(
+                {1, 2, 3, 4}, candidates, pair_cap=1.0, node_budget=5, counters=counters
+            )
+        assert info.value.counter == "cover_nodes"
+        assert info.value.counters == counters
 
 
 class TestIterCovers:

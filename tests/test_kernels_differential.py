@@ -7,7 +7,8 @@ instance, a run over the IR-tree must return the recorded cost float
 and object set of ``tests/fixtures/golden_answers.json`` bit for bit,
 and so must a run through a chaos-wrapped index.  The recording was
 made with the kernels and the keyword bitmasks each on and off, all
-four settings agreeing.
+four settings agreeing.  The recorded costs of the exact MaxSum solvers
+must equal ``bruteforce``'s, so no recording can pin a wrong optimum.
 """
 
 from __future__ import annotations
@@ -27,6 +28,18 @@ GOLDEN = load_golden_answers()
 def instance(request):
     dataset, _, queries = GOLDEN_INSTANCES[request.param]()
     return GOLDEN[str(request.param)], SearchContext(dataset, index_cls=IRTree), queries
+
+
+#: The exact solvers whose default cost is ``bruteforce``'s (MaxSum).
+MAXSUM_EXACTS = ("maxsum-exact", "unified-exact", "cao-exact", "bnb-exact")
+
+
+@pytest.mark.parametrize("instance_id", list(GOLDEN_INSTANCES))
+def test_recorded_exact_costs_equal_bruteforce(instance_id):
+    golden = GOLDEN[str(instance_id)]
+    optimum = [cost for cost, _ in golden["bruteforce"]]
+    for name in MAXSUM_EXACTS:
+        assert [cost for cost, _ in golden[name]] == optimum, name
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)

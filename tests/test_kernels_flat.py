@@ -225,12 +225,14 @@ class TestDistanceOracle:
             anchor.location.distance_to(c.location) for c in candidates
         )
 
-    def test_any_pair_beyond(self, oracle_instance):
+    def test_first_beyond(self, oracle_instance):
         _, candidates, oracle = oracle_instance
         row = [candidates[0].location.distance_to(c.location) for c in candidates]
+        others = (1, 2, 3, 4, 5)
         cap = sorted(row)[len(row) // 2]
-        want = any(row[j] > cap for j in (1, 2, 3))
-        assert oracle.any_pair_beyond(0, (1, 2, 3), cap) == want
+        want = next((row[j] for j in others if row[j] > cap), None)
+        assert oracle.first_beyond(0, others, cap) == want
+        assert oracle.first_beyond(0, others, max(row)) is None
 
     def test_prepacked_construction_is_equivalent(self, oracle_instance):
         anchor, candidates, oracle = oracle_instance

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_extreme_instance, make_tie_instance
+from conftest import make_extreme_instance, make_near_tie_instance, make_tie_instance
 from repro.algorithms.base import SearchContext
 from repro.algorithms.bruteforce import BruteForceExact
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
@@ -45,10 +45,11 @@ def instance():
 @pytest.fixture(scope="module")
 def instances(instance):
     """The shared instance plus the tie-laden one (colocated objects,
-    owners tied with other stream entries, a query on an object) and
-    the extreme one (one object carrying every keyword, single-keyword
-    queries, squared distances overflowing to ``inf``)."""
-    return [instance, make_tie_instance(), make_extreme_instance()]
+    owners tied with other stream entries, a query on an object), the
+    extreme one (one object carrying every keyword, single-keyword
+    queries, squared distances overflowing to ``inf``) and the near-tie
+    one (two completions whose diameters differ by a relative 2e-10)."""
+    return [instance, make_tie_instance(), make_extreme_instance(), make_near_tie_instance()]
 
 
 def oracle_cost(context, query, cost):
