@@ -1,6 +1,6 @@
 # Convenience targets for the CoSKQ reproduction.
 
-.PHONY: install test lint lint-fast check contracts chaos serve-check parallel-check parallel-bench kernels-check signatures-check shard-check shard-bench bench bench-reports bench-smoke bench-check figures full-experiments clean
+.PHONY: install test lint lint-fast check contracts chaos serve-check parallel-check kernels-check signatures-check shard-check shard-bench bench bench-reports bench-smoke bench-check figures full-experiments clean
 
 install:
 	pip install -e .
@@ -55,13 +55,6 @@ parallel-check:
 	PYTHONPATH=src python -m pytest -q tests/test_differential_parallel.py \
 		tests/test_metamorphic_cache.py tests/test_exec_batch_properties.py \
 		tests/test_exec_chaos.py
-
-# Regenerate BENCH_parallel.json (quick-scale parallel_study).
-parallel-bench:
-	PYTHONPATH=src python -c "import pathlib; \
-		from repro.bench import experiments; \
-		experiments.PARALLEL_JSON_PATH = pathlib.Path('BENCH_parallel.json'); \
-		print(experiments.run_experiment('parallel_study', quick=True))"
 
 # The kernels gate: the flat-kernel property suite (each kernel against
 # a naive math.hypot loop) + the differential suite holding every solver

@@ -90,12 +90,11 @@ _DEFAULT_EXCLUDE: Dict[str, Tuple[str, ...]] = {
 _DEFAULT_REGISTRY = "repro/algorithms/registry.py"
 
 #: R10's sanctioned writers: modules that are *allowed* to mutate shared
-#: search state even when reachable from a solver — the memoizing cache
-#: layer, the worker-resident datasets of the parallel engine, the
-#: per-owner memo tables of the distance oracle, and the fault-injection
-#: wrapper (whose whole point is to instrument index traffic).
+#: search state even when reachable from a solver — the worker-resident
+#: runtimes and result caches of the parallel engine, the per-owner memo
+#: tables of the distance oracle, and the fault-injection wrapper (whose
+#: whole point is to instrument index traffic).
 _DEFAULT_R10_SANCTIONED: Tuple[str, ...] = (
-    "repro/index/cache.py",
     "repro/parallel/",
     "repro/kernels/oracle.py",
     "repro/exec/chaos.py",

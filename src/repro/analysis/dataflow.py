@@ -14,9 +14,9 @@ purity/effect lattice.  Two interprocedural rules run on top:
   including mutating *calls* (``.append``/``.update``/``.clear``/
   ``__setitem__``-style writes) on index-owned containers, writes
   through locals aliased to shared state, and writes through parameters
-  that a caller binds to shared state.  The memoizing cache layer
-  (``repro/index/cache.py``) and the worker-resident datasets of
-  ``repro/parallel/`` are the sanctioned writers.
+  that a caller binds to shared state.  The worker-resident runtimes
+  and result caches of ``repro/parallel/``, the distance oracle's memo
+  tables and the fault-injection wrapper are the sanctioned writers.
 - **R11 (checkpoint reachability)** — every ``while`` loop and every
   unbounded-stream ``for`` loop in solver code must reach a
   ``_bump``/``_checkpoint`` call on every iteration path, directly or

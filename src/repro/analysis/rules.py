@@ -21,9 +21,9 @@ and the suppression mechanism (``# repro: noqa(RX)``).  The rules:
 - **R7** — solver code never assigns through shared search state: no
   writes reaching through a ``context``/``index``/``inverted`` owner
   (``self.context.index = ...``, ``algo.index._cache[k] = v``).  The
-  memoizing cache layer (:mod:`repro.index.cache`) and the cross-query
-  result cache are only sound because solvers treat the index as
-  read-only; this rule pins that assumption;
+  cross-query result cache and the fork-inherited worker runtimes are
+  only sound because solvers treat the index as read-only; this rule
+  pins that assumption;
 - **R8** — solver hot-loop code (``repro/algorithms/``, ``repro/cost/``)
   does not inline ``hypot``/``sqrt`` distance math: distances route
   through :mod:`repro.geometry` or :mod:`repro.kernels`, keeping one
@@ -748,18 +748,17 @@ def _owner_components(node: ast.AST) -> List[str]:
 def check_r7(module: ModuleInfo, config: AnalysisConfig) -> Iterator[Violation]:
     """Solver code never assigns through shared context/index state.
 
-    Every caching layer — :class:`repro.index.cache.CachingIndex`, the
-    cross-query result cache, the fork-inherited worker runtimes — is
-    sound only while solvers treat the :class:`SearchContext` and its
-    indexes as read-only.  This rule flags assignments, augmented
+    The cross-query result cache and the fork-inherited worker runtimes
+    are sound only while solvers treat the :class:`SearchContext` and
+    its indexes as read-only.  This rule flags assignments, augmented
     assignments, annotated assignments and deletes whose target reaches
     *through* a ``context``/``index``/``inverted`` component
     (``self.context.dataset = ...``, ``self.index._cache[k] = v``,
     ``del algo.context.index``).  Plain construction-time attributes
     (``self.context = context``) have no shared owner and are untouched.
     Scoped by default to ``repro/algorithms/`` and ``repro/network/``;
-    legitimate wiring elsewhere (e.g. the cache layer itself) is out of
-    scope by configuration, not suppression.
+    legitimate wiring elsewhere (e.g. the parallel worker runtime) is
+    out of scope by configuration, not suppression.
     """
     if not config.applies_to("R7", module.relpath):
         return

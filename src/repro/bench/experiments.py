@@ -442,133 +442,6 @@ def experiment_unified(scale: Scale) -> str:
     )
 
 
-# -- parallel batch engine ------------------------------------------------------------
-
-#: When set (``make parallel-bench`` / tests), :func:`experiment_parallel`
-#: additionally writes its machine-readable results to this JSON file.
-PARALLEL_JSON_PATH: pathlib.Path | None = None
-
-
-def experiment_parallel(scale: Scale) -> str:
-    """Throughput of the parallel batch engine vs the serial executor.
-
-    The workload is deliberately **skewed** — few distinct queries, each
-    repeated many times — because that is the regime the memoizing
-    caches target (and the regime real serving traffic exhibits).  Each
-    configuration is measured twice: ``cold`` includes pool startup and
-    index builds, ``warm`` re-runs the same batch against the already
-    populated caches (steady-state serving).  Cost identity against the
-    serial :class:`~repro.exec.batch.BatchExecutor` is asserted for
-    every configuration before any timing is reported.
-
-    On a single-core machine (the CI box: ``os.cpu_count() == 1``) the
-    speedup comes from memoization, not CPU scaling — the JSON records
-    ``cpu_count`` so readers can interpret the curves honestly.
-    """
-    import json
-    import os
-    import time
-
-    from repro.algorithms.registry import make_algorithm
-    from repro.exec.batch import BatchExecutor
-    from repro.parallel import (
-        CacheSpec,
-        ParallelBatchExecutor,
-        SolverSpec,
-        WorkerEnv,
-    )
-
-    dataset = _dataset("hotel", min(scale.hotel_scale, 0.25), scale.seed)
-    k = min(scale.keyword_sweep)
-    distinct = max(4, scale.queries // 2)
-    repeats = 8
-    base = generate_queries(dataset, k, distinct, seed=scale.seed)
-    queries = [base[i % distinct] for i in range(distinct * repeats)]
-
-    algorithm = "maxsum-appro"
-    serial_solver = make_algorithm(algorithm, SearchContext(dataset))
-    start = time.perf_counter()
-    serial_report = BatchExecutor(serial_solver).run(queries)
-    serial_s = time.perf_counter() - start
-    assert serial_report.ok(), "serial baseline failed: %s" % serial_report.summary()
-    serial_costs = [r.cost for r in serial_report.results]
-
-    spec = SolverSpec(algorithm=algorithm)
-    configs = [
-        ("none", 1),
-        ("none", 4),
-        ("index", 1),
-        ("full", 1),
-        ("full", 2),
-        ("full", 4),
-    ]
-    rows = []
-    json_rows = []
-    warm_by_config: Dict[Tuple[str, int], float] = {}
-    stats_at_4 = None
-    for mode, workers in configs:
-        env = WorkerEnv(dataset=dataset, cache=CacheSpec(mode=mode))
-        with ParallelBatchExecutor(env, spec, workers=workers) as engine:
-            start = time.perf_counter()
-            cold_report = engine.run(queries)
-            cold_s = time.perf_counter() - start
-            start = time.perf_counter()
-            warm_report = engine.run(queries)
-            warm_s = time.perf_counter() - start
-        for report in (cold_report, warm_report):
-            assert report.ok(), "parallel run failed: %s" % report.summary()
-            costs = [r.cost for r in report.results]
-            assert all(
-                abs(a - b) <= 1e-9 * max(1.0, abs(a))
-                for a, b in zip(serial_costs, costs)
-            ), "cost mismatch vs serial at mode=%s workers=%d" % (mode, workers)
-        warm_by_config[(mode, workers)] = warm_s
-        stats = warm_report.cache_stats or {}
-        if mode == "full" and workers == 4:
-            stats_at_4 = stats
-        lookups = stats.get("index_hits", 0) + stats.get("index_misses", 0)
-        hit_rate = stats.get("index_hits", 0) / lookups if lookups else 0.0
-        row = {
-            "config": "%s/x%d" % (mode, workers),
-            "cold_s": round(cold_s, 4),
-            "warm_s": round(warm_s, 4),
-            "warm_speedup": round(serial_s / warm_s, 2) if warm_s else math.nan,
-            "index_hit_rate": round(hit_rate, 3),
-            "result_hits": stats.get("result_hits", 0),
-        }
-        rows.append(row)
-        json_rows.append(dict(row, cache=mode, workers=workers))
-
-    speedup_at_4 = serial_s / warm_by_config[("full", 4)]
-    report_text = format_kv_table(
-        "parallel batch engine: %d queries (%d distinct), %s, serial %.4fs"
-        % (len(queries), distinct, algorithm, serial_s),
-        rows,
-        key="config",
-    )
-    report_text += "\nspeedup at 4 workers (full cache, warm): %.2fx" % speedup_at_4
-    if PARALLEL_JSON_PATH is not None:
-        payload = {
-            "dataset": dataset.name,
-            "algorithm": algorithm,
-            "queries": len(queries),
-            "distinct_queries": distinct,
-            "cpu_count": os.cpu_count(),
-            "serial_s": round(serial_s, 4),
-            "speedup_at_4": round(speedup_at_4, 2),
-            "cache_stats_at_4": stats_at_4,
-            "runs": json_rows,
-            "note": (
-                "warm = steady-state re-run over populated caches; on a "
-                "1-core machine speedups come from memoization, not CPU "
-                "scaling (see docs/PARALLELISM.md)"
-            ),
-        }
-        PARALLEL_JSON_PATH.parent.mkdir(parents=True, exist_ok=True)
-        PARALLEL_JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return report_text
-
-
 # -- registry -------------------------------------------------------------------------
 
 
@@ -586,7 +459,6 @@ EXPERIMENTS: Dict[str, Callable[[Scale], str]] = {
     "ablation_pruning": experiment_ablation_pruning,
     "ablation_index": experiment_ablation_index,
     "unified": experiment_unified,
-    "parallel_study": experiment_parallel,
 }
 
 

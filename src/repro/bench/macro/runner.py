@@ -8,10 +8,10 @@ The runner owns the measurement discipline:
   reported as ``index_build_s`` on the dataset entry.
 - **Cold vs warm is explicit.**  A ``cold`` workload times the first
   (and only) pass over its queries against uncached state.  A ``warm``
-  workload layers :class:`~repro.index.cache.CachingIndex` +
-  :class:`~repro.parallel.cache.ResultCache` over the same context, runs
-  one untimed priming pass, then times the second pass — and reports the
-  cache counters so hit rates are visible in the summary.
+  workload puts a :class:`~repro.parallel.cache.ResultCache` in front of
+  the solver, runs one untimed priming pass, then times the second pass
+  — and reports the cache counters so hit rates are visible in the
+  summary.
 - **Failures never abort a run.**  A query that raises a typed CoSKQ
   error is counted in ``failures`` and excluded from the latency sample;
   an unexpected exception still propagates (a broken harness must not
@@ -21,6 +21,7 @@ The runner owns the measurement discipline:
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 import time
@@ -36,12 +37,11 @@ from repro.bench.macro.schema import SCHEMA_VERSION, assert_valid
 from repro.bench.macro.workloads import Profile, WorkloadSpec, profile_by_name
 from repro.data.queries import generate_queries
 from repro.errors import CoSKQError
-from repro.index.cache import CachingIndex
 from repro.model.dataset import Dataset
 from repro.model.query import Query
 from repro.parallel.cache import CachedSolver, ResultCache
 from repro.parallel.executor import ParallelBatchExecutor
-from repro.parallel.spec import CacheSpec, SolverSpec, WorkerEnv
+from repro.parallel.spec import SolverSpec, WorkerEnv
 
 __all__ = ["run_profile"]
 
@@ -92,18 +92,12 @@ def _solver_workload(
     provenance: "Counter[str]" = Counter()
     cache_stats: Optional[Dict[str, int]] = None
     if spec.cache == "warm":
-        index_cache = CachingIndex(context.index)
-        warm_context = context.with_index(index_cache)
         result_cache = ResultCache()
-        solver = CachedSolver(
-            make_algorithm(spec.solver, warm_context), result_cache
-        )
+        solver = CachedSolver(make_algorithm(spec.solver, context), result_cache)
         for query in queries:  # priming pass, untimed
             solver.solve(query)
         latencies, failures, wall_s = _timed_pass(solver.solve, queries, provenance)
-        cache_stats = {}
-        cache_stats.update(index_cache.stats_dict("index_"))
-        cache_stats.update(result_cache.stats_dict("result_"))
+        cache_stats = result_cache.stats_dict("result_")
     else:
         solver = make_algorithm(spec.solver, context)
         latencies, failures, wall_s = _timed_pass(solver.solve, queries, provenance)
@@ -146,7 +140,7 @@ def _knn_workload(
 def _batch_workload(
     spec: WorkloadSpec, dataset: Dataset, queries: List[Query]
 ) -> Dict[str, object]:
-    env = WorkerEnv(dataset=dataset, cache=CacheSpec(mode="index"))
+    env = WorkerEnv(dataset=dataset)
     solver_spec = SolverSpec(algorithm=spec.solver)
     provenance: "Counter[str]" = Counter()
     with ParallelBatchExecutor(env, solver_spec, workers=spec.workers) as executor:
@@ -344,6 +338,7 @@ def run_profile(
         "environment": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
+            "cpu_count": os.cpu_count(),
         },
         "datasets": dataset_entries,
         "workloads": workload_entries,

@@ -40,7 +40,9 @@ __all__ = [
 #: /3: removed the per-workload ``toggles`` and the ``environment``
 #: ``kernels`` / ``signatures`` flags (one code path, nothing to toggle).
 #: /4: removed the ``adaptive`` workload kind (the learned planner).
-SCHEMA_VERSION = "coskq-bench-macro/4"
+#: /5: added ``environment.cpu_count`` (``os.cpu_count()``; null when
+#: the host cannot tell).
+SCHEMA_VERSION = "coskq-bench-macro/5"
 
 #: How a workload is executed (see docs/BENCHMARKS.md).
 WORKLOAD_KINDS = ("solver", "chain", "boolean-knn", "batch", "sharded")
@@ -131,6 +133,7 @@ def validate_summary(doc: object) -> List[str]:
     if environment is not None:
         _require(environment, "python", str, "environment", problems)
         _require(environment, "platform", str, "environment", problems)
+        _require(environment, "cpu_count", (int, type(None)), "environment", problems)
 
     dataset_names = set()
     datasets = _require(doc, "datasets", list, "summary", problems)

@@ -45,8 +45,8 @@ class BatchReport:
     solver: str
     results: List[Optional[CoSKQResult]] = field(default_factory=list)
     failures: List[QueryFailure] = field(default_factory=list)
-    #: Merged cache counters when the batch ran with memoization (the
-    #: parallel engine fills this in); None for uncached runs.
+    #: This batch's summed result-cache counters when the batch ran with
+    #: a result cache (the parallel engine fills this in); None otherwise.
     cache_stats: Optional[Dict[str, int]] = None
 
     @property

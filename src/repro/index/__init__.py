@@ -1,6 +1,5 @@
-"""Spatial-textual indexing: inverted index, R-tree, IR-tree, signatures, caches."""
+"""Spatial-textual indexing: inverted index, R-tree, IR-tree, signatures."""
 
-from repro.index.cache import DEFAULT_CACHE_CAPACITY, CacheStats, CachingIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.irtree import IRTree, IRTreeNode
 from repro.index.neighbors import LinearScanIndex
@@ -11,9 +10,6 @@ from repro.index.signatures import mask_of, pack_masks
 __all__ = [
     "SpatialTextIndex",
     "InvertedIndex",
-    "CachingIndex",
-    "CacheStats",
-    "DEFAULT_CACHE_CAPACITY",
     "RTree",
     "RTreeNode",
     "IRTree",

@@ -1,4 +1,4 @@
-"""Process-parallel batch querying with memoizing caches.
+"""Process-parallel batch querying with a cross-query result cache.
 
 The serial :class:`~repro.exec.batch.BatchExecutor` answers a workload
 one query at a time; this package scales the same contract out:
@@ -10,10 +10,8 @@ one query at a time; this package scales the same contract out:
 - :class:`~repro.parallel.spec.WorkerEnv` /
   :class:`~repro.parallel.spec.SolverSpec` — picklable recipes so the
   dataset ships once per worker and solvers rebuild worker-side;
-- :class:`~repro.index.cache.CachingIndex` (index-primitive memoization)
-  and :class:`~repro.parallel.cache.ResultCache` (cross-query answer
-  reuse) — the two cache layers, selected by
-  :class:`~repro.parallel.spec.CacheSpec`;
+- :class:`~repro.parallel.cache.ResultCache` — cross-query answer
+  reuse, selected by :class:`~repro.parallel.spec.CacheSpec`;
 - :class:`~repro.parallel.spec.ChaosSpec` — per-query deterministic
   fault plans, so chaos batches fail identically at any worker count.
 

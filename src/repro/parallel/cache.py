@@ -1,13 +1,15 @@
 """The cross-query result cache: whole answers, memoized per worker.
 
-Where :class:`~repro.index.cache.CachingIndex` memoizes index
-*primitives*, :class:`ResultCache` memoizes whole solves: production
-CoSKQ traffic is heavily skewed (the same hotspot query arrives over and
-over), and re-running an exponential exact search for a byte-identical
-query is pure waste.  Keys follow the paper's query identity — the pair
-``(q.λ, q.ψ)`` — extended with the solver label and cost name, because
-the *same* query answered by a different algorithm or objective is a
-different answer.
+:class:`ResultCache` memoizes whole solves: production CoSKQ traffic is
+heavily skewed (the same hotspot query arrives over and over), and
+re-running an exponential exact search for a byte-identical query is
+pure waste.  It is the program's one memoization layer: the solvers'
+index work is one lazy ``nearest_relevant_iter`` stream per query, and
+the lookups keyed on the query's own location repeat only when the
+whole query repeats, which this cache answers outright.  Keys follow
+the paper's query identity — the pair ``(q.λ, q.ψ)`` — extended with
+the solver label and cost name, because the *same* query answered by a
+different algorithm or objective is a different answer.
 
 When result reuse is **unsound** (and therefore refused or bypassed):
 
@@ -29,14 +31,40 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import InvalidParameterError
-from repro.index.cache import CacheStats
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
 
-__all__ = ["ResultCache", "CachedSolver", "result_key"]
+__all__ = ["CacheStats", "ResultCache", "CachedSolver", "result_key"]
+
+
+@dataclass
+class CacheStats:
+    """Counters for one cache: lookups served, recomputed, evicted."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from memory (0 when idle)."""
+        return self.hits / self.lookups if self.lookups else 0.0
+
+    def as_dict(self, prefix: str = "") -> Dict[str, int]:
+        """Flat integer counters, optionally key-prefixed for merging."""
+        return {
+            prefix + "hits": self.hits,
+            prefix + "misses": self.misses,
+            prefix + "evictions": self.evictions,
+        }
 
 
 def result_key(
@@ -90,7 +118,7 @@ class ResultCache:
                 self.stats.evictions += 1
 
     def stats_dict(self, prefix: str = "") -> Dict[str, int]:
-        """A consistent counter snapshot (all four read under the lock)."""
+        """A consistent counter snapshot (all three read under the lock)."""
         with self._lock:
             return self.stats.as_dict(prefix)
 

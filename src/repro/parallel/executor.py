@@ -18,9 +18,9 @@ Engineering decisions worth knowing:
   carry only ``(index, SolverSpec, Query)``.  Under the ``fork`` start
   method the engine additionally pre-builds the runtime in the parent so
   children inherit the index copy-on-write instead of rebuilding it.
-- Cache statistics are cumulative per worker; the parent keeps the
-  latest snapshot per pid (largest monotone ``ops`` counter) and sums
-  across pids into :attr:`BatchReport.cache_stats`.
+- Each payload carries the cache counters its own task moved; the
+  parent sums them into :attr:`BatchReport.cache_stats`, so a report
+  counts its own batch only, however often the pool is reused.
 - Results arrive in any order; the report is reassembled positionally,
   so worker scheduling can never reorder answers.
 """
@@ -132,15 +132,15 @@ class ParallelBatchExecutor:
     ) -> BatchReport:
         results: List[object] = [None] * len(queries)
         failures: List[QueryFailure] = []
-        latest_by_pid: Dict[int, Dict[str, int]] = {}
+        cache_stats: Dict[str, int] = {}
+        pids = set()
         for payload in payloads:
             index = payload["index"]
-            stats = payload.get("stats")
+            stats = payload["stats"]
             if stats is not None:
-                pid = payload["pid"]
-                known = latest_by_pid.get(pid)
-                if known is None or stats["ops"] >= known["ops"]:
-                    latest_by_pid[pid] = stats
+                pids.add(payload["pid"])
+                for key, value in stats.items():
+                    cache_stats[key] = cache_stats.get(key, 0) + value
             if payload["ok"]:
                 results[index] = payload["result"]
             else:
@@ -158,7 +158,7 @@ class ParallelBatchExecutor:
             solver=spec.label,
             results=results,
             failures=failures,
-            cache_stats=_merge_stats(latest_by_pid),
+            cache_stats=dict(cache_stats, workers=len(pids)) if pids else None,
         )
 
     def __repr__(self) -> str:
@@ -167,18 +167,3 @@ class ParallelBatchExecutor:
             self.spec.label,
             self.env.cache.mode,
         )
-
-
-def _merge_stats(
-    latest_by_pid: Dict[int, Dict[str, int]]
-) -> Optional[Dict[str, int]]:
-    """Sum each worker's final cumulative snapshot into batch totals."""
-    if not latest_by_pid:
-        return None
-    merged: Dict[str, int] = {"workers": len(latest_by_pid)}
-    for snapshot in latest_by_pid.values():
-        for key, value in snapshot.items():
-            if key == "ops":
-                continue
-            merged[key] = merged.get(key, 0) + value
-    return merged

@@ -30,22 +30,20 @@ from repro.errors import InvalidParameterError
 from repro.exec.chaos import FaultPlan
 from repro.exec.fallback import FallbackChain
 from repro.exec.policy import ExecutionPolicy
-from repro.index.cache import DEFAULT_CACHE_CAPACITY
 from repro.model.dataset import Dataset
 
 __all__ = ["CacheSpec", "ChaosSpec", "SolverSpec", "WorkerEnv", "CACHE_MODES"]
 
-#: Recognized cache modes: no caching, index-lookup memoization,
-#: cross-query result reuse, or both ("full").
-CACHE_MODES = ("none", "index", "result", "full")
+#: Recognized cache modes: no caching, or cross-query result reuse
+#: through :class:`~repro.parallel.cache.ResultCache` ("full").
+CACHE_MODES = ("none", "full")
 
 
 @dataclass(frozen=True)
 class CacheSpec:
-    """Which memoization layers a worker enables, and how large."""
+    """Whether a worker reuses whole answers, and how many it keeps."""
 
     mode: str = "none"
-    index_capacity: int = DEFAULT_CACHE_CAPACITY
     result_capacity: int = 1024
 
     def __post_init__(self) -> None:
@@ -53,16 +51,12 @@ class CacheSpec:
             raise InvalidParameterError(
                 "unknown cache mode %r; known: %s" % (self.mode, list(CACHE_MODES))
             )
-        if self.index_capacity < 1 or self.result_capacity < 1:
-            raise InvalidParameterError("cache capacities must be >= 1")
-
-    @property
-    def caches_index(self) -> bool:
-        return self.mode in ("index", "full")
+        if self.result_capacity < 1:
+            raise InvalidParameterError("result cache capacity must be >= 1")
 
     @property
     def caches_results(self) -> bool:
-        return self.mode in ("result", "full")
+        return self.mode == "full"
 
 
 @dataclass(frozen=True)

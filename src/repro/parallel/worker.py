@@ -2,7 +2,7 @@
 
 One :class:`WorkerRuntime` lives in each pool process (module global,
 installed by the pool initializer).  It builds the expensive state
-exactly once — dataset indexes, the memoizing caches — and then serves
+exactly once — dataset indexes, the result cache — and then serves
 ``(index, spec, query)`` tasks, returning plain-dict payloads that the
 parent reassembles into a :class:`~repro.exec.batch.BatchReport`.
 
@@ -14,7 +14,7 @@ Pickling constraints, made explicit:
   bytes; solvers are rebuilt from the spec inside the worker and
   memoized per spec;
 - each payload ships the :class:`~repro.model.result.CoSKQResult` (or a
-  typed failure record) plus a cumulative cache-stats snapshot; live
+  typed failure record) plus the cache counters that task moved; live
   exceptions never cross the boundary, so unpicklable tracebacks cannot
   poison the pool;
 - under the ``fork`` start method the parent may pre-build a runtime
@@ -37,7 +37,6 @@ from repro.algorithms.base import SearchContext
 from repro.cost.functions import cost_by_name
 from repro.errors import ExecutionFailedError
 from repro.exec.chaos import ChaosIndex
-from repro.index.cache import CachingIndex
 from repro.model.query import Query
 from repro.parallel.cache import CachedSolver, ResultCache
 from repro.parallel.spec import SolverSpec, WorkerEnv
@@ -65,25 +64,14 @@ class WorkerRuntime:
         self.env = env
         self.validate = validate
         if env.shards > 0:
-            base = SearchContext(
+            self.context = SearchContext(
                 env.dataset,
                 max_entries=env.max_entries,
                 index_cls=ShardedIndexFactory(env.shards),
             )
         else:
-            base = SearchContext(env.dataset, max_entries=env.max_entries)
-        # The raw (uncached, unwrapped) sharded context: the scatter-gather
-        # engine needs the bare facade to read summaries and restrict it.
-        self._sharded_context = base if env.shards > 0 else None
-        self.index_cache: Optional[CachingIndex] = None
-        if env.cache.caches_index:
-            self.index_cache = CachingIndex(
-                base.index, capacity=env.cache.index_capacity
-            )
-            base = base.with_index(self.index_cache)
-        else:
-            base.index  # force the build so it is paid once, not mid-batch
-        self.context = base
+            self.context = SearchContext(env.dataset, max_entries=env.max_entries)
+        self.context.index  # force the build so it is paid once, not mid-batch
         self.result_cache: Optional[ResultCache] = None
         if env.cache.caches_results:
             self.result_cache = ResultCache(env.cache.result_capacity)
@@ -94,10 +82,10 @@ class WorkerRuntime:
     def solver_for(self, spec: SolverSpec, query_index: int):
         """The (memoized) solver for ``spec``; chaos rebuilds per query.
 
-        Chaos wraps the *outermost* index layer with a fresh per-query
+        Chaos wraps the index with a fresh per-query
         :class:`~repro.exec.chaos.ChaosIndex`, so every index call of
         query ``i`` is intercepted by plan ``i`` regardless of which
-        worker runs it or what the cache already holds.
+        worker runs it.
         """
         if self.env.chaos is not None:
             plan = self.env.chaos.plan_for(query_index)
@@ -107,7 +95,7 @@ class WorkerRuntime:
             return spec.build(context)
         solver = self._solvers.get(spec)
         if solver is None:
-            if self._sharded_context is not None and not spec.resilient:
+            if self.env.shards > 0 and not spec.resilient:
                 # Bare registry solvers route through the scatter-gather
                 # engine so shard pruning happens inside the worker;
                 # resilient chains run directly over the sharded facade
@@ -117,9 +105,7 @@ class WorkerRuntime:
                 from repro.shard.engine import ScatterGather
 
                 cost = cost_by_name(spec.cost) if spec.cost is not None else None
-                solver = ScatterGather(
-                    self._sharded_context, spec.algorithm, cost=cost
-                )
+                solver = ScatterGather(self.context, spec.algorithm, cost=cost)
             else:
                 solver = spec.build(self.context)
             if self.result_cache is not None:
@@ -130,7 +116,15 @@ class WorkerRuntime:
     # -- one task ---------------------------------------------------------------
 
     def solve(self, index: int, spec: SolverSpec, query: Query) -> Dict[str, object]:
-        """One isolated solve; failures become payload fields, not raises."""
+        """One isolated solve; failures become payload fields, not raises.
+
+        The payload's ``stats`` are the cache counters this one solve
+        moved (None when caching is off), so the parent sums them into
+        per-batch totals however often the runtime is reused.
+        """
+        cache = self.result_cache
+        before = cache.stats_dict("result_") if cache is not None else {}
+        payload: Dict[str, object]
         try:
             solver = self.solver_for(spec, index)
             result = solver.solve(query)
@@ -142,41 +136,22 @@ class WorkerRuntime:
             stage_failures: Tuple[object, ...] = ()
             if isinstance(err, ExecutionFailedError):
                 stage_failures = err.failures
-            return {
+            payload = {
                 "ok": False,
                 "index": index,
                 "result": None,
                 "error_type": type(err).__name__,
                 "message": str(err),
                 "stage_failures": stage_failures,
-                "pid": os.getpid(),
-                "stats": self.stats_snapshot(),
             }
-        return {
-            "ok": True,
-            "index": index,
-            "result": result,
-            "pid": os.getpid(),
-            "stats": self.stats_snapshot(),
-        }
-
-    # -- observability ----------------------------------------------------------
-
-    def stats_snapshot(self) -> Optional[Dict[str, int]]:
-        """Cumulative cache counters, or None when caching is off.
-
-        Snapshots are monotone per worker, so the parent can keep the
-        largest per pid and sum across workers for batch totals.
-        """
-        if self.index_cache is None and self.result_cache is None:
-            return None
-        out: Dict[str, int] = {}
-        if self.index_cache is not None:
-            out.update(self.index_cache.stats.as_dict(prefix="index_"))
-        if self.result_cache is not None:
-            out.update(self.result_cache.stats.as_dict(prefix="result_"))
-        out["ops"] = sum(out.values())
-        return out
+        else:
+            payload = {"ok": True, "index": index, "result": result}
+        payload["pid"] = os.getpid()
+        payload["stats"] = None
+        if cache is not None:
+            after = cache.stats_dict("result_")
+            payload["stats"] = {key: after[key] - before[key] for key in after}
+        return payload
 
 
 # -- fork inheritance ---------------------------------------------------------

@@ -81,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache",
-        default="index",
+        default="none",
         choices=CACHE_MODES,
-        help="memoization layers (default: %(default)s)",
+        help="'full' reuses whole answers across requests (default: %(default)s)",
     )
     parser.add_argument(
         "--shards",
@@ -121,15 +121,6 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
             latency_s=latency_s,
             latency_every=5 if latency_s else 0,
         )
-    cache_mode = args.cache
-    if chaos is not None and cache_mode in ("result", "full"):
-        # Mirror WorkerEnv: result reuse under chaos is unsound.
-        cache_mode = "index"
-        print(
-            "chaos drill: downgrading --cache to 'index' (result reuse "
-            "would skip the fault plan)",
-            file=sys.stderr,
-        )
     return ServerConfig(
         host=args.host,
         port=args.port,
@@ -138,7 +129,7 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
         deadline_ms=None if args.no_deadline else args.deadline_ms,
         work_budget=args.work_budget,
         max_inflight=args.max_inflight,
-        cache_mode=cache_mode,
+        cache_mode=args.cache,
         shards=args.shards,
         chaos=chaos,
         verbose=args.verbose,
@@ -151,13 +142,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("provide a dataset file or --demo (not both)", file=sys.stderr)
         return 2
     try:
+        config = config_from_args(args)
         if args.demo:
             from repro.data.generators import hotel_like
 
             dataset = hotel_like(scale=0.1, seed=0)
         else:
             dataset = Dataset.load(args.dataset)
-        config = config_from_args(args)
         server = create_server(dataset, config)
     except (CoSKQError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

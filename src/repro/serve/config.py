@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import InvalidParameterError
-from repro.index.cache import DEFAULT_CACHE_CAPACITY
 from repro.parallel.spec import CACHE_MODES, ChaosSpec
 
 __all__ = [
@@ -80,8 +79,7 @@ class ServerConfig:
     max_deadline_ms: Optional[float] = 5_000.0
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     retry_after_s: float = 0.05
-    cache_mode: str = "index"
-    index_cache_capacity: int = DEFAULT_CACHE_CAPACITY
+    cache_mode: str = "none"
     result_cache_capacity: int = 1024
     latency_window: int = DEFAULT_LATENCY_WINDOW
     max_entries: int = 16
@@ -126,12 +124,8 @@ class ServerConfig:
             )
 
     @property
-    def caches_index(self) -> bool:
-        return self.cache_mode in ("index", "full")
-
-    @property
     def caches_results(self) -> bool:
-        return self.cache_mode in ("result", "full")
+        return self.cache_mode == "full"
 
     def clamp_deadline(self, deadline_ms: Optional[float]) -> Optional[float]:
         """A per-request deadline override, held under the server cap."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -58,8 +59,12 @@ class CoSKQRequestHandler(BaseHTTPRequestHandler):
             body = self._read_body()
         except CoSKQError as err:
             # Body-size refusals are still counted (as bad_request) so
-            # /stats reconciles with the client-side tally.
-            self._write_response(self.server.service.reject_bad_request(str(err)))
+            # /stats reconciles with the client-side tally.  The body is
+            # left unread, so the connection closes after the refusal
+            # instead of parsing that body as the next request.
+            response = self.server.service.reject_bad_request(str(err))
+            close = (("Connection", "close"),)
+            self._write_response(replace(response, headers=response.headers + close))
             return
         response = self.server.service.handle_query(body)
         self._write_response(response)

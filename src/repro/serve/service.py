@@ -5,7 +5,7 @@ so the whole degradation surface is testable without binding a port:
 
 - the index is built **once** (``warm()``), shared read-only by every
   request thread — sound because lint rules R7/R10 pin solvers to a
-  read-only index, and the memoizing caches carry their own locks;
+  read-only index, and the result cache carries its own lock;
 - each request builds its *own* fallback chain and
   :class:`~repro.exec.executor.ResilientExecutor` (solvers are stateful
   per solve — counters, budgets — so instances are never shared across
@@ -51,7 +51,6 @@ from repro.exec.clock import Clock, MonotonicClock
 from repro.exec.executor import ResilientExecutor
 from repro.exec.fallback import ExecutionProvenance, FallbackChain
 from repro.exec.policy import ExecutionPolicy
-from repro.index.cache import CachingIndex
 from repro.model.dataset import Dataset
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
@@ -149,23 +148,15 @@ class QueryService:
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self.dataset = dataset
         if self.config.shards > 0:
-            base = SearchContext(
+            self._search_context = SearchContext(
                 dataset,
                 max_entries=self.config.max_entries,
                 index_cls=ShardedIndexFactory(self.config.shards),
             )
         else:
-            base = SearchContext(dataset, max_entries=self.config.max_entries)
-        # The unwrapped context: its index is the raw ShardedIndex when
-        # sharding is on (read by /stats for shard observability).
-        self._base_context = base
-        self.index_cache: Optional[CachingIndex] = None
-        if self.config.caches_index:
-            self.index_cache = CachingIndex(
-                base.index, capacity=self.config.index_cache_capacity
+            self._search_context = SearchContext(
+                dataset, max_entries=self.config.max_entries
             )
-            base = base.with_index(self.index_cache)
-        self._search_context = base
         self.result_cache: Optional[ResultCache] = None
         if self.config.caches_results:
             self.result_cache = ResultCache(
@@ -489,11 +480,6 @@ class QueryService:
         payload = self.stats.snapshot()
         payload["admission"] = self.admission.snapshot()
         caches: Dict[str, object] = {"mode": self.config.cache_mode}
-        if self.index_cache is not None:
-            stats = self.index_cache.stats_dict()
-            lookups = stats["hits"] + stats["misses"]
-            stats["hit_rate"] = stats["hits"] / lookups if lookups else 0.0
-            caches["index"] = stats
         if self.result_cache is not None:
             stats = self.result_cache.stats_dict()
             lookups = stats["hits"] + stats["misses"]
@@ -517,7 +503,7 @@ class QueryService:
         """The raw sharded facade, or None when serving a single IR-tree."""
         if self.config.shards <= 0:
             return None
-        index = self._base_context.index
+        index = self._search_context.index
         assert isinstance(index, ShardedIndex)
         return index
 

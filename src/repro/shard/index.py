@@ -19,11 +19,10 @@ single-tree counterpart documents:
 - The bulk retrievals (``relevant_in_circle`` / ``objects_in_circle``)
   concatenate per-shard results in fixed ``shard_id`` order.
 
-Thread safety mirrors the PR-7 :class:`~repro.index.cache.CachingIndex`
-pattern: the shards, trees and summaries are immutable after ``build``
-and shared read-only across request threads; the only mutable state is
-the observability counter block, guarded by one ``RLock`` and excluded
-from pickling (forked workers start with fresh counters).
+Thread safety: the shards, trees and summaries are immutable after
+``build`` and shared read-only across request threads; the only mutable
+state is the observability counter block, guarded by one ``RLock`` and
+excluded from pickling (forked workers start with fresh counters).
 """
 
 from __future__ import annotations

@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         default="none",
         choices=CACHE_MODES,
-        help="memoization for --batch: index lookups, whole results, or both",
+        help="'full' reuses whole answers across a --batch (default: %(default)s)",
     )
     parser.add_argument(
         "--shards",

@@ -37,7 +37,6 @@ class TestExperimentRegistry:
             "ablation_pruning",
             "ablation_index",
             "unified",
-            "parallel_study",
         }
         assert expected == set(EXPERIMENTS)
 
@@ -91,26 +90,3 @@ class TestExperimentsRun:
         report = run_experiment("unified", scale=MICRO)
         for name in ("maxsum", "dia", "sum", "minmax"):
             assert name in report
-
-    def test_parallel_study(self, tmp_path, monkeypatch):
-        import json
-
-        from repro.bench import experiments
-
-        json_path = tmp_path / "BENCH_parallel.json"
-        monkeypatch.setattr(experiments, "PARALLEL_JSON_PATH", json_path)
-        report = run_experiment("parallel_study", scale=MICRO)
-        assert "speedup at 4 workers" in report
-        for config in ("none/x1", "full/x4"):
-            assert config in report
-        payload = json.loads(json_path.read_text())
-        assert payload["speedup_at_4"] > 0
-        assert payload["cache_stats_at_4"]["result_hits"] > 0
-        assert payload["cpu_count"] >= 1
-        assert {run["config"] for run in payload["runs"]} >= {
-            "none/x1",
-            "index/x1",
-            "full/x1",
-            "full/x2",
-            "full/x4",
-        }

@@ -66,7 +66,7 @@ def make_summary(
         "schema_version": schema_version,
         "profile": "fixture",
         "seed": seed,
-        "environment": {"python": "3.x", "platform": "fixture"},
+        "environment": {"python": "3.x", "platform": "fixture", "cpu_count": 2},
         "datasets": [
             {
                 "name": "fixture",

@@ -4,8 +4,8 @@ The session-scoped ``macro_smoke_run`` fixture executes
 ``coskq-bench run --profile smoke`` through the real CLI; these tests
 assert the summary is schema-valid, the pinned workload mix actually
 ran (warm caches hit, chains stamp provenance, the parallel batch
-reports merged worker cache stats), and the diff gate behaves: a
-self-compared run exits 0, a doctored-slower run exits nonzero.
+reports throughput), and the diff gate behaves: a self-compared run
+exits 0, a doctored-slower run exits nonzero.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class TestSmokeRun:
         batch = workload(summary, "batch-parallel/cold")
         assert batch["latency_ms"] is None  # batch cells report throughput
         assert batch["throughput_qps"] > 0
-        assert batch["cache_stats"] is not None
-        assert batch["cache_stats"]["workers"] >= 1
+        # A cold cell: the workers run without a result cache.
+        assert batch["cache_stats"] is None
 
 
 class TestDiffGate:

@@ -1,19 +1,15 @@
-"""The memoizing caches under thread pressure (the serving daemon's use).
+"""The result cache under thread pressure (the serving daemon's use).
 
-Both caches promise: every lookup increments exactly one of hits/misses,
-the LRU never exceeds its capacity, racing misses converge on one
-canonical entry, and ``stats_dict`` snapshots are internally consistent.
+It promises: every lookup increments exactly one of hits/misses, the
+LRU never exceeds its capacity, and ``stats_dict`` snapshots are
+internally consistent.
 """
 
 from __future__ import annotations
 
 import threading
 
-import pytest
-
-from repro.algorithms.base import SearchContext
 from repro.geometry.point import Point
-from repro.index.cache import CachingIndex
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
 from repro.parallel.cache import ResultCache, result_key
@@ -41,84 +37,6 @@ def hammer(worker, threads=THREADS):
     for thread in pool:
         thread.join()
     assert not errors, errors
-
-
-class TestCachingIndexConcurrency:
-    @pytest.fixture()
-    def raw_index(self, tiny_dataset):
-        return SearchContext(tiny_dataset).index
-
-    def test_hammered_lookups_count_and_agree(self, tiny_dataset, raw_index):
-        cache = CachingIndex(raw_index, capacity=64)
-        keywords = tiny_dataset.keywords_by_frequency()[:4]
-        points = [Point(float(i * 7 % 100), float(i * 13 % 100)) for i in range(10)]
-
-        def worker(thread_index):
-            for round_number in range(ROUNDS):
-                point = points[(thread_index + round_number) % len(points)]
-                keyword = keywords[round_number % len(keywords)]
-                got = cache.keyword_nn(point, keyword)
-                expected = raw_index.keyword_nn(point, keyword)
-                assert (got is None) == (expected is None)
-                if got is not None:
-                    assert got[0] == expected[0]
-                    assert got[1].oid == expected[1].oid
-
-        hammer(worker)
-        stats = cache.stats_dict()
-        assert stats["hits"] + stats["misses"] == THREADS * ROUNDS
-        assert stats["misses"] >= len(points) * len(keywords) - stats["evictions"]
-
-    def test_capacity_bound_holds_under_threads(self, tiny_dataset, raw_index):
-        capacity = 8
-        cache = CachingIndex(raw_index, capacity=capacity)
-        keywords = tiny_dataset.keywords_by_frequency()[:6]
-
-        def worker(thread_index):
-            for round_number in range(ROUNDS):
-                point = Point(
-                    float((thread_index * 31 + round_number) % 50),
-                    float((thread_index * 17 + round_number) % 50),
-                )
-                cache.keyword_nn(point, keywords[round_number % len(keywords)])
-
-        hammer(worker)
-        assert len(cache._entries) <= capacity
-        stats = cache.stats_dict()
-        assert stats["evictions"] > 0
-        assert stats["hits"] + stats["misses"] == THREADS * ROUNDS
-
-    def test_racing_misses_converge_on_one_snapshot(self, tiny_dataset, raw_index):
-        cache = CachingIndex(raw_index, capacity=64)
-        query = Query(
-            Point(50.0, 50.0),
-            frozenset(tiny_dataset.keywords_by_frequency()[:3]),
-        )
-        barrier = threading.Barrier(THREADS)
-        results = [None] * THREADS
-
-        def worker(thread_index):
-            barrier.wait()  # all threads miss at once
-            results[thread_index] = cache.nearest_neighbor_set(query)
-
-        hammer(worker)
-        first = results[0]
-        assert all(result == first for result in results)
-        stats = cache.stats_dict()
-        assert stats["hits"] + stats["misses"] == THREADS
-
-    def test_mutating_a_result_cannot_poison_the_cache(
-        self, tiny_dataset, raw_index
-    ):
-        cache = CachingIndex(raw_index, capacity=64)
-        query = Query(
-            Point(10.0, 10.0),
-            frozenset(tiny_dataset.keywords_by_frequency()[:2]),
-        )
-        first = cache.nearest_neighbor_set(query)
-        first.clear()
-        second = cache.nearest_neighbor_set(query)
-        assert second and second != {}
 
 
 class TestResultCacheConcurrency:

@@ -241,7 +241,7 @@ class TestSTRPartitionProperties:
 
 class TestThreadSafety:
     def test_shared_facade_is_safe_under_concurrent_queries(self, instance):
-        """Mirrors the PR-7 CachingIndex drill: one facade, many threads."""
+        """One facade, many threads: every answer stays bit-identical."""
         dataset, context, queries = instance
         sharded = SearchContext(dataset, index_cls=ShardedIndexFactory(4))
         sharded.index  # build once, then share read-only

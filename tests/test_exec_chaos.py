@@ -258,16 +258,9 @@ class TestChaosAcrossWorkers:
     """
 
     def _run(self, dataset, queries, workers, chaos):
-        from repro.parallel import (
-            CacheSpec,
-            ParallelBatchExecutor,
-            SolverSpec,
-            WorkerEnv,
-        )
+        from repro.parallel import ParallelBatchExecutor, SolverSpec, WorkerEnv
 
-        env = WorkerEnv(
-            dataset=dataset, cache=CacheSpec(mode="index"), chaos=chaos
-        )
+        env = WorkerEnv(dataset=dataset, chaos=chaos)
         spec = SolverSpec(algorithm="maxsum-appro")
         with ParallelBatchExecutor(env, spec, workers=workers) as engine:
             return engine.run(queries)

@@ -105,36 +105,6 @@ def test_declared_ratios_respected(name, instances):
             )
 
 
-@pytest.mark.parametrize("name", ALGORITHM_NAMES)
-def test_conformance_survives_caching_index(name, instance):
-    """Every algorithm over a CachingIndex-wrapped context stays honest.
-
-    Same exactness check as above, but the context's index is wrapped in
-    the memoizing :class:`~repro.index.cache.CachingIndex` — each query
-    is solved twice so the second pass runs against a warm cache.  A
-    cache that returned stale, truncated or aliased lookups would show
-    up here as a cost divergence.
-    """
-    from repro.index.cache import CachingIndex
-
-    _, context, queries = instance
-    cache = CachingIndex(context.index)
-    plain = make_algorithm(name, context)
-    cached = make_algorithm(name, context.with_index(cache))
-    for query in queries:
-        expected = plain.solve(query).cost
-        cold = cached.solve(query).cost
-        warm = cached.solve(query).cost
-        assert abs(expected - cold) <= TOLERANCE, name
-        assert abs(cold - warm) <= TOLERANCE, name
-    # Solvers that enumerate the dataset directly (bruteforce, the sum
-    # family, topk) legitimately never call the spatial index; everyone
-    # else must have actually exercised the cache for this test to mean
-    # anything.
-    if name not in ("bruteforce", "sum-exact", "sum-greedy", "topk"):
-        assert cache.stats.lookups + cache.stats.uncached > 0, name
-
-
 def test_every_registered_name_is_stable(instance):
     _, context, _ = instance
     # Names round-trip: the instance's declared name matches its key,

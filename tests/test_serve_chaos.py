@@ -43,7 +43,6 @@ def chaos_run():
         max_retries=1,
         max_inflight=4,  # small bound: admission sheds under this load
         retry_after_s=0.001,
-        cache_mode="index",
         # faults AND slowness: every 3rd index call stalls 5ms, so the
         # 2ms deadline genuinely expires and in-flight requests pile up
         # past max_inflight (otherwise this dataset answers too fast to

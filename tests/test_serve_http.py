@@ -206,7 +206,7 @@ class TestQueryService:
 
     def test_result_cache_serves_repeats(self, serve_dataset, frequent_words):
         service = QueryService(
-            serve_dataset, ServerConfig(cache_mode="result")
+            serve_dataset, ServerConfig(cache_mode="full")
         )
         body = query_body(frequent_words[:2])
         first = service.handle_query(body)
@@ -221,7 +221,7 @@ class TestQueryService:
         from repro.model.query import Query
 
         service = QueryService(
-            serve_dataset, ServerConfig(cache_mode="result", deadline_ms=None)
+            serve_dataset, ServerConfig(cache_mode="full", deadline_ms=None)
         )
         starved = service.handle_query(
             query_body(frequent_words[:3], work_budget=3)
@@ -242,6 +242,21 @@ class TestQueryService:
     def test_chaos_with_result_cache_is_rejected(self):
         with pytest.raises(InvalidParameterError):
             ServerConfig(cache_mode="full", chaos=ChaosSpec(fail_rate=0.5))
+
+    def test_cli_refuses_result_cache_under_chaos(self, monkeypatch, capsys):
+        """The CLI applies the config's rule: no silent downgrade."""
+        from repro.serve import cli
+
+        argv = ["--demo", "--cache", "full", "--chaos-fail-rate", "0.1"]
+        with pytest.raises(InvalidParameterError):
+            cli.config_from_args(cli.build_parser().parse_args(argv))
+
+        def refuse_to_bind(*args, **kwargs):
+            raise AssertionError("main bound a port for a refused config")
+
+        monkeypatch.setattr(cli, "create_server", refuse_to_bind)
+        assert cli.main(argv) == 1
+        assert "result caching under chaos" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field", ["deadline_ms", "max_deadline_ms", "retry_after_s"]
@@ -347,6 +362,41 @@ class TestHttpEndpoints:
             server.shutdown()
             server.server_close()
         assert len(writes) == 2  # one per response
+
+    def test_refused_body_closes_the_connection(self, server, frequent_words):
+        """An over-limit body is never parsed as the next request."""
+        import socket
+
+        from repro.serve.httpd import MAX_BODY_BYTES
+
+        valid = query_body(frequent_words[:2])
+        stream = (
+            b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n"
+            % (MAX_BODY_BYTES + 1)
+            + b"x" * 70_000
+            + b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n"
+            % len(valid)
+            + valid
+        )
+        received = b""
+        with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+            sock.sendall(stream)
+            while True:
+                try:
+                    chunk = sock.recv(65536)
+                except ConnectionResetError:
+                    break  # closed with the body unread: end of stream
+                if not chunk:
+                    break
+                received += chunk
+        head, _, rest = received.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        length = int(headers["Content-Length"])
+        assert status_line.startswith("HTTP/1.1 400")
+        assert headers["Connection"] == "close"
+        assert json.loads(rest[:length])["outcome"] == "bad_request"
+        assert rest[length:] == b""  # no second response
 
     def test_unknown_paths_are_json_404(self, client):
         import urllib.error
