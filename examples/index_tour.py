@@ -1,77 +1,81 @@
 """A tour of the spatial-textual index substrate.
 
-Shows the building blocks the CoSKQ algorithms run on: the R-tree, the
-IR-tree with keyword-aware pruning, keyword nearest neighbors, the
-nearest-neighbor set N(q) and region queries — and measures how much
-keyword summaries prune versus a linear scan.
+Shows the one query the CoSKQ algorithms make of an index — relevant
+objects around a point, streamed in ``(distance, oid)`` order — and what
+they read from it: keyword nearest neighbors, the nearest-neighbor set
+N(q) and the disk C(q, r).  It then measures how much the IR-tree's
+keyword summaries save against a linear scan.
 
 Run with::
 
     python examples/index_tour.py
 """
 
+import itertools
 import time
 
-from repro import (
-    Circle,
-    IRTree,
-    LinearScanIndex,
-    Point,
-    Query,
-    RTree,
-    gn_like,
-)
+from repro import IRTree, LinearScanIndex, Point, Query, gn_like
+from repro.algorithms.base import SearchContext
 
 
 def main() -> None:
     dataset = gn_like(scale=0.003, seed=1)  # ~5.6k objects
     print("dataset:", dataset)
 
-    # Plain R-tree over the locations.
-    rtree = RTree.bulk_load([(o.location, o.oid) for o in dataset])
-    print("r-tree: %d entries, height %d" % (len(rtree), rtree.height()))
-    here = Point(500.0, 500.0)
-    nearest5 = rtree.nearest(here, k=5)
-    print("5 nearest objects to (500, 500):", [oid for _, oid in nearest5])
-    in_range = rtree.range_search(Circle(here, 25.0))
-    print("objects within 25 units: %d" % len(in_range))
-
-    # IR-tree: the keyword-aware version the paper uses.
+    # The IR-tree: an STR-packed R-tree whose nodes carry keyword masks.
     irtree = IRTree.build(dataset)
+    print("ir-tree: %d objects, height %d" % (len(irtree), irtree.height()))
+    here = Point(500.0, 500.0)
     keyword = dataset.keywords_by_frequency()[10]
     word = dataset.vocabulary.word_of(keyword)
-    hit = irtree.keyword_nn(here, keyword)
-    assert hit is not None
+
+    # The stream: objects carrying any of the keywords, nearest first.
+    stream = irtree.nearest_relevant_iter(here, frozenset((keyword,)))
     print(
-        "\nnearest object containing %r: #%d at distance %.2f"
-        % (word, hit[1].oid, hit[0])
+        "5 nearest objects containing %r:" % word,
+        ["#%d at %.2f" % (obj.oid, dist) for dist, obj in itertools.islice(stream, 5)],
     )
 
+    # NN(p, t) is the first entry of a single-keyword stream.
+    dist, obj = next(irtree.nearest_relevant_iter(here, frozenset((keyword,))))
+    print("\nnearest object containing %r: #%d at distance %.2f" % (word, obj.oid, dist))
+
     # N(q): one nearest carrier per query keyword — the seed of every
-    # CoSKQ algorithm and the source of the d_f bound.
+    # CoSKQ algorithm and the source of the d_f bound.  The context
+    # checks feasibility, then reads N(q) from one stream over q's
+    # keywords.
+    context = SearchContext(dataset)
     frequent = dataset.keywords_by_frequency()[:4]
     query = Query(here, frozenset(frequent))
-    nn_set = irtree.nearest_neighbor_set(query)
-    d_f = max(d for d, _ in nn_set.values())
-    print("N(q) over %d keywords: d_f = %.2f" % (len(nn_set), d_f))
+    nn = context.nn_set(query)
+    print("N(q) over %d keywords: d_f = %.2f" % (len(nn.by_keyword), nn.d_f))
 
-    # Keyword-filtered region query.
-    relevant = irtree.relevant_in_circle(Circle(here, 50.0), query.keywords)
-    print("relevant objects within 50 units: %d" % len(relevant))
+    # C(q, r) is the stream's prefix up to r.
+    radius = 50.0
+    in_disk = list(
+        itertools.takewhile(
+            lambda entry: entry[0] <= radius,
+            context.index.nearest_relevant_iter(here, query.keywords),
+        )
+    )
+    print("relevant objects within %.0f units: %d" % (radius, len(in_disk)))
 
-    # IR-tree vs linear scan on the same query mix.
-    linear = LinearScanIndex(dataset)
+    # IR-tree vs linear scan on the same N(q) lookups.
+    linear = SearchContext(dataset, index_cls=LinearScanIndex)
     rounds = 300
-    started = time.perf_counter()
-    for i in range(rounds):
-        irtree.keyword_nn(Point(i % 1000, (i * 37) % 1000), keyword)
-    tree_time = time.perf_counter() - started
-    started = time.perf_counter()
-    for i in range(rounds):
-        linear.keyword_nn(Point(i % 1000, (i * 37) % 1000), keyword)
-    scan_time = time.perf_counter() - started
+    probes = [
+        Query(Point(i % 1000, (i * 37) % 1000), query.keywords) for i in range(rounds)
+    ]
+    timings = []
+    for ctx in (context, linear):
+        ctx.nn_set(probes[0])  # build the indexes outside the timing
+        started = time.perf_counter()
+        for probe in probes:
+            ctx.nn_set(probe)
+        timings.append(time.perf_counter() - started)
+    tree_time, scan_time = timings
     print(
-        "\nkeyword-NN microbenchmark (%d lookups): ir-tree %.3fs, "
+        "\nN(q) microbenchmark (%d lookups): ir-tree %.3fs, "
         "linear scan %.3fs (%.1fx)"
         % (rounds, tree_time, scan_time, scan_time / max(tree_time, 1e-9))
     )

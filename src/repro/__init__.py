@@ -91,7 +91,7 @@ from repro.exec import (
     chaos_context,
 )
 from repro.geometry import MBR, Circle, Point
-from repro.index import InvertedIndex, IRTree, LinearScanIndex, RTree
+from repro.index import InvertedIndex, IRTree, LinearScanIndex
 from repro.model import CoSKQResult, Dataset, Query, SpatialObject, Vocabulary
 
 __version__ = "1.0.0"
@@ -108,7 +108,6 @@ __all__ = [
     "Query",
     "CoSKQResult",
     # indexes
-    "RTree",
     "IRTree",
     "InvertedIndex",
     "LinearScanIndex",

@@ -6,19 +6,19 @@ benchmark can run many algorithms over the same data without re-indexing.
 
 :class:`CoSKQAlgorithm` is the algorithm interface: construct against a
 context (and usually a cost function), then call :meth:`solve` per query.
-Common query-time primitives live here too: the nearest-neighbor set
-``N(q)``, the ``d_f`` lower bound, and relevant-object retrieval.
+Common query-time primitives live here too: the feasibility check and
+the nearest-neighbor set ``N(q)`` with its ``d_f`` lower bound, read
+from the index's one ``(distance, oid)`` stream.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.cost.base import CostFunction
 from repro.errors import InfeasibleQueryError
-from repro.geometry.circle import Circle
 from repro.index.inverted import InvertedIndex
 from repro.index.irtree import IRTree
 from repro.index.protocol import SpatialTextIndex
@@ -48,15 +48,33 @@ class NNSet:
     d_f: float
 
     @staticmethod
-    def compute(index: SpatialTextIndex, query: Query) -> "NNSet":
-        by_keyword = index.nearest_neighbor_set(query)
-        seen: Dict[int, SpatialObject] = {}
-        d_f = 0.0
-        for dist, obj in by_keyword.values():
-            seen[obj.oid] = obj
-            if dist > d_f:
-                d_f = dist
-        ordered = tuple(sorted(seen.values(), key=lambda o: o.oid))
+    def from_stream(
+        query: Query, entries: Iterable[Tuple[float, SpatialObject]]
+    ) -> "NNSet":
+        """``N(q)`` from a ``(distance, oid)``-ordered stream of ``q.ψ`` carriers.
+
+        ``NN(q, t)`` is the first entry that carries ``t``, so the
+        stream's total order gives ties to the lowest oid.  Reading stops
+        once every query keyword has its carrier; a stream that ends
+        first raises :class:`InfeasibleQueryError` with the keywords it
+        never carried.
+        """
+        found: Dict[int, Tuple[float, SpatialObject]] = {}
+        missing = query.keywords
+        for dist, obj in entries:
+            carried = shared_keywords(obj.keywords, missing)
+            if carried:
+                for t in carried:
+                    found[t] = (dist, obj)
+                missing = missing - carried
+                if not missing:
+                    break
+        if missing:
+            raise InfeasibleQueryError(missing)
+        by_keyword = {t: found[t] for t in query.keywords}
+        seen = {obj.oid: obj for _, obj in by_keyword.values()}
+        ordered = tuple(seen[oid] for oid in sorted(seen))
+        d_f = max(dist for dist, _ in by_keyword.values())
         return NNSet(by_keyword=by_keyword, objects=ordered, d_f=d_f)
 
 
@@ -102,15 +120,16 @@ class SearchContext:
     def with_index(self, index: SpatialTextIndex) -> "SearchContext":
         """A sibling context over the same dataset with ``index`` swapped in.
 
-        The inverted index is shared (it is keyword-only, so wrappers
-        around the spatial index — chaos injection, remote shims, caches —
-        do not affect it).  Used by :func:`repro.exec.chaos.chaos_context`.
+        The inverted index is built once, here if not before, and shared
+        (it is keyword-only, so wrappers around the spatial index — chaos
+        injection, restricted shard views — do not affect it).  Used by
+        :func:`repro.exec.chaos.chaos_context` and the shard engine.
         """
         clone = SearchContext(
             self.dataset, max_entries=self.max_entries, index_cls=self._index_cls
         )
         clone._index = index
-        clone._inverted = self._inverted
+        clone._inverted = self.inverted
         return clone
 
     # -- query-time primitives shared by the algorithms ---------------------
@@ -122,14 +141,14 @@ class SearchContext:
             raise InfeasibleQueryError(missing)
 
     def nn_set(self, query: Query) -> NNSet:
-        """``N(q)`` with its ``d_f`` bound."""
-        return NNSet.compute(self.index, query)
+        """``N(q)`` with its ``d_f`` bound, from one stream over ``q.ψ``.
 
-    def relevant_in_circle(
-        self, circle: Circle, keywords: FrozenSet[int]
-    ) -> List[SpatialObject]:
-        """Relevant objects (≥ 1 keyword of ``keywords``) inside a disk."""
-        return self.index.relevant_in_circle(circle, keywords)
+        An infeasible query raises before any stream is opened.
+        """
+        self.check_feasible(query)
+        return NNSet.from_stream(
+            query, self.index.nearest_relevant_iter(query.location, query.keywords)
+        )
 
 
 class CoSKQAlgorithm(ABC):

@@ -7,8 +7,9 @@
   carrier is farthest (the keyword forcing ``d_f``).  Some carrier of
   ``t_f`` belongs to every feasible set, so the algorithm iterates the
   carriers ``o`` of ``t_f`` in ascending ``d(o, q)`` and completes each
-  with the per-keyword nearest neighbors ``NN(o, t)``, keeping the best —
-  a 2-approximation for MaxSum.
+  with the per-keyword nearest neighbors ``NN(o, t)`` — each the first
+  entry of a single-keyword stream from ``o`` — keeping the best: a
+  2-approximation for MaxSum.
 
 Both are cost-generic in implementation (they build feasible sets and
 score them with whatever cost they are given), matching how the paper
@@ -76,13 +77,19 @@ class CaoAppro2(CoSKQAlgorithm):
     def _complete_with_keyword_nns(
         self, query: Query, owner: SpatialObject
     ) -> List[SpatialObject] | None:
-        """``{owner} ∪ { NN(owner, t) : t uncovered }`` (unrestricted NNs)."""
+        """``{owner} ∪ { NN(owner, t) : t uncovered }`` (unrestricted NNs).
+
+        ``NN(owner, t)`` is the first entry of the single-keyword stream
+        from the owner, so ties go to the lowest oid.
+        """
         chosen: List[SpatialObject] = [owner]
         uncovered = set(query.keywords - owner.keywords)
         index = self.context.index
         while uncovered:
             t = min(uncovered)
-            hit = index.keyword_nn(owner.location, t)
+            hit = next(
+                index.nearest_relevant_iter(owner.location, frozenset((t,))), None
+            )
             if hit is None:
                 return None
             _, obj = hit

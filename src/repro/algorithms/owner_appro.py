@@ -19,10 +19,11 @@ Feasibility inside the disk is guaranteed: every ``NN(q, t)`` lies within
 ``d_f ≤ d(o, q)`` of the query.
 
 Owners come from one ``nearest_relevant_iter(q, q.ψ)`` stream, and
-``C(q, d(o, q))`` is exactly the part of that stream read so far, so
-:class:`OwnerStream` records the stream once per query and every owner
-is served from a slice of it (shared with the exact search,
-:mod:`repro.algorithms.owner_exact`).
+both ``N(q)`` (its first carrier of each keyword) and ``C(q, d(o, q))``
+(the part read so far) are prefixes of it, so :class:`OwnerStream`
+records the stream once per query and ``N(q)`` and every owner are
+served from it — one index walk per query (shared with the exact search,
+:mod:`repro.algorithms.owner_exact`, and Unified-A).
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import bisect
 from array import array
 from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
 
-from repro.algorithms.base import CoSKQAlgorithm
-from repro.index.protocol import SpatialTextIndex
+from repro.algorithms.base import CoSKQAlgorithm, NNSet, SearchContext
 from repro.index.signatures import mask_of
 from repro.kernels import lens_lower_bound, lens_scan, max_distance_from
 from repro.model.objects import SpatialObject
@@ -45,21 +45,27 @@ class OwnerStream:
     """One query's owner stream, recorded as the owner loop reads it.
 
     Iterating yields ``nearest_relevant_iter(q, q.ψ)`` entries in stream
-    order, pulling from the index only on demand.  Each pulled entry is
-    kept with its exact stream distance, packed x/y and keyword mask, and
-    its index joins the carrier list of every query keyword it carries,
-    so an owner at distance ``r`` finds ``C(q, r)`` — every completion's
-    home — as the first :meth:`disk_end` entries instead of walking the
-    index again.  Masks have one bit per query keyword (:meth:`mask_of`),
+    order, pulling from the index only on demand; each iteration replays
+    the recorded entries first, so ``N(q)`` is read from the stream
+    (:meth:`NNSet.from_stream`) before the owner loop walks it.  Each
+    pulled entry is kept with its exact stream distance, packed x/y and
+    keyword mask, and its index joins the carrier list of every query
+    keyword it carries, so an owner at distance ``r`` finds ``C(q, r)``
+    — every completion's home — as the first :meth:`disk_end` entries
+    instead of walking the index again.  Masks have one bit per query keyword (:meth:`mask_of`),
     so they stay small ints however large the vocabulary.
     ``checkpoint`` is the solver's deadline probe, called once per entry
     read.
     """
 
     def __init__(
-        self, index: SpatialTextIndex, query: Query, checkpoint: Callable[[], None]
+        self, context: SearchContext, query: Query, checkpoint: Callable[[], None]
     ):
-        self._entries = index.nearest_relevant_iter(query.location, query.keywords)
+        # An infeasible query raises before the index is touched.
+        context.check_feasible(query)
+        self._entries = context.index.nearest_relevant_iter(
+            query.location, query.keywords
+        )
         self._checkpoint = checkpoint
         # (bit, keyword, carriers of the keyword) per query keyword.
         self._slots = tuple((1 << i, t, []) for i, t in enumerate(sorted(query.keywords)))
@@ -115,6 +121,12 @@ class OwnerStream:
         while (not self.dists or self.dists[-1] <= r) and self._pull():
             self._checkpoint()
         return bisect.bisect_right(self.dists, r)
+
+    def in_disk(self, r: float, want: int) -> List[SpatialObject]:
+        """The entries of ``C(q, r)`` carrying a ``want`` bit, in stream order."""
+        masks = self.masks
+        objects = self.objects
+        return [objects[i] for i in range(self.disk_end(r)) if masks[i] & want]
 
     def lens(
         self, owner: SpatialObject, r: float, budget: float, want: int
@@ -189,11 +201,11 @@ class OwnerRingApproximation(CoSKQAlgorithm):
         # and ignored: the approximation bound argues about this search's
         # own incumbent, not an external one.
         self._reset_counters()
-        nn = self.context.nn_set(query)
+        stream = OwnerStream(self.context, query, self._checkpoint)
+        nn = NNSet.from_stream(query, stream)
         best: List[SpatialObject] = list(nn.objects)
         best_cost = self._evaluate(query, best)
         d_f = nn.d_f
-        stream = OwnerStream(self.context.index, query, self._checkpoint)
         for dist, owner in stream:
             if dist < d_f:
                 # Cannot be the farthest member of any feasible set.

@@ -36,22 +36,24 @@ owners:
 The search is exact at float precision, with no tolerance: its answer
 costs exactly what the brute-force optimum costs.
 
+``N(q)``, the owners and every lens are read from the query's one
+index stream (:class:`~repro.algorithms.owner_appro.OwnerStream`).
+
 Constructor switches (`seed_with_appro`, `filter_candidates`,
-`ring_pruning`) exist solely for the pruning-ablation benchmark.
+`ring_pruning`) exist solely for the pruning-ablation benchmark; with
+`filter_candidates` off an owner's lens is its whole disk ``C(q, r)``.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.algorithms.base import CoSKQAlgorithm, SearchContext
+from repro.algorithms.base import CoSKQAlgorithm, NNSet, SearchContext
 from repro.algorithms.cover import find_constrained_cover
 from repro.algorithms.owner_appro import OwnerRingApproximation, OwnerStream
 from repro.cost.base import CostFunction, QueryAggregate
-from repro.geometry.circle import Circle
-from repro.index.signatures import bits_of, mask_of
 from repro.kernels import DistanceOracle
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
@@ -102,7 +104,8 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         self, query: Query, initial_upper_bound: Optional[float] = None
     ) -> CoSKQResult:
         self._reset_counters()
-        nn = self.context.nn_set(query)
+        stream = OwnerStream(self.context, query, self._checkpoint)
+        nn = NNSet.from_stream(query, stream)
         best: List[SpatialObject] = list(nn.objects)
         best_cost = self._evaluate(query, best)
         if self.seed_with_appro:
@@ -118,7 +121,6 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         bound = self._pruning_bound(best_cost, initial_upper_bound)
 
         d_f = nn.d_f if self.ring_pruning else 0.0
-        stream = OwnerStream(self.context.index, query, self._checkpoint)
         for dist, owner in stream:
             if dist < d_f:
                 continue
@@ -155,25 +157,12 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         if budget <= 0.0:
             return None
 
-        if self.filter_candidates and not math.isinf(budget):
-            state = self._lens_state(stream, owner, r, budget, uncovered, cur_cost)
-            if state is None:
-                return None
-            oracle, lower = state
-        else:
-            disk = Circle(query.location, r)
-            candidates = self.context.relevant_in_circle(disk, uncovered)
-            # One oracle per owner: the candidate↔owner vector is filled
-            # now (each entry is needed by the first probe's anchor
-            # filter), the candidate pairwise rows fill lazily on first
-            # use, and every bisection probe below reuses both.
-            oracle = DistanceOracle(owner.location, candidates)
-            lower = self._diameter_lower_bound(uncovered, candidates, oracle)
-            if lower is None:
-                return None  # some keyword has no candidate near this owner
-            self._bump("candidates_scanned", len(candidates))
-            if self.cost.combine(r, lower) >= cur_cost:
-                return None
+        # Without the lens filter the lens is the whole disk C(q, r).
+        lens_budget = budget if self.filter_candidates else math.inf
+        state = self._lens_state(stream, owner, r, lens_budget, uncovered, cur_cost)
+        if state is None:
+            return None
+        oracle, lower = state
 
         if not math.isinf(budget):
             cap_hi = budget
@@ -272,29 +261,3 @@ class OwnerDrivenExact(CoSKQAlgorithm):
             return None, beyond
         full = [owner] + cover
         return full, oracle.diameter_with_anchor([oracle.index_of(o) for o in cover])
-
-    @staticmethod
-    def _diameter_lower_bound(
-        uncovered: frozenset,
-        candidates: List[SpatialObject],
-        oracle: DistanceOracle,
-    ) -> Optional[float]:
-        """``max_t min_{candidate covering t} d(candidate, owner)``.
-
-        Every feasible completion contains, for each uncovered keyword, an
-        object at least this far from the owner, so no set owned by
-        ``owner`` has a smaller diameter.  None when some keyword has no
-        candidate at all.
-        """
-        anchor_d = oracle.anchor_d
-        u_mask = mask_of(uncovered)
-        best_per_keyword: Dict[int, float] = {}
-        for i, cand in enumerate(candidates):
-            d = anchor_d[i]
-            for t in bits_of(mask_of(cand.keywords) & u_mask):
-                cur = best_per_keyword.get(t)
-                if cur is None or d < cur:
-                    best_per_keyword[t] = d
-        if len(best_per_keyword) < len(uncovered):
-            return None
-        return max(best_per_keyword.values())

@@ -13,6 +13,12 @@ feasible set with a per-aggregate greedy:
   ratio inside the contributor's disk — the weighted-set-cover greedy
   that keeps the sum term small.
 
+Contributors come from the query's one index stream
+(:class:`~repro.algorithms.owner_appro.OwnerStream`), which also yields
+``N(q)`` and, as its prefix, each contributor's disk ``C(q, d)``.  Both
+greedies order their picks by a ``(distance, oid)`` key, so the answer
+does not depend on the order the candidates arrive in.
+
 Proven ratios per instantiation are exported as
 :data:`UNIFIED_APPRO_RATIO_BOUNDS` (the property tests check them
 empirically against exact solvers):
@@ -36,10 +42,9 @@ from __future__ import annotations
 import math
 from typing import List
 
-from repro.algorithms.base import CoSKQAlgorithm
-from repro.algorithms.owner_appro import greedy_completion_near
+from repro.algorithms.base import CoSKQAlgorithm, NNSet
+from repro.algorithms.owner_appro import OwnerStream, greedy_completion_near
 from repro.cost.base import QueryAggregate
-from repro.geometry.circle import Circle
 from repro.index.signatures import shared_keywords
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
@@ -78,24 +83,21 @@ class UnifiedAppro(CoSKQAlgorithm):
         # and ignored: the per-cost ratio table argues about this
         # search's own incumbent, not an external one.
         self._reset_counters()
-        nn = self.context.nn_set(query)
+        stream = OwnerStream(self.context, query, self._checkpoint)
+        nn = NNSet.from_stream(query, stream)
         best: List[SpatialObject] = list(nn.objects)
         best_cost = self._evaluate(query, best)
         aggregate = self.cost.query_aggregate
         # MIN contributors may sit arbitrarily close to the query; for
         # MAX/SUM the farthest member can never be inside C(q, d_f).
         min_contributor_dist = 0.0 if aggregate is QueryAggregate.MIN else nn.d_f
-        index = self.context.index
-        for dist, contributor in index.nearest_relevant_iter(
-            query.location, query.keywords
-        ):
-            self._checkpoint()
+        for dist, contributor in stream:
             if dist < min_contributor_dist:
                 continue
             if self.cost.combine(dist, 0.0) >= best_cost:
                 break
             self._bump("contributors_tried")
-            candidate = self._complete(query, contributor, dist, aggregate)
+            candidate = self._complete(query, stream, contributor, dist, aggregate)
             if candidate is None:
                 continue
             cost_value = self._evaluate(query, candidate)
@@ -109,6 +111,7 @@ class UnifiedAppro(CoSKQAlgorithm):
     def _complete(
         self,
         query: Query,
+        stream: OwnerStream,
         contributor: SpatialObject,
         dist: float,
         aggregate: QueryAggregate,
@@ -121,8 +124,7 @@ class UnifiedAppro(CoSKQAlgorithm):
             # close to the contributor to control the diameter.
             candidates = self.context.inverted.relevant_objects(uncovered)
         else:
-            disk = Circle(query.location, dist)
-            candidates = self.context.relevant_in_circle(disk, uncovered)
+            candidates = stream.in_disk(dist, stream.mask_of(uncovered))
         self._bump("candidates_scanned", len(candidates))
         if aggregate is QueryAggregate.SUM:
             completion = self._ratio_greedy(query, uncovered, candidates)

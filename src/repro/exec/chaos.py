@@ -5,17 +5,17 @@ things go wrong — so this module makes things go wrong *on purpose and
 deterministically*.  A :class:`FaultPlan` is a seed-driven schedule of
 faults; :class:`ChaosIndex` wraps any
 :class:`~repro.index.protocol.SpatialTextIndex` and consults the plan
-before delegating each call, injecting:
+before delegating each call.  The index protocol is one stream
+(``nearest_relevant_iter``), so a plan schedules faults by call number:
 
-- ``fail_nth(n)`` — the n-th intercepted call (1-based, across all
-  methods) raises :class:`~repro.errors.InjectedFaultError`;
-- ``flaky_once(method)`` — the first call of ``method`` fails, every
-  later call succeeds (the canonical transient fault: one retry heals);
-- ``fail_method(method)`` — every call of ``method`` fails (a dead
-  backend: only falling back to a stage that avoids the method, or
-  giving up with ``ExecutionFailedError``, escapes it);
+- ``fail_nth(n)`` — the n-th intercepted call (1-based) raises
+  :class:`~repro.errors.InjectedFaultError`; ``fail_nth(1)`` is the
+  canonical transient fault (one retry heals);
 - ``fail_rate(p)`` — each call fails with probability ``p`` under the
   plan's seed (via :mod:`repro.utils.rng`, so runs are reproducible);
+  ``fail_rate(1.0)`` is a dead backend (only giving up with
+  ``ExecutionFailedError``, or an answer that needs no index, escapes
+  it);
 - ``latency(seconds, every=k)`` — every k-th call sleeps on the plan's
   clock before proceeding; with a
   :class:`~repro.exec.clock.ManualClock` the "latency" is virtual, so
@@ -27,7 +27,7 @@ per call and the plan records which call numbers it sabotaged.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.algorithms.base import SearchContext
 from repro.errors import InjectedFaultError, InvalidParameterError
@@ -37,7 +37,6 @@ from repro.geometry.point import Point
 from repro.index.protocol import SpatialTextIndex
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
-from repro.model.query import Query
 from repro.utils.rng import substream
 
 __all__ = ["FaultPlan", "ChaosIndex", "chaos_context"]
@@ -46,21 +45,18 @@ __all__ = ["FaultPlan", "ChaosIndex", "chaos_context"]
 class FaultPlan:
     """A deterministic, seed-driven schedule of injected faults.
 
-    Builder-style: ``FaultPlan(seed=7).flaky_once("nearest_neighbor_set")
-    .latency(0.05, every=3)``.  The same plan object is stateful across
-    calls (it remembers which one-shot faults already fired); build a
-    fresh plan per experiment run.
+    Builder-style: ``FaultPlan(seed=7).fail_nth(1).latency(0.05,
+    every=3)``.  The same plan object is stateful across calls (it
+    remembers which one-shot faults already fired); build a fresh plan
+    per experiment run.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._fail_calls: Set[int] = set()
-        self._flaky_methods: Set[str] = set()
-        self._dead_methods: Set[str] = set()
         self._fail_rate = 0.0
         self._latency_seconds = 0.0
         self._latency_every = 0
-        self._fired_flaky: Set[str] = set()
         self._rng = substream(seed, "chaos-fail-rate")
         #: Call numbers this plan actually sabotaged (for assertions).
         self.injected: List[int] = []
@@ -73,16 +69,6 @@ class FaultPlan:
             if n < 1:
                 raise InvalidParameterError("call numbers are 1-based")
             self._fail_calls.add(n)
-        return self
-
-    def flaky_once(self, method: str) -> "FaultPlan":
-        """Fail the first call of ``method``; succeed afterwards."""
-        self._flaky_methods.add(method)
-        return self
-
-    def fail_method(self, method: str) -> "FaultPlan":
-        """Fail every call of ``method`` (a permanently dead backend)."""
-        self._dead_methods.add(method)
         return self
 
     def fail_rate(self, probability: float) -> "FaultPlan":
@@ -109,11 +95,6 @@ class FaultPlan:
         fail = False
         if call_number in self._fail_calls:
             self._fail_calls.discard(call_number)
-            fail = True
-        elif method in self._dead_methods:
-            fail = True
-        elif method in self._flaky_methods and method not in self._fired_flaky:
-            self._fired_flaky.add(method)
             fail = True
         elif self._fail_rate > 0.0 and self._rng.random() < self._fail_rate:
             fail = True
@@ -162,33 +143,11 @@ class ChaosIndex:
     def __len__(self) -> int:
         return len(self.inner)
 
-    def keyword_nn(
-        self, point: Point, keyword_id: int
-    ) -> Tuple[float, SpatialObject] | None:
-        self._intercept("keyword_nn")
-        return self.inner.keyword_nn(point, keyword_id)
-
     def nearest_relevant_iter(
         self, point: Point, keywords: FrozenSet[int], within: Circle | None = None
     ) -> Iterator[Tuple[float, SpatialObject]]:
         self._intercept("nearest_relevant_iter")
         return self.inner.nearest_relevant_iter(point, keywords, within)
-
-    def nearest_neighbor_set(
-        self, query: Query
-    ) -> Dict[int, Tuple[float, SpatialObject]]:
-        self._intercept("nearest_neighbor_set")
-        return self.inner.nearest_neighbor_set(query)
-
-    def relevant_in_circle(
-        self, circle: Circle, keywords: FrozenSet[int]
-    ) -> List[SpatialObject]:
-        self._intercept("relevant_in_circle")
-        return self.inner.relevant_in_circle(circle, keywords)
-
-    def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:
-        self._intercept("objects_in_circle")
-        return self.inner.objects_in_circle(circle)
 
     def __repr__(self) -> str:
         return "ChaosIndex(%r, calls=%d)" % (self.inner, self.calls)

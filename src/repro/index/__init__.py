@@ -1,17 +1,14 @@
-"""Spatial-textual indexing: inverted index, R-tree, IR-tree, signatures."""
+"""Spatial-textual indexing: inverted index, IR-tree, signatures."""
 
 from repro.index.inverted import InvertedIndex
-from repro.index.irtree import IRTree, IRTreeNode
+from repro.index.irtree import DEFAULT_MAX_ENTRIES, IRTree, IRTreeNode
 from repro.index.neighbors import LinearScanIndex
 from repro.index.protocol import SpatialTextIndex
-from repro.index.rtree import DEFAULT_MAX_ENTRIES, RTree, RTreeNode
 from repro.index.signatures import mask_of, pack_masks
 
 __all__ = [
     "SpatialTextIndex",
     "InvertedIndex",
-    "RTree",
-    "RTreeNode",
     "IRTree",
     "IRTreeNode",
     "LinearScanIndex",

@@ -4,26 +4,21 @@ The IR-tree (Cong et al., VLDB 2009) is the index the CoSKQ paper runs
 on.  Each node stores, besides its MBR, the union of the keyword sets in
 its subtree as a keyword bitmask (``kw_mask``, :mod:`repro.index.signatures`;
 a compact stand-in for the node's inverted file — sufficient for the
-boolean keyword containment tests CoSKQ needs).  This enables:
+boolean keyword containment tests CoSKQ needs).  It answers two queries:
 
-- ``keyword_nn(p, t)`` — the nearest object to ``p`` carrying keyword
-  ``t`` (the paper's ``NN(p, t)``), via best-first traversal that skips
-  subtrees whose keyword summary misses ``t``;
-- ``nearest_relevant_iter(p, W)`` — incremental distance-ordered
-  iteration over objects carrying at least one keyword of ``W``;
-- ``relevant_in_circle(c, W)`` — keyword-filtered circle range queries;
-- ``nearest_neighbor_set(q)`` — the paper's ``N(q)``, one ``NN(q, t)``
-  per query keyword.
+- ``nearest_relevant_iter(p, W)`` — incremental iteration, in total
+  ``(distance, oid)`` order, over objects carrying at least one keyword
+  of ``W``.  It is the only query the solvers make: ``N(q)`` is its
+  first carrier of each query keyword, ``NN(p, t)`` the first entry of
+  a single-keyword stream, and ``C(q, r)`` a prefix of the stream;
+- ``boolean_knn(q, k)`` — the k nearest objects that each cover all of
+  ``q.ψ`` (the macro benchmark's ``boolean-knn`` workload).
 
-The tree is bulk-loaded with STR over the dataset; dynamic insertion is
-supported as well so incremental workloads can be modeled.
-
-Leaves additionally keep per-entry keyword masks (``obj_masks``) beside
-their packed coordinate columns, so every keyword test in the
-traversals is ``mask & w_mask`` — decision-identical to ``isdisjoint``
-because the mask↔set mapping is a bijection.  Summaries are maintained
-*incrementally* on insert (union with the new entry) and rebuilt from
-scratch only when a node splits.
+The tree is bulk-loaded with STR (Sort-Tile-Recursive) over the dataset
+and is read-only afterwards.  Leaves additionally keep per-entry keyword
+masks (``obj_masks``) beside their packed coordinate columns, so every
+keyword test in the traversals is ``mask & w_mask`` — decision-identical
+to ``isdisjoint`` because the mask↔set mapping is a bijection.
 """
 
 from __future__ import annotations
@@ -32,13 +27,11 @@ import heapq
 import itertools
 import math
 from array import array
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.errors import InfeasibleQueryError
 from repro.geometry.circle import Circle
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
-from repro.index.rtree import DEFAULT_MAX_ENTRIES, _pack_upward, _str_tiles  # noqa: F401
 from repro.index.signatures import mask_of, pack_masks
 from repro.kernels import cap_bands
 from repro.utils.floatcmp import EPSILON as _ZERO_EPS
@@ -46,7 +39,9 @@ from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 
-__all__ = ["IRTree", "IRTreeNode"]
+__all__ = ["IRTree", "IRTreeNode", "DEFAULT_MAX_ENTRIES"]
+
+DEFAULT_MAX_ENTRIES = 16
 
 
 class IRTreeNode:
@@ -55,9 +50,8 @@ class IRTreeNode:
     Leaf nodes store objects directly; internal nodes store children.
     Leaves additionally keep their entry coordinates packed into
     parallel ``array('d')`` columns (``xs``/``ys``, rebuilt alongside
-    the other summaries) so range and nearest scans run on flat doubles
-    with a guarded squared-distance early exit instead of chasing
-    ``obj.location`` per entry — see ``docs/PERFORMANCE.md``.
+    the other summaries) so nearest scans run on flat doubles instead of
+    chasing ``obj.location`` per entry — see ``docs/PERFORMANCE.md``.
     """
 
     __slots__ = (
@@ -87,11 +81,7 @@ class IRTreeNode:
         return len(self.objects) if self.is_leaf else len(self.children)
 
     def recompute_summaries(self) -> None:
-        """Rebuild this node's MBR, keyword summaries and coordinate columns.
-
-        Called on bulk load and after splits; ordinary inserts maintain
-        every summary incrementally instead (see ``_insert_into``).
-        """
+        """Build this node's MBR, keyword summaries and coordinate columns."""
         self.kw_mask = 0
         if self.is_leaf:
             self.mbr = (
@@ -112,7 +102,7 @@ class IRTreeNode:
 
 
 class IRTree:
-    """A bulk-loaded (or incrementally built) IR-tree over a dataset."""
+    """An STR bulk-loaded IR-tree over a dataset."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries < 4:
@@ -127,87 +117,18 @@ class IRTree:
     def build(cls, dataset: Dataset, max_entries: int = DEFAULT_MAX_ENTRIES) -> "IRTree":
         """STR bulk-load an IR-tree over all objects of ``dataset``."""
         tree = cls(max_entries=max_entries)
-        entries = [(obj.location, obj) for obj in dataset]
-        if not entries:
+        objects = list(dataset)
+        if not objects:
             return tree
         leaves: List[IRTreeNode] = []
-        for chunk in _str_tiles(entries, max_entries):
+        for chunk in _str_tiles(objects, max_entries):
             leaf = IRTreeNode(is_leaf=True)
-            leaf.objects = [obj for _, obj in chunk]
+            leaf.objects = chunk
             leaf.recompute_summaries()
             leaves.append(leaf)
         tree.root = _pack_ir_upward(leaves, max_entries)
-        tree._size = len(entries)
+        tree._size = len(objects)
         return tree
-
-    def insert(self, obj: SpatialObject) -> None:
-        """Insert one object, keeping MBRs and keyword summaries tight."""
-        split = self._insert_into(self.root, obj)
-        if split is not None:
-            old_root = self.root
-            new_root = IRTreeNode(is_leaf=False)
-            new_root.children = [old_root, split]
-            new_root.recompute_summaries()
-            self.root = new_root
-        self._size += 1
-
-    def _insert_into(self, node: IRTreeNode, obj: SpatialObject) -> Optional[IRTreeNode]:
-        """Insert ``obj`` below ``node``, maintaining summaries incrementally.
-
-        The non-split path unions the new entry into each summary along
-        the insertion path (min/max and bit unions are associative,
-        so the result equals a from-scratch rebuild); only a split — the
-        one event that *removes* entries from a node — rebuilds, inside
-        ``_split_leaf``/``_split_internal``.
-        """
-        (obj_mask,) = pack_masks((obj,))
-        point_rect = MBR.from_point(obj.location)
-        if node.is_leaf:
-            node.objects.append(obj)
-            if len(node.objects) > self.max_entries:
-                return self._split_leaf(node)
-            node.kw_mask |= obj_mask
-            node.obj_masks.append(obj_mask)
-            node.xs.append(obj.location.x)
-            node.ys.append(obj.location.y)
-            node.mbr = point_rect if node.mbr is None else node.mbr.union(point_rect)
-            return None
-        child = _choose_ir_subtree(node.children, obj.location)
-        split = self._insert_into(child, obj)
-        if split is not None:
-            node.children.append(split)
-            if len(node.children) > self.max_entries:
-                return self._split_internal(node)
-            node.recompute_summaries()
-            return None
-        node.kw_mask |= obj_mask
-        node.mbr = point_rect if node.mbr is None else node.mbr.union(point_rect)
-        return None
-
-    def _split_leaf(self, node: IRTreeNode) -> IRTreeNode:
-        objects = sorted(node.objects, key=_sort_key)
-        half = len(objects) // 2
-        new_node = IRTreeNode(is_leaf=True)
-        node.objects = objects[:half]
-        new_node.objects = objects[half:]
-        node.recompute_summaries()
-        new_node.recompute_summaries()
-        return new_node
-
-    def _split_internal(self, node: IRTreeNode) -> IRTreeNode:
-        children = sorted(
-            node.children,
-            key=lambda c: (c.mbr.center().x, c.mbr.center().y)
-            if c.mbr is not None
-            else (0.0, 0.0),
-        )
-        half = len(children) // 2
-        new_node = IRTreeNode(is_leaf=False)
-        node.children = children[:half]
-        new_node.children = children[half:]
-        node.recompute_summaries()
-        new_node.recompute_summaries()
-        return new_node
 
     # -- queries -------------------------------------------------------------
 
@@ -224,10 +145,8 @@ class IRTree:
         keyword summary is disjoint from ``keywords`` are never opened
         and irrelevant objects never enter the heap.  ``within``
         additionally restricts results (and the traversal) to a closed
-        disk — the owner-driven algorithms search ``C(q, r)`` anchored
-        elsewhere, and pruning the disk inside the traversal is what
-        makes that cheap.  The keyword tests run on node/entry bitmasks
-        (decision-identical to the set algebra).
+        disk; no solver passes it.  The keyword tests run on node/entry
+        bitmasks (decision-identical to the set algebra).
 
         Equal distances come out by ascending oid: a node sorts before an
         object at the same key, so every object at that distance is in
@@ -339,20 +258,6 @@ class IRTree:
                         key = math.hypot(dx, dy)
                     heapq.heappush(heap, (key, 0, next(counter), child))
 
-    def keyword_nn(
-        self, point: Point, keyword_id: int
-    ) -> Optional[Tuple[float, SpatialObject]]:
-        """The paper's ``NN(point, t)``: nearest object carrying ``t``.
-
-        Returns ``(distance, object)`` or None when no object carries the
-        keyword.  Ties on distance go to the lowest object id (the
-        stream's ``(distance, oid)`` order).
-        """
-        target = frozenset((keyword_id,))
-        for dist, obj in self.nearest_relevant_iter(point, target):
-            return dist, obj
-        return None
-
     def boolean_knn(self, query: Query, k: int) -> List[Tuple[float, SpatialObject]]:
         """Boolean kNN: the k nearest objects covering *all* query keywords.
 
@@ -406,105 +311,6 @@ class IRTree:
                     )
         return out
 
-    def nearest_neighbor_set(self, query: Query) -> Dict[int, Tuple[float, SpatialObject]]:
-        """The paper's ``N(q)``: for each ``t ∈ q.ψ`` the object ``NN(q, t)``.
-
-        Returns a map keyword id → (distance, object).  Raises
-        :class:`InfeasibleQueryError` when some query keyword is carried
-        by no object — then no feasible set exists at all.
-        """
-        out: Dict[int, Tuple[float, SpatialObject]] = {}
-        missing: List[int] = []
-        for t in query.keywords:
-            hit = self.keyword_nn(query.location, t)
-            if hit is None:
-                missing.append(t)
-            else:
-                out[t] = hit
-        if missing:
-            raise InfeasibleQueryError(missing)
-        return out
-
-    def relevant_in_circle(
-        self, circle: Circle, keywords: FrozenSet[int]
-    ) -> List[SpatialObject]:
-        """Objects in the closed disk carrying any keyword of ``keywords``."""
-        out: List[SpatialObject] = []
-        if self.root.mbr is None:
-            return out
-        radius = circle.radius
-        w_mask = mask_of(keywords)
-        cx = circle.center.x
-        cy = circle.center.y
-        lo2, hi2, fast = cap_bands(radius)
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.mbr is None:
-                continue
-            if not node.kw_mask & w_mask:
-                continue
-            if _mbr_beyond(node.mbr, cx, cy, radius, lo2, hi2, fast):
-                continue
-            if node.is_leaf:
-                masks = node.obj_masks
-                # Guarded squared-distance scan over the packed columns;
-                # only band-ambiguous entries pay a hypot.
-                xs = node.xs
-                ys = node.ys
-                for i, obj in enumerate(node.objects):
-                    if not masks[i] & w_mask:
-                        continue
-                    dx = cx - xs[i]
-                    dy = cy - ys[i]
-                    sq = dx * dx + dy * dy
-                    if fast:
-                        if sq < lo2:
-                            out.append(obj)
-                            continue
-                        if sq > hi2:
-                            continue
-                    if math.hypot(dx, dy) <= radius:
-                        out.append(obj)
-            else:
-                stack.extend(node.children)
-        return out
-
-    def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:
-        """All objects in the closed disk, regardless of keywords."""
-        out: List[SpatialObject] = []
-        if self.root.mbr is None:
-            return out
-        radius = circle.radius
-        cx = circle.center.x
-        cy = circle.center.y
-        lo2, hi2, fast = cap_bands(radius)
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.mbr is None:
-                continue
-            if _mbr_beyond(node.mbr, cx, cy, radius, lo2, hi2, fast):
-                continue
-            if node.is_leaf:
-                xs = node.xs
-                ys = node.ys
-                for i, obj in enumerate(node.objects):
-                    dx = cx - xs[i]
-                    dy = cy - ys[i]
-                    sq = dx * dx + dy * dy
-                    if fast:
-                        if sq < lo2:
-                            out.append(obj)
-                            continue
-                        if sq > hi2:
-                            continue
-                    if math.hypot(dx, dy) <= radius:
-                        out.append(obj)
-            else:
-                stack.extend(node.children)
-        return out
-
     # -- introspection ---------------------------------------------------------
 
     def height(self) -> int:
@@ -533,64 +339,22 @@ class IRTree:
 # -- helpers ------------------------------------------------------------------
 
 
-def _mbr_beyond(
-    mbr: MBR,
-    cx: float,
-    cy: float,
-    radius: float,
-    lo2: float,
-    hi2: float,
-    fast: bool,
-) -> bool:
-    """Decision-identical to ``mbr.min_distance(Point(cx, cy)) > radius``.
-
-    One call instead of the ``intersects_mbr`` → ``min_distance`` →
-    ``is_zero`` chain: the clamped offsets are non-negative, so
-    ``<= _ZERO_EPS`` reproduces :func:`repro.utils.floatcmp.is_zero`
-    exactly, and the hypot branch is decided from the squared distance
-    wherever the guard band (``lo2``/``hi2`` from :func:`cap_bands`)
-    makes that conclusive.
-    """
-    dx = 0.0
-    if cx < mbr.min_x:
-        dx = mbr.min_x - cx
-    elif cx > mbr.max_x:
-        dx = cx - mbr.max_x
-    dy = 0.0
-    if cy < mbr.min_y:
-        dy = mbr.min_y - cy
-    elif cy > mbr.max_y:
-        dy = cy - mbr.max_y
-    if dx <= _ZERO_EPS:
-        return dy > radius
-    if dy <= _ZERO_EPS:
-        return dx > radius
-    sq = dx * dx + dy * dy
-    if fast:
-        if sq < lo2:
-            return False
-        if sq > hi2:
-            return True
-    return math.hypot(dx, dy) > radius
-
-
-def _sort_key(obj: SpatialObject) -> Tuple[float, float, int]:
-    return (obj.location.x, obj.location.y, obj.oid)
-
-
-def _choose_ir_subtree(children: Sequence[IRTreeNode], point: Point) -> IRTreeNode:
-    """Least enlargement, ties by area (Guttman ChooseLeaf)."""
-    rect = MBR.from_point(point)
-    best = children[0]
-    best_key = (math.inf, math.inf)
-    for child in children:
-        if child.mbr is None:
-            return child
-        key = (child.mbr.enlargement(rect), child.mbr.area())
-        if key < best_key:
-            best_key = key
-            best = child
-    return best
+def _str_tiles(
+    objects: Sequence[SpatialObject], capacity: int
+) -> Iterator[List[SpatialObject]]:
+    """Partition objects into leaf-sized tiles with the STR recipe."""
+    n = len(objects)
+    leaf_count = math.ceil(n / capacity)
+    slice_count = math.ceil(math.sqrt(leaf_count))
+    by_x = sorted(objects, key=lambda o: (o.location.x, o.location.y))
+    slice_size = math.ceil(n / slice_count)
+    for start in range(0, n, slice_size):
+        vertical = sorted(
+            by_x[start : start + slice_size],
+            key=lambda o: (o.location.y, o.location.x),
+        )
+        for leaf_start in range(0, len(vertical), capacity):
+            yield vertical[leaf_start : leaf_start + capacity]
 
 
 def _pack_ir_upward(nodes: List[IRTreeNode], capacity: int) -> IRTreeNode:

@@ -1,42 +1,38 @@
 """The structural interface every spatial-textual index implements.
 
 :class:`SearchContext` accepts any "IR-tree-shaped" index — the real
-:class:`~repro.index.irtree.IRTree` or the
+:class:`~repro.index.irtree.IRTree`, the
 :class:`~repro.index.neighbors.LinearScanIndex` oracle used by the
-ablation benchmarks.  Until now that contract lived only in prose
-("drop-in replacement"); :class:`SpatialTextIndex` pins it down as a
-:class:`typing.Protocol` so the annotation on ``SearchContext.index_cls``
-actually says what is required, and new backends (quadtrees, grid files,
-sharded remotes) can be checked structurally instead of by inheritance.
+ablation benchmarks, the sharded facade or a wrapper around any of
+them.  :class:`SpatialTextIndex` pins that contract down as a
+:class:`typing.Protocol`, so new backends are checked structurally
+instead of by inheritance.
+
+The contract is one query: the relevant objects around a point as a
+``(distance, oid)``-ordered stream.  Every solver reads the index
+through it.  ``N(q)`` is the stream's first carrier of each query
+keyword (:meth:`repro.algorithms.base.NNSet.from_stream`), ``NN(p, t)``
+the first entry of a single-keyword stream, and the disk ``C(q, r)``
+the stream's prefix up to ``r``.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import FrozenSet, Iterator, Protocol, Tuple, runtime_checkable
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
-from repro.model.query import Query
 
 __all__ = ["SpatialTextIndex"]
 
 
 @runtime_checkable
 class SpatialTextIndex(Protocol):
-    """The query mix the CoSKQ algorithms need from an index.
+    """The one query the CoSKQ algorithms need from an index.
 
-    Every method mirrors the IR-tree's documented semantics; see
-    :mod:`repro.index.irtree` for the reference implementation and
+    See :mod:`repro.index.irtree` for the reference implementation and
     :mod:`repro.index.neighbors` for the linear-scan oracle.
     """
 
@@ -49,28 +45,11 @@ class SpatialTextIndex(Protocol):
         """Number of indexed objects."""
         ...
 
-    def keyword_nn(
-        self, point: Point, keyword_id: int
-    ) -> Tuple[float, SpatialObject] | None:
-        """``NN(point, t)`` — nearest object carrying the keyword, or None."""
-        ...
-
     def nearest_relevant_iter(
         self, point: Point, keywords: FrozenSet[int], within: Circle | None = None
     ) -> Iterator[Tuple[float, SpatialObject]]:
-        """Relevant objects by ascending distance, optionally disk-bounded."""
-        ...
+        """Objects carrying a keyword of ``keywords``, in ``(distance, oid)`` order.
 
-    def nearest_neighbor_set(self, query: Query) -> Dict[int, Tuple[float, SpatialObject]]:
-        """The paper's ``N(q)``: keyword id → ``(distance, NN(q, t))``."""
-        ...
-
-    def relevant_in_circle(
-        self, circle: Circle, keywords: FrozenSet[int]
-    ) -> List[SpatialObject]:
-        """Objects in the closed disk carrying any keyword of ``keywords``."""
-        ...
-
-    def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:
-        """All objects in the closed disk, regardless of keywords."""
+        ``within``, when given, keeps only objects in that closed disk.
+        """
         ...

@@ -73,8 +73,6 @@ class ChaosSpec:
 
     seed: int = 0
     fail_rate: float = 0.0
-    flaky_once: Tuple[str, ...] = ()
-    fail_method: Tuple[str, ...] = ()
     fail_nth: Tuple[int, ...] = ()
     #: Injected slowness: every ``latency_every``-th index call sleeps
     #: ``latency_s`` on the plan's clock (virtual under a ManualClock).
@@ -97,10 +95,6 @@ class ChaosSpec:
         plan = FaultPlan(seed=(self.seed * 1_000_003 + query_index) & 0x7FFFFFFF)
         if self.fail_rate:
             plan.fail_rate(self.fail_rate)
-        for method in self.flaky_once:
-            plan.flaky_once(method)
-        for method in self.fail_method:
-            plan.fail_method(method)
         if self.fail_nth:
             plan.fail_nth(*self.fail_nth)
         if self.latency_every:

@@ -15,21 +15,27 @@ Endpoints (``docs/SERVING.md`` documents the payloads):
   percentiles, cache hit rates, admission counters;
 - ``GET  /vocabulary`` — most frequent keywords (for load generators).
 
-The handler writes every response itself — including the 404/405 edges
-— so a client always receives JSON with an ``outcome``/``error`` shape,
-never a stock HTML error page.
+The handler writes every response itself — including the 404 and 405
+edges — so a client always receives JSON with an ``outcome``/``error``
+shape, never a stock HTML error page.  Any method other than GET and
+POST gets a JSON 405 with ``Allow: GET, POST`` (a HEAD response carries
+no body).
+
+Only a ``/query`` POST reads its body, and only one framed by
+``Content-Length``; a chunked body is refused as a counted
+``bad_request``.  Every response that leaves request bytes unread sends
+``Connection: close``, so those bytes are never parsed as the next
+request on a keep-alive connection.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.errors import CoSKQError
+from repro.errors import CoSKQError, InvalidParameterError
 from repro.exec.clock import Clock
 from repro.model.dataset import Dataset
 from repro.serve.config import ServerConfig
@@ -58,16 +64,12 @@ class CoSKQRequestHandler(BaseHTTPRequestHandler):
         try:
             body = self._read_body()
         except CoSKQError as err:
-            # Body-size refusals are still counted (as bad_request) so
-            # /stats reconciles with the client-side tally.  The body is
-            # left unread, so the connection closes after the refusal
-            # instead of parsing that body as the next request.
-            response = self.server.service.reject_bad_request(str(err))
-            close = (("Connection", "close"),)
-            self._write_response(replace(response, headers=response.headers + close))
+            # Refused bodies are still counted (as bad_request) so
+            # /stats reconciles with the client-side tally.
+            self._write_response(self.server.service.reject_bad_request(str(err)))
             return
         response = self.server.service.handle_query(body)
-        self._write_response(response)
+        self._write_response(response, body_read=True)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         parsed = urlparse(self.path)
@@ -90,11 +92,30 @@ class CoSKQRequestHandler(BaseHTTPRequestHandler):
                 400, {"error": {"type": type(err).__name__, "message": str(err)}}
             )
 
+    def __getattr__(self, name: str):
+        # http.server dispatches to ``do_<METHOD>`` and answers a missing
+        # handler with an HTML 501; every such method gets the JSON 405.
+        if name.startswith("do_"):
+            return self._method_not_allowed
+        raise AttributeError(name)
+
+    def _method_not_allowed(self) -> None:
+        self._write_response(
+            ServeResponse(
+                status=405,
+                payload={"error": {"type": "MethodNotAllowed", "message": self.command}},
+                headers=(("Allow", "GET, POST"),),
+            )
+        )
+
     # -- plumbing ----------------------------------------------------------------
 
     def _read_body(self) -> bytes:
-        from repro.errors import InvalidParameterError
-
+        if "Transfer-Encoding" in self.headers:
+            raise InvalidParameterError(
+                "Transfer-Encoding bodies (chunked) are not supported; "
+                "send Content-Length"
+            )
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
@@ -105,8 +126,21 @@ class CoSKQRequestHandler(BaseHTTPRequestHandler):
             )
         return self.rfile.read(length)
 
-    def _write_response(self, response: ServeResponse) -> None:
+    def _has_body(self) -> bool:
+        """Whether the request announced body bytes (framed or not)."""
+        if "Transfer-Encoding" in self.headers:
+            return True
+        try:
+            return int(self.headers.get("Content-Length", "0")) != 0
+        except ValueError:
+            return True
+
+    def _write_response(self, response: ServeResponse, body_read: bool = False) -> None:
         body = response.body()
+        headers = response.headers
+        if not body_read and self._has_body():
+            # The unread body would be parsed as the next request.
+            headers += (("Connection", "close"),)
         self.send_response(response.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -119,13 +153,15 @@ class CoSKQRequestHandler(BaseHTTPRequestHandler):
             self.send_header(
                 "X-Retry-After-Ms", "%d" % int(response.retry_after_s * 1000)
             )
-        for name, value in response.headers:
+        for name, value in headers:
             self.send_header(name, value)
         # end_headers() would send the headers on their own.  Written
         # apart, the body of a keep-alive response waits for the client's
         # delayed ACK of the headers (about 40 ms under Nagle's
         # algorithm), so the blank line and the body join the buffered
         # headers and all leave in one write.
+        if self.command == "HEAD":
+            body = b""
         self._headers_buffer.append(b"\r\n" + body)
         self.flush_headers()
 

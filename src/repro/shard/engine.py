@@ -2,7 +2,7 @@
 
 :class:`ScatterGather` wraps any registry solver.  Per query it
 
-1. computes ``N(q)`` through the sharded facade and scores it — the
+1. reads ``N(q)`` from the sharded facade's stream and scores it — the
    incumbent cost bound ``c`` (the same seed every owner-driven solver
    starts from);
 2. optionally tightens ``c`` with a cheap
@@ -33,8 +33,8 @@ baseline (the full derivation is docs/SHARDING.md):
 
 Solvers that reach *outside* the incumbent disk are not
 distance-eligible and get the mask rule only: ``cao-appro1`` /
-``cao-appro2`` complete via owner-anchored ``keyword_nn`` calls that no
-incumbent bounds, and any run under a ``MIN``-aggregate cost has no
+``cao-appro2`` complete from owner-anchored single-keyword streams that
+no incumbent bounds, and any run under a ``MIN``-aggregate cost has no
 monotone owner bound at all.  Solvers that draw candidates from the
 inverted index (the sum family, top-k, brute force, branch-and-bound)
 are unaffected by index restriction either way.
@@ -58,8 +58,8 @@ from repro.utils.floatcmp import prune_cutoff
 __all__ = ["MASK_ONLY_SOLVERS", "ScatterGather"]
 
 #: Solvers whose candidate retrieval is not bounded by the incumbent
-#: disk (owner-anchored keyword-NN completions), so only the mask rule
-#: may restrict their universe.
+#: disk (completions from owner-anchored single-keyword streams), so
+#: only the mask rule may restrict their universe.
 MASK_ONLY_SOLVERS = frozenset({"cao-appro1", "cao-appro2"})
 
 
@@ -108,10 +108,10 @@ class ScatterGather(CoSKQAlgorithm):  # repro: noqa(R1) — wrapper, not a regis
         shards = index.shards
         self._bump("shards_total", len(shards))
 
-        # The incumbent: N(q) through the facade (identical to the
-        # single-tree N(q) — keyword-NNs merge across all shards), scored
-        # by the target cost.  Raises InfeasibleQueryError exactly where
-        # the baseline solver would.
+        # The incumbent: N(q) read from the facade's merged stream
+        # (identical to the single-tree N(q)), scored by the target
+        # cost.  Raises InfeasibleQueryError exactly where the baseline
+        # solver would.
         nn = self.context.nn_set(query)
         incumbent = self._evaluate(query, list(nn.objects))
 

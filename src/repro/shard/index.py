@@ -7,17 +7,15 @@ every registered solver runs over it unchanged; the differential suite
 (``tests/test_differential_shard.py``) asserts the answers are
 bit-identical to a single IR-tree over the same data.
 
-Merge disciplines, chosen so each facade method keeps the contract its
-single-tree counterpart documents:
-
-- ``nearest_relevant_iter`` is a lazy k-way merge: each shard enters the
-  heap as a *stub* keyed by its MBR lower bound and is only expanded —
-  its tree traversal started — when that bound reaches the front.  A
-  shard the query never gets close to is never touched.
-- ``keyword_nn`` probes shards in ascending MBR-lower-bound order and
-  stops as soon as the bound can no longer improve on the best hit.
-- The bulk retrievals (``relevant_in_circle`` / ``objects_in_circle``)
-  concatenate per-shard results in fixed ``shard_id`` order.
+The index protocol is one stream, and the facade keeps its single-tree
+contract with one merge discipline: ``nearest_relevant_iter`` is a lazy
+k-way merge in which each shard enters the heap as a *stub* keyed by its
+MBR lower bound and is only expanded — its tree traversal started — when
+that bound reaches the front.  A shard the query never gets close to is
+never touched, and the merged stream keeps the shards' total
+``(distance, oid)`` order, so ``N(q)`` and every ``NN(p, t)`` read from
+it tie-break exactly as on one tree.  ``boolean_knn`` merges the
+covering shards' lists.
 
 Thread safety: the shards, trees and summaries are immutable after
 ``build`` and shared read-only across request threads; the only mutable
@@ -31,14 +29,14 @@ import heapq
 import itertools
 import math
 import threading
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
-from repro.errors import InfeasibleQueryError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.geometry.circle import Circle
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
 from repro.index.irtree import IRTree
-from repro.index.signatures import covers, mask_of, overlaps
+from repro.index.signatures import covers, mask_of
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
@@ -96,10 +94,9 @@ class ShardedIndex:
         self.num_shards_requested = num_shards_requested
         self._size = sum(shard.summary.count for shard in self._shards)
         self.stats = _ShardStats()
-        # Flat probe table for the per-call hot loops (keyword_nn and
-        # nearest_relevant_iter run once per owner per keyword): MBR
-        # corners, keyword mask, id and tree unpacked once so the loops
-        # do no attribute chasing.
+        # Flat probe table for the stream's setup loop: MBR corners,
+        # keyword mask, id and tree unpacked once so the loop does no
+        # attribute chasing.
         self._probe: Tuple[Tuple[float, float, float, float, int, int, IRTree], ...] = tuple(
             (
                 shard.summary.mbr.min_x,
@@ -112,27 +109,6 @@ class ShardedIndex:
             )
             for shard in self._shards
         )
-        # Single-keyword probe rows, memoized per keyword bit: the
-        # owner-driven solvers anchor one single-keyword traversal per
-        # owner per uncovered keyword, so the mask filter would otherwise
-        # re-scan every shard tens of thousands of times per query.  The
-        # memo is vocabulary-bounded (one entry per keyword bit seen) and
-        # the benign CPython dict race writes an idempotent value, so no
-        # lock is needed (multi-bit masks are filtered inline instead —
-        # their space is combinatorial).
-        self._single_rows: Dict[int, Tuple[Tuple[float, float, float, float, int, int, IRTree], ...]] = {}
-
-    def _mask_rows(
-        self, q_mask: int
-    ) -> Tuple[Tuple[float, float, float, float, int, int, IRTree], ...]:
-        """Probe rows whose shard carries a keyword of ``q_mask``."""
-        if q_mask & (q_mask - 1) == 0:
-            rows = self._single_rows.get(q_mask)
-            if rows is None:
-                rows = tuple(row for row in self._probe if row[4] & q_mask)
-                self._single_rows[q_mask] = rows
-            return rows
-        return tuple(row for row in self._probe if row[4] & q_mask)
 
     # -- construction --------------------------------------------------------
 
@@ -196,43 +172,6 @@ class ShardedIndex:
     def __len__(self) -> int:
         return self._size
 
-    def keyword_nn(
-        self, point: Point, keyword_id: int
-    ) -> Optional[Tuple[float, SpatialObject]]:
-        """``NN(point, t)`` across shards, best-bound-first with early stop.
-
-        Shard bounds are the exact point-to-rectangle distances (inlined
-        clamped-offset ``hypot``, the same arithmetic the IR-tree inlines
-        for its node bounds).  Any object in a shard is at least that far
-        away, so stopping once the next bound exceeds the incumbent never
-        discards a closer hit — nor a tie with a lower oid, which wins as
-        it does in a single tree.
-        """
-        keyword_mask = mask_of((keyword_id,))
-        px = point.x
-        py = point.y
-        hypot = math.hypot
-        order: List[Tuple[float, int, IRTree]] = []
-        for min_x, min_y, max_x, max_y, _kw_mask, shard_id, tree in self._mask_rows(keyword_mask):
-            dx = min_x - px if px < min_x else (px - max_x if px > max_x else 0.0)
-            dy = min_y - py if py < min_y else (py - max_y if py > max_y else 0.0)
-            order.append((hypot(dx, dy), shard_id, tree))  # repro: noqa(R8) — inlined exact rectangle bound, same arithmetic as MBR.min_distance sans its zero-epsilon
-        order.sort()
-        best: Optional[Tuple[float, SpatialObject]] = None
-        probes = 0
-        for bound, _, tree in order:
-            if best is not None and bound > best[0]:
-                break
-            probes += 1
-            hit = tree.keyword_nn(point, keyword_id)
-            if hit is not None and (
-                best is None or (hit[0], hit[1].oid) < (best[0], best[1].oid)
-            ):
-                best = hit
-        self.stats.bump("keyword_nn_calls")
-        self.stats.bump("keyword_nn_shard_probes", probes)
-        return best
-
     def nearest_relevant_iter(
         self, point: Point, keywords: FrozenSet[int], within: Circle | None = None
     ) -> Iterator[Tuple[float, SpatialObject]]:
@@ -248,16 +187,14 @@ class ShardedIndex:
         an entry at the same key, so the merged stream has the shards'
         own ``(distance, oid)`` order.
 
-        Callers that pass a small ``within`` disk make the setup loop
-        the hot part, so it is kept lean: shard bounds are exact
+        The setup loop is kept lean: shard bounds are exact
         point-to-rectangle distances via inlined clamped-offset ``hypot``
         (admissible — every shard object is at least that far from the
-        anchor), a
-        shard whose rectangle lies strictly outside the closed ``within``
-        disk is skipped (its objects would all fail the traversal's
-        exact membership test), and when exactly one shard survives the
-        merge is the identity, so the traversal is handed over wholesale
-        with no heap at all.
+        anchor), a shard whose keyword union misses ``keywords`` or whose
+        rectangle lies strictly outside the closed ``within`` disk is
+        skipped (its objects would all fail the traversal's tests), and
+        when exactly one shard survives the merge is the identity, so the
+        traversal is handed over wholesale with no heap at all.
         """
         q_mask = mask_of(keywords)
         px = point.x
@@ -268,7 +205,9 @@ class ShardedIndex:
             wy = within.center.y
             w_radius = within.radius
         live: List[Tuple[float, int, IRTree]] = []
-        for min_x, min_y, max_x, max_y, _kw_mask, shard_id, tree in self._mask_rows(q_mask):
+        for min_x, min_y, max_x, max_y, kw_mask, shard_id, tree in self._probe:
+            if not kw_mask & q_mask:
+                continue
             if within is not None:
                 dx = min_x - wx if wx < min_x else (wx - max_x if wx > max_x else 0.0)
                 dy = min_y - wy if wy < min_y else (wy - max_y if wy > max_y else 0.0)
@@ -305,44 +244,6 @@ class ShardedIndex:
             after = next(stream, None)
             if after is not None:
                 heapq.heappush(heap, (after[0], 1, after[1].oid, (after, stream)))
-
-    def nearest_neighbor_set(
-        self, query: Query
-    ) -> Dict[int, Tuple[float, SpatialObject]]:
-        """The paper's ``N(q)``, with the single-tree missing-keyword error."""
-        out: Dict[int, Tuple[float, SpatialObject]] = {}
-        missing: List[int] = []
-        for keyword_id in sorted(query.keywords):
-            hit = self.keyword_nn(query.location, keyword_id)
-            if hit is None:
-                missing.append(keyword_id)
-            else:
-                out[keyword_id] = hit
-        if missing:
-            raise InfeasibleQueryError(frozenset(missing))
-        return out
-
-    def relevant_in_circle(
-        self, circle: Circle, keywords: FrozenSet[int]
-    ) -> List[SpatialObject]:
-        q_mask = mask_of(keywords)
-        out: List[SpatialObject] = []
-        for shard in self._shards:
-            summary = shard.summary
-            if not overlaps(q_mask, summary.kw_mask):
-                continue
-            if summary.mbr.min_distance(circle.center) > circle.radius:
-                continue
-            out.extend(shard.tree.relevant_in_circle(circle, keywords))
-        return out
-
-    def objects_in_circle(self, circle: Circle) -> List[SpatialObject]:
-        out: List[SpatialObject] = []
-        for shard in self._shards:
-            if shard.summary.mbr.min_distance(circle.center) > circle.radius:
-                continue
-            out.extend(shard.tree.objects_in_circle(circle))
-        return out
 
     def boolean_knn(self, query: Query, k: int) -> List[Tuple[float, SpatialObject]]:
         """Top-``k`` covering objects: merge the covering shards' lists.

@@ -2,7 +2,7 @@
 
 The sharded index (:mod:`repro.shard.index`) splits a dataset into a
 grid of spatial tiles with the same Sort-Tile-Recursive discipline the
-R-tree bulk loader uses (:func:`repro.index.rtree._str_tiles`, applied
+IR-tree bulk loader uses (:func:`repro.index.irtree._str_tiles`, applied
 once at shard granularity instead of leaf granularity): sort by ``x``
 into near-equal vertical slices, then sort each slice by ``y`` and cut
 it into near-equal tiles.  Every object lands in exactly one tile, and

@@ -6,7 +6,7 @@ from repro.algorithms.base import NNSet, SearchContext, minimal_subset
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
 from repro.cost.functions import DiaCost, MaxSumCost, cost_by_name
 from repro.errors import InfeasibleQueryError, InvalidParameterError
-from repro.geometry.circle import Circle
+from repro.exec import FaultPlan, chaos_context
 from repro.geometry.point import Point
 from repro.index.irtree import IRTree
 from repro.index.neighbors import LinearScanIndex
@@ -35,13 +35,6 @@ class TestSearchContext:
         with pytest.raises(InfeasibleQueryError):
             tiny_context.check_feasible(Query.create(0, 0, [0, 40_000]))
 
-    def test_relevant_in_circle_delegates(self, tiny_context, tiny_dataset):
-        circle = Circle(Point(500, 500), 300.0)
-        got = tiny_context.relevant_in_circle(circle, frozenset({0}))
-        for obj in got:
-            assert 0 in obj.keywords
-            assert circle.contains(obj.location)
-
 
 class TestNNSet:
     def test_compute(self, tiny_context, tiny_queries):
@@ -66,6 +59,21 @@ class TestNNSet:
 
     def test_nnset_type(self, tiny_context, tiny_queries):
         assert isinstance(tiny_context.nn_set(tiny_queries[0]), NNSet)
+
+    def test_infeasible_query_opens_no_stream(self, tiny_context):
+        """The inverted index refuses the query before any index walk."""
+        query = Query.create(0, 0, [0, 40_000, 40_001])
+        context = chaos_context(tiny_context, FaultPlan())
+        solves = [context.nn_set] + [
+            make_algorithm(name, context).solve for name in ALGORITHM_NAMES
+        ]
+        for solve in solves:
+            with pytest.raises(InfeasibleQueryError) as err:
+                solve(query)
+            assert err.value.missing_keywords == {40_000, 40_001}
+        assert not any(
+            method == "nearest_relevant_iter" for method, _ in context.index.call_log
+        )
 
 
 class TestMinimalSubset:

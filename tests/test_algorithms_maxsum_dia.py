@@ -74,8 +74,9 @@ class TestMaxSumExact:
         keyword = tiny_dataset.keywords_by_frequency()[0]
         query = Query.create(500, 500, [keyword])
         result = MaxSumExact(tiny_context).solve(query)
-        nn = tiny_context.index.keyword_nn(query.location, keyword)
-        assert nn is not None
+        nn = next(
+            tiny_context.index.nearest_relevant_iter(query.location, query.keywords)
+        )
         assert close(result.cost, MaxSumCost().evaluate(query, [nn[1]]))
 
     def test_infeasible_query_raises(self, tiny_context):

@@ -164,7 +164,7 @@ class TestPerShardChaos:
         dataset, context, queries = instance
         index = ShardedIndex.build(dataset, num_shards=4)
         wrapped = _chaos_facade(
-            index, lambda shard_id: FaultPlan().fail_method("keyword_nn")
+            index, lambda shard_id: FaultPlan().fail_rate(1.0)
         )
         sharded = context.with_index(wrapped)
         solver = make_algorithm("maxsum-appro", sharded)
@@ -179,7 +179,7 @@ class TestPerShardChaos:
         wrapped = _chaos_facade(
             index,
             lambda shard_id: (
-                FaultPlan().fail_method("nearest_relevant_iter")
+                FaultPlan().fail_rate(1.0)
                 if shard_id == victim
                 else FaultPlan()
             ),

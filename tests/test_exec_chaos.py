@@ -30,7 +30,7 @@ from repro.exec import (
 from repro.index.protocol import SpatialTextIndex
 
 
-def _drive(plan, calls, method="keyword_nn", clock=None):
+def _drive(plan, calls, method="nearest_relevant_iter", clock=None):
     """Feed ``calls`` sequential calls through a plan; return failure mask."""
     clock = clock if clock is not None else ManualClock()
     mask = []
@@ -49,21 +49,16 @@ class TestFaultPlan:
         plan = FaultPlan().fail_nth(2, 4)
         assert _drive(plan, 5) == [False, True, False, True, False]
         assert plan.injected == [2, 4]
+        # fail_nth(1) is the transient fault: the first call fails, the
+        # retry heals.
+        assert _drive(FaultPlan().fail_nth(1), 3) == [True, False, False]
 
     def test_fail_nth_rejects_zero(self):
         with pytest.raises(InvalidParameterError):
             FaultPlan().fail_nth(0)
 
-    def test_flaky_once_heals_after_first_call(self):
-        plan = FaultPlan().flaky_once("keyword_nn")
-        assert _drive(plan, 3) == [True, False, False]
-        # Other methods are untouched.
-        assert _drive(
-            FaultPlan().flaky_once("keyword_nn"), 2, method="objects_in_circle"
-        ) == [False, False]
-
-    def test_fail_method_is_permanent(self):
-        plan = FaultPlan().fail_method("keyword_nn")
+    def test_fail_rate_one_is_permanent(self):
+        plan = FaultPlan().fail_rate(1.0)
         assert _drive(plan, 4) == [True] * 4
 
     def test_fail_rate_is_seed_deterministic(self):
@@ -111,7 +106,7 @@ class TestChaosIndex:
         make_algorithm("nn-set", ctx).solve(tiny_queries[0])
         index = ctx.index
         assert index.calls >= 1
-        assert index.call_log[0][0] == "nearest_neighbor_set"
+        assert index.call_log[0][0] == "nearest_relevant_iter"
         assert [number for _, number in index.call_log] == list(
             range(1, index.calls + 1)
         )
@@ -126,9 +121,7 @@ class TestChaosIndex:
             assert chaotic.cost == pytest.approx(plain.cost)
 
     def test_injected_fault_reaches_the_solver(self, tiny_context, tiny_queries):
-        ctx = chaos_context(
-            tiny_context, FaultPlan().fail_method("nearest_neighbor_set")
-        )
+        ctx = chaos_context(tiny_context, FaultPlan().fail_rate(1.0))
         with pytest.raises(InjectedFaultError):
             make_algorithm("nn-set", ctx).solve(tiny_queries[0])
 
@@ -144,7 +137,7 @@ class TestResilienceUnderChaos:
         complete degradation provenance, inside the virtual deadline.
         """
         clock = ManualClock()
-        plan = FaultPlan(seed=3).flaky_once("nearest_neighbor_set")
+        plan = FaultPlan(seed=3).fail_nth(1)
         ctx = chaos_context(tiny_context, plan, clock=clock)
         chain = FallbackChain.of(ctx, "maxsum-exact", "maxsum-appro", "nn-set")
         policy = ExecutionPolicy(
@@ -172,15 +165,7 @@ class TestResilienceUnderChaos:
         self, tiny_context, tiny_queries
     ):
         """Killing every stage yields ExecutionFailedError, never RuntimeError."""
-        plan = (
-            FaultPlan()
-            .fail_method("nearest_neighbor_set")
-            .fail_method("keyword_nn")
-            .fail_method("nearest_relevant_iter")
-            .fail_method("relevant_in_circle")
-            .fail_method("objects_in_circle")
-        )
-        ctx = chaos_context(tiny_context, plan)
+        ctx = chaos_context(tiny_context, FaultPlan().fail_rate(1.0))
         chain = FallbackChain.of(ctx, "maxsum-exact", "maxsum-appro", "nn-set")
         executor = ResilientExecutor(
             chain, ExecutionPolicy(always_answer=False)
@@ -199,7 +184,7 @@ class TestResilienceUnderChaos:
     def test_retry_heals_flaky_fault_without_degrading(
         self, tiny_context, tiny_queries
     ):
-        plan = FaultPlan().flaky_once("nearest_neighbor_set")
+        plan = FaultPlan().fail_nth(1)
         ctx = chaos_context(tiny_context, plan)
         chain = FallbackChain.of(ctx, "maxsum-appro", "nn-set")
         executor = ResilientExecutor(chain, ExecutionPolicy(max_retries=1))

@@ -1,9 +1,10 @@
-"""Tests for the IR-tree: keyword summaries, keyword NN, regions, N(q)."""
+"""Tests for the IR-tree: keyword summaries, the stream, NN(p, t), N(q)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.base import SearchContext
 from repro.data.generators import uniform_dataset
 from repro.errors import InfeasibleQueryError
 from repro.geometry.circle import Circle
@@ -11,7 +12,6 @@ from repro.geometry.point import Point
 from repro.index.irtree import IRTree
 from repro.index.neighbors import LinearScanIndex
 from repro.index.signatures import mask_of
-from repro.model.dataset import Dataset
 from repro.model.query import Query
 
 
@@ -28,6 +28,13 @@ def tree(ds):
 @pytest.fixture(scope="module")
 def oracle(ds):
     return LinearScanIndex(ds)
+
+
+def first_entry(index, point, keyword):
+    """``NN(point, t)`` as ``(distance, oid)``: the single-keyword stream's head."""
+    for dist, obj in index.nearest_relevant_iter(point, frozenset((keyword,))):
+        return dist, obj.oid
+    return None
 
 
 class TestStructure:
@@ -48,18 +55,12 @@ class TestStructure:
             expected.update(o.keywords)
         assert tree.root.kw_mask == mask_of(expected)
 
-    def test_incremental_insert_matches(self, ds):
-        tree = IRTree(max_entries=5)
-        for obj in ds:
-            tree.insert(obj)
-        tree.check_invariants()
-        assert len(tree) == len(ds)
-
     def test_empty_tree_queries(self):
         tree = IRTree()
-        assert tree.relevant_in_circle(Circle(Point(0, 0), 10), frozenset({1})) == []
-        assert tree.keyword_nn(Point(0, 0), 1) is None
         assert list(tree.nearest_relevant_iter(Point(0, 0), frozenset({1}))) == []
+        disk = Circle(Point(0, 0), 10)
+        assert list(tree.nearest_relevant_iter(Point(0, 0), frozenset({1}), disk)) == []
+        assert tree.boolean_knn(Query.create(0, 0, [1]), k=3) == []
 
     def test_height(self, tree):
         assert tree.height() >= 2
@@ -69,16 +70,10 @@ class TestKeywordNN:
     def test_matches_linear_scan(self, ds, tree, oracle):
         for k in range(len(ds.vocabulary)):
             for q in (Point(100, 100), Point(900, 200), Point(0, 0)):
-                got = tree.keyword_nn(q, k)
-                expected = oracle.keyword_nn(q, k)
-                if expected is None:
-                    assert got is None
-                else:
-                    assert got is not None
-                    assert got[0] == pytest.approx(expected[0])
+                assert first_entry(tree, q, k) == first_entry(oracle, q, k)
 
     def test_missing_keyword(self, tree):
-        assert tree.keyword_nn(Point(0, 0), 99999) is None
+        assert first_entry(tree, Point(0, 0), 99999) is None
 
     def test_nearest_relevant_iter_sorted_and_relevant(self, tree):
         keywords = frozenset({0, 1})
@@ -104,35 +99,18 @@ class TestKeywordNN:
         assert got == expected
 
 
-class TestRegions:
-    def test_relevant_in_circle_matches_linear(self, tree, oracle):
-        keywords = frozenset({0, 4})
-        for center, radius in ((Point(500, 500), 200.0), (Point(0, 0), 50.0)):
-            circle = Circle(center, radius)
-            got = sorted(o.oid for o in tree.relevant_in_circle(circle, keywords))
-            expected = sorted(o.oid for o in oracle.relevant_in_circle(circle, keywords))
-            assert got == expected
-
-    def test_objects_in_circle(self, ds, tree):
-        circle = Circle(Point(500, 500), 250.0)
-        got = sorted(o.oid for o in tree.objects_in_circle(circle))
-        expected = sorted(o.oid for o in ds if circle.contains(o.location))
-        assert got == expected
-
-
 class TestNNSet:
-    def test_nearest_neighbor_set(self, ds, tree, oracle):
+    def test_nearest_neighbor_set(self, ds):
         query = Query.create(500, 500, [0, 1, 2])
-        got = tree.nearest_neighbor_set(query)
-        expected = oracle.nearest_neighbor_set(query)
-        assert set(got) == set(expected)
-        for t in got:
-            assert got[t][0] == pytest.approx(expected[t][0])
+        got = SearchContext(ds, max_entries=6).nn_set(query)
+        expected = SearchContext(ds, index_cls=LinearScanIndex).nn_set(query)
+        assert got.by_keyword == expected.by_keyword
+        assert got.d_f == expected.d_f
 
-    def test_infeasible_raises(self, tree):
+    def test_infeasible_raises(self, ds):
         with pytest.raises(InfeasibleQueryError) as err:
-            tree.nearest_neighbor_set(Query.create(0, 0, [0, 99999]))
-        assert 99999 in err.value.missing_keywords
+            SearchContext(ds).nn_set(Query.create(0, 0, [0, 99999]))
+        assert err.value.missing_keywords == {99999}
 
 
 class TestPropertyBased:
@@ -145,20 +123,9 @@ class TestPropertyBased:
         oracle = LinearScanIndex(dataset)
         point = Point(321.0, 456.0)
         for keyword in range(3):
-            got = tree.keyword_nn(point, keyword)
-            expected = oracle.keyword_nn(point, keyword)
-            assert (got is None) == (expected is None)
-            if got is not None and expected is not None:
-                assert got[0] == pytest.approx(expected[0])
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=10)
-    def test_insert_preserves_summaries(self, seed):
-        dataset = uniform_dataset(60, 5, mean_keywords=2.0, seed=seed)
-        tree = IRTree(max_entries=4)
-        for obj in dataset:
-            tree.insert(obj)
-        tree.check_invariants()
+            assert first_entry(tree, point, keyword) == first_entry(
+                oracle, point, keyword
+            )
 
 
 class TestBooleanKNN:

@@ -17,7 +17,10 @@ import pytest
 
 from conftest import GOLDEN_INSTANCES, load_golden_answers, solve_all
 from repro.algorithms.base import SearchContext
+from repro.algorithms.bruteforce import BruteForceExact
+from repro.algorithms.owner_exact import OwnerDrivenExact
 from repro.algorithms.registry import ALGORITHM_NAMES
+from repro.cost.functions import cost_by_name
 from repro.exec.chaos import ChaosIndex, FaultPlan, chaos_context
 from repro.index.irtree import IRTree
 
@@ -58,3 +61,19 @@ def test_chaos_wrapped_index_stays_identical(instance):
     assert isinstance(chaos, ChaosIndex)
     # The owner stream goes through the decorator, not around it.
     assert any(method == "nearest_relevant_iter" for method, _ in chaos.call_log)
+
+
+def test_whole_disk_lens_is_exact(instance):
+    """Without the lens filter, or under a cost with no pairwise term
+    (``max``), an owner's lens is its whole disk; the search stays exact."""
+    _, context, queries = instance
+    for cost_name, kwargs in (
+        ("maxsum", {"filter_candidates": False}),
+        ("dia", {"filter_candidates": False}),
+        ("max", {}),
+    ):
+        cost = cost_by_name(cost_name)
+        solver = OwnerDrivenExact(context, cost, **kwargs)
+        oracle = BruteForceExact(context, cost)
+        for query in queries:
+            assert solver.solve(query).cost == oracle.solve(query).cost, cost_name

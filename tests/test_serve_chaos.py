@@ -43,11 +43,13 @@ def chaos_run():
         max_retries=1,
         max_inflight=4,  # small bound: admission sheds under this load
         retry_after_s=0.001,
-        # faults AND slowness: every 3rd index call stalls 5ms, so the
-        # 2ms deadline genuinely expires and in-flight requests pile up
-        # past max_inflight (otherwise this dataset answers too fast to
-        # exercise shedding at all)
-        chaos=ChaosSpec(seed=5, fail_rate=0.2, latency_s=0.005, latency_every=3),
+        # faults AND slowness: every index call stalls 5ms, so the 2ms
+        # deadline genuinely expires and in-flight requests pile up past
+        # max_inflight (otherwise this dataset answers too fast to
+        # exercise shedding at all).  A stage reads N(q) and its owners
+        # from one stream, so most requests make only a few index calls
+        # and every one of them has to stall.
+        chaos=ChaosSpec(seed=5, fail_rate=0.2, latency_s=0.005, latency_every=1),
     )
     server = create_server(dataset, config)
     server.serve_background()

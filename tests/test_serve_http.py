@@ -7,6 +7,8 @@ sockets); one class exercises the real HTTP stack on an ephemeral port.
 from __future__ import annotations
 
 import json
+import socket
+from typing import Dict, List, NamedTuple
 
 import pytest
 
@@ -40,6 +42,41 @@ def query_body(words, **extra):
     payload = {"x": 500.0, "y": 500.0, "keywords": list(words)}
     payload.update(extra)
     return json.dumps(payload).encode("utf-8")
+
+
+class RawResponse(NamedTuple):
+    status: int
+    headers: Dict[str, str]
+    body: bytes
+
+
+def exchange(server, stream: bytes) -> List[RawResponse]:
+    """Send ``stream`` on one keep-alive socket; parse every response back.
+
+    Reads to the end of the stream.  A reset after the server closed with
+    request bytes unread counts as that end.  A response's body is the
+    ``Content-Length`` bytes that follow its headers (none after a HEAD).
+    """
+    received = b""
+    with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+        sock.sendall(stream)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            received += chunk
+    responses = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        length = int(headers.get("Content-Length", "0"))
+        responses.append(RawResponse(int(status_line.split()[1]), headers, rest[:length]))
+        received = rest[length:]
+    return responses
 
 
 class TestOutcomeTable:
@@ -365,8 +402,6 @@ class TestHttpEndpoints:
 
     def test_refused_body_closes_the_connection(self, server, frequent_words):
         """An over-limit body is never parsed as the next request."""
-        import socket
-
         from repro.serve.httpd import MAX_BODY_BYTES
 
         valid = query_body(frequent_words[:2])
@@ -378,25 +413,78 @@ class TestHttpEndpoints:
             % len(valid)
             + valid
         )
-        received = b""
-        with socket.create_connection(server.server_address[:2], timeout=10) as sock:
-            sock.sendall(stream)
-            while True:
-                try:
-                    chunk = sock.recv(65536)
-                except ConnectionResetError:
-                    break  # closed with the body unread: end of stream
-                if not chunk:
-                    break
-                received += chunk
-        head, _, rest = received.partition(b"\r\n\r\n")
-        status_line, *header_lines = head.decode("latin-1").split("\r\n")
-        headers = dict(line.split(": ", 1) for line in header_lines)
-        length = int(headers["Content-Length"])
-        assert status_line.startswith("HTTP/1.1 400")
-        assert headers["Connection"] == "close"
-        assert json.loads(rest[:length])["outcome"] == "bad_request"
-        assert rest[length:] == b""  # no second response
+        (response,) = exchange(server, stream)  # no second response
+        assert response.status == 400
+        assert response.headers["Connection"] == "close"
+        assert json.loads(response.body)["outcome"] == "bad_request"
+
+    def test_unread_post_body_closes_the_connection(self, server, frequent_words):
+        """A body posted to an unknown path is not parsed as a request."""
+        valid = query_body(frequent_words[:2])
+        stream = (
+            b"POST /other HTTP/1.1\r\nHost: t\r\nContent-Length: 70000\r\n\r\n"
+            + b"x" * 70_000
+            + b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n"
+            % len(valid)
+            + valid
+        )
+        (response,) = exchange(server, stream)
+        assert response.status == 404
+        assert response.headers["Connection"] == "close"
+        assert json.loads(response.body)["error"]["type"] == "NotFound"
+
+    def test_unread_get_body_closes_the_connection(self, server):
+        """A GET's body is not answered as a second request."""
+        smuggled = b"GET /x HTTP/1.1\r\nHost: y\r\n\r\n"
+        stream = (
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n"
+            % len(smuggled)
+            + smuggled
+        )
+        (response,) = exchange(server, stream)
+        assert response.status == 200
+        assert response.headers["Connection"] == "close"
+        assert json.loads(response.body)["status"] == "ok"
+
+    def test_chunked_query_is_a_counted_bad_request(self, server, client, frequent_words):
+        """A chunked body is refused whole, counted, and closes the connection."""
+        valid = query_body(frequent_words[:2])
+        before = client.get_json("/stats")["by_outcome"]["bad_request"]
+        stream = (
+            b"POST /query HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(valid)
+            + valid
+            + b"\r\n0\r\n\r\n"
+        )
+        (response,) = exchange(server, stream)
+        assert response.status == 400
+        assert response.headers["Connection"] == "close"
+        assert json.loads(response.body)["outcome"] == "bad_request"
+        assert client.get_json("/stats")["by_outcome"]["bad_request"] == before + 1
+
+    def test_unsupported_methods_are_json_405(self, server):
+        put = exchange(
+            server, b"PUT /query HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}"
+        )
+        # Without a body the connection stays open for the next request.
+        delete = exchange(
+            server,
+            b"DELETE /stats HTTP/1.1\r\nHost: t\r\n\r\n"
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        )
+        head = exchange(
+            server, b"HEAD /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        assert [r.status for r in put] == [405]
+        assert put[0].headers["Connection"] == "close"
+        assert json.loads(put[0].body)["error"]["type"] == "MethodNotAllowed"
+        assert [r.status for r in delete] == [405, 200]
+        assert json.loads(delete[0].body)["error"]["message"] == "DELETE"
+        assert [r.status for r in head] == [405]
+        assert head[0].body == b""
+        for response in (put[0], delete[0], head[0]):
+            assert response.headers["Allow"] == "GET, POST"
+            assert response.headers["Content-Type"] == "application/json"
 
     def test_unknown_paths_are_json_404(self, client):
         import urllib.error
