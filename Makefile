@@ -57,10 +57,14 @@ parallel-check:
 		tests/test_exec_chaos.py
 
 # The kernels gate: the flat-kernel property suite (each kernel against
-# a naive math.hypot loop) + the differential suite holding every solver
-# to its golden answers over the IR-tree (docs/PERFORMANCE.md).
+# a naive math.hypot loop), the cover search that runs on the kernels
+# over owner-stream indices (its unit tests and its properties against
+# the brute-force cover enumeration), and the differential suite
+# holding every solver to its golden answers over the IR-tree
+# (docs/PERFORMANCE.md).
 kernels-check:
 	PYTHONPATH=src python -m pytest -q tests/test_kernels_flat.py \
+		tests/test_cover.py tests/test_owner_engine_internals.py \
 		tests/test_kernels_differential.py
 
 # The signatures gate: mask/set bijection properties, the IR-tree vs

@@ -4,7 +4,7 @@ from repro.algorithms.base import CoSKQAlgorithm, NNSet, SearchContext, minimal_
 from repro.algorithms.bruteforce import BruteForceExact
 from repro.algorithms.cao_appro import CaoAppro1, CaoAppro2
 from repro.algorithms.cao_exact import BranchBoundExact, CaoExact
-from repro.algorithms.cover import find_constrained_cover, iter_covers
+from repro.algorithms.cover import cover_tables, find_constrained_cover, iter_covers
 from repro.algorithms.dia_appro import DIA_APPRO_RATIO, DiaAppro
 from repro.algorithms.dia_exact import DiaExact
 from repro.algorithms.maxsum_appro import MAXSUM_APPRO_RATIO, MaxSumAppro
@@ -50,6 +50,7 @@ __all__ = [
     "ratio_bound_for",
     "make_exact_solver",
     "BruteForceExact",
+    "cover_tables",
     "find_constrained_cover",
     "iter_covers",
     "make_algorithm",

@@ -1,11 +1,14 @@
 """Constrained keyword-cover search used by the exact algorithms.
 
 The owner-driven exact algorithms reduce each owner candidate to the
-question: *is there a set of objects, drawn from a pruned region, that
+question: *is there a set of objects, drawn from the owner's lens, that
 covers the remaining keywords while keeping every pairwise distance within
 a cap?*  :func:`find_constrained_cover` answers it with a depth-first
-search over a :class:`~repro.kernels.oracle.DistanceOracle` built around
-the owner that
+search that reads the query's owner stream
+(:class:`~repro.algorithms.owner_appro.OwnerStream`) directly: candidates
+are stream indices, keyword traces are stream bit masks, and each pair
+distance is computed from the stream's packed coordinates when the
+search asks for it.  The search
 
 - branches on the rarest uncovered keyword (narrowest search tree),
 - enforces the pairwise cap incrementally (a candidate violating the cap
@@ -22,114 +25,157 @@ at the first success.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import BudgetExceededError
-from repro.index.signatures import mask_of, shared_keywords
-from repro.kernels.oracle import DistanceOracle
+from repro.index.signatures import bits_of, shared_keywords
+from repro.kernels import first_beyond
 from repro.model.objects import SpatialObject
 
-__all__ = ["find_constrained_cover", "iter_covers"]
+__all__ = ["CoverTables", "cover_tables", "find_constrained_cover", "iter_covers"]
+
+#: One owner's cover tables: ``(bit, stream indices, owner distances)``
+#: per wanted bit, ascending by bit.
+CoverTables = List[Tuple[int, List[int], List[float]]]
+
+
+def cover_tables(
+    want: int,
+    hits: Sequence[int],
+    owner_d: Sequence[float],
+    xs: Sequence[float],
+    ys: Sequence[float],
+    masks: Sequence[int],
+    objects: Sequence[SpatialObject],
+) -> Optional[CoverTables]:
+    """The per-bit candidate tables one owner's cover search branches over.
+
+    ``hits`` are stream indices, in stream order, with their exact owner
+    distances ``owner_d``; ``xs``, ``ys``, ``masks`` and ``objects`` are
+    the stream's arrays.  A hit's trace is ``masks[i] & want``.
+    Co-located hits with the same trace are deduplicated on
+    ``(x, y, trace)``, keeping the first in stream order — the lowest oid,
+    since the stream lists equal query distances by oid.  Each bit's
+    table is sorted richest trace first, oid breaking ties.  The tables
+    are cap-independent: co-located duplicates share their owner
+    distance, so deduplicating commutes with every probe's owner filter,
+    and one owner builds them once for all its probes.  Returns None
+    when some bit of ``want`` has no carrier at all.
+    """
+    # Bit -> (sort key..., index, owner distance) entries; ``bits_of``
+    # runs ascending, so the tables come out by bit.
+    rows: Dict[int, List[Tuple[int, int, int, float]]] = {
+        1 << b: [] for b in bits_of(want)
+    }
+    seen = set()
+    for i, d in zip(hits, owner_d):
+        trace = masks[i] & want
+        if not trace:
+            continue
+        key = (xs[i], ys[i], trace)
+        if key in seen:
+            continue
+        seen.add(key)
+        entry = (-trace.bit_count(), objects[i].oid, i, d)
+        if trace & (trace - 1):
+            for b in bits_of(trace):
+                rows[1 << b].append(entry)
+        else:
+            # Most traces carry a single bit.
+            rows[trace].append(entry)
+    tables: CoverTables = []
+    for bit, entries in rows.items():
+        if not entries:
+            return None
+        entries.sort()
+        tables.append((bit, [e[2] for e in entries], [e[3] for e in entries]))
+    return tables
 
 
 def find_constrained_cover(
-    uncovered: FrozenSet[int],
-    oracle: DistanceOracle,
+    tables: CoverTables,
     pair_cap: float,
+    xs: Sequence[float],
+    ys: Sequence[float],
+    masks: Sequence[int],
     node_budget: int = 2_000_000,
     counters: Optional[Dict[str, int]] = None,
-) -> Tuple[Optional[List[SpatialObject]], float]:
-    """A set of the oracle's candidates covering ``uncovered`` under the cap.
+) -> Tuple[Optional[List[int]], float]:
+    """Stream indices from ``tables`` covering every table's bit under the cap.
 
-    The oracle's anchor is the object already committed to the set (the
-    distance owner); every chosen candidate must be within ``pair_cap``
-    of the anchor and of every other chosen candidate (``inf`` makes it
-    a pure set cover).
+    ``tables`` come from :func:`cover_tables` for one owner; the owner is
+    the object already committed to the set.  Every chosen candidate
+    must be within ``pair_cap`` of the owner (its table distance) and of
+    every other chosen candidate (``inf`` makes it a pure set cover).
+    Each probe filters the tables by the owner cap and sorts the
+    branch order by ``(filtered size, bit)`` once.  The pair check
+    (:func:`~repro.kernels.flat.first_beyond`) computes each distance to
+    the chosen candidates in order and stops at the first one above the
+    cap.
 
-    Every distance the search needs is a memoized oracle lookup shared
-    across repeated calls — the bisection probes of the owner-driven
-    exact search — and the per-keyword tables are built once per
-    ``uncovered`` set.  The cap-independent tables come from the
-    oracle's cache; the anchor filter collapses to one vector compare
-    over the memoized owner-distance row.  Deduplication commutes with
-    the cap filter because the dedup key includes the exact location —
-    co-located duplicates share their anchor distance, so whichever
-    representative survives, its cap verdict is the class's verdict.
-
-    Returns ``(cover, beyond)``: the chosen candidates (without the
-    anchor), or None when no valid cover exists, and the smallest
-    anchor or pair distance the search rejected for exceeding the cap
-    (``inf`` when it rejected none).  At any cap in ``[pair_cap,
-    beyond)`` every comparison the search made comes out the same, so a
-    failed search fails there too: no cover has a diameter below
-    ``beyond``.  Raises :class:`~repro.errors.BudgetExceededError`,
-    carrying ``counters``, if the search visits more than
-    ``node_budget`` nodes; the exact algorithms' pruning keeps their
-    regions small enough that it does not.
+    Returns ``(cover, beyond)``: the chosen stream indices (without the
+    owner), or None when no valid cover exists, and the smallest owner
+    or pair distance the search rejected for exceeding the cap (``inf``
+    when it rejected none).  At any cap in ``[pair_cap, beyond)`` every
+    comparison the search made comes out the same, so a failed search
+    fails there too: no cover has a diameter below ``beyond``.  Raises
+    :class:`~repro.errors.BudgetExceededError`, carrying ``counters``, if
+    the search visits more than ``node_budget`` nodes; the exact
+    algorithms' pruning keeps their regions small enough that it does
+    not.
     """
-    if not uncovered:
-        return [], math.inf
-    tables = oracle.cover_tables(frozenset(uncovered))
-    if tables is None:
-        return None, math.inf
-    anchor_d = oracle.anchor_d
-    by_keyword: Dict[int, List[int]] = {}
-    for t, lst in tables.items():
-        kept = [i for i in lst if anchor_d[i] <= pair_cap]
-        if not kept:
-            return None, min(anchor_d[i] for i in lst)
-        by_keyword[t] = kept
-    # The tables are fixed for the whole probe, so the branch order is
-    # too: sorted once here, each node takes its first uncovered keyword.
-    order = [(1 << t, t) for _, t in sorted((len(lst), t) for t, lst in by_keyword.items())]
-    objects = oracle.objects
-    masks = oracle.keyword_masks()
-    first_beyond = oracle.first_beyond
+    want = 0
+    kept: Dict[int, List[int]] = {}
+    sizes: List[Tuple[int, int]] = []
+    for bit, ids, ds in tables:
+        lst = [i for i, d in zip(ids, ds) if d <= pair_cap]
+        if not lst:
+            return None, min(ds)
+        kept[bit] = lst
+        sizes.append((len(lst), bit))
+        want |= bit
+    # The filtered tables are fixed for the whole probe, so the branch
+    # order is too: sorted once here, each node takes its first
+    # uncovered bit.
+    order = [bit for _, bit in sorted(sizes)]
     chosen: List[int] = []
-    chosen_oids: Set[int] = set()
     nodes_left = node_budget
     beyond = math.inf
 
-    def search(uncovered_mask: int) -> bool:
-        """Depth-first search over candidate indices and keyword bitmasks.
+    def search(uncovered: int) -> bool:
+        """Depth-first search over stream indices and bit masks.
 
         Every candidate must be within ``pair_cap`` of every candidate
-        chosen so far; each distance is a memoized oracle lookup,
-        computed at most once per owner, and the smallest one rejected
-        is kept in ``beyond``.  Each visited node costs one unit of the
-        node budget.
+        chosen so far; the smallest distance rejected is kept in
+        ``beyond``.  Each visited node costs one unit of the node budget.
         """
         nonlocal nodes_left, beyond
-        if not uncovered_mask:
+        if not uncovered:
             return True
         nodes_left -= 1
         if nodes_left < 0:
             raise BudgetExceededError(
                 "cover_nodes", node_budget, node_budget + 1, counters=counters
             )
-        branch_keyword = next(t for bit, t in order if uncovered_mask & bit)
-        for idx in by_keyword[branch_keyword]:
-            oid = objects[idx].oid
-            if oid in chosen_oids:
-                continue
-            d = first_beyond(idx, chosen, pair_cap)
+        branch = next(bit for bit in order if uncovered & bit)
+        # A chosen candidate clears every bit it carries, so it is never
+        # in the table of a bit still uncovered below it.
+        for i in kept[branch]:
+            d = first_beyond(xs[i], ys[i], chosen, xs, ys, pair_cap)
             if d is not None:
                 if d < beyond:
                     beyond = d
                 continue
-            chosen.append(idx)
-            chosen_oids.add(oid)
-            if search(uncovered_mask & ~masks[idx]):
+            chosen.append(i)
+            if search(uncovered & ~masks[i]):
                 return True
             chosen.pop()
-            chosen_oids.discard(oid)
         return False
 
-    if search(mask_of(frozenset(uncovered))):
-        return [objects[i] for i in chosen], beyond
-    for lst in tables.values():
-        for i in lst:
-            d = anchor_d[i]
+    if search(want):
+        return chosen, beyond
+    for _, _, ds in tables:
+        for d in ds:
             if pair_cap < d < beyond:
                 beyond = d
     return None, beyond

@@ -37,7 +37,11 @@ The search is exact at float precision, with no tolerance: its answer
 costs exactly what the brute-force optimum costs.
 
 ``N(q)``, the owners and every lens are read from the query's one
-index stream (:class:`~repro.algorithms.owner_appro.OwnerStream`).
+index stream (:class:`~repro.algorithms.owner_appro.OwnerStream`), and
+each owner's cover search runs on that stream's arrays: owners and
+candidates are stream indices, keyword sets are stream bit masks, and
+pair distances are computed from the packed coordinates when the search
+asks for them.
 
 Constructor switches (`seed_with_appro`, `filter_candidates`,
 `ring_pruning`) exist solely for the pruning-ablation benchmark; with
@@ -47,14 +51,13 @@ Constructor switches (`seed_with_appro`, `filter_candidates`,
 from __future__ import annotations
 
 import math
-from array import array
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import CoSKQAlgorithm, NNSet, SearchContext
-from repro.algorithms.cover import find_constrained_cover
+from repro.algorithms.cover import CoverTables, cover_tables, find_constrained_cover
 from repro.algorithms.owner_appro import OwnerRingApproximation, OwnerStream
 from repro.cost.base import CostFunction, QueryAggregate
-from repro.kernels import DistanceOracle
+from repro.kernels import pairwise_max_at
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 
@@ -121,13 +124,18 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         bound = self._pruning_bound(best_cost, initial_upper_bound)
 
         d_f = nn.d_f if self.ring_pruning else 0.0
-        for dist, owner in stream:
+        # One stream bit per query keyword.
+        full = (1 << len(query.keywords)) - 1
+        masks = stream.masks
+        for i, (dist, _) in enumerate(stream):
             if dist < d_f:
                 continue
             if self.cost.combine(dist, 0.0) >= bound:
                 break
             self._bump("owners_tried")
-            outcome = self._best_for_owner(query, stream, owner, dist, bound)
+            outcome = self._best_for_owner(
+                query, stream, i, dist, full & ~masks[i], bound
+            )
             if outcome is not None:
                 owner_set, owner_cost = outcome
                 if owner_cost < best_cost:
@@ -143,14 +151,16 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         self,
         query: Query,
         stream: OwnerStream,
-        owner: SpatialObject,
+        owner: int,
         r: float,
+        uncovered: int,
         cur_cost: float,
     ) -> Optional[Tuple[List[SpatialObject], float]]:
-        """The cheapest feasible set owned by ``owner`` that beats ``cur_cost``."""
-        uncovered = query.keywords - owner.keywords
+        """The cheapest feasible set owned by stream entry ``owner`` that
+        beats ``cur_cost``; ``uncovered`` is the stream mask of the query
+        keywords the owner lacks."""
         if not uncovered:
-            singleton = [owner]
+            singleton = [stream.objects[owner]]
             return singleton, self._evaluate(query, singleton)
 
         budget = self.cost.pairwise_budget(r, cur_cost)
@@ -162,13 +172,18 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         state = self._lens_state(stream, owner, r, lens_budget, uncovered, cur_cost)
         if state is None:
             return None
-        oracle, lower = state
+        hits, owner_d, lower = state
+        tables = cover_tables(
+            uncovered, hits, owner_d, stream.xs, stream.ys, stream.masks, stream.objects
+        )
+        if tables is None:
+            return None
 
         if not math.isinf(budget):
             cap_hi = budget
         else:
-            cap_hi = oracle.max_anchor_distance() * 2.0
-        best_set, best_diam = self._probe(uncovered, owner, cap_hi, oracle)
+            cap_hi = max(owner_d) * 2.0
+        best_set, best_diam = self._probe(stream, owner, tables, cap_hi)
         if best_set is None:
             return None
         self._bump("covers_found")
@@ -177,7 +192,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         # same as the lower bound — one probe settles the owner.
         cap0 = self.cost.indifferent_cap(r, lower)
         if best_diam > cap0:
-            settled, lo = self._probe(uncovered, owner, cap0, oracle)
+            settled, lo = self._probe(stream, owner, tables, cap0)
             if settled is not None:
                 return settled, self._evaluate(query, settled)
             # The optimal diameter lies in [lo, best_diam]: every cap
@@ -189,7 +204,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
                 mid = (lo + best_diam) / 2.0
                 if not lo < mid < best_diam:
                     mid = lo
-                found, value = self._probe(uncovered, owner, mid, oracle)
+                found, value = self._probe(stream, owner, tables, mid)
                 if found is None:
                     lo = value
                 else:
@@ -199,23 +214,22 @@ class OwnerDrivenExact(CoSKQAlgorithm):
     def _lens_state(
         self,
         stream: OwnerStream,
-        owner: SpatialObject,
+        owner: int,
         r: float,
         budget: float,
-        uncovered: frozenset,
+        want: int,
         cur_cost: float,
-    ) -> Optional[Tuple[DistanceOracle, float]]:
-        """The owner's candidate oracle and diameter lower bound, or None.
+    ) -> Optional[Tuple[List[int], Sequence[float], float]]:
+        """The owner's lens hits, their owner distances and the diameter
+        lower bound, or None.
 
-        Decided on the query's own stream before anything is built: None
-        when the lens misses an uncovered keyword (:meth:`OwnerStream.lens`)
-        or the lower bound already prices the owner out of ``cur_cost``.
-        A survivor gets a :class:`DistanceOracle` over its oid-ordered
-        candidates, built from the coordinates and exact owner distances
-        the lens already holds.
+        Decided on the query's own stream: None when the lens misses a
+        ``want`` bit (:meth:`OwnerStream.lens`) or the lower bound already
+        prices the owner out of ``cur_cost``.  The hits are stream
+        indices in stream order, with the exact owner distances the lens
+        computed.
         """
-        want = stream.mask_of(uncovered)
-        lens = stream.lens(owner, r, budget, want)
+        lens = stream.lens(stream.objects[owner], r, budget, want)
         if lens is None:
             return None
         hits, owner_d = lens
@@ -232,20 +246,10 @@ class OwnerDrivenExact(CoSKQAlgorithm):
                 break
         if self.cost.combine(r, lower) >= cur_cost:
             return None
-        objects = stream.objects
-        order = sorted(range(len(hits)), key=lambda k: objects[hits[k]].oid)
-        candidates = [objects[hits[k]] for k in order]
-        xs = array("d", [stream.xs[hits[k]] for k in order])
-        ys = array("d", [stream.ys[hits[k]] for k in order])
-        anchor_d = array("d", [owner_d[k] for k in order])
-        return DistanceOracle(owner.location, candidates, xs, ys, anchor_d), lower
+        return hits, owner_d, lower
 
     def _probe(
-        self,
-        uncovered: frozenset,
-        owner: SpatialObject,
-        cap: float,
-        oracle: DistanceOracle,
+        self, stream: OwnerStream, owner: int, tables: CoverTables, cap: float
     ) -> Tuple[Optional[List[SpatialObject]], float]:
         """Try covering under a diameter cap.
 
@@ -254,10 +258,13 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         distance can succeed (:func:`find_constrained_cover`).
         """
         self._bump("cover_probes")
+        xs = stream.xs
+        ys = stream.ys
         cover, beyond = find_constrained_cover(
-            uncovered, oracle, cap, self.cover_node_budget, self.counters
+            tables, cap, xs, ys, stream.masks, self.cover_node_budget, self.counters
         )
         if cover is None:
             return None, beyond
-        full = [owner] + cover
-        return full, oracle.diameter_with_anchor([oracle.index_of(o) for o in cover])
+        members = [owner] + cover
+        objects = stream.objects
+        return [objects[i] for i in members], pairwise_max_at(members, xs, ys)

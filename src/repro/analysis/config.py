@@ -91,12 +91,11 @@ _DEFAULT_REGISTRY = "repro/algorithms/registry.py"
 
 #: R10's sanctioned writers: modules that are *allowed* to mutate shared
 #: search state even when reachable from a solver — the worker-resident
-#: runtimes and result caches of the parallel engine, the per-owner memo
-#: tables of the distance oracle, and the fault-injection wrapper (whose
-#: whole point is to instrument index traffic).
+#: runtimes and result caches of the parallel engine, and the
+#: fault-injection wrapper (whose whole point is to instrument index
+#: traffic).
 _DEFAULT_R10_SANCTIONED: Tuple[str, ...] = (
     "repro/parallel/",
-    "repro/kernels/oracle.py",
     "repro/exec/chaos.py",
 )
 

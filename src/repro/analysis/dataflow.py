@@ -15,8 +15,8 @@ purity/effect lattice.  Two interprocedural rules run on top:
   ``__setitem__``-style writes) on index-owned containers, writes
   through locals aliased to shared state, and writes through parameters
   that a caller binds to shared state.  The worker-resident runtimes
-  and result caches of ``repro/parallel/``, the distance oracle's memo
-  tables and the fault-injection wrapper are the sanctioned writers.
+  and result caches of ``repro/parallel/`` and the fault-injection
+  wrapper are the sanctioned writers.
 - **R11 (checkpoint reachability)** — every ``while`` loop and every
   unbounded-stream ``for`` loop in solver code must reach a
   ``_bump``/``_checkpoint`` call on every iteration path, directly or
@@ -75,8 +75,7 @@ __all__ = [
 #: slices.
 SUMMARY_VERSION = 2
 
-#: Owners that denote shared search state (R7's set plus the PR-4
-#: distance oracle).
+#: Owners that denote shared search state (R7's set plus ``oracle``).
 _SHARED_OWNERS = frozenset({"context", "index", "inverted", "oracle"})
 
 #: Method names that mutate their receiver in place.
@@ -1041,8 +1040,9 @@ def _call_site_escapes(
     only if every unsanctioned candidate carries the effect — a single
     mutating implementation of a mostly-pure protocol must not condemn
     every call through the interface.  Candidates defined in sanctioned
-    writer modules (the cache layer, the oracle memo tables) are
-    excluded before the vote: their writes are allowed by design.
+    writer modules (the parallel engine's runtimes and caches, the
+    fault-injection wrapper) are excluded before the vote: their writes
+    are allowed by design.
     """
     unsanctioned = [
         c for c in candidates if not _sanctioned(graph.relpath_of(c), config)

@@ -38,11 +38,6 @@ class MBR:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_point(p: Point) -> "MBR":
-        """The degenerate rectangle containing exactly ``p``."""
-        return MBR(p.x, p.y, p.x, p.y)
-
-    @staticmethod
     def from_points(points: Iterable[Point]) -> "MBR":
         """The tightest rectangle containing all ``points`` (non-empty)."""
         it = iter(points)
@@ -76,37 +71,10 @@ class MBR:
 
     # -- measures ----------------------------------------------------------
 
-    @property
-    def width(self) -> float:
-        return self.max_x - self.min_x
-
-    @property
-    def height(self) -> float:
-        return self.max_y - self.min_y
-
-    def area(self) -> float:
-        return self.width * self.height
-
-    def margin(self) -> float:
-        """Half-perimeter; the R*-style split quality measure."""
-        return self.width + self.height
-
     def center(self) -> Point:
         return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
 
-    # -- set operations ----------------------------------------------------
-
-    def union(self, other: "MBR") -> "MBR":
-        return MBR(
-            min(self.min_x, other.min_x),
-            min(self.min_y, other.min_y),
-            max(self.max_x, other.max_x),
-            max(self.max_y, other.max_y),
-        )
-
-    def enlargement(self, other: "MBR") -> float:
-        """Area increase needed to absorb ``other`` (R-tree ChooseLeaf)."""
-        return self.union(other).area() - self.area()
+    # -- relations ---------------------------------------------------------
 
     def intersects(self, other: "MBR") -> bool:
         return not (

@@ -1,12 +1,13 @@
-"""Flat-array distance kernels and per-owner distance memoization.
+"""Flat-array distance kernels.
 
 The single-query fast path of the reproduction (docs/PERFORMANCE.md):
 :mod:`repro.kernels.flat` provides stdlib ``array('d')`` struct-of-arrays
 kernels whose guarded squared-distance fast paths are bit-identical to
-the scalar ``math.hypot`` loops they replace, and
-:mod:`repro.kernels.oracle` memoizes the owner↔candidate and
-candidate↔candidate distances the owner-driven exact search re-asks on
-every bisection probe.
+the scalar ``math.hypot`` loops they replace.  Among them are the lens
+selection of the owner-driven solvers (:func:`lens_scan`) and the pair
+check and realized diameter of the exact search's cover search
+(:func:`first_beyond`, :func:`pairwise_max_at`), which read the query's
+owner stream arrays by stream index.
 
 The whole layer sits below :mod:`repro.geometry` in the dependency
 stack (it imports nothing from the rest of the package).
@@ -14,26 +15,26 @@ stack (it imports nothing from the rest of the package).
 
 from repro.kernels.flat import (
     cap_bands,
-    distances_from,
     farthest_pair,
+    first_beyond,
     lens_lower_bound,
     lens_scan,
     max_distance_from,
     pack_objects,
     pack_points,
     pairwise_max,
+    pairwise_max_at,
 )
-from repro.kernels.oracle import DistanceOracle
 
 __all__ = [
-    "DistanceOracle",
     "cap_bands",
-    "distances_from",
     "farthest_pair",
+    "first_beyond",
     "lens_lower_bound",
     "lens_scan",
     "max_distance_from",
     "pack_objects",
     "pack_points",
     "pairwise_max",
+    "pairwise_max_at",
 ]

@@ -42,10 +42,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 __all__ = [
     "pack_points",
     "pack_objects",
-    "distances_from",
     "max_distance_from",
     "pairwise_max",
+    "pairwise_max_at",
     "farthest_pair",
+    "first_beyond",
     "lens_lower_bound",
     "lens_scan",
     "cap_bands",
@@ -121,17 +122,6 @@ def cap_bands(cap: float) -> Tuple[float, float, bool]:
 # -- kernels --------------------------------------------------------------------
 
 
-def distances_from(x: float, y: float, xs: Sequence[float], ys: Sequence[float]) -> array:
-    """Exact distances from ``(x, y)`` to every packed point.
-
-    No guard bands here: the results are *stored* (oracle rows, heap
-    keys), so each entry is the correctly rounded ``math.hypot`` value
-    the scalar code would have produced.
-    """
-    hypot = math.hypot
-    return array("d", [hypot(x - a, y - b) for a, b in zip(xs, ys)])
-
-
 def max_distance_from(x: float, y: float, xs: Sequence[float], ys: Sequence[float]) -> float:
     """``max_i hypot((x,y) - (xs[i], ys[i]))`` (0.0 for empty input)."""
     best = 0.0
@@ -169,6 +159,38 @@ def pairwise_max(xs: Sequence[float], ys: Sequence[float]) -> float:
                     best = d
                     guard = _improvement_guard(best)
     return best
+
+
+def pairwise_max_at(indices: Sequence[int], xs: Sequence[float], ys: Sequence[float]) -> float:
+    """:func:`pairwise_max` of the packed points at ``indices``.
+
+    The realized diameter of an owner-driven set given by stream
+    indices: its owner↔member pairs are the members' owner distances.
+    """
+    return pairwise_max([xs[i] for i in indices], [ys[i] for i in indices])
+
+
+def first_beyond(
+    x: float,
+    y: float,
+    indices: Sequence[int],
+    xs: Sequence[float],
+    ys: Sequence[float],
+    cap: float,
+) -> Optional[float]:
+    """The first distance from ``(x, y)`` to the points at ``indices`` above ``cap``.
+
+    Scans ``indices`` in order and returns the exact ``math.hypot``
+    distance to the first point farther than ``cap``, or None when all
+    are within it.  The reported distance is the first, not the
+    smallest, one above the cap.
+    """
+    hypot = math.hypot
+    for j in indices:
+        d = hypot(x - xs[j], y - ys[j])
+        if d > cap:
+            return d
+    return None
 
 
 def farthest_pair(xs: Sequence[float], ys: Sequence[float]) -> Tuple[int, int, float]:
@@ -234,8 +256,9 @@ def lens_scan(
     returns ``(indices, distances)``: every index in ``[start, end)``
     that carries a wanted bit and lies in the disk, ascending, with its
     correctly rounded ``math.hypot`` center distance — the value a later
-    scalar ``distance_to`` call would produce, so callers (the per-owner
-    :class:`DistanceOracle`) can store it instead of recomputing.
+    scalar ``distance_to`` call would produce, so callers (the owner's
+    cover search, :mod:`repro.algorithms.cover`) can keep it instead of
+    recomputing.
 
     Each point is decided once, however many wanted bits it carries.
     Membership matches ``center.distance_to(p) <= cap`` exactly: the

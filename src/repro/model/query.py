@@ -26,8 +26,18 @@ class Query:
     keywords: FrozenSet[int]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.keywords, frozenset):
+            raise InvalidParameterError(
+                "query keywords must be a frozenset of keyword ids, got %r"
+                % (self.keywords,)
+            )
         if not self.keywords:
             raise InvalidParameterError("a CoSKQ query needs at least one keyword")
+        for t in self.keywords:
+            if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+                raise InvalidParameterError(
+                    "query keyword ids must be non-negative ints, got %r" % (t,)
+                )
         if not (math.isfinite(self.location.x) and math.isfinite(self.location.y)):
             raise InvalidParameterError(
                 "query coordinates must be finite, got (%r, %r)"

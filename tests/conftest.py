@@ -16,10 +16,13 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.algorithms.base import SearchContext
+from repro.algorithms.cover import cover_tables
 from repro.algorithms.registry import make_algorithm
 from repro.analysis import contracts
 from repro.data.generators import clustered_dataset, uniform_dataset
 from repro.data.queries import generate_queries
+from repro.index.signatures import mask_of
+from repro.kernels import pack_objects
 from repro.model.dataset import Dataset
 from repro.model.query import Query
 
@@ -288,3 +291,21 @@ def solve_all(context, name, queries):
         result = solver.solve(query)
         out.append([result.cost, sorted(o.oid for o in result.objects)])
     return out
+
+
+def cover_inputs(owner, candidates, keywords):
+    """One owner's cover-search inputs, with ``candidates`` as its lens hits.
+
+    The candidates play the owner stream in the given order: packed
+    coordinates, keyword bit masks (bit ``t`` for keyword ``t``) and the
+    exact distances from the ``owner`` point.  Returns ``(tables, xs,
+    ys, masks)`` for :func:`~repro.algorithms.cover.find_constrained_cover`;
+    ``tables`` is None when a keyword has no carrier.
+    """
+    xs, ys = pack_objects(candidates)
+    masks = [mask_of(c.keywords) for c in candidates]
+    owner_d = [owner.distance_to(c.location) for c in candidates]
+    tables = cover_tables(
+        mask_of(keywords), range(len(candidates)), owner_d, xs, ys, masks, candidates
+    )
+    return tables, xs, ys, masks

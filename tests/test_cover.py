@@ -4,10 +4,10 @@ import math
 
 import pytest
 
+from conftest import cover_inputs
 from repro.algorithms.cover import find_constrained_cover, iter_covers
 from repro.errors import BudgetExceededError
 from repro.geometry.point import Point
-from repro.kernels.oracle import DistanceOracle
 from repro.model.objects import SpatialObject
 
 
@@ -20,9 +20,12 @@ ANCHOR = obj(99, 0, 0, [])
 
 
 def cover_of(uncovered, candidates, pair_cap, **kwargs):
-    oracle = DistanceOracle(ANCHOR.location, candidates)
-    cover, _ = find_constrained_cover(frozenset(uncovered), oracle, pair_cap, **kwargs)
-    return cover
+    """The cover search over ``candidates`` as stream entries, as objects."""
+    tables, xs, ys, masks = cover_inputs(ANCHOR.location, candidates, uncovered)
+    if tables is None:
+        return None
+    cover, _ = find_constrained_cover(tables, pair_cap, xs, ys, masks, **kwargs)
+    return None if cover is None else [candidates[i] for i in cover]
 
 
 class TestFindConstrainedCover:
@@ -86,10 +89,11 @@ class TestFindConstrainedCover:
 
     def test_colocated_duplicate_traces_deduplicated(self):
         twins = [obj(i, 0, 0, [1]) for i in range(50)]
-        oracle = DistanceOracle(ANCHOR.location, twins)
-        cover, _ = find_constrained_cover(frozenset({1}), oracle, math.inf)
-        assert cover is not None and len(cover) == 1
-        assert oracle.cover_tables(frozenset({1})) == {1: [0]}
+        tables, xs, ys, masks = cover_inputs(ANCHOR.location, twins, {1})
+        # One table, for keyword 1's bit: the lowest oid, at distance 0.
+        assert tables == [(1 << 1, [0], [0.0])]
+        cover, _ = find_constrained_cover(tables, math.inf, xs, ys, masks)
+        assert cover == [0]
 
     def test_budget_exceeded_raises(self):
         # Many interchangeable candidates per keyword, each keyword on

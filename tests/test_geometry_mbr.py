@@ -30,11 +30,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MBR(0, 1, 0, 0)
 
-    def test_from_point(self):
-        r = MBR.from_point(Point(2, 3))
-        assert (r.min_x, r.min_y, r.max_x, r.max_y) == (2, 3, 2, 3)
-        assert r.area() == 0.0
-
     def test_from_points(self):
         r = MBR.from_points([Point(1, 5), Point(-2, 0), Point(3, 2)])
         assert (r.min_x, r.min_y, r.max_x, r.max_y) == (-2, 0, 3, 5)
@@ -53,19 +48,8 @@ class TestConstruction:
 
 
 class TestMeasures:
-    def test_width_height_area_margin(self):
-        r = MBR(0, 0, 4, 3)
-        assert r.width == 4 and r.height == 3
-        assert r.area() == 12
-        assert r.margin() == 7
-
     def test_center(self):
         assert MBR(0, 0, 4, 2).center() == Point(2, 1)
-
-    def test_enlargement(self):
-        base = MBR(0, 0, 1, 1)
-        assert base.enlargement(MBR(0, 0, 1, 1)) == 0.0
-        assert base.enlargement(MBR(1, 0, 2, 1)) == pytest.approx(1.0)
 
 
 class TestRelations:

@@ -23,16 +23,16 @@ from repro.cost.base import pairwise_max_distance
 from repro.geometry.point import Point
 from repro.kernels.flat import (
     cap_bands,
-    distances_from,
     farthest_pair,
+    first_beyond,
     lens_lower_bound,
     lens_scan,
     max_distance_from,
     pack_objects,
     pack_points,
     pairwise_max,
+    pairwise_max_at,
 )
-from repro.kernels.oracle import DistanceOracle
 
 coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 point_lists = st.lists(st.tuples(coords, coords), min_size=0, max_size=24)
@@ -97,14 +97,6 @@ class TestKernelBitIdentity:
         assert max_distance_from(c[0], c[1], xs, ys) == naive_max_from(
             c[0], c[1], pts
         )
-
-    @given(pts=point_lists, c=st.tuples(coords, coords))
-    def test_distances_from(self, pts, c):
-        xs, ys = _pack(pts)
-        got = distances_from(c[0], c[1], xs, ys)
-        assert list(got) == [
-            math.hypot(c[0] - a, c[1] - b) for a, b in pts
-        ]
 
 
 class TestLensKernels:
@@ -182,66 +174,31 @@ class TestPacking:
         assert list(ys) == [o.location.y for o in dataset.objects]
 
 
-# -- the distance oracle -------------------------------------------------------
+# -- the cover search's pair check and realized diameter ------------------------
 
 
 @pytest.fixture(scope="module")
-def oracle_instance():
+def owner_instance():
+    """An owner (index 0) and its candidates, packed like an owner stream."""
     dataset, _, _ = make_random_instance(29, num_objects=30, vocab=8)
-    anchor = dataset.objects[0]
-    candidates = dataset.objects[1:]
-    return anchor, candidates, DistanceOracle(anchor.location, candidates)
+    objects = dataset.objects
+    xs, ys = pack_objects(objects)
+    return objects, xs, ys
 
 
-class TestDistanceOracle:
-    def test_anchor_distances_are_exact(self, oracle_instance):
-        anchor, candidates, oracle = oracle_instance
-        for i, cand in enumerate(candidates):
-            assert oracle.anchor_d[i] == anchor.location.distance_to(
-                cand.location
-            )
+class TestCoverKernels:
+    def test_realized_diameter_equals_pairwise_max_distance(self, owner_instance):
+        objects, xs, ys = owner_instance
+        members = [0, 5, 10, 18]
+        want = pairwise_max_distance([objects[i] for i in members])
+        assert pairwise_max_at(members, xs, ys) == want
 
-    def test_pair_distance_matches_scalar(self, oracle_instance):
-        _, candidates, oracle = oracle_instance
-        for i in range(0, len(candidates), 5):
-            for j in range(0, len(candidates), 7):
-                want = candidates[i].location.distance_to(candidates[j].location)
-                assert oracle.pair_distance(i, j) == want
-                assert oracle.pair_distance(j, i) == want
-
-    def test_rows_are_memoized(self, oracle_instance):
-        _, _, oracle = oracle_instance
-        assert oracle.row(3) is oracle.row(3)
-
-    def test_diameter_with_anchor_equals_pairwise_max(self, oracle_instance):
-        anchor, candidates, oracle = oracle_instance
-        indices = [0, 4, 9, 17]
-        want = pairwise_max_distance([anchor] + [candidates[i] for i in indices])
-        assert oracle.diameter_with_anchor(indices) == want
-
-    def test_max_anchor_distance(self, oracle_instance):
-        anchor, candidates, oracle = oracle_instance
-        assert oracle.max_anchor_distance() == max(
-            anchor.location.distance_to(c.location) for c in candidates
-        )
-
-    def test_first_beyond(self, oracle_instance):
-        _, candidates, oracle = oracle_instance
-        row = [candidates[0].location.distance_to(c.location) for c in candidates]
-        others = (1, 2, 3, 4, 5)
+    def test_first_beyond_reports_the_first_in_chosen_order(self, owner_instance):
+        objects, xs, ys = owner_instance
+        row = [objects[1].location.distance_to(o.location) for o in objects]
+        chosen = (6, 2, 5, 3, 4)
         cap = sorted(row)[len(row) // 2]
-        want = next((row[j] for j in others if row[j] > cap), None)
-        assert oracle.first_beyond(0, others, cap) == want
-        assert oracle.first_beyond(0, others, max(row)) is None
-
-    def test_prepacked_construction_is_equivalent(self, oracle_instance):
-        anchor, candidates, oracle = oracle_instance
-        xs, ys = pack_objects(candidates)
-        pre = DistanceOracle(
-            anchor.location, candidates, xs, ys, array("d", oracle.anchor_d)
-        )
-        assert list(pre.anchor_d) == list(oracle.anchor_d)
-        assert pre.diameter_with_anchor([2, 6, 11]) == oracle.diameter_with_anchor(
-            [2, 6, 11]
-        )
-        assert pre.index_of(candidates[5]) == oracle.index_of(candidates[5])
+        want = next((row[j] for j in chosen if row[j] > cap), None)
+        assert want is not None and want != min(row[j] for j in chosen if row[j] > cap)
+        assert first_beyond(xs[1], ys[1], chosen, xs, ys, cap) == want
+        assert first_beyond(xs[1], ys[1], chosen, xs, ys, max(row)) is None

@@ -1,5 +1,7 @@
 """Tests for queries and results."""
 
+import re
+
 import pytest
 
 from repro.errors import InvalidParameterError, UnknownKeywordError
@@ -20,6 +22,22 @@ class TestQuery:
     def test_empty_keywords_rejected(self):
         with pytest.raises(InvalidParameterError):
             Query.create(0, 0, [])
+
+    @pytest.mark.parametrize(
+        "keywords, bad",
+        [
+            (frozenset({-1}), -1),
+            (frozenset({1.5}), 1.5),
+            (frozenset({"a"}), "a"),
+            (frozenset({True}), True),
+            ({1}, {1}),
+            ([1], [1]),
+        ],
+        ids=["negative", "float", "str", "bool", "set", "list"],
+    )
+    def test_malformed_keywords_rejected(self, keywords, bad):
+        with pytest.raises(InvalidParameterError, match=re.escape(repr(bad))):
+            Query(Point(0.5, 0.5), keywords)
 
     def test_from_words(self):
         v = Vocabulary(["spa", "gym"])

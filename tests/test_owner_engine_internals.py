@@ -6,10 +6,10 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_near_tie_instance
+from conftest import cover_inputs, make_near_tie_instance
 from repro.algorithms.base import SearchContext
 from repro.algorithms.bruteforce import BruteForceExact
-from repro.algorithms.cover import find_constrained_cover
+from repro.algorithms.cover import find_constrained_cover, iter_covers
 from repro.algorithms.dia_exact import DiaExact
 from repro.algorithms.maxsum_exact import MaxSumExact
 from repro.algorithms.owner_appro import greedy_completion_near
@@ -19,7 +19,6 @@ from repro.cost.unified import INTERESTING_SETTINGS, UnifiedCost
 from repro.data.queries import generate_queries
 from repro.errors import BudgetExceededError
 from repro.geometry.point import Point
-from repro.kernels.oracle import DistanceOracle
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
@@ -108,7 +107,7 @@ class TestIndifferentCap:
                 assert cap == max(q, lb), cost
 
 
-#: Candidate rows for the rejection-report property: small integer
+#: Candidate rows for the cover-search properties: small integer
 #: grids scaled by 1/3 and 1/7, so distances tie and near-tie often.
 candidate_rows = st.lists(
     st.tuples(
@@ -121,17 +120,37 @@ candidate_rows = st.lists(
 )
 
 
+#: The owner every rejection-report and cover-property search is
+#: anchored at: keyword-less, at the origin.
+OWNER = SpatialObject(99, Point(0.0, 0.0), frozenset())
+
+UNCOVERED = frozenset({1, 2, 3})
+
+
+def grid_candidates(rows):
+    return [
+        SpatialObject(i, Point(x / 3.0, y / 7.0), frozenset(k))
+        for i, (x, y, k) in enumerate(rows)
+    ]
+
+
+def search(candidates, cap):
+    """``(cover objects or None, beyond)`` of the owner's cover search."""
+    tables, xs, ys, masks = cover_inputs(OWNER.location, candidates, UNCOVERED)
+    if tables is None:
+        return None, math.inf
+    cover, beyond = find_constrained_cover(tables, cap, xs, ys, masks)
+    if cover is None:
+        return None, beyond
+    return [candidates[i] for i in cover], beyond
+
+
 class TestRejectionReport:
     @given(candidate_rows, st.floats(0.0, 8.0))
     @settings(max_examples=80)
     def test_caps_below_the_reported_distance_fail(self, rows, cap):
-        candidates = [
-            SpatialObject(i, Point(x / 3.0, y / 7.0), frozenset(k))
-            for i, (x, y, k) in enumerate(rows)
-        ]
-        oracle = DistanceOracle(Point(0.0, 0.0), candidates)
-        uncovered = frozenset({1, 2, 3})
-        cover, beyond = find_constrained_cover(uncovered, oracle, cap)
+        candidates = grid_candidates(rows)
+        cover, beyond = search(candidates, cap)
         if cover is not None:
             return
         assert beyond > cap
@@ -140,16 +159,49 @@ class TestRejectionReport:
             probes.append((cap + beyond) / 2.0)
         for probe in probes:
             if cap <= probe < beyond:
-                assert find_constrained_cover(uncovered, oracle, probe)[0] is None
+                assert search(candidates, probe)[0] is None
 
     def test_reports_the_nearest_rejection(self):
         near = SpatialObject(0, Point(-6.0, 0.0), frozenset({1}))
         far = SpatialObject(1, Point(6.0, 0.0), frozenset({2}))
-        oracle = DistanceOracle(Point(0.0, 0.0), [near, far])
+        tables, xs, ys, masks = cover_inputs(OWNER.location, [near, far], {1, 2})
         # The pair check rejects the 12 between the candidates ...
-        assert find_constrained_cover(frozenset({1, 2}), oracle, 10.0) == (None, 12.0)
-        # ... the anchor filter the 6 between each and the anchor.
-        assert find_constrained_cover(frozenset({1, 2}), oracle, 5.0) == (None, 6.0)
+        assert find_constrained_cover(tables, 10.0, xs, ys, masks) == (None, 12.0)
+        # ... the owner filter the 6 between each and the owner.
+        assert find_constrained_cover(tables, 5.0, xs, ys, masks) == (None, 6.0)
+
+
+class TestCoverSearchProperty:
+    @given(candidate_rows, st.one_of(st.floats(0.0, 8.0), st.integers(0, 99)))
+    @settings(max_examples=150)
+    # One carrier per keyword in a row, 3 apart: every consecutive pair
+    # fits a cap of 3, the two ends do not.
+    @example([(-9, 0, (1,)), (0, 0, (2,)), (9, 0, (3,))], 3.0)
+    def test_finds_a_cover_iff_one_fits_the_cap(self, rows, pick):
+        """Complete and sound against the brute-force cover enumeration.
+
+        A float ``pick`` is the cap; an int picks one of the realized
+        owner and pair distances, so that ties at the cap occur.
+        """
+        candidates = grid_candidates(rows)
+        members = [OWNER] + candidates
+        if isinstance(pick, int):
+            realized = sorted(
+                {a.location.distance_to(b.location) for a in members for b in members}
+            )
+            cap = realized[pick % len(realized)]
+        else:
+            cap = pick
+        diameters = [
+            pairwise_max_distance([OWNER] + cover)
+            for cover in iter_covers(UNCOVERED, candidates)
+        ]
+        cover, _ = search(candidates, cap)
+        assert (cover is not None) == any(d <= cap for d in diameters)
+        if cover is not None:
+            assert pairwise_max_distance([OWNER] + cover) <= cap
+            covered = frozenset().union(*(o.keywords for o in cover))
+            assert UNCOVERED <= covered
 
 
 class TestDiameterSearch:
