@@ -1,6 +1,6 @@
 # Convenience targets for the CoSKQ reproduction.
 
-.PHONY: install test lint lint-fast check contracts chaos serve-check parallel-check kernels-check signatures-check shard-check shard-bench bench bench-reports bench-smoke bench-check figures full-experiments clean
+.PHONY: install test lint lint-fast check contracts chaos serve-check parallel-check kernels-check signatures-check shard-check shard-bench bench bench-smoke bench-check figures full-experiments clean
 
 install:
 	pip install -e .
@@ -90,11 +90,11 @@ shard-bench:
 		--out BENCH_shard.json
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 # Record a macro-benchmark baseline: the pinned smoke profile through
-# the whole stack (solvers, kNN, fallback chain, parallel batches, cold
-# and warm caches), one summary JSON out (docs/BENCHMARKS.md).
+# the whole stack (solvers, fallback chain, parallel batches, sharded
+# engine, cold and warm caches), one summary JSON out (docs/BENCHMARKS.md).
 bench-smoke:
 	PYTHONPATH=src python -m repro.tools.macro_cli run --profile smoke \
 		--out bench_macro_smoke.json

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import write_report
 from repro.bench.macro import diff_summaries, run_profile
+from repro.bench.macro.workloads import profile_by_name
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def test_macro_smoke_profile(benchmark, smoke_summary):
     summary = benchmark.pedantic(
         run_profile, args=("smoke",), kwargs={"cache_dir": cache_dir}, rounds=2
     )
-    assert summary["totals"]["workloads"] >= 9
+    assert summary["totals"]["workloads"] == len(profile_by_name("smoke").workloads)
     lines = [
         "%-40s %10.1f qps" % (w["id"], w["throughput_qps"])
         for w in summary["workloads"]

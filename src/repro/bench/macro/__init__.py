@@ -4,15 +4,15 @@ Where ``repro.bench.experiments`` regenerates the *paper's* tables
 (per-algorithm microbenches at bench scale), this package measures the
 **system** end-to-end the way SIGMOD evaluations and SpatialBench-style
 harnesses do: pinned scalable datasets (10k → 1M objects, seeded,
-content-hash cached on disk), pinned mixed workloads (boolean-knn /
-approximate / small exact / fallback chains / parallel batches, cold vs
-warm caches), per-query
-latency capture, and one summary JSON per run under a versioned schema.
+content-hash cached on disk), pinned mixed workloads (approximate /
+small exact / fallback chains / parallel batches / sharded engine, cold
+vs warm caches), per-query latency capture, and one summary JSON per
+run under a versioned schema.
 
 The pieces (see docs/BENCHMARKS.md):
 
 - :mod:`repro.bench.macro.datasets`  — pinned dataset specs + disk cache;
-- :mod:`repro.bench.macro.aggregate` — mergeable latency percentiles;
+- :mod:`repro.bench.macro.aggregate` — exact latency percentiles;
 - :mod:`repro.bench.macro.workloads` — workload/profile registry;
 - :mod:`repro.bench.macro.runner`    — executes a profile into a summary;
 - :mod:`repro.bench.macro.schema`    — the versioned summary schema;

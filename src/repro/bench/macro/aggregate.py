@@ -1,12 +1,11 @@
-"""Latency aggregation for the macro harness: mergeable, exact percentiles.
+"""Latency aggregation for the macro harness: exact percentiles.
 
 Percentiles of percentiles are statistically meaningless, so the
 accumulator keeps the **raw samples** and defers every statistic to
-summary time: merging shards is list concatenation, and the summary of a
-merge equals the summary of the whole by construction (the property the
-hypothesis suite ``tests/test_bench_macro_properties.py`` pins).  Sample
-counts in this harness are thousands at most, so raw retention costs
-nothing and buys exactness.
+summary time (the hypothesis suite ``tests/test_bench_macro_properties.py``
+checks the summaries against the samples).  Sample counts in this
+harness are thousands at most, so raw retention costs nothing and buys
+exactness.
 """
 
 from __future__ import annotations
@@ -39,19 +38,6 @@ class LatencyAccumulator:
     def extend(self, latencies_ms: Iterable[float]) -> None:
         for value in latencies_ms:
             self.add(value)
-
-    @classmethod
-    def merge(cls, shards: Iterable["LatencyAccumulator"]) -> "LatencyAccumulator":
-        """One accumulator holding every shard's samples.
-
-        Exactly equivalent to having recorded all samples into a single
-        accumulator — the shard/whole equivalence the property tests
-        assert.
-        """
-        merged = cls()
-        for shard in shards:
-            merged._samples.extend(shard._samples)
-        return merged
 
     def __len__(self) -> int:
         return len(self._samples)

@@ -115,28 +115,6 @@ def _chain_workload(
     return _workload_entry(spec, latencies, failures, wall_s, provenance, None)
 
 
-def _knn_workload(
-    spec: WorkloadSpec, context: SearchContext, queries: List[Query]
-) -> Dict[str, object]:
-    index = context.index
-    provenance: "Counter[str]" = Counter()
-
-    def solve(query: Query) -> object:
-        neighbors = index.boolean_knn(query, spec.k)
-        provenance["returned:%d" % len(neighbors)] += 1
-        return neighbors
-
-    latencies = LatencyAccumulator()
-    failures = 0
-    pass_started = time.perf_counter()
-    for query in queries:
-        started = time.perf_counter()
-        solve(query)
-        latencies.add((time.perf_counter() - started) * 1_000.0)
-    wall_s = time.perf_counter() - pass_started
-    return _workload_entry(spec, latencies, failures, wall_s, provenance, None)
-
-
 def _batch_workload(
     spec: WorkloadSpec, dataset: Dataset, queries: List[Query]
 ) -> Dict[str, object]:
@@ -262,8 +240,6 @@ def _run_workload(
         return _batch_workload(spec, dataset, queries)
     if spec.kind == "sharded":
         return _sharded_workload(spec, dataset, context, queries)
-    if spec.kind == "boolean-knn":
-        return _knn_workload(spec, context, queries)
     if spec.kind == "chain":
         return _chain_workload(spec, context, queries)
     return _solver_workload(spec, context, queries)

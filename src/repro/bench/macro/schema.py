@@ -42,10 +42,12 @@ __all__ = [
 #: /4: removed the ``adaptive`` workload kind (the learned planner).
 #: /5: added ``environment.cpu_count`` (``os.cpu_count()``; null when
 #: the host cannot tell).
-SCHEMA_VERSION = "coskq-bench-macro/5"
+#: /6: removed the ``boolean-knn`` workload kind (boolean kNN is not a
+#: CoSKQ query, and no solver calls it).
+SCHEMA_VERSION = "coskq-bench-macro/6"
 
 #: How a workload is executed (see docs/BENCHMARKS.md).
-WORKLOAD_KINDS = ("solver", "chain", "boolean-knn", "batch", "sharded")
+WORKLOAD_KINDS = ("solver", "chain", "batch", "sharded")
 
 _CACHE_MODES = ("cold", "warm")
 _LATENCY_KEYS = ("count", "mean_ms", "min_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms")

@@ -1,8 +1,8 @@
 """Pinned workload mixes and the smoke / quick / full profiles.
 
 A *workload* is one measured cell: a dataset, a way of querying it
-(registry solver, fallback chain, boolean-kNN index op, a parallel
-batch, or the sharded scatter-gather engine) and a cache temperature.
+(registry solver, fallback chain, a parallel batch, or the sharded
+scatter-gather engine) and a cache temperature.
 A *profile* pins datasets + workloads + seed, so two runs of the same
 profile measure byte-identical work — which is what makes the diff
 gate meaningful.
@@ -43,8 +43,6 @@ class WorkloadSpec:
     num_keywords: int = 6
     queries: int = 8
     cache: str = "cold"
-    #: ``boolean-knn`` only: result-set size.
-    k: int = 5
     #: ``batch`` only: process-pool width.
     workers: int = 2
     #: ``chain`` only: per-query deadline.
@@ -59,7 +57,7 @@ class WorkloadSpec:
             )
         if self.cache not in ("cold", "warm"):
             raise InvalidParameterError("cache must be 'cold' or 'warm'")
-        for count_field in ("queries", "num_keywords", "k", "workers"):
+        for count_field in ("queries", "num_keywords", "workers"):
             if getattr(self, count_field) < 1:
                 raise InvalidParameterError("%s must be >= 1" % count_field)
         if self.shards < 0:
@@ -107,20 +105,11 @@ def _mixed_workloads(
     """The pinned workload mix every profile shares, scaled by counts.
 
     ``main`` hosts the fast paths, ``small`` the exponential exact
-    search.  The mix covers the matrix the tentpole names: boolean-knn,
-    appro, small exact, dia, a fallback chain (provenance counts), a
-    parallel batch, and cold vs warm.
+    search.  The mix covers appro, small exact, dia, a fallback chain
+    (provenance counts), a parallel batch, the sharded engine, and cold
+    vs warm.
     """
     return (
-        WorkloadSpec(
-            id="boolean-knn/cold",
-            dataset=main,
-            kind="boolean-knn",
-            solver="boolean-knn",
-            num_keywords=2,
-            queries=queries,
-            k=5,
-        ),
         WorkloadSpec(
             id="maxsum-appro/cold",
             dataset=main,
@@ -255,17 +244,6 @@ def _full_workloads() -> Tuple[WorkloadSpec, ...]:
                 solver="maxsum-appro",
                 num_keywords=6,
                 queries=50,
-            )
-        )
-        out.append(
-            WorkloadSpec(
-                id="scaling/boolean-knn/%s" % dataset.removeprefix("full-gn-"),
-                dataset=dataset,
-                kind="boolean-knn",
-                solver="boolean-knn",
-                num_keywords=2,
-                queries=100,
-                k=10,
             )
         )
     out.append(

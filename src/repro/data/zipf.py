@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from typing import List, Sequence
+from typing import List
 
 __all__ = ["ZipfSampler"]
 
@@ -62,7 +62,3 @@ class ZipfSampler:
         if not 0 <= rank < self.n:
             raise ValueError("rank out of range")
         return (1.0 / ((rank + 1) ** self.exponent)) / self._total
-
-    def expected_frequencies(self, draws: int) -> Sequence[float]:
-        """Expected counts per rank after ``draws`` samples."""
-        return [draws * self.probability(k) for k in range(self.n)]

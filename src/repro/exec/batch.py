@@ -70,13 +70,6 @@ class BatchReport:
             if r is not None and getattr(r.provenance, "degraded", False)
         )
 
-    def error_counts(self) -> Dict[str, int]:
-        """Failure histogram by error type (for failure reports)."""
-        counts: Dict[str, int] = {}
-        for failure in self.failures:
-            counts[failure.error_type] = counts.get(failure.error_type, 0) + 1
-        return counts
-
     def summary(self) -> str:
         """One line: ``solver: 97/100 answered (3 degraded, 3 failed)``."""
         return "%s: %d/%d answered (%d degraded, %d failed)" % (

@@ -120,18 +120,6 @@ class Budget:
                 counters=counters,
             )
 
-    def remaining_work(self) -> Optional[int]:
-        """Work units left, or None when unlimited."""
-        if self.work_limit is None:
-            return None
-        return max(0, self.work_limit - self.spent)
-
-    def remaining_seconds(self) -> Optional[float]:
-        """Seconds until the deadline, or None when undeadlined."""
-        if self.deadline_at is None:
-            return None
-        return self.deadline_at - self.clock.now()
-
     def __repr__(self) -> str:
         return "Budget(spent=%d, work_limit=%r, deadline_at=%r)" % (
             self.spent,

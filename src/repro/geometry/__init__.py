@@ -1,6 +1,6 @@
-"""Planar geometry substrate: points, rectangles, disks and lens regions."""
+"""Planar geometry substrate: points, rectangles and disks."""
 
-from repro.geometry.circle import Circle, Lens, Ring, lens_chord_length
+from repro.geometry.circle import Circle
 from repro.geometry.mbr import MBR
 from repro.geometry.point import (
     Point,
@@ -17,9 +17,6 @@ __all__ = [
     "Point",
     "MBR",
     "Circle",
-    "Lens",
-    "Ring",
-    "lens_chord_length",
     "distance",
     "distance_xy",
     "squared_distance",

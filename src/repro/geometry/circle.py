@@ -1,29 +1,19 @@
-"""Circles (disks) and the lens regions used by distance owner pruning.
+"""Closed disks.
 
 The owner-driven algorithms of the paper constrain candidate objects to
-regions that are intersections of disks:
-
-- ``C(q, r)`` — everything in a feasible set whose query distance owner is
-  at distance ``r`` must lie in this disk;
-- the *lens* ``C(o1, d12) ∩ C(o2, d12)`` — everything in a set whose
-  pairwise distance owners are ``(o1, o2)`` at distance ``d12`` must lie
-  in this lens.
-
-This module supplies the disk value object, disk/disk and disk/MBR
-relations, and a :class:`Lens` helper for membership tests.
+``C(q, r)``: everything in a feasible set whose query distance owner is
+at distance ``r`` must lie in this disk.  The solvers read the disk as a
+prefix of the index's ``(distance, oid)`` stream; :class:`Circle` types
+the stream's optional ``within`` restriction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
-from repro.utils.floatcmp import float_leq
 
-__all__ = ["Circle", "Lens", "Ring"]
+__all__ = ["Circle"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,127 +35,3 @@ class Circle:
         denormal coordinates and would make the two disagree).
         """
         return self.center.distance_to(p) <= self.radius
-
-    def contains_circle(self, other: "Circle") -> bool:
-        """Whether ``other`` lies entirely inside this disk."""
-        d = self.center.distance_to(other.center)
-        return float_leq(d + other.radius, self.radius, 1e-12)
-
-    def intersects(self, other: "Circle") -> bool:
-        """Whether the two closed disks share at least one point."""
-        d = self.center.squared_distance_to(other.center)
-        rsum = self.radius + other.radius
-        return d <= rsum * rsum
-
-    def intersects_mbr(self, rect: MBR) -> bool:
-        """Whether the closed disk intersects the rectangle."""
-        return rect.min_distance(self.center) <= self.radius
-
-    def contains_mbr(self, rect: MBR) -> bool:
-        """Whether the rectangle lies entirely inside the closed disk."""
-        return rect.max_distance(self.center) <= self.radius
-
-    def mbr(self) -> MBR:
-        """The bounding rectangle of the disk."""
-        return MBR(
-            self.center.x - self.radius,
-            self.center.y - self.radius,
-            self.center.x + self.radius,
-            self.center.y + self.radius,
-        )
-
-    def area(self) -> float:
-        return math.pi * self.radius * self.radius
-
-
-def lens_chord_length(d: float, r: float) -> float:
-    """Length of the chord of a symmetric lens ``C(a, r) ∩ C(b, r)``.
-
-    ``d`` is the distance between the two centers, both disks share radius
-    ``r``.  When ``d > 2r`` the lens is empty and 0 is returned.  The chord
-    is the segment joining the two intersection points of the circles; its
-    length upper-bounds pairwise distances of some lens subsets and shows
-    up in the paper's sqrt(3) bound (``d == r`` gives ``r·sqrt(3)``).
-    """
-    if d > 2.0 * r:
-        return 0.0
-    if d <= 0.0:
-        return 2.0 * r
-    half = math.sqrt(max(r * r - (d * d) / 4.0, 0.0))
-    return 2.0 * half
-
-
-@dataclass(frozen=True, slots=True)
-class Lens:
-    """The intersection region of a sequence of closed disks.
-
-    Degenerates gracefully: one disk behaves as that disk, zero disks as
-    the whole plane.
-    """
-
-    circles: tuple[Circle, ...]
-
-    @staticmethod
-    def of(*circles: Circle) -> "Lens":
-        return Lens(tuple(circles))
-
-    def contains(self, p: Point) -> bool:
-        return all(c.contains(p) for c in self.circles)
-
-    def is_certainly_empty(self) -> bool:
-        """A cheap sufficient (not necessary) emptiness test.
-
-        Checks pairwise disk disjointness only; three pairwise-intersecting
-        disks can still have an empty common intersection, so ``False``
-        does not guarantee non-emptiness.
-        """
-        n = len(self.circles)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not self.circles[i].intersects(self.circles[j]):
-                    return True
-        return False
-
-    def mbr(self) -> MBR | None:
-        """A bounding rectangle of the region (None for the whole plane)."""
-        if not self.circles:
-            return None
-        rect = self.circles[0].mbr()
-        for c in self.circles[1:]:
-            other = c.mbr()
-            if not rect.intersects(other):
-                # Empty region: return a degenerate rectangle at a corner.
-                return MBR(rect.min_x, rect.min_y, rect.min_x, rect.min_y)
-            rect = MBR(
-                max(rect.min_x, other.min_x),
-                max(rect.min_y, other.min_y),
-                min(rect.max_x, other.max_x),
-                min(rect.max_y, other.max_y),
-            )
-        return rect
-
-
-@dataclass(frozen=True, slots=True)
-class Ring:
-    """A closed annulus ``{p : inner ≤ d(center, p) ≤ outer}``.
-
-    The approximate algorithms iterate query distance owner candidates in
-    the ring between ``C(q, d_f)`` and ``C(q, curCost)``.
-    """
-
-    center: Point
-    inner: float
-    outer: float
-
-    def __post_init__(self) -> None:
-        if self.inner < 0 or self.outer < self.inner:
-            raise ValueError(
-                "degenerate ring: inner=%r outer=%r" % (self.inner, self.outer)
-            )
-
-    def contains(self, p: Point) -> bool:
-        d2 = self.center.squared_distance_to(p)
-        return self.inner * self.inner <= d2 <= self.outer * self.outer
-
-    def filter(self, points: Sequence[Point]) -> list[Point]:
-        return [p for p in points if self.contains(p)]

@@ -1,17 +1,15 @@
-"""Minimum bounding rectangles (axis-aligned) for the R-tree family.
+"""Minimum bounding rectangles (axis-aligned) for the IR-tree and the shards.
 
-The R-tree and IR-tree prune subtrees with two classic bounds computed
-here: ``min_distance`` (the smallest possible distance from a point to any
-point of the rectangle — admissible for nearest-neighbor search) and
-``max_distance`` (the largest possible distance — used for safe inclusion
-in range queries).
+The IR-tree prunes subtrees with the classic bound computed here:
+``min_distance``, the smallest possible distance from a point to any
+point of the rectangle — admissible for nearest-neighbor search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.geometry.point import Point
 from repro.utils.floatcmp import is_zero
@@ -76,14 +74,6 @@ class MBR:
 
     # -- relations ---------------------------------------------------------
 
-    def intersects(self, other: "MBR") -> bool:
-        return not (
-            other.min_x > self.max_x
-            or other.max_x < self.min_x
-            or other.min_y > self.max_y
-            or other.max_y < self.min_y
-        )
-
     def contains_point(self, p: Point) -> bool:
         return self.min_x <= p.x <= self.max_x and self.min_y <= p.y <= self.max_y
 
@@ -118,15 +108,3 @@ class MBR:
         if is_zero(dy):
             return dx
         return math.hypot(dx, dy)
-
-    def max_distance(self, p: Point) -> float:
-        """Largest distance from ``p`` to any point of the rectangle."""
-        dx = max(abs(p.x - self.min_x), abs(p.x - self.max_x))
-        dy = max(abs(p.y - self.min_y), abs(p.y - self.max_y))
-        return math.hypot(dx, dy)
-
-    def corners(self) -> Iterator[Point]:
-        yield Point(self.min_x, self.min_y)
-        yield Point(self.min_x, self.max_y)
-        yield Point(self.max_x, self.min_y)
-        yield Point(self.max_x, self.max_y)

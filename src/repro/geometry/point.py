@@ -50,14 +50,6 @@ class Point:
         dy = self.y - other.y
         return dx * dx + dy * dy
 
-    def translated(self, dx: float, dy: float) -> "Point":
-        """A copy of this point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """This point as a plain ``(x, y)`` tuple."""
-        return (self.x, self.y)
-
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y

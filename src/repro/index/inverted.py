@@ -1,15 +1,14 @@
 """Inverted index: keyword id → posting list of object ids.
 
-The exact algorithms enumerate candidate covers keyword by keyword; the
-inverted index supplies, for each keyword, the objects carrying it
-(optionally restricted to a region through the caller's filters).  It also
-answers the feasibility pre-check — a query is infeasible iff some query
-keyword has an empty posting list.
+The baseline and brute-force solvers start from the relevant-object set
+``O_q``, which the posting lists supply.  The index also answers the
+feasibility pre-check — a query is infeasible iff some query keyword has
+an empty posting list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence
+from typing import Dict, FrozenSet, Iterable, List
 
 from repro.index.signatures import keywords_of, mask_of
 from repro.model.dataset import Dataset
@@ -35,23 +34,6 @@ class InvertedIndex:
         #: Bitmask of every keyword carried by at least one object.
         self._present_mask = present_mask
 
-    @property
-    def dataset(self) -> Dataset:
-        return self._dataset
-
-    def posting_list(self, keyword_id: int) -> Sequence[int]:
-        """Object ids carrying ``keyword_id`` (ascending; possibly empty)."""
-        return self._postings.get(keyword_id, ())
-
-    def objects_with(self, keyword_id: int) -> List[SpatialObject]:
-        """Objects carrying ``keyword_id``."""
-        objects = self._dataset.objects
-        return [objects[oid] for oid in self.posting_list(keyword_id)]
-
-    def document_frequency(self, keyword_id: int) -> int:
-        """Number of objects carrying ``keyword_id``."""
-        return len(self._postings.get(keyword_id, ()))
-
     def missing_keywords(self, keyword_ids: Iterable[int]) -> FrozenSet[int]:
         """The subset of ``keyword_ids`` carried by no object at all."""
         return keywords_of(mask_of(keyword_ids) & ~self._present_mask)
@@ -71,21 +53,3 @@ class InvertedIndex:
                     seen.add(oid)
                     out.append(objects[oid])
         return out
-
-    def rarest_keyword(self, keyword_ids: Iterable[int]) -> int:
-        """The keyword of ``keyword_ids`` with the fewest postings.
-
-        Exact cover enumeration branches on it first to keep the search
-        tree narrow.  Ties broken by keyword id for determinism.
-        """
-        best_k = None
-        best = None
-        for k in keyword_ids:
-            df = self.document_frequency(k)
-            key = (df, k)
-            if best is None or key < best:
-                best = key
-                best_k = k
-        if best_k is None:
-            raise ValueError("rarest_keyword() of an empty keyword collection")
-        return best_k

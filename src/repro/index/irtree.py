@@ -4,15 +4,12 @@ The IR-tree (Cong et al., VLDB 2009) is the index the CoSKQ paper runs
 on.  Each node stores, besides its MBR, the union of the keyword sets in
 its subtree as a keyword bitmask (``kw_mask``, :mod:`repro.index.signatures`;
 a compact stand-in for the node's inverted file — sufficient for the
-boolean keyword containment tests CoSKQ needs).  It answers two queries:
-
-- ``nearest_relevant_iter(p, W)`` — incremental iteration, in total
-  ``(distance, oid)`` order, over objects carrying at least one keyword
-  of ``W``.  It is the only query the solvers make: ``N(q)`` is its
-  first carrier of each query keyword, ``NN(p, t)`` the first entry of
-  a single-keyword stream, and ``C(q, r)`` a prefix of the stream;
-- ``boolean_knn(q, k)`` — the k nearest objects that each cover all of
-  ``q.ψ`` (the macro benchmark's ``boolean-knn`` workload).
+keyword tests CoSKQ needs).  It answers one query,
+``nearest_relevant_iter(p, W)``: incremental iteration, in total
+``(distance, oid)`` order, over objects carrying at least one keyword of
+``W``.  The solvers read everything from it: ``N(q)`` is its first
+carrier of each query keyword, ``NN(p, t)`` the first entry of a
+single-keyword stream, and ``C(q, r)`` a prefix of the stream.
 
 The tree is bulk-loaded with STR (Sort-Tile-Recursive) over the dataset
 and is read-only afterwards.  Leaves additionally keep per-entry keyword
@@ -37,7 +34,6 @@ from repro.kernels import cap_bands
 from repro.utils.floatcmp import EPSILON as _ZERO_EPS
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
-from repro.model.query import Query
 
 __all__ = ["IRTree", "IRTreeNode", "DEFAULT_MAX_ENTRIES"]
 
@@ -257,59 +253,6 @@ class IRTree:
                     else:
                         key = math.hypot(dx, dy)
                     heapq.heappush(heap, (key, 0, next(counter), child))
-
-    def boolean_knn(self, query: Query, k: int) -> List[Tuple[float, SpatialObject]]:
-        """Boolean kNN: the k nearest objects covering *all* query keywords.
-
-        The single-object spatial keyword query from the related work
-        (Felipe et al., ICDE 2008): each result object individually
-        carries every keyword of ``q.ψ``; results ascend by distance.
-        Returns fewer than k when fewer qualifying objects exist (an
-        empty list when no single object covers the whole query — the
-        situation CoSKQ exists to solve).
-
-        A dedicated best-first traversal with the *covering* prune
-        ``q_mask & ~kw_mask != 0``: a subtree whose keyword union does
-        not cover ``q.ψ`` cannot contain a covering object, so whole
-        relevant-but-insufficient subtrees are skipped.  Covering objects
-        come out in ascending ``(distance, oid)`` order (see
-        :meth:`nearest_relevant_iter`).
-        """
-        out: List[Tuple[float, SpatialObject]] = []
-        if k <= 0 or self.root.mbr is None:
-            return out
-        q_mask = mask_of(query.keywords)
-        if q_mask & ~self.root.kw_mask:
-            return out
-        point = query.location
-        counter = itertools.count()
-        heap: List[Tuple[float, int, int, Union[IRTreeNode, SpatialObject]]] = [
-            (self.root.mbr.min_distance(point), 0, next(counter), self.root)
-        ]
-        while heap:
-            dist, is_object, _, item = heapq.heappop(heap)
-            if is_object:
-                out.append((dist, item))  # type: ignore[arg-type]
-                if len(out) >= k:
-                    break
-                continue
-            node: IRTreeNode = item  # type: ignore[assignment]
-            if node.is_leaf:
-                masks = node.obj_masks
-                for i, obj in enumerate(node.objects):
-                    if q_mask & ~masks[i]:
-                        continue
-                    d = point.distance_to(obj.location)
-                    heapq.heappush(heap, (d, 1, obj.oid, obj))
-            else:
-                for child in node.children:
-                    if child.mbr is None or q_mask & ~child.kw_mask:
-                        continue
-                    heapq.heappush(
-                        heap,
-                        (child.mbr.min_distance(point), 0, next(counter), child),
-                    )
-        return out
 
     # -- introspection ---------------------------------------------------------
 

@@ -58,11 +58,40 @@ class Dataset:
         self.objects: List[SpatialObject] = list(objects)
         self.vocabulary = vocabulary
         self._mbr: MBR | None = None
+        # Every index, context and solver takes a Dataset, so this one
+        # pass is where malformed objects are refused: a NaN coordinate
+        # would otherwise get an answer, and a bad keyword id would fail
+        # untyped inside the index build (or, as ``True``, pass for 1).
+        size = len(vocabulary)
+        isfinite = math.isfinite
         for expected_oid, obj in enumerate(self.objects):
             if obj.oid != expected_oid:
                 raise DatasetFormatError(
                     "object ids must be dense and ordered; found oid %d at "
                     "position %d" % (obj.oid, expected_oid)
+                )
+            keywords = obj.keywords
+            if not isinstance(keywords, frozenset):
+                raise DatasetFormatError(
+                    "object %d: keywords must be a frozenset of keyword ids, "
+                    "got %r" % (expected_oid, keywords)
+                )
+            for k in keywords:
+                # ``type`` rather than ``isinstance``: bool is an int.
+                if type(k) is not int or not 0 <= k < size:
+                    raise DatasetFormatError(
+                        "object %d: keyword id %r is not an int in [0, %d)"
+                        % (expected_oid, k, size)
+                    )
+            location = obj.location
+            try:
+                finite = isfinite(location.x) and isfinite(location.y)
+            except TypeError:  # not a real number at all
+                finite = False
+            if not finite:
+                raise DatasetFormatError(
+                    "object %d: coordinates must be finite numbers, got (%r, %r)"
+                    % (expected_oid, location.x, location.y)
                 )
 
     # -- construction helpers ---------------------------------------------

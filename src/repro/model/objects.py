@@ -38,14 +38,6 @@ class SpatialObject:
         """Convenience constructor from raw coordinates and keyword ids."""
         return SpatialObject(oid, Point(x, y), frozenset(keywords))
 
-    def covers_any(self, keyword_ids: FrozenSet[int]) -> bool:
-        """Whether this object carries at least one of ``keyword_ids``.
-
-        An object with this property is a *relevant object* for a query
-        whose keyword set is ``keyword_ids``.
-        """
-        return not self.keywords.isdisjoint(keyword_ids)
-
     def covered(self, keyword_ids: FrozenSet[int]) -> FrozenSet[int]:
         """The subset of ``keyword_ids`` this object carries."""
         return self.keywords & keyword_ids
@@ -53,10 +45,6 @@ class SpatialObject:
     def distance_to(self, other: "SpatialObject") -> float:
         """Euclidean distance between the two object locations."""
         return self.location.distance_to(other.location)
-
-    def distance_to_point(self, p: Point) -> float:
-        """Euclidean distance from this object's location to ``p``."""
-        return self.location.distance_to(p)
 
     def __hash__(self) -> int:
         return hash(self.oid)

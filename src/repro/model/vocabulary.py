@@ -37,10 +37,6 @@ class Vocabulary:
         self._id_to_word.append(word)
         return new_id
 
-    def add_all(self, words: Iterable[str]) -> List[int]:
-        """Intern many words, returning their ids in order."""
-        return [self.add(w) for w in words]
-
     def id_of(self, word: str) -> int:
         """The id of a known word; raises :class:`UnknownKeywordError`."""
         try:
@@ -57,10 +53,6 @@ class Vocabulary:
     def ids_of(self, words: Iterable[str]) -> frozenset[int]:
         """Ids of many known words as a frozenset."""
         return frozenset(self.id_of(w) for w in words)
-
-    def words_of(self, keyword_ids: Iterable[int]) -> frozenset[str]:
-        """Words of many known ids as a frozenset."""
-        return frozenset(self.word_of(k) for k in keyword_ids)
 
     def __contains__(self, word: str) -> bool:
         return word in self._word_to_id

@@ -9,7 +9,7 @@ shortest-path distances.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence
 
 from repro.data.zipf import ZipfSampler
 from repro.errors import InvalidParameterError

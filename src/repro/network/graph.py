@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.geometry.point import Point
@@ -64,9 +64,6 @@ class RoadNetwork:
 
     def location(self, node: int) -> Point:
         return self._coords[node]
-
-    def neighbors(self, node: int) -> List[Tuple[int, float]]:
-        return list(self._adjacency[node])
 
     def edge_count(self) -> int:
         return sum(len(adj) for adj in self._adjacency.values()) // 2

@@ -49,15 +49,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from memory (0 when idle)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
     def as_dict(self, prefix: str = "") -> Dict[str, int]:
         """Flat integer counters, optionally key-prefixed for merging."""
         return {

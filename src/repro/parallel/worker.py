@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.algorithms.base import SearchContext
 from repro.cost.functions import cost_by_name
@@ -191,11 +191,3 @@ def _run_task(index: int, spec: SolverSpec, query: Query) -> Dict[str, object]:
     """Pool task entry point (module-level, so it pickles by reference)."""
     assert _RUNTIME is not None, "worker initializer did not run"
     return _RUNTIME.solve(index, spec, query)
-
-
-def _run_chunk(
-    tasks: List[Tuple[int, SolverSpec, Query]]
-) -> List[Dict[str, object]]:
-    """Chunked variant: one submission amortizes pickling over many tasks."""
-    assert _RUNTIME is not None, "worker initializer did not run"
-    return [_RUNTIME.solve(index, spec, query) for index, spec, query in tasks]

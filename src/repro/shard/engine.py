@@ -42,7 +42,7 @@ are unaffected by index restriction either way.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import List, Optional
 
 from repro.algorithms.base import CoSKQAlgorithm, SearchContext
 from repro.algorithms.registry import make_algorithm

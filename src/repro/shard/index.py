@@ -14,8 +14,7 @@ MBR lower bound and is only expanded — its tree traversal started — when
 that bound reaches the front.  A shard the query never gets close to is
 never touched, and the merged stream keeps the shards' total
 ``(distance, oid)`` order, so ``N(q)`` and every ``NN(p, t)`` read from
-it tie-break exactly as on one tree.  ``boolean_knn`` merges the
-covering shards' lists.
+it tie-break exactly as on one tree.
 
 Thread safety: the shards, trees and summaries are immutable after
 ``build`` and shared read-only across request threads; the only mutable
@@ -26,20 +25,17 @@ excluded from pickling (forked workers start with fresh counters).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import threading
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.geometry.circle import Circle
-from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
 from repro.index.irtree import IRTree
-from repro.index.signatures import covers, mask_of
+from repro.index.signatures import mask_of
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
-from repro.model.query import Query
 from repro.shard.partition import ShardSummary, str_partition, summarize
 
 __all__ = ["DEFAULT_NUM_SHARDS", "Shard", "ShardedIndex", "ShardedIndexFactory"]
@@ -163,10 +159,6 @@ class ShardedIndex:
     def summaries(self) -> List[ShardSummary]:
         return [shard.summary for shard in self._shards]
 
-    def extent(self) -> MBR:
-        """The union of all shard MBRs (the dataset extent)."""
-        return MBR.union_all([shard.summary.mbr for shard in self._shards])
-
     # -- SpatialTextIndex protocol -------------------------------------------
 
     def __len__(self) -> int:
@@ -244,28 +236,6 @@ class ShardedIndex:
             after = next(stream, None)
             if after is not None:
                 heapq.heappush(heap, (after[0], 1, after[1].oid, (after, stream)))
-
-    def boolean_knn(self, query: Query, k: int) -> List[Tuple[float, SpatialObject]]:
-        """Top-``k`` covering objects: merge the covering shards' lists.
-
-        Only shards whose keyword union covers the whole query mask can
-        contain a covering object, so the rest are skipped outright.
-        """
-        if k < 1:
-            raise InvalidParameterError("k must be >= 1")
-        q_mask = mask_of(query.keywords)
-        per_shard = [
-            shard.tree.boolean_knn(query, k)
-            for shard in self._shards
-            if covers(q_mask, shard.summary.kw_mask)
-        ]
-        merged = heapq.merge(
-            *(
-                ((dist, shard_pos, rank, obj) for rank, (dist, obj) in enumerate(hits))
-                for shard_pos, hits in enumerate(per_shard)
-            )
-        )
-        return [(dist, obj) for dist, _, _, obj in itertools.islice(merged, k)]
 
     # -- diagnostics ---------------------------------------------------------
 

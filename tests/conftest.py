@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, settings
 from repro.algorithms.base import SearchContext
 from repro.algorithms.cover import cover_tables
 from repro.algorithms.registry import make_algorithm
-from repro.analysis import contracts
+from repro.analysis import AnalysisConfig, contracts, find_pyproject, run_analysis
 from repro.data.generators import clustered_dataset, uniform_dataset
 from repro.data.queries import generate_queries
 from repro.index.signatures import mask_of
@@ -103,6 +103,18 @@ def macro_smoke_run(tmp_path_factory):
     )
     assert exit_code == 0, "smoke profile run failed"
     return out, json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session")
+def src_analysis_report():
+    """One analysis of ``src/repro`` under the project's pyproject config.
+
+    The clean-tree tests of the syntactic rules, of ``--strict`` and of
+    the dataflow rules all read this report, so tier-1 analyses the
+    tree once for them.  The CLI tests keep their own runs.
+    """
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    return run_analysis([src], AnalysisConfig.load(find_pyproject(src)))
 
 
 def make_random_instance(seed: int, num_objects: int = 60, vocab: int = 8):

@@ -182,13 +182,9 @@ class TestSummaryCache:
 
 
 class TestRepositoryDataflowClean:
-    def test_src_tree_has_no_dataflow_violations(self):
-        from repro.analysis import find_pyproject
-
-        config = AnalysisConfig.load(find_pyproject(SRC))
-        report = run_analysis([SRC], config)
+    def test_src_tree_has_no_dataflow_violations(self, src_analysis_report):
         dataflow = [
-            v for v in report.violations if v.rule in ("R10", "R11")
+            v for v in src_analysis_report.violations if v.rule in ("R10", "R11")
         ]
         assert dataflow == [], "\n".join(v.format() for v in dataflow)
 

@@ -42,7 +42,7 @@ class TestLoadDelimited:
         ds = load_delimited(path, fmt)
         assert len(ds) == 1
         assert ds[0].location.x == 9.0
-        assert ds.vocabulary.words_of(ds[0].keywords) == {"pool", "gym"}
+        assert {ds.vocabulary.word_of(k) for k in ds[0].keywords} == {"pool", "gym"}
 
     def test_keywords_spread_over_remaining_columns(self, tmp_path):
         path = write(tmp_path, "1.0 2.0 cafe bar grill\n")

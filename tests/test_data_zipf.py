@@ -65,12 +65,6 @@ class TestZipfSampler:
         got = sampler.sample_distinct(rng, 10)
         assert got == [0, 1, 2, 3]
 
-    def test_expected_frequencies(self):
-        sampler = ZipfSampler(5, 1.0)
-        freqs = sampler.expected_frequencies(100)
-        assert sum(freqs) == pytest.approx(100.0)
-        assert freqs[0] > freqs[4]
-
     @given(st.integers(1, 50), st.integers(0, 1000))
     @settings(max_examples=20)
     def test_sample_distinct_always_valid(self, n, seed):

@@ -8,7 +8,7 @@ on:
 - ``answered + failed == total``;
 - ``results[i] is None`` ⇔ some failure carries index ``i``;
 - failure indexes are unique, sorted and in range;
-- ``error_counts()`` sums to ``failed``; ``degraded <= answered``.
+- ``failures`` has ``failed`` entries; ``degraded <= answered``.
 
 A second property drives the real :class:`ParallelBatchExecutor`
 (workers=1, in-process) over mixed feasible/poisoned batches and checks
@@ -116,7 +116,7 @@ def test_report_structural_invariants(script, solved_template):
     for position, result in enumerate(report.results):
         assert (result is None) == (position in set(failed_positions))
 
-    assert sum(report.error_counts().values()) == report.failed
+    assert len(report.failures) == report.failed
     assert report.degraded <= report.answered
     assert report.ok() == (report.failed == 0)
 

@@ -364,7 +364,7 @@ class TestBatchExecutor:
         )
         report = BatchExecutor(executor).run(tiny_queries[:2])
         assert report.failed == 2
-        assert report.error_counts() == {"ExecutionFailedError": 2}
+        assert [f.error_type for f in report.failures] == ["ExecutionFailedError"] * 2
         assert len(report.failures[0].stage_failures) == 2
 
     def test_degraded_counted_from_provenance(self, tiny_context, tiny_queries):

@@ -56,7 +56,6 @@ class TestBudgetWork:
         budget.tick(3)
         budget.tick(4)
         assert budget.spent == 7
-        assert budget.remaining_work() == 3
 
     def test_work_limit_raises_typed_error(self):
         budget = Budget(work_limit=5)
@@ -79,7 +78,7 @@ class TestBudgetWork:
     def test_unlimited_budget_never_aborts_on_work(self):
         budget = Budget()
         budget.tick(10**6)
-        assert budget.remaining_work() is None
+        assert budget.spent == 10**6
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -120,13 +119,6 @@ class TestBudgetDeadline:
         with pytest.raises(DeadlineExceededError):
             budget.tick()  # 64th tick crosses the probe boundary
         assert budget.spent == 64
-
-    def test_remaining_seconds_tracks_clock(self):
-        clock = ManualClock()
-        budget = Budget(deadline_at=clock.now() + 3.0, clock=clock)
-        clock.sleep(1.0)
-        assert budget.remaining_seconds() == pytest.approx(2.0)
-        assert Budget().remaining_seconds() is None
 
     def test_checkpoint_counts_probes(self):
         budget = Budget(checkpoint_interval=2)

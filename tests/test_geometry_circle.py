@@ -1,13 +1,10 @@
-"""Unit and property tests for disks, lenses and rings."""
-
-import math
+"""Unit and property tests for disks."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.circle import Circle, Lens, Ring, lens_chord_length
-from repro.geometry.mbr import MBR
+from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 
 coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -27,102 +24,7 @@ class TestCircle:
         assert c.contains(Point(5, 0))
         assert not c.contains(Point(5.001, 0))
 
-    def test_contains_circle(self):
-        outer = Circle(Point(0, 0), 5.0)
-        assert outer.contains_circle(Circle(Point(1, 0), 2.0))
-        assert not outer.contains_circle(Circle(Point(4, 0), 2.0))
-
-    def test_intersects(self):
-        a = Circle(Point(0, 0), 2.0)
-        assert a.intersects(Circle(Point(3, 0), 1.5))
-        assert a.intersects(Circle(Point(4, 0), 2.0))  # tangent
-        assert not a.intersects(Circle(Point(5, 0), 2.0))
-
-    def test_intersects_mbr(self):
-        c = Circle(Point(0, 0), 1.0)
-        assert c.intersects_mbr(MBR(0.5, 0.5, 2, 2))
-        assert not c.intersects_mbr(MBR(2, 2, 3, 3))
-
-    def test_contains_mbr(self):
-        c = Circle(Point(0, 0), 5.0)
-        assert c.contains_mbr(MBR(-1, -1, 1, 1))
-        assert not c.contains_mbr(MBR(-1, -1, 5, 5))
-
-    def test_mbr(self):
-        r = Circle(Point(1, 2), 3.0).mbr()
-        assert (r.min_x, r.min_y, r.max_x, r.max_y) == (-2, -1, 4, 5)
-
-    def test_area(self):
-        assert Circle(Point(0, 0), 2.0).area() == pytest.approx(4 * math.pi)
-
     @given(circles, points)
     def test_contains_iff_within_radius(self, c, p):
         assert c.contains(p) == (c.center.distance_to(p) <= c.radius + 0.0)
 
-
-class TestLensChord:
-    def test_empty_lens_when_far(self):
-        assert lens_chord_length(5.0, 2.0) == 0.0
-
-    def test_coincident_centers(self):
-        assert lens_chord_length(0.0, 2.0) == pytest.approx(4.0)
-
-    def test_sqrt3_at_equal_distance(self):
-        # d == r gives the sqrt(3)·r chord that bounds Dia-Appro.
-        assert lens_chord_length(1.0, 1.0) == pytest.approx(math.sqrt(3.0))
-
-    @given(st.floats(0, 10, allow_nan=False), st.floats(0.01, 10, allow_nan=False))
-    def test_chord_never_exceeds_diameter(self, d, r):
-        assert lens_chord_length(d, r) <= 2 * r + 1e-9
-
-
-class TestLens:
-    def test_contains_is_conjunction(self):
-        lens = Lens.of(Circle(Point(0, 0), 2.0), Circle(Point(2, 0), 2.0))
-        assert lens.contains(Point(1, 0))
-        assert not lens.contains(Point(-1.5, 0))
-
-    def test_empty_lens_detected(self):
-        lens = Lens.of(Circle(Point(0, 0), 1.0), Circle(Point(5, 0), 1.0))
-        assert lens.is_certainly_empty()
-
-    def test_whole_plane(self):
-        lens = Lens.of()
-        assert lens.contains(Point(1e9, -1e9))
-        assert lens.mbr() is None
-
-    def test_mbr_intersection(self):
-        lens = Lens.of(Circle(Point(0, 0), 2.0), Circle(Point(2, 0), 2.0))
-        rect = lens.mbr()
-        assert rect is not None
-        assert rect.min_x == pytest.approx(0.0)
-        assert rect.max_x == pytest.approx(2.0)
-
-    @given(points)
-    def test_lens_membership_implies_both_disks(self, p):
-        a = Circle(Point(0, 0), 100.0)
-        b = Circle(Point(50, 0), 100.0)
-        lens = Lens.of(a, b)
-        if lens.contains(p):
-            assert a.contains(p) and b.contains(p)
-
-
-class TestRing:
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            Ring(Point(0, 0), 2.0, 1.0)
-        with pytest.raises(ValueError):
-            Ring(Point(0, 0), -1.0, 1.0)
-
-    def test_contains(self):
-        ring = Ring(Point(0, 0), 1.0, 2.0)
-        assert ring.contains(Point(1.5, 0))
-        assert ring.contains(Point(1, 0))  # inner boundary
-        assert ring.contains(Point(2, 0))  # outer boundary
-        assert not ring.contains(Point(0.5, 0))
-        assert not ring.contains(Point(2.5, 0))
-
-    def test_filter(self):
-        ring = Ring(Point(0, 0), 1.0, 2.0)
-        pts = [Point(0.5, 0), Point(1.5, 0), Point(3, 0)]
-        assert ring.filter(pts) == [Point(1.5, 0)]

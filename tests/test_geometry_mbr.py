@@ -1,6 +1,4 @@
-"""Unit and property tests for the MBR bounds used by the R-tree."""
-
-import math
+"""Unit and property tests for the MBR bound used by the IR-tree."""
 
 import pytest
 from hypothesis import given
@@ -53,15 +51,10 @@ class TestMeasures:
 
 
 class TestRelations:
-    def test_intersects_and_contains(self):
+    def test_contains(self):
         a = MBR(0, 0, 4, 4)
-        assert a.intersects(MBR(3, 3, 5, 5))
-        assert not a.intersects(MBR(5, 5, 6, 6))
         assert a.contains(MBR(1, 1, 2, 2))
         assert not a.contains(MBR(1, 1, 5, 2))
-
-    def test_touching_rectangles_intersect(self):
-        assert MBR(0, 0, 1, 1).intersects(MBR(1, 1, 2, 2))
 
     def test_contains_point(self):
         r = MBR(0, 0, 2, 2)
@@ -81,24 +74,19 @@ class TestDistances:
     def test_min_distance_corner(self):
         assert MBR(0, 0, 2, 2).min_distance(Point(5, 6)) == pytest.approx(5.0)
 
-    def test_max_distance_known(self):
-        assert MBR(0, 0, 2, 2).max_distance(Point(0, 0)) == pytest.approx(
-            math.sqrt(8)
-        )
-
-    @given(rect_strategy(), points)
-    def test_min_le_max(self, rect, p):
-        assert rect.min_distance(p) <= rect.max_distance(p) + 1e-9
-
     @given(rect_strategy(), points)
     def test_bounds_hold_for_corners(self, rect, p):
         lo = rect.min_distance(p)
-        hi = rect.max_distance(p)
-        for corner in rect.corners():
-            d = p.distance_to(corner)
-            assert lo - 1e-6 <= d <= hi + 1e-6
+        corners = (
+            Point(rect.min_x, rect.min_y),
+            Point(rect.min_x, rect.max_y),
+            Point(rect.max_x, rect.min_y),
+            Point(rect.max_x, rect.max_y),
+        )
+        for corner in corners:
+            assert lo - 1e-6 <= p.distance_to(corner)
 
     @given(rect_strategy(), points)
     def test_bounds_hold_for_center(self, rect, p):
         d = p.distance_to(rect.center())
-        assert rect.min_distance(p) - 1e-6 <= d <= rect.max_distance(p) + 1e-6
+        assert rect.min_distance(p) - 1e-6 <= d

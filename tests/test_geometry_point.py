@@ -33,13 +33,8 @@ class TestPoint:
         a, b = Point(1, 2), Point(4, 6)
         assert a.squared_distance_to(b) == pytest.approx(a.distance_to(b) ** 2)
 
-    def test_translated(self):
-        assert Point(1, 2).translated(3, -1) == Point(4, 1)
-
-    def test_as_tuple_and_iter(self):
-        p = Point(7, 8)
-        assert p.as_tuple() == (7, 8)
-        assert list(p) == [7, 8]
+    def test_iter(self):
+        assert list(Point(7, 8)) == [7, 8]
 
     def test_ordering_is_lexicographic(self):
         assert Point(1, 5) < Point(2, 0)

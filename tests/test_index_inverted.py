@@ -1,7 +1,5 @@
 """Tests for the inverted index."""
 
-import pytest
-
 from repro.index.inverted import InvertedIndex
 from repro.model.dataset import Dataset
 
@@ -17,27 +15,6 @@ def make_dataset():
 
 
 class TestInvertedIndex:
-    def test_posting_lists(self):
-        ds = make_dataset()
-        idx = InvertedIndex(ds)
-        a = ds.vocabulary.id_of("a")
-        b = ds.vocabulary.id_of("b")
-        assert list(idx.posting_list(a)) == [0, 2]
-        assert list(idx.posting_list(b)) == [0, 1]
-        assert list(idx.posting_list(999)) == []
-
-    def test_objects_with(self):
-        ds = make_dataset()
-        idx = InvertedIndex(ds)
-        c = ds.vocabulary.id_of("c")
-        assert [o.oid for o in idx.objects_with(c)] == [2]
-
-    def test_document_frequency(self):
-        ds = make_dataset()
-        idx = InvertedIndex(ds)
-        assert idx.document_frequency(ds.vocabulary.id_of("b")) == 2
-        assert idx.document_frequency(12345) == 0
-
     def test_missing_keywords(self):
         ds = make_dataset()
         idx = InvertedIndex(ds)
@@ -54,25 +31,14 @@ class TestInvertedIndex:
         assert sorted(o.oid for o in relevant) == [0, 1, 2]
         assert len(relevant) == 3  # object 0 matches both but appears once
 
-    def test_rarest_keyword(self):
-        ds = make_dataset()
-        idx = InvertedIndex(ds)
-        a = ds.vocabulary.id_of("a")
-        b = ds.vocabulary.id_of("b")
-        c = ds.vocabulary.id_of("c")
-        assert idx.rarest_keyword([a, b, c]) == c
-
-    def test_rarest_keyword_empty_raises(self):
-        idx = InvertedIndex(make_dataset())
-        with pytest.raises(ValueError):
-            idx.rarest_keyword([])
-
     def test_consistency_with_dataset(self, tiny_dataset):
         idx = InvertedIndex(tiny_dataset)
+        carriers = {
+            k: {o.oid for o in idx.relevant_objects(frozenset({k}))}
+            for k in range(len(tiny_dataset.vocabulary))
+        }
         for obj in tiny_dataset:
             for k in obj.keywords:
-                assert obj.oid in idx.posting_list(k)
-        total_postings = sum(
-            idx.document_frequency(k) for k in range(len(tiny_dataset.vocabulary))
-        )
+                assert obj.oid in carriers[k]
+        total_postings = sum(len(oids) for oids in carriers.values())
         assert total_postings == sum(len(o.keywords) for o in tiny_dataset)

@@ -60,7 +60,6 @@ class TestStructure:
         assert list(tree.nearest_relevant_iter(Point(0, 0), frozenset({1}))) == []
         disk = Circle(Point(0, 0), 10)
         assert list(tree.nearest_relevant_iter(Point(0, 0), frozenset({1}), disk)) == []
-        assert tree.boolean_knn(Query.create(0, 0, [1]), k=3) == []
 
     def test_height(self, tree):
         assert tree.height() >= 2
@@ -127,35 +126,3 @@ class TestPropertyBased:
                 oracle, point, keyword
             )
 
-
-class TestBooleanKNN:
-    def test_results_cover_all_keywords(self, ds, tree):
-        query = Query.create(500, 500, [0, 1])
-        hits = tree.boolean_knn(query, k=5)
-        for dist, obj in hits:
-            assert query.keywords <= obj.keywords
-
-    def test_ascending_distance(self, ds, tree):
-        query = Query.create(500, 500, [0])
-        hits = tree.boolean_knn(query, k=10)
-        distances = [d for d, _ in hits]
-        assert distances == sorted(distances)
-        assert len(hits) == 10
-
-    def test_matches_linear_scan(self, ds, tree):
-        query = Query.create(123, 456, [0, 2])
-        hits = tree.boolean_knn(query, k=4)
-        expected = sorted(
-            (query.location.distance_to(o.location), o.oid)
-            for o in ds
-            if query.keywords <= o.keywords
-        )[:4]
-        assert [round(d, 9) for d, _ in hits] == [round(d, 9) for d, _ in expected]
-
-    def test_impossible_combination_is_empty(self, ds, tree):
-        # With enough keywords no single object covers them all.
-        query = Query.create(0, 0, list(range(10)))
-        assert tree.boolean_knn(query, k=3) == []
-
-    def test_nonpositive_k(self, tree):
-        assert tree.boolean_knn(Query.create(0, 0, [0]), k=0) == []

@@ -13,8 +13,7 @@ so the suite compares exact sequences:
 - ``SearchContext.nn_set`` equals a brute-force ``N(q)`` on every
   backend — per keyword, the carrier with the smallest
   ``(distance, oid)``, also where carriers sit at exactly the same
-  distance;
-- the IR-tree's ``boolean_knn`` agrees with the naive covering list.
+  distance.
 """
 
 from __future__ import annotations
@@ -130,18 +129,3 @@ class TestCrossBackendParity:
                     got = {t: (d, o.oid) for t, (d, o) in nn.by_keyword.items()}
                     assert got == brute_nn(data, query), name
                     assert nn.d_f == max(d for d, _ in got.values())
-
-    @given(seed=seeds, keywords=keyword_subsets)
-    @settings(max_examples=15, deadline=None)
-    def test_boolean_knn_agrees(self, seed, keywords):
-        dataset = make_dataset(seed)
-        query = Query.create(0.45, 0.55, sorted(keywords))
-        index = IRTree.build(dataset, max_entries=4)
-        got = [(d, o.oid) for d, o in index.boolean_knn(query, 5)]
-        covering = [
-            (query.location.distance_to(o.location), o.oid)
-            for o in dataset.objects
-            if keywords <= o.keywords
-        ]
-        covering.sort()
-        assert got == covering[:5]

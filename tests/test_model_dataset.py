@@ -1,10 +1,12 @@
 """Tests for datasets: construction, statistics, serialization."""
 
 import io
+import math
 
 import pytest
 
 from repro.errors import DatasetFormatError
+from repro.geometry.point import Point
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
 from repro.model.vocabulary import Vocabulary
@@ -34,6 +36,36 @@ class TestConstruction:
         bad = [SpatialObject.create(5, 0, 0, [0])]
         with pytest.raises(DatasetFormatError):
             Dataset(bad, v)
+
+    @pytest.mark.parametrize(
+        "location, keywords, bad",
+        [
+            (Point(math.nan, 0.0), frozenset({0}), "nan"),
+            (Point("1", 0.0), frozenset({0}), "'1'"),
+            (Point(0.0, 0.0), frozenset({True}), "True"),
+            (Point(0.0, 0.0), frozenset({-1}), "-1"),
+            (Point(0.0, 0.0), {1}, "{1}"),
+            (Point(0.0, 0.0), frozenset({7}), "7"),
+        ],
+        ids=[
+            "nan-coordinate",
+            "str-coordinate",
+            "bool-keyword",
+            "negative-keyword",
+            "set-keywords",
+            "keyword-outside-vocabulary",
+        ],
+    )
+    def test_malformed_object_rejected(self, location, keywords, bad):
+        v = Vocabulary(["a", "b"])
+        objects = [
+            SpatialObject.create(0, 1.0, 1.0, [0, 1]),
+            SpatialObject(1, location, keywords),
+        ]
+        with pytest.raises(DatasetFormatError) as info:
+            Dataset(objects, v)
+        assert "object 1" in str(info.value)
+        assert bad in str(info.value)
 
     def test_iteration_and_indexing(self):
         ds = sample_dataset()
@@ -88,9 +120,9 @@ class TestSerialization:
         assert len(loaded) == len(ds)
         for a, b in zip(ds, loaded):
             assert a.location == b.location
-            assert ds.vocabulary.words_of(a.keywords) == loaded.vocabulary.words_of(
-                b.keywords
-            )
+            assert {ds.vocabulary.word_of(k) for k in a.keywords} == {
+                loaded.vocabulary.word_of(k) for k in b.keywords
+            }
 
     def test_round_trip_via_file(self, tmp_path):
         ds = sample_dataset()

@@ -17,20 +17,12 @@ class TestSpatialObject:
         assert o.location == Point(1.0, 2.0)
         assert o.keywords == frozenset({4, 5})
 
-    def test_covers_any(self):
-        o = obj(0, 0, 0, [1, 2])
-        assert o.covers_any(frozenset({2, 9}))
-        assert not o.covers_any(frozenset({3, 9}))
-
     def test_covered(self):
         o = obj(0, 0, 0, [1, 2, 3])
         assert o.covered(frozenset({2, 3, 9})) == frozenset({2, 3})
 
     def test_distance_to(self):
         assert obj(0, 0, 0, [1]).distance_to(obj(1, 3, 4, [2])) == pytest.approx(5.0)
-
-    def test_distance_to_point(self):
-        assert obj(0, 0, 0, [1]).distance_to_point(Point(0, 2)) == pytest.approx(2.0)
 
     def test_identity_is_by_oid(self):
         a = obj(7, 0, 0, [1])

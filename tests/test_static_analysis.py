@@ -48,17 +48,15 @@ def fixture_expectations() -> dict:
 
 
 class TestRepositoryIsClean:
-    def test_src_tree_has_no_violations(self):
-        config = AnalysisConfig.load(find_pyproject(SRC))
-        report = run_analysis([SRC], config)
+    def test_src_tree_has_no_violations(self, src_analysis_report):
+        report = src_analysis_report
         assert report.files_checked > 50
         assert report.violations == [], "\n".join(
             v.format() for v in report.violations
         )
 
-    def test_src_tree_clean_under_strict(self):
-        config = AnalysisConfig.load(find_pyproject(SRC))
-        report = run_analysis([SRC], config)
+    def test_src_tree_clean_under_strict(self, src_analysis_report):
+        report = src_analysis_report
         assert report.ok(strict=True), "\n".join(
             v.format() for v in report.effective_violations(strict=True)
         )
