@@ -6,7 +6,7 @@ install:
 	pip install -e .
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest tests/
 
 # Repo-specific static analysis, including the interprocedural dataflow
 # pass R10-R11 (docs/STATIC_ANALYSIS.md).  Per-module summaries are
@@ -60,15 +60,15 @@ parallel-check:
 # a naive math.hypot loop), the cover search that runs on the kernels
 # over owner-stream indices (its unit tests and its properties against
 # the brute-force cover enumeration), and the differential suite
-# holding every solver to its golden answers over the IR-tree
+# holding every solver to its golden answers over the keyword trees
 # (docs/PERFORMANCE.md).
 kernels-check:
 	PYTHONPATH=src python -m pytest -q tests/test_kernels_flat.py \
 		tests/test_cover.py tests/test_owner_engine_internals.py \
 		tests/test_kernels_differential.py
 
-# The signatures gate: mask/set bijection properties, the IR-tree vs
-# linear-scan index parity suite, and the differential suite holding
+# The signatures gate: mask/set bijection properties, the keyword-tree
+# vs linear-scan index parity suite, and the differential suite holding
 # every solver to its golden answers over LinearScanIndex
 # (docs/PERFORMANCE.md).
 signatures-check:
@@ -76,7 +76,7 @@ signatures-check:
 		tests/test_index_parity.py tests/test_signatures_differential.py
 
 # The sharding gate: the differential suite proving the scatter-gather
-# engine and the ShardedIndex facade bit-identical to a single IR-tree
+# engine and the ShardedIndex facade bit-identical to a single index
 # for every solver and cost, under per-shard chaos and across threads
 # (docs/SHARDING.md).
 shard-check:

@@ -1,4 +1,4 @@
-"""Ablation: the IR-tree versus a linear scan under the same algorithms.
+"""Ablation: the keyword-tree index versus a linear scan under the same algorithms.
 
 DESIGN.md §7 artifact: the keyword-aware index is a substrate claim of
 the paper — this benchmark quantifies it by running the identical
@@ -14,16 +14,16 @@ from repro.algorithms.owner_appro import OwnerRingApproximation
 from repro.bench.experiments import run_experiment
 from repro.cost.functions import cost_by_name
 from repro.geometry.point import Point
-from repro.index.irtree import IRTree
+from repro.index.keyword_trees import KeywordTreeIndex
 from repro.index.neighbors import LinearScanIndex
 from repro.model.query import Query
 
 K = 6
 
 
-@pytest.mark.parametrize("index_kind", ["ir-tree", "linear-scan"])
+@pytest.mark.parametrize("index_kind", ["keyword-trees", "linear-scan"])
 def test_appro_with_index(benchmark, hotel_dataset, index_kind):
-    index_cls = IRTree if index_kind == "ir-tree" else LinearScanIndex
+    index_cls = KeywordTreeIndex if index_kind == "keyword-trees" else LinearScanIndex
     context = SearchContext(hotel_dataset, index_cls=index_cls)
     context.index
     algorithm = OwnerRingApproximation(context, cost_by_name("maxsum"))
@@ -34,9 +34,9 @@ def test_appro_with_index(benchmark, hotel_dataset, index_kind):
     assert all(r.is_feasible_for(q) for r, q in zip(results, queries))
 
 
-@pytest.mark.parametrize("index_kind", ["ir-tree", "linear-scan"])
+@pytest.mark.parametrize("index_kind", ["keyword-trees", "linear-scan"])
 def test_nn_set_microbenchmark(benchmark, hotel_dataset, index_kind):
-    index_cls = IRTree if index_kind == "ir-tree" else LinearScanIndex
+    index_cls = KeywordTreeIndex if index_kind == "keyword-trees" else LinearScanIndex
     context = SearchContext(hotel_dataset, index_cls=index_cls)
     context.index
     context.inverted
@@ -60,4 +60,4 @@ def test_ablation_index_report(benchmark):
         rounds=1,
     )
     write_report("ablation_index", report)
-    assert "ir-tree" in report
+    assert "keyword-trees" in report

@@ -3,8 +3,8 @@
 Shows the one query the CoSKQ algorithms make of an index — relevant
 objects around a point, streamed in ``(distance, oid)`` order — and what
 they read from it: keyword nearest neighbors, the nearest-neighbor set
-N(q) and the disk C(q, r).  It then measures how much the IR-tree's
-keyword summaries save against a linear scan.
+N(q) and the disk C(q, r).  It then measures how much reading only the
+query keywords' trees saves against a linear scan.
 
 Run with::
 
@@ -14,7 +14,7 @@ Run with::
 import itertools
 import time
 
-from repro import IRTree, LinearScanIndex, Point, Query, gn_like
+from repro import KeywordTreeIndex, LinearScanIndex, Point, Query, gn_like
 from repro.algorithms.base import SearchContext
 
 
@@ -22,22 +22,22 @@ def main() -> None:
     dataset = gn_like(scale=0.003, seed=1)  # ~5.6k objects
     print("dataset:", dataset)
 
-    # The IR-tree: an STR-packed R-tree whose nodes carry keyword masks.
-    irtree = IRTree.build(dataset)
-    print("ir-tree: %d objects, height %d" % (len(irtree), irtree.height()))
+    # The index: one STR-packed tree per keyword, over its carriers only.
+    index = KeywordTreeIndex.build(dataset)
+    print("keyword trees: %d objects, tallest tree %d levels" % (len(index), index.height()))
     here = Point(500.0, 500.0)
     keyword = dataset.keywords_by_frequency()[10]
     word = dataset.vocabulary.word_of(keyword)
 
     # The stream: objects carrying any of the keywords, nearest first.
-    stream = irtree.nearest_relevant_iter(here, frozenset((keyword,)))
+    stream = index.nearest_relevant_iter(here, frozenset((keyword,)))
     print(
         "5 nearest objects containing %r:" % word,
         ["#%d at %.2f" % (obj.oid, dist) for dist, obj in itertools.islice(stream, 5)],
     )
 
     # NN(p, t) is the first entry of a single-keyword stream.
-    dist, obj = next(irtree.nearest_relevant_iter(here, frozenset((keyword,))))
+    dist, obj = next(index.nearest_relevant_iter(here, frozenset((keyword,))))
     print("\nnearest object containing %r: #%d at distance %.2f" % (word, obj.oid, dist))
 
     # N(q): one nearest carrier per query keyword — the seed of every
@@ -60,7 +60,7 @@ def main() -> None:
     )
     print("relevant objects within %.0f units: %d" % (radius, len(in_disk)))
 
-    # IR-tree vs linear scan on the same N(q) lookups.
+    # Keyword trees vs linear scan on the same N(q) lookups.
     linear = SearchContext(dataset, index_cls=LinearScanIndex)
     rounds = 300
     probes = [
@@ -75,7 +75,7 @@ def main() -> None:
         timings.append(time.perf_counter() - started)
     tree_time, scan_time = timings
     print(
-        "\nN(q) microbenchmark (%d lookups): ir-tree %.3fs, "
+        "\nN(q) microbenchmark (%d lookups): keyword trees %.3fs, "
         "linear scan %.3fs (%.1fx)"
         % (rounds, tree_time, scan_time, scan_time / max(tree_time, 1e-9))
     )

@@ -4,8 +4,8 @@ A from-scratch reproduction of *"Collective Spatial Keyword Queries: A
 Distance Owner-Driven Approach"* (Long, Wong, Wang, Fu — SIGMOD 2013):
 the CoSKQ problem over geo-textual objects, the MaxSum and Dia cost
 functions, the distance owner-driven exact and approximate algorithms,
-the Cao et al. baselines, the IR-tree substrate they all run on, and the
-paper's full experiment suite.
+the Cao et al. baselines, the keyword-partitioned spatial index they all
+run on, and the paper's full experiment suite.
 
 Quickstart::
 
@@ -91,7 +91,7 @@ from repro.exec import (
     chaos_context,
 )
 from repro.geometry import MBR, Circle, Point
-from repro.index import InvertedIndex, IRTree, LinearScanIndex
+from repro.index import InvertedIndex, KeywordTreeIndex, LinearScanIndex
 from repro.model import CoSKQResult, Dataset, Query, SpatialObject, Vocabulary
 
 __version__ = "1.0.0"
@@ -108,7 +108,7 @@ __all__ = [
     "Query",
     "CoSKQResult",
     # indexes
-    "IRTree",
+    "KeywordTreeIndex",
     "InvertedIndex",
     "LinearScanIndex",
     # costs

@@ -1,7 +1,7 @@
 """Shared machinery for CoSKQ algorithms.
 
 :class:`SearchContext` bundles a dataset with the two indexes every
-algorithm needs (IR-tree + inverted index), built lazily and shared, so a
+algorithm needs (keyword trees + inverted index), built lazily and shared, so a
 benchmark can run many algorithms over the same data without re-indexing.
 
 :class:`CoSKQAlgorithm` is the algorithm interface: construct against a
@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Type
 from repro.cost.base import CostFunction
 from repro.errors import InfeasibleQueryError
 from repro.index.inverted import InvertedIndex
-from repro.index.irtree import IRTree
+from repro.index.keyword_trees import KeywordTreeIndex
 from repro.index.protocol import SpatialTextIndex
 from repro.index.signatures import shared_keywords
 from repro.model.dataset import Dataset
@@ -85,7 +85,7 @@ class SearchContext:
         self,
         dataset: Dataset,
         max_entries: int = 16,
-        index_cls: Type[SpatialTextIndex] = IRTree,
+        index_cls: Type[SpatialTextIndex] = KeywordTreeIndex,
     ):
         self.dataset = dataset
         self.max_entries = max_entries
@@ -95,7 +95,7 @@ class SearchContext:
 
     @property
     def index(self) -> SpatialTextIndex:
-        """The IR-tree (or any :class:`SpatialTextIndex`) over the dataset.
+        """The keyword-tree index (or any :class:`SpatialTextIndex`) over the dataset.
 
         The build is atomic: the index is constructed into a local and
         cached only once fully built, so a ``KeyboardInterrupt`` (or any

@@ -395,7 +395,7 @@ def experiment_ablation_index(scale: Scale) -> str:
     k = scale.keyword_sweep[min(1, len(scale.keyword_sweep) - 1)]
     queries = generate_queries(dataset, k, scale.queries, seed=scale.seed)
     rows = []
-    for label, index_cls in (("ir-tree", None), ("linear-scan", LinearScanIndex)):
+    for label, index_cls in (("keyword-trees", None), ("linear-scan", LinearScanIndex)):
         context = (
             SearchContext(dataset)
             if index_cls is None
@@ -405,7 +405,7 @@ def experiment_ablation_index(scale: Scale) -> str:
         timing = time_algorithm(appro, queries, keep_results=False)
         rows.append({"index": label, "appro_mean_time_s": round(timing.mean_time, 6)})
     return format_kv_table(
-        "ablation: IR-tree vs linear scan (maxsum-appro, |q.psi|=%d)" % k,
+        "ablation: keyword trees vs linear scan (maxsum-appro, |q.psi|=%d)" % k,
         rows,
         key="index",
     )

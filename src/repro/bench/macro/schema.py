@@ -35,7 +35,7 @@ __all__ = [
 
 #: Bump on any structural change to the summary document.
 #: /2: added the ``sharded`` workload kind, the per-workload ``shards``
-#: count (0 = single IR-tree), and on sharded entries the paired
+#: count (0 = single index), and on sharded entries the paired
 #: ``baseline_wall_s`` / ``shard_build_s`` extras.
 #: /3: removed the per-workload ``toggles`` and the ``environment``
 #: ``kernels`` / ``signatures`` flags (one code path, nothing to toggle).

@@ -298,7 +298,7 @@ _FULL = Profile(
 
 _SHARD = Profile(
     name="shard",
-    description="sharded scatter-gather vs single IR-tree: paired 100k / 1M cells",
+    description="sharded scatter-gather vs single index: paired 100k / 1M cells",
     datasets=(
         DatasetSpec(name="shard-gn-100k", kind="gn", size=100_000, seed=7),
         DatasetSpec(name="shard-gn-1m", kind="gn", size=1_000_000, seed=7),

@@ -1,15 +1,15 @@
-"""Minimum bounding rectangles (axis-aligned) for the IR-tree and the shards.
+"""Minimum bounding rectangles (axis-aligned) for the shards.
 
-The IR-tree prunes subtrees with the classic bound computed here:
-``min_distance``, the smallest possible distance from a point to any
-point of the rectangle — admissible for nearest-neighbor search.
+``min_distance`` is the classic admissible bound of nearest-neighbour
+search: the smallest possible distance from a point to any point of the
+rectangle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.geometry.point import Point
 from repro.utils.floatcmp import is_zero
@@ -56,34 +56,10 @@ class MBR:
                 max_y = p.y
         return MBR(min_x, min_y, max_x, max_y)
 
-    @staticmethod
-    def union_all(rects: Sequence["MBR"]) -> "MBR":
-        """The tightest rectangle containing every rectangle in ``rects``."""
-        if not rects:
-            raise ValueError("MBR.union_all() of an empty collection")
-        min_x = min(r.min_x for r in rects)
-        min_y = min(r.min_y for r in rects)
-        max_x = max(r.max_x for r in rects)
-        max_y = max(r.max_y for r in rects)
-        return MBR(min_x, min_y, max_x, max_y)
-
-    # -- measures ----------------------------------------------------------
-
-    def center(self) -> Point:
-        return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
-
     # -- relations ---------------------------------------------------------
 
     def contains_point(self, p: Point) -> bool:
         return self.min_x <= p.x <= self.max_x and self.min_y <= p.y <= self.max_y
-
-    def contains(self, other: "MBR") -> bool:
-        return (
-            self.min_x <= other.min_x
-            and self.min_y <= other.min_y
-            and self.max_x >= other.max_x
-            and self.max_y >= other.max_y
-        )
 
     # -- distances ---------------------------------------------------------
 

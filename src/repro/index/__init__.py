@@ -1,18 +1,16 @@
-"""Spatial-textual indexing: inverted index, IR-tree, signatures."""
+"""Spatial-textual indexing: inverted index, keyword trees, signatures."""
 
 from repro.index.inverted import InvertedIndex
-from repro.index.irtree import DEFAULT_MAX_ENTRIES, IRTree, IRTreeNode
+from repro.index.keyword_trees import DEFAULT_MAX_ENTRIES, KeywordTreeIndex
 from repro.index.neighbors import LinearScanIndex
 from repro.index.protocol import SpatialTextIndex
-from repro.index.signatures import mask_of, pack_masks
+from repro.index.signatures import mask_of
 
 __all__ = [
     "SpatialTextIndex",
     "InvertedIndex",
-    "IRTree",
-    "IRTreeNode",
+    "KeywordTreeIndex",
     "LinearScanIndex",
     "DEFAULT_MAX_ENTRIES",
     "mask_of",
-    "pack_masks",
 ]

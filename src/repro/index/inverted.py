@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List
 
-from repro.index.signatures import keywords_of, mask_of
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
 
@@ -20,23 +19,20 @@ __all__ = ["InvertedIndex"]
 class InvertedIndex:
     """Posting lists over a dataset, built once and then read-only."""
 
-    __slots__ = ("_dataset", "_postings", "_present_mask")
+    __slots__ = ("_dataset", "_postings")
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
         postings: Dict[int, List[int]] = {}
-        present_mask = 0
         for obj in dataset:
             for k in obj.keywords:
                 postings.setdefault(k, []).append(obj.oid)
-            present_mask |= mask_of(obj.keywords)
         self._postings = postings
-        #: Bitmask of every keyword carried by at least one object.
-        self._present_mask = present_mask
 
     def missing_keywords(self, keyword_ids: Iterable[int]) -> FrozenSet[int]:
         """The subset of ``keyword_ids`` carried by no object at all."""
-        return keywords_of(mask_of(keyword_ids) & ~self._present_mask)
+        postings = self._postings
+        return frozenset(k for k in keyword_ids if k not in postings)
 
     def relevant_objects(self, keyword_ids: FrozenSet[int]) -> List[SpatialObject]:
         """All objects carrying at least one keyword of ``keyword_ids``.

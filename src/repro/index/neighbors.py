@@ -1,11 +1,11 @@
-"""A linear-scan "index" sharing the IR-tree query interface.
+"""A linear-scan "index" sharing the keyword-tree index's query interface.
 
 Two uses:
 
-- it is the oracle the property-based tests compare the IR-tree and the
-  sharded facade against (any disagreement is an index bug);
+- it is the oracle the property-based tests compare the keyword-tree
+  index and the sharded facade against (any disagreement is an index bug);
 - it is the no-index baseline of the ``ablation_index`` benchmark, showing
-  what the IR-tree buys the CoSKQ algorithms.
+  what the keyword trees buy the CoSKQ algorithms.
 
 The scan filters by precomputed keyword masks and serves
 ``nearest_relevant_iter`` from a lazy ``heapq`` heap, so a consumer that
@@ -21,7 +21,7 @@ from typing import FrozenSet, Iterator, Tuple
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.index.signatures import mask_of, pack_masks
+from repro.index.signatures import mask_of
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
 
@@ -29,16 +29,16 @@ __all__ = ["LinearScanIndex"]
 
 
 class LinearScanIndex:
-    """Answers the IR-tree's stream query by scanning the whole dataset."""
+    """Answers the index stream query by scanning the whole dataset."""
 
     def __init__(self, dataset: Dataset):
         self._objects = list(dataset.objects)
         #: Keyword bitmasks parallel to ``_objects``.
-        self._masks = pack_masks(self._objects)
+        self._masks = [mask_of(o.keywords) for o in self._objects]
 
     @classmethod
     def build(cls, dataset: Dataset, max_entries: int | None = None) -> "LinearScanIndex":
-        """Signature-compatible with :meth:`IRTree.build`."""
+        """Signature-compatible with :meth:`KeywordTreeIndex.build`."""
         return cls(dataset)
 
     def __len__(self) -> int:

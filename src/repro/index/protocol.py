@@ -1,7 +1,7 @@
 """The structural interface every spatial-textual index implements.
 
-:class:`SearchContext` accepts any "IR-tree-shaped" index — the real
-:class:`~repro.index.irtree.IRTree`, the
+:class:`SearchContext` accepts any index of this shape — the
+:class:`~repro.index.keyword_trees.KeywordTreeIndex`, the
 :class:`~repro.index.neighbors.LinearScanIndex` oracle used by the
 ablation benchmarks, the sharded facade or a wrapper around any of
 them.  :class:`SpatialTextIndex` pins that contract down as a
@@ -32,7 +32,7 @@ __all__ = ["SpatialTextIndex"]
 class SpatialTextIndex(Protocol):
     """The one query the CoSKQ algorithms need from an index.
 
-    See :mod:`repro.index.irtree` for the reference implementation and
+    See :mod:`repro.index.keyword_trees` for the production index and
     :mod:`repro.index.neighbors` for the linear-scan oracle.
     """
 

@@ -31,13 +31,11 @@ ops there are barred by lint rule R9 (``docs/STATIC_ANALYSIS.md``).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List
+from typing import FrozenSet, Iterable, Iterator
 
 __all__ = [
     "mask_of",
-    "pack_masks",
     "bits_of",
-    "keywords_of",
     "covers",
     "overlaps",
     "shared_keywords",
@@ -46,42 +44,13 @@ __all__ = [
 
 # -- building masks ------------------------------------------------------------
 
-#: Memo from an object's frozen keyword set to its mask.  Objects repeat
-#: keyword sets heavily and frozensets cache their hash, so the dict
-#: probe is cheap.  Only :func:`pack_masks` (index builds) fills it, so
-#: it holds at most the distinct keyword sets of the indexed objects;
-#: query and per-owner sets are computed, never stored, so a long-lived
-#: server does not grow it with its traffic.
-_MASK_MEMO: Dict[FrozenSet[int], int] = {}
 
-
-def _bits(keywords: Iterable[int]) -> int:
+def mask_of(keywords: Iterable[int]) -> int:
+    """The bitmask of a keyword id set."""
     mask = 0
     for t in keywords:
         mask |= 1 << t
     return mask
-
-
-def mask_of(keywords: Iterable[int]) -> int:
-    """The bitmask of a keyword id set (read from the memo when packed)."""
-    if isinstance(keywords, frozenset):
-        cached = _MASK_MEMO.get(keywords)
-        if cached is not None:
-            return cached
-    return _bits(keywords)
-
-
-def pack_masks(objects: Iterable) -> List[int]:
-    """Per-object keyword masks, parallel to the input order (memoized)."""
-    out: List[int] = []
-    memo = _MASK_MEMO
-    for o in objects:
-        keywords = o.keywords
-        mask = memo.get(keywords)
-        if mask is None:
-            mask = memo[keywords] = _bits(keywords)
-        out.append(mask)
-    return out
 
 
 # -- reading masks -------------------------------------------------------------
@@ -93,11 +62,6 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def keywords_of(mask: int) -> FrozenSet[int]:
-    """The frozen keyword set encoded by ``mask``."""
-    return frozenset(bits_of(mask))
 
 
 # -- predicates ----------------------------------------------------------------

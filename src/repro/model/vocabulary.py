@@ -1,7 +1,7 @@
 """Keyword interning: string keywords ⇄ dense integer ids.
 
-Every structure downstream (objects, inverted lists, IR-tree node keyword
-sets, query keyword sets) works on small integers instead of strings, so a
+Every structure downstream (objects, inverted lists, per-keyword trees,
+query keyword sets) works on small integers instead of strings, so a
 dataset carries one :class:`Vocabulary` translating between the two
 worlds.  Ids are assigned densely in first-seen order, which keeps them
 usable as list indexes.

@@ -1,8 +1,8 @@
 """Picklable, declarative specs for the parallel batch engine.
 
 A :class:`ProcessPoolExecutor` worker cannot receive a live solver — a
-built solver drags a :class:`~repro.algorithms.base.SearchContext`, an
-IR-tree and (for resilient chains) clocks and budgets through pickle on
+built solver drags a :class:`~repro.algorithms.base.SearchContext`, its
+indexes and (for resilient chains) clocks and budgets through pickle on
 *every task*.  The parallel engine therefore ships *recipes*:
 
 - :class:`WorkerEnv` — everything a worker builds **once** in its
@@ -178,7 +178,7 @@ class WorkerEnv:
     cache: CacheSpec = field(default_factory=CacheSpec)
     chaos: Optional[ChaosSpec] = None
     #: ``> 0`` builds a :class:`~repro.shard.index.ShardedIndex` with
-    #: that many STR shards instead of one IR-tree; bare (non-resilient,
+    #: that many STR shards instead of one index; bare (non-resilient,
     #: non-chaos) solver specs then run through the
     #: :class:`~repro.shard.engine.ScatterGather` pruning engine.
     shards: int = 0

@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="serve a sharded index with N STR shards (0 = single IR-tree)",
+        help="serve a sharded index with N STR shards (0 = single index)",
     )
     parser.add_argument(
         "--chaos-fail-rate",

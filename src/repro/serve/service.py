@@ -500,7 +500,7 @@ class QueryService:
 
     @property
     def sharded_index(self) -> Optional[ShardedIndex]:
-        """The raw sharded facade, or None when serving a single IR-tree."""
+        """The raw sharded facade, or None when serving a single index."""
         if self.config.shards <= 0:
             return None
         index = self._search_context.index

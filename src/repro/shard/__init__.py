@@ -1,4 +1,4 @@
-"""Spatial sharding: STR-partitioned IR-trees + bound-driven scatter-gather.
+"""Spatial sharding: STR-partitioned indexes + bound-driven scatter-gather.
 
 Public surface (docs/SHARDING.md):
 

@@ -1,11 +1,11 @@
-"""The sharded spatial-textual index: N IR-trees behind one facade.
+"""The sharded spatial-textual index: N keyword-tree indexes behind one facade.
 
 :class:`ShardedIndex` STR-partitions a dataset (:mod:`repro.shard.partition`)
-and bulk-loads one :class:`~repro.index.irtree.IRTree` per tile.  The
-facade conforms to :class:`~repro.index.protocol.SpatialTextIndex`, so
-every registered solver runs over it unchanged; the differential suite
+and builds one :class:`~repro.index.keyword_trees.KeywordTreeIndex` per
+tile.  The facade conforms to :class:`~repro.index.protocol.SpatialTextIndex`,
+so every registered solver runs over it unchanged; the differential suite
 (``tests/test_differential_shard.py``) asserts the answers are
-bit-identical to a single IR-tree over the same data.
+bit-identical to a single index over the same data.
 
 The index protocol is one stream, and the facade keeps its single-tree
 contract with one merge discipline: ``nearest_relevant_iter`` is a lazy
@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 from repro.errors import InvalidParameterError
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.index.irtree import IRTree
+from repro.index.keyword_trees import KeywordTreeIndex
 from repro.index.signatures import mask_of
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
@@ -45,11 +45,11 @@ DEFAULT_NUM_SHARDS = 8
 
 
 class Shard:
-    """One tile: its IR-tree and its read-only pruning summary."""
+    """One tile: its index and its read-only pruning summary."""
 
     __slots__ = ("shard_id", "tree", "summary")
 
-    def __init__(self, shard_id: int, tree: IRTree, summary: ShardSummary):
+    def __init__(self, shard_id: int, tree: KeywordTreeIndex, summary: ShardSummary):
         self.shard_id = shard_id
         self.tree = tree
         self.summary = summary
@@ -83,7 +83,7 @@ class _ShardStats:
 
 
 class ShardedIndex:
-    """A :class:`SpatialTextIndex` facade over STR-partitioned IR-trees."""
+    """A :class:`SpatialTextIndex` facade over STR-partitioned indexes."""
 
     def __init__(self, shards: Sequence[Shard], num_shards_requested: int):
         self._shards: Tuple[Shard, ...] = tuple(shards)
@@ -93,7 +93,9 @@ class ShardedIndex:
         # Flat probe table for the stream's setup loop: MBR corners,
         # keyword mask, id and tree unpacked once so the loop does no
         # attribute chasing.
-        self._probe: Tuple[Tuple[float, float, float, float, int, int, IRTree], ...] = tuple(
+        self._probe: Tuple[
+            Tuple[float, float, float, float, int, int, KeywordTreeIndex], ...
+        ] = tuple(
             (
                 shard.summary.mbr.min_x,
                 shard.summary.mbr.min_y,
@@ -115,12 +117,12 @@ class ShardedIndex:
         max_entries: int = 16,
         num_shards: int = DEFAULT_NUM_SHARDS,
     ) -> "ShardedIndex":
-        """STR-partition ``dataset`` and bulk-load one IR-tree per tile."""
+        """STR-partition ``dataset`` and index each tile's member list."""
         tiles = str_partition(list(dataset), num_shards)
         shards = [
             Shard(
                 shard_id,
-                IRTree.build(members, max_entries=max_entries),
+                KeywordTreeIndex.build(members, max_entries=max_entries),
                 summarize(shard_id, members),
             )
             for shard_id, members in enumerate(tiles)
@@ -196,7 +198,7 @@ class ShardedIndex:
             wx = within.center.x
             wy = within.center.y
             w_radius = within.radius
-        live: List[Tuple[float, int, IRTree]] = []
+        live: List[Tuple[float, int, KeywordTreeIndex]] = []
         for min_x, min_y, max_x, max_y, kw_mask, shard_id, tree in self._probe:
             if not kw_mask & q_mask:
                 continue

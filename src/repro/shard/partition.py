@@ -1,8 +1,8 @@
 """STR spatial partitioning into keyword-summarized shards.
 
 The sharded index (:mod:`repro.shard.index`) splits a dataset into a
-grid of spatial tiles with the same Sort-Tile-Recursive discipline the
-IR-tree bulk loader uses (:func:`repro.index.irtree._str_tiles`, applied
+grid of spatial tiles with the Sort-Tile-Recursive discipline the
+keyword trees are packed with (:mod:`repro.index.keyword_trees`, applied
 once at shard granularity instead of leaf granularity): sort by ``x``
 into near-equal vertical slices, then sort each slice by ``y`` and cut
 it into near-equal tiles.  Every object lands in exactly one tile, and

@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "query a sharded index with N STR shards through the "
-            "scatter-gather engine (0 = single IR-tree); answers are "
+            "scatter-gather engine (0 = single index); answers are "
             "bit-identical either way"
         ),
     )

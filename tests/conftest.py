@@ -271,9 +271,10 @@ def make_near_tie_instance():
 #: Every registry solver's answers on the :data:`GOLDEN_INSTANCES`,
 #: recorded once with the scalar/frozenset reference paths (since
 #: removed) and the flat-kernel/bitmask paths agreeing bit for bit, over
-#: both the IR-tree and ``LinearScanIndex``.  The ``near_tie`` block,
-#: added with its instance, was recorded over both indexes agreeing, and
-#: its exact costs equal ``bruteforce``'s like every other block's.
+#: both the IR-tree (then the production index) and ``LinearScanIndex``.
+#: The ``near_tie`` block, added with its instance, was recorded over
+#: both indexes agreeing, and its exact costs equal ``bruteforce``'s
+#: like every other block's.
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "golden_answers.json"
 
 #: The differential instances, by the id their tests are parametrized with.

@@ -8,7 +8,7 @@ from repro.cost.functions import DiaCost, MaxSumCost, cost_by_name
 from repro.errors import InfeasibleQueryError, InvalidParameterError
 from repro.exec import FaultPlan, chaos_context
 from repro.geometry.point import Point
-from repro.index.irtree import IRTree
+from repro.index.keyword_trees import KeywordTreeIndex
 from repro.index.neighbors import LinearScanIndex
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
@@ -19,7 +19,7 @@ class TestSearchContext:
         context = SearchContext(tiny_dataset)
         assert context._index is None
         index = context.index
-        assert isinstance(index, IRTree)
+        assert isinstance(index, KeywordTreeIndex)
         assert context.index is index
 
     def test_inverted_cached(self, tiny_dataset):

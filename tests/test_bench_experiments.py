@@ -84,7 +84,7 @@ class TestExperimentsRun:
 
     def test_ablation_index(self):
         report = run_experiment("ablation_index", scale=MICRO)
-        assert "ir-tree" in report and "linear-scan" in report
+        assert "keyword-trees" in report and "linear-scan" in report
 
     def test_unified(self):
         report = run_experiment("unified", scale=MICRO)

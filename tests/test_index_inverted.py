@@ -1,7 +1,10 @@
 """Tests for the inverted index."""
 
+from repro.geometry.point import Point
 from repro.index.inverted import InvertedIndex
 from repro.model.dataset import Dataset
+from repro.model.objects import SpatialObject
+from repro.model.vocabulary import Vocabulary
 
 
 def make_dataset():
@@ -21,6 +24,17 @@ class TestInvertedIndex:
         a = ds.vocabulary.id_of("a")
         assert idx.missing_keywords([a, 777]) == frozenset({777})
         assert idx.missing_keywords([a]) == frozenset()
+
+    def test_missing_keywords_without_carriers(self):
+        # "unused" has an id in the vocabulary but no object carries it;
+        # the first id past the vocabulary names no word at all.
+        vocabulary = Vocabulary(["a", "b", "unused"])
+        ds = Dataset([SpatialObject(0, Point(0, 0), frozenset({0, 1}))], vocabulary)
+        idx = InvertedIndex(ds)
+        unused = vocabulary.id_of("unused")
+        past = len(vocabulary)
+        assert idx.missing_keywords([0, 1, unused, past]) == frozenset({unused, past})
+        assert idx.missing_keywords([]) == frozenset()
 
     def test_relevant_objects_deduplicates(self):
         ds = make_dataset()

@@ -1,6 +1,6 @@
 """Differential suite for the spatial-textual indexes.
 
-:class:`IRTree`, the :class:`LinearScanIndex` oracle and the
+:class:`KeywordTreeIndex`, the :class:`LinearScanIndex` oracle and the
 :class:`ShardedIndex` facade claim one query semantics behind
 :class:`SpatialTextIndex`: ``nearest_relevant_iter`` yields the relevant
 objects in the total ``(distance, oid)`` order.  The solvers read
@@ -26,13 +26,13 @@ from repro.algorithms.base import SearchContext
 from repro.data.generators import uniform_dataset
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.index import IRTree, LinearScanIndex
+from repro.index import KeywordTreeIndex, LinearScanIndex
 from repro.model.dataset import Dataset
 from repro.model.query import Query
 from repro.shard import ShardedIndexFactory
 
 BACKENDS = {
-    "IRTree": IRTree,
+    "KeywordTreeIndex": KeywordTreeIndex,
     "LinearScanIndex": LinearScanIndex,
     "ShardedIndex-1": ShardedIndexFactory(1),
     "ShardedIndex-4": ShardedIndexFactory(4),

@@ -1,9 +1,9 @@
-"""Golden gate for the flat distance kernels, over the IR-tree.
+"""Golden gate for the flat distance kernels, over the keyword-tree index.
 
 The flat kernels (repro.kernels) claim exact float equality with the
 naive ``math.hypot`` code — not agreement up to a tolerance.  So the
 gate is strict: for every registered solver and every differential
-instance, a run over the IR-tree must return the recorded cost float
+instance, a run over the keyword trees must return the recorded cost float
 and object set of ``tests/fixtures/golden_answers.json`` bit for bit,
 and so must a run through a chaos-wrapped index.  The recording was
 made with the kernels and the keyword bitmasks each on and off, all
@@ -22,7 +22,7 @@ from repro.algorithms.owner_exact import OwnerDrivenExact
 from repro.algorithms.registry import ALGORITHM_NAMES
 from repro.cost.functions import cost_by_name
 from repro.exec.chaos import ChaosIndex, FaultPlan, chaos_context
-from repro.index.irtree import IRTree
+from repro.index.keyword_trees import KeywordTreeIndex
 
 GOLDEN = load_golden_answers()
 
@@ -30,7 +30,7 @@ GOLDEN = load_golden_answers()
 @pytest.fixture(scope="module", params=list(GOLDEN_INSTANCES))
 def instance(request):
     dataset, _, queries = GOLDEN_INSTANCES[request.param]()
-    return GOLDEN[str(request.param)], SearchContext(dataset, index_cls=IRTree), queries
+    return GOLDEN[str(request.param)], SearchContext(dataset, index_cls=KeywordTreeIndex), queries
 
 
 #: The exact solvers whose default cost is ``bruteforce``'s (MaxSum).

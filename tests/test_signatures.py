@@ -4,7 +4,7 @@ The layer's whole correctness story is a bijection between frozen
 keyword sets and integer bitsets: every mask predicate must return
 exactly the boolean (or set) its frozenset twin returns.  Hypothesis
 drives the bijection over arbitrary small keyword sets; the rest pins
-how masks are built and memoized.
+how masks are built.
 """
 
 from __future__ import annotations
@@ -12,23 +12,21 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.algorithms.base import SearchContext
-from repro.algorithms.registry import make_algorithm
-from repro.data.generators import uniform_dataset
-from repro.data.queries import generate_queries
-from repro.index import signatures
 from repro.index.signatures import (
     bits_of,
     covers,
     covers_all,
-    keywords_of,
     mask_of,
     overlaps,
-    pack_masks,
     shared_keywords,
 )
 
 keyword_sets = st.frozensets(st.integers(min_value=0, max_value=63), max_size=10)
+
+
+def keywords_of(mask: int) -> frozenset:
+    """The keyword set a mask encodes: the bijection's inverse."""
+    return frozenset(bits_of(mask))
 
 
 class TestMaskBijection:
@@ -76,24 +74,3 @@ class TestMaskBuilding:
         assert mask_of([0, 2]) == 0b101
         assert mask_of(iter((1,))) == 0b10
         assert mask_of(()) == 0
-
-    def test_pack_masks_parallel_to_input(self, tiny_dataset):
-        objects = list(tiny_dataset.objects)
-        masks = pack_masks(objects)
-        assert len(masks) == len(objects)
-        for obj, mask in zip(objects, masks):
-            assert keywords_of(mask) == obj.keywords
-
-
-class TestMaskMemo:
-    def test_queries_do_not_grow_the_memo(self):
-        """Only index builds fill the memo, so a server's traffic cannot."""
-        dataset = uniform_dataset(300, 30, seed=41, name="memo")
-        context = SearchContext(dataset)
-        context.index  # noqa: B018 - build for effect
-        before = len(signatures._MASK_MEMO)
-        for seed, name in ((1, "maxsum-exact"), (2, "maxsum-appro")):
-            solver = make_algorithm(name, context)
-            for query in generate_queries(dataset, 4, 200, seed=seed):
-                solver.solve(query)
-        assert len(signatures._MASK_MEMO) == before
