@@ -28,11 +28,11 @@ check: lint
 	python -m pytest perf/ -q
 
 # Runtime contracts (docs/STATIC_ANALYSIS.md) over the suites that solve
-# with every registered algorithm, seeded and unseeded: each solve()
-# is checked for feasibility, honest cost, and optimality or its ratio.
+# with every registered algorithm: each solve() is checked for
+# feasibility, honest cost, and optimality or its ratio.
 contracts:
 	REPRO_CHECK_CONTRACTS=1 PYTHONPATH=src python -m pytest -x -q \
-		tests/test_registry_conformance.py tests/test_adaptive_seeding.py \
+		tests/test_registry_conformance.py \
 		tests/test_differential_shard.py tests/test_kernels_differential.py
 
 # The resilience/chaos suite alone (docs/ROBUSTNESS.md).

@@ -1,6 +1,6 @@
 """CoSKQ algorithms: the paper's owner-driven solvers plus baselines."""
 
-from repro.algorithms.base import CoSKQAlgorithm, NNSet, SearchContext, minimal_subset
+from repro.algorithms.base import CoSKQAlgorithm, NNSet, SearchContext
 from repro.algorithms.bruteforce import BruteForceExact
 from repro.algorithms.cao_appro import CaoAppro1, CaoAppro2
 from repro.algorithms.cao_exact import BranchBoundExact, CaoExact
@@ -14,7 +14,7 @@ from repro.algorithms.owner_appro import OwnerRingApproximation
 from repro.algorithms.owner_exact import OwnerDrivenExact
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
 from repro.algorithms.topk import TopKCoSKQ
-from repro.algorithms.sum_algorithms import SumExact, SumGreedy, sum_greedy_ratio_bound
+from repro.algorithms.sum_algorithms import SumExact, SumGreedy
 from repro.algorithms.unified_appro import (
     UNIFIED_APPRO_RATIO_BOUNDS,
     UnifiedAppro,
@@ -26,7 +26,6 @@ __all__ = [
     "SearchContext",
     "NNSet",
     "CoSKQAlgorithm",
-    "minimal_subset",
     "MaxSumExact",
     "MaxSumAppro",
     "MAXSUM_APPRO_RATIO",
@@ -43,7 +42,6 @@ __all__ = [
     "SumExact",
     "TopKCoSKQ",
     "SumGreedy",
-    "sum_greedy_ratio_bound",
     "UnifiedAppro",
     "UnifiedExact",
     "UNIFIED_APPRO_RATIO_BOUNDS",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Type
+from typing import Dict, Iterable, Optional, Tuple, Type
 
 from repro.cost.base import CostFunction
 from repro.errors import InfeasibleQueryError
@@ -24,12 +24,11 @@ from repro.index.keyword_trees import KeywordTreeIndex
 from repro.index.protocol import SpatialTextIndex
 from repro.index.signatures import shared_keywords
 from repro.model.dataset import Dataset
-from repro.utils.floatcmp import prune_cutoff
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
 
-__all__ = ["SearchContext", "NNSet", "CoSKQAlgorithm", "minimal_subset"]
+__all__ = ["SearchContext", "NNSet", "CoSKQAlgorithm"]
 
 
 @dataclass(frozen=True)
@@ -188,39 +187,12 @@ class CoSKQAlgorithm(ABC):
         self.budget = None
 
     @abstractmethod
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
+    def solve(self, query: Query) -> CoSKQResult:
         """Return a feasible set (optimal when :attr:`exact`) for ``query``.
-
-        ``initial_upper_bound``, when given, must be the cost of some
-        feasible solution for this query under this algorithm's cost
-        function — e.g. the result of the structural appro seeder
-        (see :mod:`repro.algorithms.seeding`).  Exact solvers
-        prune against it from the first node (through
-        :func:`repro.utils.floatcmp.prune_cutoff`, so seeded and
-        unseeded runs return bit-identical costs); approximation
-        solvers, whose published ratio arguments do not account for an
-        external incumbent, accept and ignore it.  Passing a value that
-        is *not* a feasible cost voids the exactness guarantee.
 
         Raises :class:`~repro.errors.InfeasibleQueryError` when the
         query keywords cannot be covered by any object set.
         """
-
-    def _pruning_bound(
-        self, achieved: float, initial_upper_bound: Optional[float]
-    ) -> float:
-        """The effective pruning bound for exact searches.
-
-        ``achieved`` is the cost of an incumbent the search has already
-        constructed (it may be returned as-is, so no slack applies);
-        the external bound is slacked through :func:`prune_cutoff` so a
-        cost exactly equal to it is explored rather than pruned.
-        """
-        if initial_upper_bound is None:
-            return achieved
-        return min(achieved, prune_cutoff(initial_upper_bound))
 
     # -- helpers for subclasses -------------------------------------------------
 
@@ -249,58 +221,3 @@ class CoSKQAlgorithm(ABC):
 
     def __repr__(self) -> str:
         return "%s(cost=%s)" % (type(self).__name__, self.cost.name)
-
-
-def minimal_subset(
-    query: Query, objects: Tuple[SpatialObject, ...] | List[SpatialObject]
-) -> List[SpatialObject]:
-    """Drop objects that contribute no exclusive query keyword.
-
-    Greedy reverse sweep: an object is removed (all instances of its
-    oid at once) when the remaining ones still cover ``q.ψ``.  For
-    monotone costs this never increases the cost, so algorithms apply it
-    before scoring candidate sets.
-
-    Query distances are computed once for the sort and coverage is
-    tracked with per-keyword counts updated incrementally — O(n·k +
-    n log n) where the naive re-sort-and-rebuild sweep was O(n²·k) —
-    with removal decisions identical to the naive sweep's.
-    """
-    instances = list(objects)
-    qloc = query.location
-    order = sorted(
-        range(len(instances)),
-        key=lambda i: -qloc.distance_to(instances[i].location),
-    )
-    # Per-keyword carrier counts over the kept multiset, restricted to
-    # the query keywords (the only ones the coverage test reads).
-    counts: Dict[int, int] = {t: 0 for t in query.keywords}
-    group_size: Dict[int, int] = {}
-    group_counts: Dict[int, Dict[int, int]] = {}
-    for obj in instances:
-        group_size[obj.oid] = group_size.get(obj.oid, 0) + 1
-        contribution = group_counts.setdefault(obj.oid, {})
-        for t in shared_keywords(obj.keywords, query.keywords):
-            counts[t] += 1
-            contribution[t] = contribution.get(t, 0) + 1
-    if any(count == 0 for count in counts.values()):
-        # The set never covers the query, so no removal can pass the
-        # coverage test — exactly what the naive sweep concludes.
-        return instances
-    kept_size = len(instances)
-    removed: set[int] = set()
-    for i in order:
-        oid = instances[i].oid
-        if oid in removed:
-            continue  # a duplicate instance; the whole group is gone
-        size = group_size[oid]
-        if kept_size - size <= 0:
-            continue
-        contribution = group_counts[oid]
-        if any(counts[t] - c <= 0 for t, c in contribution.items()):
-            continue  # removal would uncover some query keyword
-        removed.add(oid)
-        kept_size -= size
-        for t, c in contribution.items():
-            counts[t] -= c
-    return [o for o in instances if o.oid not in removed]

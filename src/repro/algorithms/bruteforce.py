@@ -31,12 +31,7 @@ class BruteForceExact(CoSKQAlgorithm):
     name = "bruteforce"
     exact = True
 
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
-        # ``initial_upper_bound`` is accepted for interface uniformity
-        # and deliberately ignored: the oracle must stay exhaustive so
-        # differential tests can distrust everyone else's pruning.
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         self.context.check_feasible(query)
         relevant = self.context.inverted.relevant_objects(query.keywords)

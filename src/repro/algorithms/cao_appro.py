@@ -18,7 +18,7 @@ adapts them as comparators for the Dia cost.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.algorithms.base import CoSKQAlgorithm
 from repro.algorithms.nnset import NNSetAlgorithm
@@ -45,12 +45,7 @@ class CaoAppro2(CoSKQAlgorithm):
     ratio = 2.0
     ratio_cost = "maxsum"
 
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
-        # ``initial_upper_bound`` is accepted for interface uniformity
-        # and ignored: the 2-approximation argument is about this
-        # search's own incumbent, not an external one.
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         nn = self.context.nn_set(query)
         best: List[SpatialObject] = list(nn.objects)

@@ -105,16 +105,11 @@ class BranchBoundExact(CoSKQAlgorithm):
         # Cap pushed states proportionally and fail loudly past it.
         self.max_pushes = 8 * self.max_expansions
 
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         nn = self.context.nn_set(query)
         incumbent: List[SpatialObject] = list(nn.objects)
         incumbent_cost = self._evaluate(query, incumbent)
-        # Pruning bound: the achieved incumbent or the slacked external
-        # seed, whichever is tighter (see CoSKQAlgorithm.solve).
-        bound = self._pruning_bound(incumbent_cost, initial_upper_bound)
 
         relevant = self.context.inverted.relevant_objects(query.keywords)
         qdist: Dict[int, float] = {
@@ -138,8 +133,8 @@ class BranchBoundExact(CoSKQAlgorithm):
         pushes = 0
         while heap:
             lb, _, state = heapq.heappop(heap)
-            if lb >= bound:
-                break  # best-first: nothing later can beat the bound
+            if lb >= incumbent_cost:
+                break  # best-first: nothing later can beat the incumbent
             if covers_all(query.keywords, state.covered):
                 candidate = list(state.chosen)
                 cost_value = self._evaluate(query, candidate)
@@ -150,8 +145,6 @@ class BranchBoundExact(CoSKQAlgorithm):
                     extended = self._try_min_extras(query, candidate, relevant, qdist)
                     if extended is not None and extended[1] < incumbent_cost:
                         incumbent, incumbent_cost = list(extended[0]), extended[1]
-                if incumbent_cost < bound:
-                    bound = incumbent_cost
                 continue
             expansions += 1
             self._bump("states_expanded")
@@ -174,7 +167,7 @@ class BranchBoundExact(CoSKQAlgorithm):
                 child_lb = self._lower_bound(
                     child, query, nn_dist, global_min_qdist
                 )
-                if child_lb < bound:
+                if child_lb < incumbent_cost:
                     pushes += 1
                     self._bump("states_pushed")
                     if pushes > self.max_pushes:

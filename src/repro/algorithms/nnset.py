@@ -13,8 +13,6 @@ nearest to the query that carries ``t``.  It is:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms.base import CoSKQAlgorithm
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
@@ -30,11 +28,7 @@ class NNSetAlgorithm(CoSKQAlgorithm):
     ratio = 3.0
     ratio_cost = "maxsum"
 
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
-        # ``initial_upper_bound`` is accepted for interface uniformity
-        # and ignored: N(q) is a fixed construction, not a search.
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         nn = self.context.nn_set(query)
         self._bump("nn_lookups", query.size)

@@ -194,12 +194,7 @@ class OwnerRingApproximation(CoSKQAlgorithm):
     name = "owner-appro"
     exact = False
 
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
-        # ``initial_upper_bound`` is accepted for interface uniformity
-        # and ignored: the approximation bound argues about this search's
-        # own incumbent, not an external one.
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         stream = OwnerStream(self.context, query, self._checkpoint)
         nn = NNSet.from_stream(query, stream)

@@ -103,9 +103,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
 
     # -- main loop -----------------------------------------------------------
 
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         stream = OwnerStream(self.context, query, self._checkpoint)
         nn = NNSet.from_stream(query, stream)
@@ -118,10 +116,6 @@ class OwnerDrivenExact(CoSKQAlgorithm):
             if seeded.cost < best_cost:
                 best_cost = seeded.cost
                 best = list(seeded.objects)
-        # The achieved incumbent (returned as-is when nothing beats it)
-        # and the pruning bound are tracked separately: the external
-        # bound is only ever a cutoff, never a result.
-        bound = self._pruning_bound(best_cost, initial_upper_bound)
 
         d_f = nn.d_f if self.ring_pruning else 0.0
         # One stream bit per query keyword.
@@ -130,19 +124,17 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         for i, (dist, _) in enumerate(stream):
             if dist < d_f:
                 continue
-            if self.cost.combine(dist, 0.0) >= bound:
+            if self.cost.combine(dist, 0.0) >= best_cost:
                 break
             self._bump("owners_tried")
             outcome = self._best_for_owner(
-                query, stream, i, dist, full & ~masks[i], bound
+                query, stream, i, dist, full & ~masks[i], best_cost
             )
             if outcome is not None:
                 owner_set, owner_cost = outcome
                 if owner_cost < best_cost:
                     best_cost = owner_cost
                     best = owner_set
-                    if best_cost < bound:
-                        bound = best_cost
         return self._result(best, best_cost)
 
     # -- per-owner optimization ------------------------------------------------

@@ -25,14 +25,8 @@ from repro.index.signatures import mask_of
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
-from repro.utils.stats import harmonic_number
 
-__all__ = ["SumExact", "SumGreedy", "sum_greedy_ratio_bound"]
-
-
-def sum_greedy_ratio_bound(query_size: int) -> float:
-    """The proven bound ``H_{|q.ψ|}`` of the weighted-set-cover greedy."""
-    return harmonic_number(query_size)
+__all__ = ["SumExact", "SumGreedy"]
 
 
 class _SumBase(CoSKQAlgorithm):
@@ -72,17 +66,10 @@ class SumExact(_SumBase):
     name = "sum-exact"
     exact = True
 
-    def solve(
-        self, query: Query, initial_upper_bound: float | None = None
-    ) -> CoSKQResult:
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         candidates = self._prepared(query)
         full_mask = mask_of(query.keywords)
-        # The additive cost only grows along a path, so any state at or
-        # past the slacked external bound cannot reach a full mask
-        # cheaper than the seed — while every prefix of the optimal path
-        # costs at most the optimum and survives the cutoff.
-        cutoff = self._pruning_bound(float("inf"), initial_upper_bound)
         counter = itertools.count()
         best_cost: Dict[int, float] = {0: 0.0}
         heap: List[Tuple[float, int, int, Tuple[SpatialObject, ...]]] = [
@@ -101,8 +88,6 @@ class SumExact(_SumBase):
                 if new_mask == mask:
                     continue
                 new_cost = cost_so_far + dist
-                if new_cost >= cutoff:
-                    continue
                 if new_cost < best_cost.get(new_mask, float("inf")):
                     best_cost[new_mask] = new_cost
                     heapq.heappush(
@@ -117,12 +102,7 @@ class SumGreedy(_SumBase):
     name = "sum-greedy"
     exact = False
 
-    def solve(
-        self, query: Query, initial_upper_bound: float | None = None
-    ) -> CoSKQResult:
-        # ``initial_upper_bound`` is accepted for interface uniformity
-        # and ignored: the greedy's H_k guarantee argues about its own
-        # picks, not about an external incumbent.
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         candidates = self._prepared(query)
         full_mask = mask_of(query.keywords)

@@ -55,15 +55,8 @@ class TopKCoSKQ(CoSKQAlgorithm):
         super().__init__(context, cost)
         self.k = k
 
-    def solve(  # repro: noqa(R5) — solve_topk resets
-        self, query: Query, initial_upper_bound: float | None = None
-    ) -> CoSKQResult:
-        """The best set; use :meth:`solve_topk` for the full ranking.
-
-        ``initial_upper_bound`` is accepted for interface uniformity and
-        ignored: a bound on the *best* cost says nothing about the k-th,
-        so pruning against it could truncate the ranking.
-        """
+    def solve(self, query: Query) -> CoSKQResult:  # repro: noqa(R5) — solve_topk resets
+        """The best set; use :meth:`solve_topk` for the full ranking."""
         return self.solve_topk(query)[0]
 
     def solve_topk(self, query: Query) -> List[CoSKQResult]:

@@ -76,12 +76,7 @@ class UnifiedAppro(CoSKQAlgorithm):
     name = "unified-appro"
     exact = False
 
-    def solve(
-        self, query: Query, initial_upper_bound: float | None = None
-    ) -> CoSKQResult:
-        # ``initial_upper_bound`` is accepted for interface uniformity
-        # and ignored: the per-cost ratio table argues about this
-        # search's own incumbent, not an external one.
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         stream = OwnerStream(self.context, query, self._checkpoint)
         nn = NNSet.from_stream(query, stream)

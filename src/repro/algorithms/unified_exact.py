@@ -15,8 +15,6 @@ while the structurally special ones keep their fast paths.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algorithms.base import CoSKQAlgorithm, SearchContext
 from repro.algorithms.cao_exact import BranchBoundExact
 from repro.algorithms.owner_exact import OwnerDrivenExact
@@ -53,10 +51,8 @@ class UnifiedExact(CoSKQAlgorithm):
         """The solver this cost was dispatched to (for introspection)."""
         return self._delegate
 
-    def solve(  # repro: noqa(R5) — delegate resets
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
-        inner = self._delegate.solve(query, initial_upper_bound=initial_upper_bound)
+    def solve(self, query: Query) -> CoSKQResult:  # repro: noqa(R5) — delegate resets
+        inner = self._delegate.solve(query)
         self.counters = dict(self._delegate.counters)
         return CoSKQResult.of(
             inner.objects, inner.cost, self.name, counters=dict(self.counters)

@@ -162,15 +162,8 @@ def _wrap_solve(
     original: Callable[..., CoSKQResult],
 ) -> Callable[..., CoSKQResult]:
     @functools.wraps(original)
-    def checked_solve(
-        self: CoSKQAlgorithm, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
-        # The seeding bound is forwarded only when given, so a ``solve``
-        # that predates it keeps working unseeded.
-        if initial_upper_bound is None:
-            result = original(self, query)
-        else:
-            result = original(self, query, initial_upper_bound=initial_upper_bound)
+    def checked_solve(self: CoSKQAlgorithm, query: Query) -> CoSKQResult:
+        result = original(self, query)
         check_result(self, query, result)
         return result
 

@@ -28,7 +28,6 @@ from repro.bench.macro.datasets import (
     DatasetSpec,
     build_dataset,
     content_hash,
-    spec_content_hash,
 )
 from repro.bench.macro.diffmode import DiffEntry, DiffReport, diff_summaries
 from repro.bench.macro.runner import run_profile
@@ -60,7 +59,6 @@ __all__ = [
     "content_hash",
     "diff_summaries",
     "run_profile",
-    "spec_content_hash",
     "throughput_qps",
     "validate_summary",
 ]

@@ -45,7 +45,6 @@ __all__ = [
     "DatasetSpec",
     "build_dataset",
     "content_hash",
-    "spec_content_hash",
 ]
 
 #: Default on-disk home of materialized datasets (overridable per run
@@ -166,16 +165,6 @@ def content_hash(dataset: Dataset) -> str:
     writer = _HashWriter()
     dataset.dump(writer)
     return writer.hexdigest()
-
-
-def spec_content_hash(spec: DatasetSpec) -> str:
-    """Generate ``spec`` from scratch and hash it (no disk involved).
-
-    Module-level and picklable-argument-only on purpose: the determinism
-    suite maps this function over a process pool and requires every
-    worker to agree with the parent.
-    """
-    return content_hash(build_dataset(spec))
 
 
 def _file_hash(path: Path) -> str:

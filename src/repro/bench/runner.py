@@ -13,17 +13,14 @@ cannot produce a pretty number.
 Every entry point here takes a :class:`Solver` — anything with
 ``solve(query) -> CoSKQResult`` and a ``name`` — so a
 :class:`repro.exec.ResilientExecutor` can be timed exactly like a bare
-algorithm.  :func:`resilience_study` is the failure-aware variant: it
-times a workload under per-query isolation (via
-:class:`repro.exec.BatchExecutor`) and reports answered/degraded/failed
-splits instead of dying on the first poisoned query.
+algorithm.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Protocol, Sequence, Tuple
+from typing import Dict, List, Protocol, Sequence
 
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
@@ -33,10 +30,8 @@ __all__ = [
     "Solver",
     "TimingResult",
     "RatioResult",
-    "ResilienceResult",
     "time_algorithm",
     "ratio_study",
-    "resilience_study",
     "solve_all",
 ]
 
@@ -75,37 +70,6 @@ class RatioResult:
     algorithm: str
     ratios: Summary
     optimal_fraction: float  # fraction of queries answered exactly
-
-
-@dataclass(frozen=True)
-class ResilienceResult:
-    """Failure-aware timing over a workload (per-query isolation).
-
-    Unlike :class:`TimingResult`, a query that fails does not abort the
-    study: it is counted in ``failed`` and its failure detail kept in
-    ``failures`` (tuples of ``(query index, error type, message)``).
-    ``times`` summarizes only the answered queries.
-    """
-
-    algorithm: str
-    times: Summary
-    answered: int
-    degraded: int
-    failed: int
-    failures: Tuple[Tuple[int, str, str], ...] = field(repr=False, default=())
-
-    @property
-    def total(self) -> int:
-        return self.answered + self.failed
-
-    def summary(self) -> str:
-        return "%s: %d/%d answered (%d degraded, %d failed)" % (
-            self.algorithm,
-            self.answered,
-            self.total,
-            self.degraded,
-            self.failed,
-        )
 
 
 def solve_all(
@@ -197,50 +161,3 @@ def ratio_study(
             optimal_fraction=exact_hits / len(queries) if queries else 0.0,
         )
     return out
-
-
-def resilience_study(
-    solver: Solver, queries: Sequence[Query]
-) -> ResilienceResult:
-    """Time a workload under per-query isolation.
-
-    Each query is timed individually; a failing query is recorded rather
-    than propagated, so one poisoned query cannot sink the whole study.
-    A result whose provenance says ``degraded`` (see
-    :class:`repro.exec.ExecutionProvenance`) counts toward ``degraded``
-    as well as ``answered``.
-    """
-    from repro.exec import BatchExecutor
-
-    per_query: List[float] = []
-
-    class _Timed:
-        name = solver.name
-
-        def solve(self, query: Query) -> CoSKQResult:
-            started = time.perf_counter()
-            try:
-                return solver.solve(query)
-            finally:
-                per_query.append(time.perf_counter() - started)
-
-    report = BatchExecutor(_Timed()).run(queries)
-    # Only answered queries contribute a timing sample: a failed attempt
-    # measures the failure path, not the algorithm.
-    answered_times = [
-        per_query[i]
-        for i, result in enumerate(report.results)
-        if result is not None
-    ]
-    return ResilienceResult(
-        algorithm=solver.name,
-        times=summarize(answered_times)
-        if answered_times
-        else Summary(mean=0.0, minimum=0.0, maximum=0.0, count=0),
-        answered=report.answered,
-        degraded=report.degraded,
-        failed=report.failed,
-        failures=tuple(
-            (f.index, f.error_type, f.message) for f in report.failures
-        ),
-    )

@@ -9,7 +9,6 @@ from repro.cost.base import (
 )
 from repro.cost.functions import (
     ALL_COSTS,
-    PAPER_COSTS,
     DiaCost,
     MaxCost,
     MaxSumCost,
@@ -39,6 +38,5 @@ __all__ = [
     "UnifiedCost",
     "cost_by_name",
     "ALL_COSTS",
-    "PAPER_COSTS",
     "INTERESTING_SETTINGS",
 ]

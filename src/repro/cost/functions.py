@@ -30,7 +30,6 @@ __all__ = [
     "MaxCost",
     "MinCost",
     "cost_by_name",
-    "PAPER_COSTS",
     "ALL_COSTS",
 ]
 
@@ -131,9 +130,6 @@ class MinCost(CostFunction):
     combiner = Combiner.ADD
     pairwise_weight = None
 
-
-#: The two cost functions of the SIGMOD 2013 paper.
-PAPER_COSTS = ("maxsum", "dia")
 
 #: Every named cost, mapped to its zero-argument constructor.
 ALL_COSTS = {

@@ -1,7 +1,6 @@
 """Workload substrate: generators, query workloads and augmentation."""
 
 from repro.data.augment import densify_keywords, scale_dataset
-from repro.data.io import DelimitedFormat, from_coordinate_keyword_pairs, load_delimited
 from repro.data.generators import (
     GeneratorProfile,
     clustered_dataset,
@@ -16,9 +15,6 @@ from repro.data.zipf import ZipfSampler
 
 __all__ = [
     "ZipfSampler",
-    "DelimitedFormat",
-    "load_delimited",
-    "from_coordinate_keyword_pairs",
     "GeneratorProfile",
     "generate_profile",
     "uniform_dataset",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Tuple
+from typing import List
 
 from repro.data.zipf import ZipfSampler
 from repro.geometry.point import Point
@@ -39,8 +39,6 @@ __all__ = [
     "hotel_like",
     "gn_like",
     "web_like",
-    "ladder_dataset",
-    "ladder_keywords",
     "GeneratorProfile",
     "generate_profile",
 ]
@@ -174,99 +172,6 @@ def clustered_dataset(
         cluster_count=cluster_count,
     )
     return generate_profile(profile, seed=seed)
-
-
-# -- the adversarial seeding ladder ------------------------------------------------
-
-
-def ladder_dataset(
-    num_keywords: int = 9,
-    rungs: int = 10,
-    choices: int = 10,
-    radius: float = 200.0,
-    arm_start: float = 120.0,
-    arm_end: float = 20.0,
-    arm_final: float = 6.0,
-    seed: int = 7,
-    name: str = "ladder",
-) -> Dataset:
-    """The seeding-adversarial "ladder": a staircase of near-optimal traps.
-
-    Built to exercise appro seeding (docs/SEEDING.md §4): a query at
-    the world center asking for ``k0..k{m-1}`` forces the owner-driven
-    exact search down a staircase of ``rungs`` trap groups whose costs
-    decrease slowly, each triggering an expensive diameter bisection —
-    unless a feasible upper bound from the appro counterpart prunes the
-    staircase up front.
-
-    Geometry (all deliberate, all load-bearing):
-
-    - Each rung ``i`` sits at a golden-angle direction, distance
-      ``radius + 0.01·i`` from the center — the ``+0.01·i`` jitter makes
-      the *widest* (most expensive) rung enumerate first.
-    - The rung's **bait** is the sole carrier of ``k0``, so every
-      feasible set pays the bait's distance and owner enumeration walks
-      exactly one bait per rung; members tilted toward the query are
-      never tried as owners (their furthest member is the bait).
-    - The other keywords live in two wedges ±1.40 rad off the inward
-      direction (near side for ``k1..k{m-2}``, far side for
-      ``k{m-1}``), ``choices`` candidates each, spread over an arm
-      whose length shrinks linearly ``arm_start → arm_end`` across
-      rungs — so rung costs strictly decrease and every rung improves
-      the incumbent just enough to force the next bisection.
-    - One candidate per wedge is pinned at ``0.4·arm`` so the diameter
-      lower bound stays loose (the bisection cannot shortcut).
-    - A final trivial rung (``arm_final``, one choice per keyword)
-      holds the optimum, cheap to verify for seeded and unseeded runs
-      alike.
-
-    Deterministic in ``seed``.  Roughly ``(rungs+1)·(1 + (m-1)·choices)``
-    objects.
-    """
-    if num_keywords < 3:
-        raise ValueError("the ladder needs at least 3 keywords (bait + 2 wedges)")
-    if rungs < 1 or choices < 1:
-        raise ValueError("rungs and choices must be >= 1")
-    rng = substream(seed, "%s/wedges" % name)
-    records: List[Tuple[float, float, List[str]]] = []
-    cx = cy = WORLD_SIZE / 2.0
-    golden = math.pi * (3 - math.sqrt(5))
-
-    def rung(index: int, arm: float, wedge_choices: int) -> None:
-        phi = index * golden
-        ring = radius + 0.01 * index
-        bait_x = cx + ring * math.cos(phi)
-        bait_y = cy + ring * math.sin(phi)
-        records.append((bait_x, bait_y, ["k0"]))
-        inward = phi + math.pi
-        for keyword in range(1, num_keywords):
-            base = inward - 1.40 if keyword < num_keywords - 1 else inward + 1.40
-            for choice in range(wedge_choices):
-                reach = 0.4 * arm if choice == 0 else rng.uniform(0.45, 0.9) * arm
-                angle = base + rng.uniform(-0.25, 0.25)
-                x = bait_x + reach * math.cos(angle)
-                y = bait_y + reach * math.sin(angle)
-                # Keep every member strictly inside C(q, ring) so the
-                # bait stays the rung's distance owner.
-                centered = math.hypot(x - cx, y - cy)
-                if centered >= ring:
-                    shrink = (ring - 0.5) / centered
-                    x = cx + (x - cx) * shrink
-                    y = cy + (y - cy) * shrink
-                records.append((x, y, ["k%d" % keyword]))
-
-    for index in range(rungs):
-        blend = index / (rungs - 1) if rungs > 1 else 0.0
-        rung(index, arm_start + (arm_end - arm_start) * blend, choices)
-    rung(rungs, arm_final, 1)
-    return Dataset.from_records(records, name=name)
-
-
-def ladder_keywords(dataset: Dataset, num_keywords: int):
-    """The ladder query's keyword-id set (``k0..k{m-1}``) for ``dataset``."""
-    return frozenset(
-        dataset.vocabulary.id_of("k%d" % keyword) for keyword in range(num_keywords)
-    )
 
 
 # -- the paper's three corpora ----------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.errors import DatasetFormatError, InvalidParameterError
-from repro.model.dataset import Dataset
+from repro.model.dataset import Dataset, text_lines
 from repro.model.query import Query
 from repro.model.vocabulary import Vocabulary
 from repro.utils.rng import substream
@@ -113,30 +113,29 @@ def load_query_file(path: str | Path, vocabulary: Vocabulary) -> List[Query]:
     the usual :class:`~repro.errors.UnknownKeywordError`).
     """
     queries: List[Query] = []
-    with open(Path(path), "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DatasetFormatError(
-                    "query line %d: expected 3 tab-separated fields, got %d"
-                    % (lineno, len(parts))
-                )
-            try:
-                x = float(parts[0])
-                y = float(parts[1])
-            except ValueError as exc:
-                raise DatasetFormatError(
-                    "query line %d: bad coordinates: %s" % (lineno, exc)
-                ) from exc
-            words = [w for w in parts[2].split(" ") if w]
-            if not words:
-                raise DatasetFormatError(
-                    "query line %d: query has no keywords" % lineno
-                )
-            queries.append(Query.from_words(x, y, words, vocabulary))
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DatasetFormatError(
+                "query line %d: expected 3 tab-separated fields, got %d"
+                % (lineno, len(parts))
+            )
+        try:
+            x = float(parts[0])
+            y = float(parts[1])
+        except ValueError as exc:
+            raise DatasetFormatError(
+                "query line %d: bad coordinates: %s" % (lineno, exc)
+            ) from exc
+        words = [w for w in parts[2].split(" ") if w]
+        if not words:
+            raise DatasetFormatError(
+                "query line %d: query has no keywords" % lineno
+            )
+        queries.append(Query.from_words(x, y, words, vocabulary))
     if not queries:
         raise DatasetFormatError("query file %s holds no queries" % path)
     return queries

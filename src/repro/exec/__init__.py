@@ -33,7 +33,6 @@ from repro.exec.fallback import ExecutionProvenance, FallbackChain, StageFailure
 from repro.exec.policy import (
     DEFAULT_CHECKPOINT_INTERVAL,
     Budget,
-    Checkpoint,
     ExecutionPolicy,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     # policy / budget
     "ExecutionPolicy",
     "Budget",
-    "Checkpoint",
     "DEFAULT_CHECKPOINT_INTERVAL",
     # chain / provenance
     "FallbackChain",

@@ -71,17 +71,8 @@ class ResilientExecutor:
         #: Solver-compatible identity for reports and benchmarks.
         self.name = "exec[%s]" % "|".join(chain.names)
 
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
+    def solve(self, query: Query) -> CoSKQResult:
         """The first stage's answer, degraded along the chain as needed.
-
-        ``initial_upper_bound`` (a feasible cost for this query, e.g. an
-        approximation's answer) is forwarded to every stage that runs —
-        exact stages prune with it, approximate ones ignore it.  When
-        ``None`` (the default) stages are called with the legacy
-        single-argument form, so duck-typed stages that never learned
-        the keyword keep working.
 
         Returns a :class:`CoSKQResult` stamped with
         :class:`ExecutionProvenance`; raises
@@ -103,9 +94,7 @@ class ResilientExecutor:
             attempts = 0
             while True:
                 attempts += 1
-                outcome = self._attempt(
-                    stage, query, started, deadline_at, exempt, initial_upper_bound
-                )
+                outcome = self._attempt(stage, query, started, deadline_at, exempt)
                 if isinstance(outcome, CoSKQResult):
                     return outcome.with_provenance(
                         ExecutionProvenance(
@@ -138,7 +127,6 @@ class ResilientExecutor:
         started: float,
         deadline_at: Optional[float],
         exempt: bool = False,
-        initial_upper_bound: Optional[float] = None,
     ):
         """One budgeted solve; returns the result or the failure.
 
@@ -167,10 +155,7 @@ class ResilientExecutor:
         if had_budget_attr:
             stage.budget = budget
         try:
-            if initial_upper_bound is None:
-                result = stage.solve(query)
-            else:
-                result = stage.solve(query, initial_upper_bound=initial_upper_bound)
+            result = stage.solve(query)
             if not isinstance(result, CoSKQResult):
                 raise TypeError(
                     "stage %r returned %r, not a CoSKQResult"

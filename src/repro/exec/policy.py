@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Tuple, Type, runtime_checkable
+from typing import Dict, Optional, Tuple, Type
 
 from repro.errors import (
     BudgetExceededError,
@@ -31,28 +31,11 @@ from repro.errors import (
 )
 from repro.exec.clock import Clock, MonotonicClock
 
-__all__ = ["Checkpoint", "Budget", "ExecutionPolicy", "DEFAULT_CHECKPOINT_INTERVAL"]
+__all__ = ["Budget", "ExecutionPolicy", "DEFAULT_CHECKPOINT_INTERVAL"]
 
 #: Work units between deadline probes (a power of two; one integer
 #: compare per tick between probes).
 DEFAULT_CHECKPOINT_INTERVAL = 64
-
-
-@runtime_checkable
-class Checkpoint(Protocol):
-    """The hook a solver needs: chargeable ticks + free deadline probes.
-
-    :class:`Budget` is the canonical implementation; tests may substitute
-    recording doubles.
-    """
-
-    def tick(self, amount: int = 1, counters: Optional[Dict[str, int]] = None) -> None:
-        """Charge ``amount`` work units; may raise a typed abort."""
-        ...
-
-    def checkpoint(self, counters: Optional[Dict[str, int]] = None) -> None:
-        """Probe the deadline without charging work."""
-        ...
 
 
 class Budget:

@@ -31,7 +31,8 @@ class Circle:
         """Whether ``p`` lies inside the closed disk (boundary included).
 
         Uses the non-squared distance so the test agrees exactly with
-        the MBR ``min_distance`` pruning bound (squaring underflows for
-        denormal coordinates and would make the two disagree).
+        the ``hypot`` rectangle bounds the indexes prune with (squaring
+        underflows for denormal coordinates and would make the two
+        disagree).
         """
         return self.center.distance_to(p) <= self.radius

@@ -1,18 +1,11 @@
-"""Minimum bounding rectangles (axis-aligned) for the shards.
-
-``min_distance`` is the classic admissible bound of nearest-neighbour
-search: the smallest possible distance from a point to any point of the
-rectangle.
-"""
+"""Minimum bounding rectangles (axis-aligned) for the shards."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 from repro.geometry.point import Point
-from repro.utils.floatcmp import is_zero
 
 __all__ = ["MBR"]
 
@@ -60,27 +53,3 @@ class MBR:
 
     def contains_point(self, p: Point) -> bool:
         return self.min_x <= p.x <= self.max_x and self.min_y <= p.y <= self.max_y
-
-    # -- distances ---------------------------------------------------------
-
-    def min_distance(self, p: Point) -> float:
-        """Smallest distance from ``p`` to any point of the rectangle.
-
-        Zero when ``p`` lies inside.  This is the admissible lower bound
-        driving best-first nearest-neighbor search.
-        """
-        dx = 0.0
-        if p.x < self.min_x:
-            dx = self.min_x - p.x
-        elif p.x > self.max_x:
-            dx = p.x - self.max_x
-        dy = 0.0
-        if p.y < self.min_y:
-            dy = self.min_y - p.y
-        elif p.y > self.max_y:
-            dy = p.y - self.max_y
-        if is_zero(dx):
-            return dy
-        if is_zero(dy):
-            return dx
-        return math.hypot(dx, dy)

@@ -4,29 +4,18 @@ Everything in the CoSKQ problem is measured with the Euclidean metric on
 the plane, so this module is the bottom of the dependency stack: the data
 model, the spatial indexes and every algorithm build on it.
 
-Points are plain immutable value objects.  Hot loops in the algorithms
-avoid attribute chasing by using the free functions :func:`distance` and
-:func:`distance_xy` on raw coordinates where it matters.
+Points are plain immutable value objects.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence
 
 from repro.kernels import flat as _flat
 
-__all__ = [
-    "Point",
-    "distance",
-    "distance_xy",
-    "squared_distance",
-    "midpoint",
-    "centroid",
-    "diameter",
-    "farthest_pair",
-]
+__all__ = ["Point", "distance", "diameter"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -60,37 +49,6 @@ def distance(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def distance_xy(ax: float, ay: float, bx: float, by: float) -> float:
-    """Euclidean distance between raw coordinates (hot-loop friendly)."""
-    return math.hypot(ax - bx, ay - by)
-
-
-def squared_distance(a: Point, b: Point) -> float:
-    """Squared Euclidean distance between two points."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    """The midpoint of segment ``ab``."""
-    return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-
-
-def centroid(points: Iterable[Point]) -> Point:
-    """The arithmetic mean of a non-empty collection of points."""
-    xs = 0.0
-    ys = 0.0
-    n = 0
-    for p in points:
-        xs += p.x
-        ys += p.y
-        n += 1
-    if n == 0:
-        raise ValueError("centroid() of an empty collection")
-    return Point(xs / n, ys / n)
-
-
 #: Below this size the scalar quadratic scan beats packing coordinates
 #: first; CoSKQ result sets (≤ |q.ψ| members) usually sit under it.
 _PACK_THRESHOLD = 8
@@ -116,24 +74,3 @@ def diameter(points: Sequence[Point]) -> float:
             if d > best:
                 best = d
     return best
-
-
-def farthest_pair(points: Sequence[Point]) -> Tuple[int, int, float]:
-    """Indices and distance of the farthest pair of ``points``.
-
-    Returns ``(i, j, d)`` with ``i < j``; ``(0, 0, 0.0)`` when fewer than
-    two points are given.  Ties resolve to the first strict improvement
-    in scan order — preserved exactly by the kernel fast path.
-    """
-    n = len(points)
-    if n >= _PACK_THRESHOLD:
-        xs, ys = _flat.pack_points(points)
-        return _flat.farthest_pair(xs, ys)
-    besti, bestj, best = 0, 0, 0.0
-    for i in range(n):
-        pi = points[i]
-        for j in range(i + 1, n):
-            d = pi.distance_to(points[j])
-            if d > best:
-                besti, bestj, best = i, j, d
-    return besti, bestj, best

@@ -15,7 +15,6 @@ stack (it imports nothing from the rest of the package).
 
 from repro.kernels.flat import (
     cap_bands,
-    farthest_pair,
     first_beyond,
     lens_lower_bound,
     lens_scan,
@@ -28,7 +27,6 @@ from repro.kernels.flat import (
 
 __all__ = [
     "cap_bands",
-    "farthest_pair",
     "first_beyond",
     "lens_lower_bound",
     "lens_scan",

@@ -16,8 +16,7 @@ naive ``math.hypot`` loops they replace:
   side of the band, and only pairs falling inside the band (or at
   non-normal magnitudes, where relative-error analysis breaks down) fall
   back to the exact ``math.hypot`` comparison the naive code performs.
-- Running maxima (:func:`pairwise_max`, :func:`max_distance_from`,
-  :func:`farthest_pair`) skip a pair only when its squared distance
+- Running maxima (:func:`pairwise_max`, :func:`max_distance_from`) skip a pair only when its squared distance
   proves the exact distance cannot *strictly* improve the incumbent,
   which preserves both the returned value and the naive loop's
   first-strict-improvement tie-breaking.
@@ -45,7 +44,6 @@ __all__ = [
     "max_distance_from",
     "pairwise_max",
     "pairwise_max_at",
-    "farthest_pair",
     "first_beyond",
     "lens_lower_bound",
     "lens_scan",
@@ -191,30 +189,6 @@ def first_beyond(
         if d > cap:
             return d
     return None
-
-
-def farthest_pair(xs: Sequence[float], ys: Sequence[float]) -> Tuple[int, int, float]:
-    """Indices and distance of the farthest packed pair.
-
-    Same contract as :func:`repro.geometry.point.farthest_pair`:
-    ``(i, j, d)`` with ``i < j``, first-strict-improvement tie-break,
-    ``(0, 0, 0.0)`` below two points.
-    """
-    besti, bestj, best = 0, 0, 0.0
-    guard = -1.0
-    n = len(xs)
-    for i in range(n):
-        xi = xs[i]
-        yi = ys[i]
-        for j in range(i + 1, n):
-            dx = xi - xs[j]
-            dy = yi - ys[j]
-            if dx * dx + dy * dy > guard:
-                d = math.hypot(dx, dy)
-                if d > best:
-                    besti, bestj, best = i, j, d
-                    guard = _improvement_guard(best)
-    return besti, bestj, best
 
 
 def lens_lower_bound(r: float, budget: float) -> float:

@@ -21,7 +21,27 @@ from repro.geometry.point import Point
 from repro.model.objects import SpatialObject
 from repro.model.vocabulary import Vocabulary
 
-__all__ = ["Dataset", "DatasetStatistics"]
+__all__ = ["Dataset", "DatasetStatistics", "text_lines"]
+
+
+def text_lines(path: str | Path) -> Iterator[str]:
+    """The lines of the UTF-8 text file at ``path``.
+
+    Bytes that are not UTF-8 decode to lone surrogates
+    (``surrogateescape``), which no UTF-8 text holds, so the first line
+    carrying one raises :class:`DatasetFormatError` naming the file and
+    the line.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DatasetFormatError(
+                        "%s line %d: not UTF-8 text" % (path, lineno)
+                    ) from None
+            yield line
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,5 +241,6 @@ class Dataset:
     def load(path: str | Path, name: str | None = None) -> "Dataset":
         """Read a dataset from the text file at ``path``."""
         path = Path(path)
-        with open(path, "r", encoding="utf-8") as f:
-            return Dataset.parse(f, name=name if name is not None else path.stem)
+        return Dataset.parse(
+            text_lines(path), name=name if name is not None else path.stem
+        )

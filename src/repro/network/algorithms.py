@@ -36,7 +36,6 @@ from repro.model.objects import SpatialObject
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
 from repro.network.dataset import NetworkDataset
-from repro.utils.floatcmp import prune_cutoff
 
 __all__ = [
     "NetworkContext",
@@ -153,11 +152,7 @@ class NetworkNNSetAlgorithm(_NetworkAlgorithm):
 
     name = "network-nn-set"
 
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
-        # ``initial_upper_bound`` is accepted for interface uniformity
-        # and ignored: N(q) is a fixed construction, not a search.
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         self._check_feasible(query)
         query_node = self.context.query_node(query)
@@ -170,11 +165,7 @@ class NetworkGreedyAppro(_NetworkAlgorithm):
 
     name = "network-greedy"
 
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
-        # ``initial_upper_bound`` is accepted for interface uniformity
-        # and ignored (approximation; see CoSKQAlgorithm.solve).
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         self._check_feasible(query)
         query_node = self.context.query_node(query)
@@ -242,9 +233,7 @@ class NetworkBnBExact(_NetworkAlgorithm):
     exact = True
     max_expansions = 500_000
 
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
+    def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         self._check_feasible(query)
         if self.cost.query_aggregate is QueryAggregate.MIN:
@@ -255,12 +244,6 @@ class NetworkBnBExact(_NetworkAlgorithm):
         query_node = context.query_node(query)
         incumbent, _ = self._nn_set(query, query_node)
         incumbent_cost = context.evaluate(self.cost, query_node, incumbent)
-        # Achieved incumbent and pruning bound tracked separately, like
-        # the Euclidean exact solvers: the slacked external bound is only
-        # ever a cutoff, never a result.
-        bound = incumbent_cost
-        if initial_upper_bound is not None:
-            bound = min(bound, prune_cutoff(initial_upper_bound))
 
         relevant = context.dataset.relevant_objects(query.keywords)
         from_query = context.distances_from_node(query_node)
@@ -286,7 +269,7 @@ class NetworkBnBExact(_NetworkAlgorithm):
         while heap:
             self._checkpoint()
             lb, _, chosen, covered, qsum, qmax, diam = heapq.heappop(heap)
-            if lb >= bound:
+            if lb >= incumbent_cost:
                 break
             if covered >= query.keywords:
                 candidate = list(chosen)
@@ -294,8 +277,6 @@ class NetworkBnBExact(_NetworkAlgorithm):
                 if cost_value < incumbent_cost:
                     incumbent_cost = cost_value
                     incumbent = candidate
-                    if incumbent_cost < bound:
-                        bound = incumbent_cost
                 continue
             expansions += 1
             self._bump("states_expanded")
@@ -329,7 +310,7 @@ class NetworkBnBExact(_NetworkAlgorithm):
                 else:
                     q_bound = max(new_qmax, pending)
                 child_lb = self.cost.combine(q_bound, new_diam)
-                if child_lb < bound:
+                if child_lb < incumbent_cost:
                     heapq.heappush(
                         heap,
                         (

@@ -150,21 +150,12 @@ class CachedSolver:
             cost_name = getattr(cost, "name", None)
         self.cost_name = cost_name
 
-    def solve(
-        self, query: Query, initial_upper_bound: Optional[float] = None
-    ) -> CoSKQResult:
-        # The cache key deliberately excludes ``initial_upper_bound``: a
-        # feasible seed bound never changes the returned cost (see
-        # CoSKQAlgorithm.solve), so a cached answer remains valid for any
-        # bound and a seeded miss may serve later unseeded hits.
+    def solve(self, query: Query) -> CoSKQResult:
         key = result_key(query, self.name, self.cost_name)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        if initial_upper_bound is None:
-            result = self.solver.solve(query)
-        else:
-            result = self.solver.solve(query, initial_upper_bound=initial_upper_bound)
+        result = self.solver.solve(query)
         if result.provenance is None or not result.provenance.degraded:
             self.cache.put(key, result)
         return result

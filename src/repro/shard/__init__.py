@@ -1,4 +1,4 @@
-"""Spatial sharding: STR-partitioned indexes + bound-driven scatter-gather.
+"""Spatial sharding: STR-partitioned indexes + mask-restricted scatter-gather.
 
 Public surface (docs/SHARDING.md):
 
@@ -12,12 +12,11 @@ Public surface (docs/SHARDING.md):
   stand-in for :class:`~repro.algorithms.base.SearchContext` binding a
   shard count;
 - :class:`~repro.shard.engine.ScatterGather` — the query engine that
-  seeds an incumbent bound, prunes shards it proves irrelevant, and runs
-  the inner solver over the survivors, bit-identical to the
-  single-index baseline.
+  drops shards whose keyword union misses the query and runs the inner
+  solver over the rest, bit-identical to the single-index baseline.
 """
 
-from repro.shard.engine import MASK_ONLY_SOLVERS, ScatterGather
+from repro.shard.engine import ScatterGather
 from repro.shard.index import (
     DEFAULT_NUM_SHARDS,
     Shard,
@@ -28,7 +27,6 @@ from repro.shard.partition import ShardSummary, str_partition, summarize
 
 __all__ = [
     "DEFAULT_NUM_SHARDS",
-    "MASK_ONLY_SOLVERS",
     "ScatterGather",
     "Shard",
     "ShardedIndex",

@@ -47,12 +47,25 @@ DEFAULT_NUM_SHARDS = 8
 class Shard:
     """One tile: its index and its read-only pruning summary."""
 
-    __slots__ = ("shard_id", "tree", "summary")
+    __slots__ = ("shard_id", "tree", "summary", "probe")
 
     def __init__(self, shard_id: int, tree: KeywordTreeIndex, summary: ShardSummary):
         self.shard_id = shard_id
         self.tree = tree
         self.summary = summary
+        # The stream's setup row: MBR corners, keyword mask, id and tree
+        # unpacked once, so neither the setup loop nor a restricted view
+        # does attribute chasing.
+        mbr = summary.mbr
+        self.probe: Tuple[float, float, float, float, int, int, KeywordTreeIndex] = (
+            mbr.min_x,
+            mbr.min_y,
+            mbr.max_x,
+            mbr.max_y,
+            summary.kw_mask,
+            shard_id,
+            tree,
+        )
 
     def __repr__(self) -> str:
         return "Shard(%d, %d objects)" % (self.shard_id, self.summary.count)
@@ -90,23 +103,7 @@ class ShardedIndex:
         self.num_shards_requested = num_shards_requested
         self._size = sum(shard.summary.count for shard in self._shards)
         self.stats = _ShardStats()
-        # Flat probe table for the stream's setup loop: MBR corners,
-        # keyword mask, id and tree unpacked once so the loop does no
-        # attribute chasing.
-        self._probe: Tuple[
-            Tuple[float, float, float, float, int, int, KeywordTreeIndex], ...
-        ] = tuple(
-            (
-                shard.summary.mbr.min_x,
-                shard.summary.mbr.min_y,
-                shard.summary.mbr.max_x,
-                shard.summary.mbr.max_y,
-                shard.summary.kw_mask,
-                shard.shard_id,
-                shard.tree,
-            )
-            for shard in self._shards
-        )
+        self._probe = tuple(shard.probe for shard in self._shards)
 
     # -- construction --------------------------------------------------------
 

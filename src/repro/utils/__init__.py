@@ -5,20 +5,17 @@ from repro.utils.floatcmp import (
     float_eq,
     float_geq,
     float_leq,
-    float_ne,
     is_zero,
 )
-from repro.utils.rng import make_rng, substream
+from repro.utils.rng import substream
 from repro.utils.stats import Summary, harmonic_number, percentile, summarize
 
 __all__ = [
     "EPSILON",
     "float_eq",
-    "float_ne",
     "float_leq",
     "float_geq",
     "is_zero",
-    "make_rng",
     "substream",
     "harmonic_number",
     "percentile",

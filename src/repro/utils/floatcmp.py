@@ -15,39 +15,20 @@ import math
 
 __all__ = [
     "EPSILON",
-    "PRUNE_REL_SLACK",
-    "PRUNE_ABS_SLACK",
     "float_eq",
-    "float_ne",
     "float_leq",
     "float_geq",
     "is_zero",
-    "prune_cutoff",
 ]
 
 #: Default tolerance, used both relatively and absolutely.  Coordinates
 #: live in the unit square, so absolute and relative scales coincide.
 EPSILON = 1e-9
 
-#: Relative + absolute slack applied to an *externally supplied* cost
-#: bound before it is used in a ``>=``-style pruning comparison (the
-#: shard engine's bound rule, the seeded exact searches).  A feasible
-#: solution whose cost equals the bound exactly then stays strictly
-#: below the cutoff and is explored rather than pruned — which is what
-#: makes seeded and unseeded runs return bit-identical costs even when
-#: the seed already is the optimum.
-PRUNE_REL_SLACK = 1e-9
-PRUNE_ABS_SLACK = 1e-12
-
 
 def float_eq(a: float, b: float, eps: float = EPSILON) -> bool:
     """Tolerant equality for distances/costs (relative *or* absolute)."""
     return math.isclose(a, b, rel_tol=eps, abs_tol=eps)
-
-
-def float_ne(a: float, b: float, eps: float = EPSILON) -> bool:
-    """Tolerant inequality: the negation of :func:`float_eq`."""
-    return not float_eq(a, b, eps)
 
 
 def float_leq(a: float, b: float, eps: float = EPSILON) -> bool:
@@ -63,21 +44,3 @@ def float_geq(a: float, b: float, eps: float = EPSILON) -> bool:
 def is_zero(value: float, eps: float = EPSILON) -> bool:
     """Whether a distance-like value is zero up to tolerance."""
     return abs(value) <= eps
-
-
-def prune_cutoff(bound: float) -> float:
-    """The slacked pruning threshold for an external cost bound.
-
-    ``bound`` must be the cost of some *feasible* solution (hence an
-    upper bound on the optimum).  Search-state prunes of the form
-    ``candidate_lower_bound >= cutoff`` are then sound *and* identity
-    preserving: every set costing at most ``bound`` — the optimum in
-    particular — stays strictly below the cutoff, so it is still
-    explored, while anything provably above the bound is cut.  The
-    slack also absorbs last-ulp float noise in bound arithmetic (same
-    constants the sharded scatter-gather engine has always used for its
-    bound rule).
-    """
-    if math.isinf(bound):
-        return bound
-    return bound * (1.0 + PRUNE_REL_SLACK) + PRUNE_ABS_SLACK

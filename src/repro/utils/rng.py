@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import random
 
-__all__ = ["make_rng", "substream"]
-
-
-def make_rng(seed: int | None) -> random.Random:
-    """A fresh `random.Random` for ``seed`` (system entropy when None)."""
-    return random.Random(seed)
+__all__ = ["substream"]
 
 
 def substream(seed: int, label: str) -> random.Random:

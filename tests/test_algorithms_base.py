@@ -1,16 +1,14 @@
-"""Tests for the shared algorithm machinery (context, N(q), helpers)."""
+"""Tests for the shared algorithm machinery (context, N(q), registry)."""
 
 import pytest
 
-from repro.algorithms.base import NNSet, SearchContext, minimal_subset
+from repro.algorithms.base import NNSet, SearchContext
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
 from repro.cost.functions import DiaCost, MaxSumCost, cost_by_name
 from repro.errors import InfeasibleQueryError, InvalidParameterError
 from repro.exec import FaultPlan, chaos_context
-from repro.geometry.point import Point
 from repro.index.keyword_trees import KeywordTreeIndex
 from repro.index.neighbors import LinearScanIndex
-from repro.model.objects import SpatialObject
 from repro.model.query import Query
 
 
@@ -74,32 +72,6 @@ class TestNNSet:
         assert not any(
             method == "nearest_relevant_iter" for method, _ in context.index.call_log
         )
-
-
-class TestMinimalSubset:
-    def _obj(self, oid, x, y, keywords):
-        return SpatialObject(oid, Point(x, y), frozenset(keywords))
-
-    def test_drops_redundant_objects(self):
-        query = Query.create(0, 0, [1, 2])
-        rich = self._obj(0, 1, 0, [1, 2])
-        redundant = self._obj(1, 50, 0, [1])
-        kept = minimal_subset(query, [rich, redundant])
-        assert [o.oid for o in kept] == [0]
-
-    def test_keeps_necessary_objects(self):
-        query = Query.create(0, 0, [1, 2])
-        a = self._obj(0, 1, 0, [1])
-        b = self._obj(1, 2, 0, [2])
-        kept = minimal_subset(query, [a, b])
-        assert sorted(o.oid for o in kept) == [0, 1]
-
-    def test_prefers_dropping_far_objects(self):
-        query = Query.create(0, 0, [1])
-        near = self._obj(0, 1, 0, [1])
-        far = self._obj(1, 100, 0, [1])
-        kept = minimal_subset(query, [near, far])
-        assert [o.oid for o in kept] == [0]
 
 
 class TestRegistry:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.base import SearchContext
 from repro.algorithms.bruteforce import BruteForceExact
-from repro.algorithms.sum_algorithms import SumExact, SumGreedy, sum_greedy_ratio_bound
+from repro.algorithms.sum_algorithms import SumExact, SumGreedy
 from repro.cost.functions import SumCost
 from repro.data.generators import uniform_dataset
 from repro.data.queries import generate_queries
@@ -80,10 +80,6 @@ class TestSumGreedy:
             optimal = SumExact(context).solve(query)
             got = SumGreedy(context).solve(query)
             assert got.cost <= optimal.cost * harmonic_number(query.size) + TOL
-
-    def test_ratio_bound_helper(self):
-        assert sum_greedy_ratio_bound(1) == pytest.approx(1.0)
-        assert sum_greedy_ratio_bound(3) == pytest.approx(1 + 0.5 + 1 / 3)
 
     def test_greedy_never_beats_exact(self, tiny_context, tiny_queries):
         for query in tiny_queries:

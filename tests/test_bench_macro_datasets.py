@@ -20,10 +20,15 @@ from repro.bench.macro.datasets import (
     DatasetSpec,
     build_dataset,
     content_hash,
-    spec_content_hash,
 )
 from repro.data.queries import generate_queries
 from repro.errors import InvalidParameterError
+
+
+def spec_content_hash(spec: DatasetSpec) -> str:
+    """Generate ``spec`` from scratch and hash it (picklable for the pool)."""
+    return content_hash(build_dataset(spec))
+
 
 SPEC = DatasetSpec(name="det", kind="uniform", size=400, seed=13)
 

@@ -15,7 +15,10 @@ import json
 import pytest
 
 from repro.bench.cli import main as bench_main
-from repro.bench.macro import PROFILES, validate_summary
+from repro.bench.macro import PROFILES, runner, validate_summary
+from repro.bench.macro.datasets import DatasetSpec
+from repro.bench.macro.workloads import Profile, WorkloadSpec
+from repro.index.inverted import InvertedIndex
 from repro.tools.macro_cli import main as macro_main
 
 
@@ -76,6 +79,48 @@ class TestSmokeRun:
         assert batch["throughput_qps"] > 0
         # A cold cell: the workers run without a result cache.
         assert batch["cache_stats"] is None
+
+
+class TestTimedPasses:
+    def test_no_index_is_built_inside_a_timed_pass(self, tmp_path, monkeypatch):
+        """Index builds are set-up: every InvertedIndex exists before timing."""
+        timing = []
+        built_while_timing = []
+        build = InvertedIndex.__init__
+        timed_pass = runner._timed_pass
+
+        def counted_build(self, *args, **kwargs):
+            built_while_timing.append(bool(timing))
+            build(self, *args, **kwargs)
+
+        def flagged_pass(*args, **kwargs):
+            timing.append(True)
+            try:
+                return timed_pass(*args, **kwargs)
+            finally:
+                timing.pop()
+
+        monkeypatch.setattr(InvertedIndex, "__init__", counted_build)
+        monkeypatch.setattr(runner, "_timed_pass", flagged_pass)
+        profile = Profile(
+            name="timed-passes",
+            description="a sharded cell first, then a solver cell",
+            datasets=(DatasetSpec(name="tiny", kind="uniform", size=200, seed=7),),
+            workloads=(
+                WorkloadSpec(
+                    id="sharded",
+                    dataset="tiny",
+                    kind="sharded",
+                    num_keywords=3,
+                    queries=3,
+                    shards=4,
+                ),
+                WorkloadSpec(id="solver", dataset="tiny", num_keywords=3, queries=3),
+            ),
+            seed=7,
+        )
+        runner.run_profile(profile, cache_dir=tmp_path)
+        assert built_while_timing and not any(built_while_timing)
 
 
 class TestDiffGate:

@@ -1,14 +1,10 @@
 """Property-based checks of cost-function algebra (hypothesis).
 
-Two families of invariants:
-
-1. **MaxSum/Dia sandwich.**  Writing ``a = max d(o,q)`` and
-   ``b = diam(S)``, the implementation evaluates MaxSum as
-   ``0.5·a + 0.5·b`` (α = 0.5) and Dia as ``max(a, b)``, so for every
-   feasible set ``maxsum(S) ≤ dia(S) ≤ 2·maxsum(S)`` — the unweighted
-   paper form's ``dia ≤ maxsum ≤ 2·dia`` scaled by the α = 0.5 factor.
-2. **minimal_subset safety.**  Pruning keyword-redundant objects keeps
-   the set feasible and never increases a monotone cost.
+**MaxSum/Dia sandwich.**  Writing ``a = max d(o,q)`` and ``b = diam(S)``,
+the implementation evaluates MaxSum as ``0.5·a + 0.5·b`` (α = 0.5) and
+Dia as ``max(a, b)``, so for every feasible set
+``maxsum(S) ≤ dia(S) ≤ 2·maxsum(S)`` — the unweighted paper form's
+``dia ≤ maxsum ≤ 2·dia`` scaled by the α = 0.5 factor.
 """
 
 from __future__ import annotations
@@ -16,7 +12,6 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.algorithms.base import minimal_subset
 from repro.cost.functions import DiaCost, MaxSumCost
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
@@ -43,19 +38,12 @@ def feasible_instance(draw):
                 oid, draw(COORD), draw(COORD), {keyword} | extra
             )
         )
-    # A few redundant extras exercise the pruning path.
+    # A few extra objects beyond one carrier per keyword.
     for oid in range(len(objects), len(objects) + draw(st.integers(0, 3))):
         objects.append(
             SpatialObject.create(oid, draw(COORD), draw(COORD), draw(KEYWORD_IDS))
         )
     return query, objects
-
-
-def covered(objects):
-    keywords: set = set()
-    for obj in objects:
-        keywords |= obj.keywords
-    return keywords
 
 
 class TestMaxSumDiaSandwich:
@@ -88,42 +76,3 @@ class TestMaxSumDiaSandwich:
         maxsum = MaxSumCost().evaluate(query, solo)
         dia = DiaCost().evaluate(query, solo)
         assert float_leq(dia, 2.0 * maxsum) and float_leq(2.0 * maxsum, dia)
-
-
-class TestMinimalSubset:
-    @given(feasible_instance())
-    def test_stays_feasible(self, instance):
-        query, objects = instance
-        pruned = minimal_subset(query, objects)
-        assert pruned
-        assert query.keywords <= covered(pruned)
-
-    @given(feasible_instance())
-    def test_is_subset_of_input(self, instance):
-        query, objects = instance
-        pruned = minimal_subset(query, objects)
-        oids = {obj.oid for obj in objects}
-        assert {obj.oid for obj in pruned} <= oids
-
-    @given(feasible_instance())
-    def test_never_costlier_under_maxsum(self, instance):
-        query, objects = instance
-        pruned = minimal_subset(query, objects)
-        before = MaxSumCost().evaluate(query, objects)
-        after = MaxSumCost().evaluate(query, pruned)
-        assert float_leq(after, before)
-
-    @given(feasible_instance())
-    def test_never_costlier_under_dia(self, instance):
-        query, objects = instance
-        pruned = minimal_subset(query, objects)
-        before = DiaCost().evaluate(query, objects)
-        after = DiaCost().evaluate(query, pruned)
-        assert float_leq(after, before)
-
-    @given(feasible_instance())
-    def test_idempotent(self, instance):
-        query, objects = instance
-        once = minimal_subset(query, objects)
-        twice = minimal_subset(query, once)
-        assert {obj.oid for obj in twice} == {obj.oid for obj in once}

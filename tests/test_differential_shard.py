@@ -7,10 +7,9 @@ Two claims are gated, mirroring the signatures/kernels differentials:
    cost float and object set as over a single index, for several
    shard counts (including the degenerate 1-shard facade).
 2. **Engine identity** — the :class:`~repro.shard.engine.ScatterGather`
-   engine (seed pass, mask pruning, bound pruning, restricted rerun)
-   changes nothing either, for every solver and every cost function —
-   the pruning-bound derivation in ``docs/SHARDING.md`` is exactly the
-   claim this file enforces.
+   engine (mask pruning, restricted rerun) changes nothing either, for
+   every solver and every cost function — the mask rule in
+   ``docs/SHARDING.md`` is exactly the claim this file enforces.
 
 On top sit per-shard chaos drills (a faulting shard surfaces the typed
 error; a zero-fault plan changes nothing), hypothesis properties of the
@@ -35,7 +34,6 @@ from repro.exec.chaos import ChaosIndex, FaultPlan
 from repro.geometry.mbr import MBR
 from repro.index.signatures import mask_of
 from repro.shard import (
-    MASK_ONLY_SOLVERS,
     ScatterGather,
     Shard,
     ShardedIndex,
@@ -105,7 +103,7 @@ class TestEngineIdentity:
 
     @pytest.mark.parametrize("cost_name", sorted(ALL_COSTS))
     def test_every_cost_through_the_engine(self, identity_instance, cost_name):
-        """Bound pruning must defer to the cost (MIN costs: mask only)."""
+        """The mask rule holds under every cost, MIN aggregates included."""
         dataset, context, queries = identity_instance
         for solver_name in ("maxsum-appro", "unified-exact"):
             baseline = fingerprints(
@@ -120,22 +118,22 @@ class TestEngineIdentity:
         dataset, _, queries = instance
         sharded = SearchContext(dataset, index_cls=ShardedIndexFactory(9))
         engine = ScatterGather(sharded, "maxsum-exact")
-        scanned_less = False
         for query in queries:
             counters = engine.solve(query).counters
-            total = counters["shards_total"]
-            accounted = (
-                counters["shards_scanned"]
-                + counters.get("shards_pruned_mask", 0)
-                + counters.get("shards_pruned_bound", 0)
+            assert (
+                counters["shards_scanned"] + counters["shards_pruned_mask"]
+                == counters["shards_total"]
             )
-            assert accounted == total
-            if counters["shards_scanned"] < total:
-                scanned_less = True
-        assert scanned_less  # bound pruning fires on this instance
-
-    def test_mask_only_set_matches_registry(self):
-        assert MASK_ONLY_SOLVERS <= set(ALGORITHM_NAMES)
+        # Distance pruning is the facade's: its lazy merge leaves the
+        # shards beyond the solver's incumbent unexpanded.
+        solver = make_algorithm("maxsum-exact", sharded)
+        for query in queries:
+            solver.solve(query)
+        stats = sharded.index.stats.as_dict()
+        assert (
+            stats["relevant_iter_shards_expanded"]
+            < sharded.index.shard_count * len(queries)
+        )
 
 
 def _chaos_facade(index: ShardedIndex, plan_for):

@@ -31,7 +31,6 @@ class TestFilesExist:
             "docs/SERVING.md",
             "docs/BENCHMARKS.md",
             "docs/SHARDING.md",
-            "docs/SEEDING.md",
         ],
     )
     def test_present_and_substantial(self, name):
@@ -117,13 +116,9 @@ class TestReadme:
         assert "docs/BENCHMARKS.md" in read("README.md")
 
     def test_sharding_doc_is_current(self):
-        # docs/SHARDING.md promises the mask-only solver set, the shard
-        # make targets and a recorded benchmark file; fail if they move.
-        from repro.shard import MASK_ONLY_SOLVERS
-
+        # docs/SHARDING.md promises the shard make targets and a recorded
+        # benchmark file; fail if they move.
         doc = read("docs/SHARDING.md")
-        for name in MASK_ONLY_SOLVERS:
-            assert "`%s`" % name in doc, name
         makefile = read("Makefile")
         for target in ("shard-check", "shard-bench"):
             assert "make %s" % target in doc, target
@@ -137,20 +132,6 @@ class TestReadme:
 
         shard_profile = PROFILES["shard"]
         assert all(w.kind == "sharded" for w in shard_profile.workloads)
-
-    def test_seeding_doc_is_current(self):
-        # docs/SEEDING.md promises the seeding API, the solve contract
-        # and the frozen planner record; fail if the code moves away.
-        from repro.algorithms import seeding
-
-        doc = read("docs/SEEDING.md")
-        for name in ("compute_seed", "make_seeder"):
-            assert "`%s`" % name in doc, name
-            assert hasattr(seeding, name), name
-        assert "`initial_upper_bound`" in doc
-        assert "BENCH_adaptive.json" in doc
-        assert (ROOT / "BENCH_adaptive.json").exists()
-        assert "docs/SEEDING.md" in read("README.md")
 
     def test_macro_golden_fixture_exists(self):
         golden = ROOT / "tests" / "fixtures" / "bench_macro_smoke.golden.json"

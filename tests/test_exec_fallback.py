@@ -394,32 +394,3 @@ class TestBatchExecutor:
             assert (report.results[index] is not None) == expected_ok
         for failure in report.failures:
             assert failure.error_type == "AssertionError"
-
-
-class TestResilienceStudy:
-    def test_counts_and_timing(self, tiny_context, tiny_queries):
-        from repro.bench.runner import resilience_study
-
-        chain = FallbackChain.of(
-            tiny_context, "maxsum-exact", "maxsum-appro", "nn-set"
-        )
-        executor = ResilientExecutor(chain, ExecutionPolicy(work_budget=3))
-        study = resilience_study(executor, tiny_queries)
-        assert study.answered == len(tiny_queries)
-        assert study.degraded >= 1  # a 3-tick budget degrades most queries
-        assert study.failed == 0
-        assert study.times.count == len(tiny_queries)
-        assert study.total == len(tiny_queries)
-        assert "%d/%d answered" % (study.answered, study.total) in study.summary()
-
-    def test_all_failures_yield_empty_timing(self, tiny_queries):
-        from repro.bench.runner import resilience_study
-
-        stage = _StubStage(
-            "dead", [ValueError("x") for _ in tiny_queries]
-        )
-        study = resilience_study(stage, tiny_queries)
-        assert study.answered == 0
-        assert study.failed == len(tiny_queries)
-        assert study.times.count == 0
-        assert study.failures[0][1] == "ValueError"

@@ -20,7 +20,6 @@ from repro.errors import (
 from repro.exec import (
     DEFAULT_CHECKPOINT_INTERVAL,
     Budget,
-    Checkpoint,
     ExecutionPolicy,
     ManualClock,
     MonotonicClock,
@@ -85,9 +84,6 @@ class TestBudgetWork:
             Budget(work_limit=-1)
         with pytest.raises(InvalidParameterError):
             Budget(checkpoint_interval=0)
-
-    def test_budget_satisfies_checkpoint_protocol(self):
-        assert isinstance(Budget(), Checkpoint)
 
 
 class TestBudgetDeadline:

@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.point import (
-    Point,
-    centroid,
-    diameter,
-    distance,
-    distance_xy,
-    farthest_pair,
-    midpoint,
-    squared_distance,
-)
+from repro.geometry.point import Point, diameter, distance
 
 coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -54,23 +45,6 @@ class TestFreeFunctions:
         a, b = Point(0, 1), Point(1, 0)
         assert distance(a, b) == pytest.approx(a.distance_to(b))
 
-    def test_distance_xy(self):
-        assert distance_xy(0, 0, 3, 4) == pytest.approx(5.0)
-
-    def test_squared_distance(self):
-        assert squared_distance(Point(0, 0), Point(2, 0)) == pytest.approx(4.0)
-
-    def test_midpoint(self):
-        assert midpoint(Point(0, 0), Point(2, 4)) == Point(1, 2)
-
-    def test_centroid(self):
-        c = centroid([Point(0, 0), Point(2, 0), Point(1, 3)])
-        assert c == Point(1, 1)
-
-    def test_centroid_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid([])
-
     def test_diameter_of_fewer_than_two_points(self):
         assert diameter([]) == 0.0
         assert diameter([Point(5, 5)]) == 0.0
@@ -78,15 +52,6 @@ class TestFreeFunctions:
     def test_diameter_known_value(self):
         pts = [Point(0, 0), Point(1, 0), Point(0, 2)]
         assert diameter(pts) == pytest.approx(math.sqrt(5))
-
-    def test_farthest_pair_indices(self):
-        pts = [Point(0, 0), Point(1, 0), Point(0, 2)]
-        i, j, d = farthest_pair(pts)
-        assert (i, j) == (1, 2)
-        assert d == pytest.approx(math.sqrt(5))
-
-    def test_farthest_pair_degenerate(self):
-        assert farthest_pair([Point(0, 0)]) == (0, 0, 0.0)
 
 
 class TestMetricProperties:

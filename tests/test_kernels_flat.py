@@ -23,7 +23,6 @@ from repro.cost.base import pairwise_max_distance
 from repro.geometry.point import Point
 from repro.kernels.flat import (
     cap_bands,
-    farthest_pair,
     first_beyond,
     lens_lower_bound,
     lens_scan,
@@ -58,16 +57,6 @@ def naive_pairwise_max(pts):
     return best
 
 
-def naive_farthest(pts):
-    besti, bestj, best = 0, 0, 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
-            if d > best:
-                besti, bestj, best = i, j, d
-    return besti, bestj, best
-
-
 def naive_max_from(x, y, pts):
     best = 0.0
     for a, b in pts:
@@ -85,11 +74,6 @@ class TestKernelBitIdentity:
     def test_pairwise_max(self, pts):
         xs, ys = _pack(pts)
         assert pairwise_max(xs, ys) == naive_pairwise_max(pts)
-
-    @given(pts=point_lists)
-    def test_farthest_pair(self, pts):
-        xs, ys = _pack(pts)
-        assert farthest_pair(xs, ys) == naive_farthest(pts)
 
     @given(pts=point_lists, c=st.tuples(coords, coords))
     def test_max_distance_from(self, pts, c):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.utils.rng import make_rng, substream
+from repro.utils.rng import substream
 from repro.utils.stats import Summary, harmonic_number, percentile, summarize
 
 
@@ -62,9 +62,6 @@ class TestSummarize:
 
 
 class TestRng:
-    def test_make_rng_deterministic(self):
-        assert make_rng(5).random() == make_rng(5).random()
-
     def test_substreams_independent(self):
         a = substream(1, "spatial").random()
         b = substream(1, "text").random()
