@@ -1,14 +1,11 @@
-"""Benchmark harness: runners, reports and the experiment suite."""
+"""Benchmark harness: runners, reports and the experiment suite.
 
-from repro.bench.experiments import EXPERIMENTS, FULL, QUICK, Scale, run_experiment
-from repro.bench.report import SeriesTable, format_kv_table
-from repro.bench.runner import (
-    RatioResult,
-    TimingResult,
-    ratio_study,
-    solve_all,
-    time_algorithm,
-)
+The names below resolve on first use (:mod:`repro.utils.lazy`), so
+importing one submodule, such as :mod:`repro.bench.macro.datasets`,
+imports no other.
+"""
+
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "EXPERIMENTS",
@@ -24,3 +21,18 @@ __all__ = [
     "ratio_study",
     "solve_all",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "experiments": ("EXPERIMENTS", "FULL", "QUICK", "Scale", "run_experiment"),
+        "report": ("SeriesTable", "format_kv_table"),
+        "runner": (
+            "RatioResult",
+            "TimingResult",
+            "ratio_study",
+            "solve_all",
+            "time_algorithm",
+        ),
+    },
+)

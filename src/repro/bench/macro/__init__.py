@@ -19,27 +19,12 @@ The pieces (see docs/BENCHMARKS.md):
 - :mod:`repro.bench.macro.diffmode`  — the two-run regression gate.
 
 Entry points: ``coskq-bench run`` / ``coskq-bench diff`` (also installed
-standalone as ``coskq-bench-macro``).
+standalone as ``coskq-bench-macro``).  The names below resolve on first
+use (:mod:`repro.utils.lazy`): reading a pinned dataset does not import
+the runner and its process pool.
 """
 
-from repro.bench.macro.aggregate import LatencyAccumulator, throughput_qps
-from repro.bench.macro.datasets import (
-    DatasetCache,
-    DatasetSpec,
-    build_dataset,
-    content_hash,
-)
-from repro.bench.macro.diffmode import DiffEntry, DiffReport, diff_summaries
-from repro.bench.macro.runner import run_profile
-from repro.bench.macro.schema import (
-    SCHEMA_VERSION,
-    SchemaVersionMismatchError,
-    SummarySchemaError,
-    assert_valid,
-    canonical_summary,
-    validate_summary,
-)
-from repro.bench.macro.workloads import PROFILES, Profile, WorkloadSpec
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "DatasetCache",
@@ -62,3 +47,22 @@ __all__ = [
     "throughput_qps",
     "validate_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "aggregate": ("LatencyAccumulator", "throughput_qps"),
+        "datasets": ("DatasetCache", "DatasetSpec", "build_dataset", "content_hash"),
+        "diffmode": ("DiffEntry", "DiffReport", "diff_summaries"),
+        "runner": ("run_profile",),
+        "schema": (
+            "SCHEMA_VERSION",
+            "SchemaVersionMismatchError",
+            "SummarySchemaError",
+            "assert_valid",
+            "canonical_summary",
+            "validate_summary",
+        ),
+        "workloads": ("PROFILES", "Profile", "WorkloadSpec"),
+    },
+)

@@ -20,7 +20,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.errors import DatasetFormatError, InvalidParameterError
+from repro.errors import (
+    DatasetFormatError,
+    InvalidParameterError,
+    UnknownKeywordError,
+)
 from repro.model.dataset import Dataset, text_lines
 from repro.model.query import Query
 from repro.model.vocabulary import Vocabulary
@@ -109,8 +113,9 @@ def load_query_file(path: str | Path, vocabulary: Vocabulary) -> List[Query]:
 
     Same shape as the dataset format: one query per line,
     ``x<TAB>y<TAB>word word ...``; blank lines and ``#`` comments are
-    skipped.  Words resolve against ``vocabulary`` (unknown words raise
-    the usual :class:`~repro.errors.UnknownKeywordError`).
+    skipped.  Words resolve against ``vocabulary``.  Every bad line, an
+    unknown word or a non-finite coordinate among them, raises
+    :class:`~repro.errors.DatasetFormatError` naming the line.
     """
     queries: List[Query] = []
     for lineno, line in enumerate(text_lines(path), start=1):
@@ -135,7 +140,10 @@ def load_query_file(path: str | Path, vocabulary: Vocabulary) -> List[Query]:
             raise DatasetFormatError(
                 "query line %d: query has no keywords" % lineno
             )
-        queries.append(Query.from_words(x, y, words, vocabulary))
+        try:
+            queries.append(Query.from_words(x, y, words, vocabulary))
+        except (InvalidParameterError, UnknownKeywordError) as exc:
+            raise DatasetFormatError("query line %d: %s" % (lineno, exc)) from exc
     if not queries:
         raise DatasetFormatError("query file %s holds no queries" % path)
     return queries

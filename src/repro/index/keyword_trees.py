@@ -24,6 +24,13 @@ Every tree lives in flat arrays shared by the whole index:
   ``_leaves``) range over the entry array, internal nodes over a
   child-id array.
 
+Coordinates and MBRs are ``array("d")``; every id column (ranks, oids,
+entries, ranges, child ids, roots, keyword slots and offsets) is a
+4-byte ``array("i")``, which raises :class:`OverflowError` on an id
+past ``2**31 - 1`` instead of wrapping.  The slots, offsets and entries
+are the posting layout of :func:`~repro.index.inverted.group_by_keyword`
+over the ranks.
+
 A keyword with at most ``max_entries`` carriers has no node at all: its
 entry range is its single leaf.  The index is built once and read-only
 afterwards.
@@ -35,19 +42,17 @@ import heapq
 import math
 from array import array
 from bisect import bisect_left
-from collections import defaultdict
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Tuple
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
+from repro.index.inverted import group_by_keyword
 from repro.model.objects import SpatialObject
 
 __all__ = ["DEFAULT_MAX_ENTRIES", "KeywordTreeIndex"]
 
 DEFAULT_MAX_ENTRIES = 16
-
-_RANK_KEY = attrgetter("location.x", "location.y", "oid")
 
 
 class KeywordTreeIndex:
@@ -77,54 +82,56 @@ class KeywordTreeIndex:
         if max_entries < 4:
             raise ValueError("max_entries must be at least 4")
         self.max_entries = max_entries
-        ranked = sorted(objects, key=_RANK_KEY)
+        # The (x, y, oid) order from three stable sorts, last key first:
+        # no key tuple per object.  Coordinates are finite, so this is
+        # the tuple order, with -0.0 and 0.0 tying.
+        ranked = list(objects)
+        ranked.sort(key=attrgetter("oid"))
+        ranked.sort(key=attrgetter("location.y"))
+        ranked.sort(key=attrgetter("location.x"))
         self._objects: List[SpatialObject] = ranked
         xs = self._xs = array("d", [o.location.x for o in ranked])
         ys = self._ys = array("d", [o.location.y for o in ranked])
-        self._oids = array("q", [o.oid for o in ranked])
-        postings: Dict[int, List[int]] = defaultdict(list)
-        for rank, obj in enumerate(ranked):
-            for k in obj.keywords:
-                postings[k].append(rank)
-        keywords = self._keywords = array("q", sorted(postings))
-        offsets = self._offsets = array("q", [0])
-        roots = self._roots = array("q")
-        entries = self._entries = array("q")
+        self._oids = array("i", [o.oid for o in ranked])
+        # Each keyword's carriers by ascending rank, so by x, as STR
+        # needs them; a multi-leaf keyword's range is then rewritten in
+        # place into its leaf order.
+        keywords, offsets, entries = group_by_keyword([o.keywords for o in ranked])
+        self._keywords, self._offsets, self._entries = keywords, offsets, entries
+        # -1 marks a single leaf; a multi-leaf keyword's root is set once
+        # the levels above its leaves are stacked.
+        roots = self._roots = array("i", [-1]) * len(keywords)
         self._x0 = array("d")
         self._y0 = array("d")
         self._x1 = array("d")
         self._y1 = array("d")
-        self._lo = array("q")
-        self._hi = array("q")
-        self._kids = array("q")
+        self._lo = array("i")
+        self._hi = array("i")
+        self._kids = array("i")
         # Leaves first, for every keyword, so that ``id < _leaves`` tells
         # a leaf; the levels above are stacked once all leaves exist.
         stacked: List[Tuple[int, int, int]] = []
         x_of = xs.__getitem__
         y_of = ys.__getitem__
-        for slot, k in enumerate(keywords):
-            carriers = postings[k]
-            if len(carriers) <= max_entries:
-                entries.extend(carriers)
-                roots.append(-1)
-            else:
-                first = len(self._lo)
-                # Carriers ascend by rank, so by x, as STR needs them.
-                for leaf in _str_tiles(carriers, max_entries, y_of):
-                    lo = len(entries)
-                    entries.extend(leaf)
-                    # A tile is a run of a y-sorted slice.
-                    self._add_node(
-                        min(map(x_of, leaf)),
-                        ys[leaf[0]],
-                        max(map(x_of, leaf)),
-                        ys[leaf[-1]],
-                        lo,
-                        len(entries),
-                    )
-                stacked.append((slot, first, len(self._lo)))
-                roots.append(-1)  # set once the levels above are stacked
-            offsets.append(len(entries))
+        for slot in range(len(keywords)):
+            at, end = offsets[slot], offsets[slot + 1]
+            if end - at <= max_entries:
+                continue
+            first = len(self._lo)
+            for leaf in _str_tiles(entries[at:end], max_entries, y_of):
+                lo = at
+                at += len(leaf)
+                entries[lo:at] = array("i", leaf)
+                # A tile is a run of a y-sorted slice.
+                self._add_node(
+                    min(map(x_of, leaf)),
+                    ys[leaf[0]],
+                    max(map(x_of, leaf)),
+                    ys[leaf[-1]],
+                    lo,
+                    at,
+                )
+            stacked.append((slot, first, len(self._lo)))
         self._leaves = len(self._lo)
         for slot, first, end in stacked:
             roots[slot] = self._stack_levels(list(range(first, end)))

@@ -125,7 +125,10 @@ class Dataset:
         vocabulary = Vocabulary()
         objects: List[SpatialObject] = []
         for oid, (x, y, words) in enumerate(records):
-            keyword_ids = frozenset(vocabulary.add(w) for w in words)
+            # Copied from a set, a frozenset's table is sized to its
+            # members; grown element by element it over-allocates (a
+            # 5-member one takes 32 slots instead of 16).
+            keyword_ids = frozenset({vocabulary.add(w) for w in words})
             objects.append(SpatialObject(oid, Point(x, y), keyword_ids))
         return Dataset(objects, vocabulary, name=name)
 

@@ -20,19 +20,12 @@ The whole package is gated by a differential/metamorphic test suite:
 engine at 1/2/4 workers for every registry solver),
 ``tests/test_metamorphic_cache.py`` (order-invariance under caching) and
 ``tests/test_exec_chaos.py`` (worker-count-independent failure sets).
-See ``docs/PARALLELISM.md`` for the design notes.
+See ``docs/PARALLELISM.md`` for the design notes.  The names below
+resolve on first use (:mod:`repro.utils.lazy`), so the result cache and
+the specs import without ``multiprocessing``.
 """
 
-from repro.parallel.cache import CachedSolver, ResultCache, result_key
-from repro.parallel.executor import ParallelBatchExecutor
-from repro.parallel.spec import (
-    CACHE_MODES,
-    CacheSpec,
-    ChaosSpec,
-    SolverSpec,
-    WorkerEnv,
-)
-from repro.parallel.worker import WorkerRuntime
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "ParallelBatchExecutor",
@@ -46,3 +39,13 @@ __all__ = [
     "ResultCache",
     "result_key",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("CachedSolver", "ResultCache", "result_key"),
+        "executor": ("ParallelBatchExecutor",),
+        "spec": ("CACHE_MODES", "CacheSpec", "ChaosSpec", "SolverSpec", "WorkerEnv"),
+        "worker": ("WorkerRuntime",),
+    },
+)

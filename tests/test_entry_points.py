@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from repro.data.generators import uniform_dataset
 from repro.data.queries import load_query_file
-from repro.errors import CoSKQError, DatasetFormatError
+from repro.errors import (
+    CoSKQError,
+    DatasetFormatError,
+    InvalidParameterError,
+    UnknownKeywordError,
+)
 from repro.model.dataset import Dataset
 from repro.serve import QueryService, ServerConfig
 from repro.tools.query_cli import main
@@ -78,6 +83,23 @@ def test_non_utf8_file_is_a_typed_error_naming_file_and_line(tmp_path, known, lo
             Dataset.load(path)
         else:
             load_query_file(path, known[1].vocabulary)
+
+
+@pytest.mark.parametrize(
+    "second, cause",
+    [("nan\t1\t%s", InvalidParameterError), ("1\t2\tfoo", UnknownKeywordError)],
+    ids=["nan-coordinate", "unknown-word"],
+)
+def test_bad_query_names_its_line(tmp_path, known, second, cause):
+    """A query the loader cannot build is refused naming its line, too."""
+    known_path, dataset, _ = known
+    word = dataset.vocabulary.word_of(0)
+    path = tmp_path / "batch.tsv"
+    path.write_text("1\t2\t%s\n%s\n" % (word, second.replace("%s", word)))
+    with pytest.raises(DatasetFormatError, match=r"^query line 2: ") as err:
+        load_query_file(path, dataset.vocabulary)
+    assert isinstance(err.value.__cause__, cause)
+    assert main([str(known_path), "--batch", str(path)]) == 1
 
 
 @settings(

@@ -1,7 +1,11 @@
-"""Tests for the inverted index."""
+"""Tests for the inverted index and its posting layout."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.point import Point
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import InvertedIndex, group_by_keyword
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
 from repro.model.vocabulary import Vocabulary
@@ -56,3 +60,44 @@ class TestInvertedIndex:
                 assert obj.oid in carriers[k]
         total_postings = sum(len(oids) for oids in carriers.values())
         assert total_postings == sum(len(o.keywords) for o in tiny_dataset)
+
+    def test_relevant_objects_order(self):
+        """Keywords in the set's order, each keyword's oids ascending."""
+        ds = make_dataset()
+        idx = InvertedIndex(ds)
+        keywords = frozenset(range(len(ds.vocabulary)))
+        expected = []
+        for k in keywords:
+            for obj in ds:
+                if k in obj.keywords and obj not in expected:
+                    expected.append(obj)
+        assert idx.relevant_objects(keywords) == expected
+
+
+class TestGroupByKeyword:
+    @given(
+        st.lists(
+            st.frozensets(st.integers(0, 2**31 - 1) | st.integers(0, 12), max_size=6),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force(self, keyword_sets):
+        expected = {}
+        for pos, keywords in enumerate(keyword_sets):
+            for k in keywords:
+                expected.setdefault(k, []).append(pos)
+        ids, offsets, positions = group_by_keyword(keyword_sets)
+        assert [a.itemsize for a in (ids, offsets, positions)] == [4, 4, 4]
+        assert list(ids) == sorted(expected)
+        assert len(offsets) == len(ids) + 1 and offsets[0] == 0
+        assert offsets[-1] == len(positions)
+        got = {
+            k: list(positions[offsets[slot] : offsets[slot + 1]])
+            for slot, k in enumerate(ids)
+        }
+        assert got == expected
+
+    def test_id_past_four_bytes_raises(self):
+        with pytest.raises(OverflowError):
+            group_by_keyword([frozenset({2**31})])

@@ -87,6 +87,21 @@ class TestStructure:
         got = [(d, o.oid) for d, o in index.nearest_relevant_iter(point, keywords)]
         assert got == brute_stream(members, point, keywords)
 
+    def test_id_columns_are_four_bytes(self, tree):
+        for name in (
+            "_oids", "_keywords", "_offsets", "_roots", "_entries", "_lo", "_hi", "_kids"
+        ):
+            assert getattr(tree, name).itemsize == 4, name
+        for name in ("_xs", "_ys", "_x0", "_y0", "_x1", "_y1"):
+            assert getattr(tree, name).typecode == "d", name
+
+    @pytest.mark.parametrize("oid, keyword", [(2**31, 0), (0, 2**31)])
+    def test_an_id_past_four_bytes_raises(self, oid, keyword):
+        """An oid or keyword id too wide for the columns fails, never wraps."""
+        members = [SpatialObject(oid, Point(0.0, 0.0), frozenset({keyword}))]
+        with pytest.raises(OverflowError):
+            KeywordTreeIndex.build(members)
+
 
 class TestInvariantChecks:
     """``check_invariants`` catches each kind of drift it claims to check."""
@@ -212,3 +227,26 @@ class TestPropertyBased:
         point = Point(px, py)
         got = [(d, o.oid) for d, o in index.nearest_relevant_iter(point, keywords)]
         assert got == brute_stream(dataset.objects, point, keywords)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([-1.5, -0.0, 0.0, 2.0]),
+                st.sampled_from([-0.0, 0.0, 1.0]),
+                st.integers(0, 2**31 - 1),
+                st.frozensets(st.integers(0, VOCAB - 1), min_size=1, max_size=3),
+            ),
+            max_size=40,
+            unique_by=lambda row: row[2],
+        ),
+        fanout=st.integers(4, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_order_is_x_y_oid(self, rows, fanout):
+        """Repeated coordinates, signed zeros, sparse oids in any order."""
+        members = [SpatialObject(oid, Point(x, y), kw) for x, y, oid, kw in rows]
+        index = KeywordTreeIndex.build(members, max_entries=fanout)
+        index.check_invariants()
+        expected = sorted(members, key=lambda o: (o.location.x, o.location.y, o.oid))
+        assert list(index.all_objects()) == expected
+        assert list(index._oids) == [o.oid for o in expected]

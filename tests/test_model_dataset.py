@@ -2,6 +2,8 @@
 
 import io
 import math
+import platform
+import sys
 
 import pytest
 
@@ -157,3 +159,26 @@ class TestSerialization:
         ds.save(path)
         loaded = Dataset.load(path)
         assert loaded.statistics() == ds.statistics()
+
+    @pytest.mark.skipif(
+        platform.python_implementation() != "CPython",
+        reason="frozenset table sizes are a CPython detail",
+    )
+    def test_loaded_keyword_sets_are_right_sized(self, tmp_path):
+        """A loaded keyword set takes no more room than a copy of a set.
+
+        Grown element by element, a 5- to 7-member frozenset would take a
+        32-slot table where 16 slots hold it.
+        """
+        path = tmp_path / "wide.tsv"
+        lines = []
+        for n in (5, 6, 7):
+            words = " ".join("w%d" % i for i in range(n))
+            lines.append("%d.0\t0.0\t%s\n" % (n, words))
+        path.write_text("".join(lines))
+        loaded = Dataset.load(path)
+        assert sorted(len(o.keywords) for o in loaded) == [5, 6, 7]
+        for obj in loaded:
+            assert sys.getsizeof(obj.keywords) <= sys.getsizeof(
+                frozenset(set(obj.keywords))
+            )

@@ -2,6 +2,9 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ PACKAGES = [
     "repro.algorithms",
     "repro.data",
     "repro.bench",
+    "repro.bench.macro",
     "repro.network",
     "repro.utils",
     "repro.analysis",
@@ -47,6 +51,24 @@ class TestAllConsistency:
             except Exception as exc:  # pragma: no cover - report which one
                 failures.append((info.name, exc))
         assert not failures, failures
+
+
+class TestImportHygiene:
+    @pytest.mark.parametrize(
+        "module", ["repro.serve.cli", "repro.bench.macro.datasets"]
+    )
+    def test_light_imports_leave_multiprocessing_out(self, module):
+        """Package re-exports resolve on first use, not on import."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        code = (
+            "import sys; sys.path.insert(0, %r); import %s; "
+            "print('multiprocessing' in sys.modules)" % (src, module)
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
 
 
 class TestVersion:
