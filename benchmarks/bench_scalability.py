@@ -29,7 +29,9 @@ def sized_context(request):
     else:
         from repro.model.dataset import Dataset
 
-        dataset = Dataset(base.objects[:size], base.vocabulary, name="gn-%d" % size)
+        dataset = Dataset(
+            map(base.__getitem__, range(size)), base.vocabulary, name="gn-%d" % size
+        )
     context = SearchContext(dataset)
     context.index
     return dataset, context

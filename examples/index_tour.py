@@ -29,16 +29,18 @@ def main() -> None:
     keyword = dataset.keywords_by_frequency()[10]
     word = dataset.vocabulary.word_of(keyword)
 
-    # The stream: objects carrying any of the keywords, nearest first.
+    # The stream: (distance, oid, mask) of the objects carrying any of
+    # the keywords, nearest first; bit i of mask is the i-th smallest
+    # query keyword.
     stream = index.nearest_relevant_iter(here, frozenset((keyword,)))
     print(
         "5 nearest objects containing %r:" % word,
-        ["#%d at %.2f" % (obj.oid, dist) for dist, obj in itertools.islice(stream, 5)],
+        ["#%d at %.2f" % (oid, dist) for dist, oid, _ in itertools.islice(stream, 5)],
     )
 
     # NN(p, t) is the first entry of a single-keyword stream.
-    dist, obj = next(index.nearest_relevant_iter(here, frozenset((keyword,))))
-    print("\nnearest object containing %r: #%d at distance %.2f" % (word, obj.oid, dist))
+    dist, oid, _ = next(index.nearest_relevant_iter(here, frozenset((keyword,))))
+    print("\nnearest object containing %r: #%d at distance %.2f" % (word, oid, dist))
 
     # N(q): one nearest carrier per query keyword — the seed of every
     # CoSKQ algorithm and the source of the d_f bound.  The context

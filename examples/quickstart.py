@@ -26,7 +26,8 @@ def main() -> None:
     print("dataset:", dataset)
     print("statistics:", dataset.statistics().as_row())
 
-    # 2. One SearchContext builds and shares the IR-tree + inverted index.
+    # 2. One SearchContext builds and shares the keyword trees; the dataset
+    #    already holds its keyword postings.
     context = SearchContext(dataset)
 
     # 3. A query: a location plus keywords to cover collectively.

@@ -91,7 +91,7 @@ from repro.exec import (
     chaos_context,
 )
 from repro.geometry import MBR, Circle, Point
-from repro.index import InvertedIndex, KeywordTreeIndex, LinearScanIndex
+from repro.index import KeywordTreeIndex, LinearScanIndex
 from repro.model import CoSKQResult, Dataset, Query, SpatialObject, Vocabulary
 
 __version__ = "1.0.0"
@@ -109,7 +109,6 @@ __all__ = [
     "CoSKQResult",
     # indexes
     "KeywordTreeIndex",
-    "InvertedIndex",
     "LinearScanIndex",
     # costs
     "CostFunction",

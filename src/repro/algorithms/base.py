@@ -1,14 +1,15 @@
 """Shared machinery for CoSKQ algorithms.
 
-:class:`SearchContext` bundles a dataset with the two indexes every
-algorithm needs (keyword trees + inverted index), built lazily and shared, so a
+:class:`SearchContext` bundles a dataset with the spatial index every
+algorithm needs (the keyword trees), built lazily and shared, so a
 benchmark can run many algorithms over the same data without re-indexing.
+The keyword postings belong to the dataset itself.
 
 :class:`CoSKQAlgorithm` is the algorithm interface: construct against a
 context (and usually a cost function), then call :meth:`solve` per query.
 Common query-time primitives live here too: the feasibility check and
 the nearest-neighbor set ``N(q)`` with its ``d_f`` lower bound, read
-from the index's one ``(distance, oid)`` stream.
+from the index's one ``(distance, oid, mask)`` stream.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from typing import Dict, Iterable, Optional, Tuple, Type
 
 from repro.cost.base import CostFunction
 from repro.errors import InfeasibleQueryError
-from repro.index.inverted import InvertedIndex
 from repro.index.keyword_trees import KeywordTreeIndex
 from repro.index.protocol import SpatialTextIndex
-from repro.index.signatures import shared_keywords
-from repro.model.dataset import Dataset
+from repro.index.signatures import bits_of, query_keyword_of_bit
+from repro.model.dataset import Dataset, Postings
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
@@ -48,37 +48,39 @@ class NNSet:
 
     @staticmethod
     def from_stream(
-        query: Query, entries: Iterable[Tuple[float, SpatialObject]]
+        query: Query, entries: Iterable[Tuple[float, int, int]], dataset: Dataset
     ) -> "NNSet":
         """``N(q)`` from a ``(distance, oid)``-ordered stream of ``q.ψ`` carriers.
 
-        ``NN(q, t)`` is the first entry that carries ``t``, so the
-        stream's total order gives ties to the lowest oid.  Reading stops
-        once every query keyword has its carrier; a stream that ends
-        first raises :class:`InfeasibleQueryError` with the keywords it
-        never carried.
+        ``NN(q, t)`` is the first entry whose mask carries ``t``'s bit,
+        so the stream's total order gives ties to the lowest oid.
+        Reading stops once every query keyword has its carrier; a stream
+        that ends first raises :class:`InfeasibleQueryError` with the
+        keywords it never carried.  Only the members are built from
+        ``dataset``.
         """
-        found: Dict[int, Tuple[float, SpatialObject]] = {}
-        missing = query.keywords
-        for dist, obj in entries:
-            carried = shared_keywords(obj.keywords, missing)
+        keyword_of = query_keyword_of_bit(query.keywords)
+        found: Dict[int, Tuple[float, int]] = {}
+        missing = (1 << len(keyword_of)) - 1
+        for dist, oid, mask in entries:
+            carried = mask & missing
             if carried:
-                for t in carried:
-                    found[t] = (dist, obj)
-                missing = missing - carried
+                for b in bits_of(carried):
+                    found[keyword_of[b]] = (dist, oid)
+                missing &= ~carried
                 if not missing:
                     break
         if missing:
-            raise InfeasibleQueryError(missing)
-        by_keyword = {t: found[t] for t in query.keywords}
-        seen = {obj.oid: obj for _, obj in by_keyword.values()}
-        ordered = tuple(seen[oid] for oid in sorted(seen))
+            raise InfeasibleQueryError(frozenset(keyword_of[b] for b in bits_of(missing)))
+        members = {oid: dataset[oid] for _, oid in found.values()}
+        by_keyword = {t: (found[t][0], members[found[t][1]]) for t in query.keywords}
+        ordered = tuple(members[oid] for oid in sorted(members))
         d_f = max(dist for dist, _ in by_keyword.values())
         return NNSet(by_keyword=by_keyword, objects=ordered, d_f=d_f)
 
 
 class SearchContext:
-    """A dataset plus lazily built, shared indexes."""
+    """A dataset plus its lazily built, shared spatial index."""
 
     def __init__(
         self,
@@ -90,7 +92,6 @@ class SearchContext:
         self.max_entries = max_entries
         self._index_cls = index_cls
         self._index: Optional[SpatialTextIndex] = None
-        self._inverted: Optional[InvertedIndex] = None
 
     @property
     def index(self) -> SpatialTextIndex:
@@ -109,33 +110,33 @@ class SearchContext:
         return self._index
 
     @property
-    def inverted(self) -> InvertedIndex:
-        """The inverted index, built atomically like :attr:`index`."""
-        if self._inverted is None:
-            built = InvertedIndex(self.dataset)
-            self._inverted = built
-        return self._inverted
+    def inverted(self) -> Postings:
+        """The dataset's keyword postings, built with the dataset.
+
+        Builds nothing; kept for callers that warm a context up by
+        reading it.
+        """
+        return self.dataset.postings
 
     def with_index(self, index: SpatialTextIndex) -> "SearchContext":
         """A sibling context over the same dataset with ``index`` swapped in.
 
-        The inverted index is built once, here if not before, and shared
-        (it is keyword-only, so wrappers around the spatial index — chaos
-        injection, restricted shard views — do not affect it).  Used by
+        The dataset, and with it the keyword postings, is shared, so
+        wrappers around the spatial index — chaos injection, restricted
+        shard views — do not affect feasibility.  Used by
         :func:`repro.exec.chaos.chaos_context` and the shard engine.
         """
         clone = SearchContext(
             self.dataset, max_entries=self.max_entries, index_cls=self._index_cls
         )
         clone._index = index
-        clone._inverted = self.inverted
         return clone
 
     # -- query-time primitives shared by the algorithms ---------------------
 
     def check_feasible(self, query: Query) -> None:
         """Raise :class:`InfeasibleQueryError` if coverage is impossible."""
-        missing = self.inverted.missing_keywords(query.keywords)
+        missing = self.dataset.missing_keywords(query.keywords)
         if missing:
             raise InfeasibleQueryError(missing)
 
@@ -146,7 +147,9 @@ class SearchContext:
         """
         self.check_feasible(query)
         return NNSet.from_stream(
-            query, self.index.nearest_relevant_iter(query.location, query.keywords)
+            query,
+            self.index.nearest_relevant_iter(query.location, query.keywords),
+            self.dataset,
         )
 
 

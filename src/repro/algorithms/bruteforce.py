@@ -34,7 +34,7 @@ class BruteForceExact(CoSKQAlgorithm):
     def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         self.context.check_feasible(query)
-        relevant = self.context.inverted.relevant_objects(query.keywords)
+        relevant = self.context.dataset.relevant_objects(query.keywords)
         best: Optional[List] = None
         best_cost = float("inf")
         handles_min = self.cost.query_aggregate is QueryAggregate.MIN

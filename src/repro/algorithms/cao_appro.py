@@ -22,6 +22,7 @@ from typing import List
 
 from repro.algorithms.base import CoSKQAlgorithm
 from repro.algorithms.nnset import NNSetAlgorithm
+from repro.geometry.point import Point
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
@@ -54,7 +55,7 @@ class CaoAppro2(CoSKQAlgorithm):
         # The keyword whose nearest carrier is farthest (realizes d_f).
         t_f = max(query.keywords, key=lambda t: (nn.by_keyword[t][0], t))
         index = self.context.index
-        for dist, owner in index.nearest_relevant_iter(
+        for dist, owner, _ in index.nearest_relevant_iter(
             query.location, frozenset((t_f,))
         ):
             if self.cost.combine(dist, 0.0) >= best_cost:
@@ -70,25 +71,25 @@ class CaoAppro2(CoSKQAlgorithm):
         return self._result(best, best_cost)
 
     def _complete_with_keyword_nns(
-        self, query: Query, owner: SpatialObject
+        self, query: Query, owner: int
     ) -> List[SpatialObject] | None:
         """``{owner} ∪ { NN(owner, t) : t uncovered }`` (unrestricted NNs).
 
         ``NN(owner, t)`` is the first entry of the single-keyword stream
         from the owner, so ties go to the lowest oid.
         """
-        chosen: List[SpatialObject] = [owner]
-        uncovered = set(query.keywords - owner.keywords)
+        dataset = self.context.dataset
+        chosen = [owner]
+        uncovered = set(query.keywords).difference(dataset.keywords_of(owner))
         index = self.context.index
+        location = Point(dataset.xs[owner], dataset.ys[owner])
         while uncovered:
             t = min(uncovered)
-            hit = next(
-                index.nearest_relevant_iter(owner.location, frozenset((t,))), None
-            )
+            hit = next(index.nearest_relevant_iter(location, frozenset((t,))), None)
             if hit is None:
                 return None
-            _, obj = hit
+            _, oid, _ = hit
             self._bump("nn_lookups")
-            chosen.append(obj)
-            uncovered -= obj.keywords
-        return chosen
+            chosen.append(oid)
+            uncovered.difference_update(dataset.keywords_of(oid))
+        return [dataset[oid] for oid in chosen]

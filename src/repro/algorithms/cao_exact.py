@@ -111,7 +111,7 @@ class BranchBoundExact(CoSKQAlgorithm):
         incumbent: List[SpatialObject] = list(nn.objects)
         incumbent_cost = self._evaluate(query, incumbent)
 
-        relevant = self.context.inverted.relevant_objects(query.keywords)
+        relevant = self.context.dataset.relevant_objects(query.keywords)
         qdist: Dict[int, float] = {
             o.oid: query.location.distance_to(o.location) for o in relevant
         }

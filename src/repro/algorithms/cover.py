@@ -46,12 +46,12 @@ def cover_tables(
     xs: Sequence[float],
     ys: Sequence[float],
     masks: Sequence[int],
-    objects: Sequence[SpatialObject],
+    oids: Sequence[int],
 ) -> Optional[CoverTables]:
     """The per-bit candidate tables one owner's cover search branches over.
 
     ``hits`` are stream indices, in stream order, with their exact owner
-    distances ``owner_d``; ``xs``, ``ys``, ``masks`` and ``objects`` are
+    distances ``owner_d``; ``xs``, ``ys``, ``masks`` and ``oids`` are
     the stream's arrays.  A hit's trace is ``masks[i] & want``.
     Co-located hits with the same trace are deduplicated on
     ``(x, y, trace)``, keeping the first in stream order — the lowest oid,
@@ -76,7 +76,7 @@ def cover_tables(
         if key in seen:
             continue
         seen.add(key)
-        entry = (-trace.bit_count(), objects[i].oid, i, d)
+        entry = (-trace.bit_count(), oids[i], i, d)
         if trace & (trace - 1):
             for b in bits_of(trace):
                 rows[1 << b].append(entry)

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.algorithms.base import CoSKQAlgorithm, NNSet, SearchContext
-from repro.index.signatures import mask_of
+from repro.geometry.point import Point
 from repro.kernels import lens_lower_bound, lens_scan, max_distance_from
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
@@ -41,19 +41,22 @@ from repro.model.result import CoSKQResult
 
 __all__ = ["OwnerRingApproximation", "OwnerStream", "greedy_completion_near"]
 
+
 class OwnerStream:
     """One query's owner stream, recorded as the owner loop reads it.
 
-    Iterating yields ``nearest_relevant_iter(q, q.ψ)`` entries in stream
-    order, pulling from the index only on demand; each iteration replays
-    the recorded entries first, so ``N(q)`` is read from the stream
-    (:meth:`NNSet.from_stream`) before the owner loop walks it.  Each
-    pulled entry is kept with its exact stream distance, packed x/y and
-    keyword mask, and its index joins the carrier list of every query
-    keyword it carries, so an owner at distance ``r`` finds ``C(q, r)``
-    — every completion's home — as the first :meth:`disk_end` entries
-    instead of walking the index again.  Masks have one bit per query keyword (:meth:`mask_of`),
-    so they stay small ints however large the vocabulary.
+    Iterating yields the ``nearest_relevant_iter(q, q.ψ)`` items
+    ``(distance, oid, mask)`` in stream order, pulling from the index
+    only on demand; each iteration replays the recorded entries first,
+    so ``N(q)`` is read from the stream (:meth:`NNSet.from_stream`)
+    before the owner loop walks it.  Each pulled entry is kept in flat
+    columns by its stream index — its oid, exact stream distance,
+    query-keyword mask (one bit per query keyword,
+    :func:`~repro.index.signatures.query_bits`) and the x/y read from
+    the dataset's columns — and its index joins the carrier list of
+    every query keyword it carries, so an owner at distance ``r`` finds
+    ``C(q, r)`` — every completion's home — as the first
+    :meth:`disk_end` entries instead of walking the index again.
     ``checkpoint`` is the solver's deadline probe, called once per entry
     read.
     """
@@ -67,50 +70,47 @@ class OwnerStream:
             query.location, query.keywords
         )
         self._checkpoint = checkpoint
-        # (bit, keyword, carriers of the keyword) per query keyword.
-        self._slots = tuple((1 << i, t, []) for i, t in enumerate(sorted(query.keywords)))
-        self.objects: List[SpatialObject] = []
+        self.dataset = context.dataset
+        self._dataset_xs = context.dataset.xs
+        self._dataset_ys = context.dataset.ys
+        # (bit, carriers of the bit) per query keyword.
+        self._slots = tuple((1 << i, []) for i in range(len(query.keywords)))
+        self.oids = array("i")
         self.dists: List[float] = []
         self.xs = array("d")
         self.ys = array("d")
         self.masks: List[int] = []
         #: ``carriers[b]`` lists, ascending, the entries carrying bit ``1 << b``.
-        self.carriers: Tuple[List[int], ...] = tuple(c for _, _, c in self._slots)
-
-    def mask_of(self, keywords: FrozenSet[int]) -> int:
-        """The query keywords among ``keywords``, as a stream mask."""
-        mask = 0
-        for bit, t, _ in self._slots:
-            if t in keywords:
-                mask |= bit
-        return mask
+        self.carriers: Tuple[List[int], ...] = tuple(c for _, c in self._slots)
 
     def _pull(self) -> bool:
         """Record the stream's next entry; False once it is exhausted."""
         entry = next(self._entries, None)
         if entry is None:
             return False
-        dist, obj = entry
+        dist, oid, mask = entry
         i = len(self.dists)
-        keywords = obj.keywords
-        mask = 0
-        for bit, t, carriers in self._slots:
-            if t in keywords:
-                mask |= bit
+        for bit, carriers in self._slots:
+            if mask & bit:
                 carriers.append(i)
-        self.objects.append(obj)
+        self.oids.append(oid)
         self.dists.append(dist)
-        self.xs.append(obj.location.x)
-        self.ys.append(obj.location.y)
+        self.xs.append(self._dataset_xs[oid])
+        self.ys.append(self._dataset_ys[oid])
         self.masks.append(mask)
         return True
 
-    def __iter__(self) -> Iterator[Tuple[float, SpatialObject]]:
+    def __iter__(self) -> Iterator[Tuple[float, int, int]]:
         i = 0
         while i < len(self.dists) or self._pull():
             self._checkpoint()
-            yield self.dists[i], self.objects[i]
+            yield self.dists[i], self.oids[i], self.masks[i]
             i += 1
+
+    def objects(self, indices: Iterable[int]) -> List[SpatialObject]:
+        """The objects of the entries ``indices``, built from the dataset."""
+        dataset, oids = self.dataset, self.oids
+        return [dataset[oids[i]] for i in indices]
 
     def disk_end(self, r: float) -> int:
         """How many entries lie in the closed disk ``C(q, r)``.
@@ -122,70 +122,66 @@ class OwnerStream:
             self._checkpoint()
         return bisect.bisect_right(self.dists, r)
 
-    def in_disk(self, r: float, want: int) -> List[SpatialObject]:
+    def in_disk(self, r: float, want: int) -> List[int]:
         """The entries of ``C(q, r)`` carrying a ``want`` bit, in stream order."""
         masks = self.masks
-        objects = self.objects
-        return [objects[i] for i in range(self.disk_end(r)) if masks[i] & want]
+        return [i for i in range(self.disk_end(r)) if masks[i] & want]
 
     def lens(
-        self, owner: SpatialObject, r: float, budget: float, want: int
+        self, owner: int, r: float, budget: float, want: int
     ) -> Optional[Tuple[List[int], array]]:
         """Entries of ``C(q, r) ∩ C(owner, budget)`` carrying a ``want`` bit.
 
-        Returns ``(indices, owner distances)`` in stream order, or None
-        as soon as some ``want`` keyword has no carrier in the lens
-        (:func:`lens_scan`: rarest keyword first, each entry decided
-        once).  The bisect floor (:func:`lens_lower_bound`) only skips
-        entries certain to fail the exact owner-disk test.
+        ``owner`` is a stream index.  Returns ``(indices, owner
+        distances)`` in stream order, or None as soon as some ``want``
+        keyword has no carrier in the lens (:func:`lens_scan`: rarest
+        keyword first, each entry decided once).  The bisect floor
+        (:func:`lens_lower_bound`) only skips entries certain to fail the
+        exact owner-disk test.
         """
         end = self.disk_end(r)
         start = bisect.bisect_left(self.dists, lens_lower_bound(r, budget), 0, end)
-        loc = owner.location
         return lens_scan(
-            self.carriers, want, start, end, loc.x, loc.y, self.xs, self.ys, budget
+            self.carriers,
+            want,
+            start,
+            end,
+            self.xs[owner],
+            self.ys[owner],
+            self.xs,
+            self.ys,
+            budget,
         )
 
 
 def greedy_completion_near(
-    anchor: SpatialObject,
-    uncovered: frozenset[int],
-    candidates: List[SpatialObject],
-) -> List[SpatialObject] | None:
-    """Cover ``uncovered`` greedily with candidates nearest to ``anchor``.
+    ax: float,
+    ay: float,
+    remaining: int,
+    candidates: Iterable[Tuple[float, float, int, int]],
+) -> Optional[List[int]]:
+    """Cover the bits of ``remaining`` greedily with candidates nearest ``(ax, ay)``.
 
-    Repeatedly picks the candidate closest to ``anchor`` (ties by oid)
-    that covers at least one still-uncovered keyword.  Returns the
-    chosen objects, or None when the candidates cannot cover everything.
+    ``candidates`` are ``(x, y, oid, mask)`` rows.  Repeatedly picks the
+    candidate closest to the anchor (ties by oid) whose mask covers at
+    least one still-uncovered bit.  Returns the chosen oids in pick
+    order, or None when the candidates cannot cover everything.
     """
-    chosen: List[SpatialObject] = []
-    # One sort up front; each pass consumes the next useful candidate.
+    anchor = Point(ax, ay)
     ordered = sorted(
-        candidates,
-        key=lambda o: (anchor.location.distance_to(o.location), o.oid),
+        (anchor.distance_to(Point(x, y)), oid, mask) for x, y, oid, mask in candidates
     )
-    taken = [False] * len(ordered)
-    # "Covers a still-uncovered keyword" is a nonzero AND and consuming
-    # the coverage is ``&= ~covered``.
-    remaining_mask = mask_of(uncovered)
-    masks = [mask_of(o.keywords) for o in ordered]
-    # Bounded: every pass either consumes one candidate or returns, so
-    # the loop runs at most len(ordered) iterations.
-    while remaining_mask:  # repro: noqa(R11) — bounded by len(ordered)
-        progressed = False
-        for i, obj in enumerate(ordered):
-            if taken[i]:
-                continue
-            covered_mask = masks[i] & remaining_mask
-            if covered_mask:
-                taken[i] = True
-                chosen.append(obj)
-                remaining_mask &= ~covered_mask
-                progressed = True
+    chosen: List[int] = []
+    # One pass in that order: a candidate that covers nothing new never
+    # will, because the uncovered bits only shrink.
+    for _, oid, mask in ordered:
+        covered = mask & remaining
+        if covered:
+            chosen.append(oid)
+            remaining &= ~covered
+            if not remaining:
                 break
-        if not progressed:
-            return None
-    return chosen
+    return None if remaining else chosen
 
 
 class OwnerRingApproximation(CoSKQAlgorithm):
@@ -197,11 +193,13 @@ class OwnerRingApproximation(CoSKQAlgorithm):
     def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         stream = OwnerStream(self.context, query, self._checkpoint)
-        nn = NNSet.from_stream(query, stream)
+        nn = NNSet.from_stream(query, stream, self.context.dataset)
         best: List[SpatialObject] = list(nn.objects)
         best_cost = self._evaluate(query, best)
         d_f = nn.d_f
-        for dist, owner in stream:
+        # One stream bit per query keyword.
+        full = (1 << len(query.keywords)) - 1
+        for owner, (dist, _, mask) in enumerate(stream):
             if dist < d_f:
                 # Cannot be the farthest member of any feasible set.
                 continue
@@ -210,15 +208,16 @@ class OwnerRingApproximation(CoSKQAlgorithm):
                 # later owners are farther, so stop.
                 break
             self._bump("owners_tried")
-            uncovered = query.keywords - owner.keywords
+            uncovered = full & ~mask
             if not uncovered:
-                candidate_set: Optional[List[SpatialObject]] = [owner]
+                members: Optional[List[int]] = [owner]
             else:
-                candidate_set = self._complete_from_stream(
-                    stream, owner, dist, stream.mask_of(uncovered), best_cost
+                members = self._complete_from_stream(
+                    stream, owner, dist, uncovered, best_cost
                 )
-            if candidate_set is None:
+            if members is None:
                 continue
+            candidate_set = stream.objects(members)
             cost_value = self._evaluate(query, candidate_set)
             if cost_value < best_cost:
                 best_cost = cost_value
@@ -228,12 +227,12 @@ class OwnerRingApproximation(CoSKQAlgorithm):
     def _complete_from_stream(
         self,
         stream: OwnerStream,
-        owner: SpatialObject,
+        owner: int,
         owner_dist: float,
         remaining: int,
         cost_bound: float,
-    ) -> List[SpatialObject] | None:
-        """The greedy completion of ``owner``, aborted once it cannot win.
+    ) -> List[int] | None:
+        """The greedy completion of stream entry ``owner``, aborted once it cannot win.
 
         Walks the in-budget slice of ``C(q, r)`` in ``greedy_completion_near``
         order: the first entry covering a still-uncovered keyword is the
@@ -241,7 +240,7 @@ class OwnerRingApproximation(CoSKQAlgorithm):
         already costs at least ``cost_bound`` the owner cannot win and
         the completion is aborted.  An entry farther than the budget
         from the owner would abort on sight, which is why the slice can
-        stop at the budget.
+        stop at the budget.  Returns the members' stream indices.
         """
         budget = self.cost.pairwise_budget(owner_dist, cost_bound)
         lens = stream.lens(owner, owner_dist, budget, remaining)
@@ -252,17 +251,17 @@ class OwnerRingApproximation(CoSKQAlgorithm):
             self._bump("completions_aborted")
             return None
         hits, owner_d = lens
-        objects = stream.objects
+        oids = stream.oids
         xs = stream.xs
         ys = stream.ys
         masks = stream.masks
-        chosen: List[SpatialObject] = [owner]
+        chosen: List[int] = [owner]
         # Flat coordinates of the chosen set: each greedy pick's diameter
         # update is one packed-array kernel call.
-        chosen_xs = array("d", (owner.location.x,))
-        chosen_ys = array("d", (owner.location.y,))
+        chosen_xs = array("d", (xs[owner],))
+        chosen_ys = array("d", (ys[owner],))
         diam_so_far = 0.0
-        for _, _, i in sorted(zip(owner_d, (objects[i].oid for i in hits), hits)):
+        for _, _, i in sorted(zip(owner_d, (oids[i] for i in hits), hits)):
             covered = masks[i] & remaining
             if not covered:
                 continue
@@ -272,7 +271,7 @@ class OwnerRingApproximation(CoSKQAlgorithm):
             if self.cost.combine(owner_dist, diam_so_far) >= cost_bound:
                 self._bump("completions_aborted")
                 return None
-            chosen.append(objects[i])
+            chosen.append(i)
             chosen_xs.append(xs[i])
             chosen_ys.append(ys[i])
             remaining &= ~covered

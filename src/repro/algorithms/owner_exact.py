@@ -106,7 +106,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
     def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         stream = OwnerStream(self.context, query, self._checkpoint)
-        nn = NNSet.from_stream(query, stream)
+        nn = NNSet.from_stream(query, stream, self.context.dataset)
         best: List[SpatialObject] = list(nn.objects)
         best_cost = self._evaluate(query, best)
         if self.seed_with_appro:
@@ -120,15 +120,14 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         d_f = nn.d_f if self.ring_pruning else 0.0
         # One stream bit per query keyword.
         full = (1 << len(query.keywords)) - 1
-        masks = stream.masks
-        for i, (dist, _) in enumerate(stream):
+        for i, (dist, _, mask) in enumerate(stream):
             if dist < d_f:
                 continue
             if self.cost.combine(dist, 0.0) >= best_cost:
                 break
             self._bump("owners_tried")
             outcome = self._best_for_owner(
-                query, stream, i, dist, full & ~masks[i], best_cost
+                query, stream, i, dist, full & ~mask, best_cost
             )
             if outcome is not None:
                 owner_set, owner_cost = outcome
@@ -152,7 +151,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         beats ``cur_cost``; ``uncovered`` is the stream mask of the query
         keywords the owner lacks."""
         if not uncovered:
-            singleton = [stream.objects[owner]]
+            singleton = stream.objects((owner,))
             return singleton, self._evaluate(query, singleton)
 
         budget = self.cost.pairwise_budget(r, cur_cost)
@@ -166,7 +165,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
             return None
         hits, owner_d, lower = state
         tables = cover_tables(
-            uncovered, hits, owner_d, stream.xs, stream.ys, stream.masks, stream.objects
+            uncovered, hits, owner_d, stream.xs, stream.ys, stream.masks, stream.oids
         )
         if tables is None:
             return None
@@ -186,7 +185,8 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         if best_diam > cap0:
             settled, lo = self._probe(stream, owner, tables, cap0)
             if settled is not None:
-                return settled, self._evaluate(query, settled)
+                members = stream.objects(settled)
+                return members, self._evaluate(query, members)
             # The optimal diameter lies in [lo, best_diam]: every cap
             # below ``lo`` fails and ``best_diam`` is realized.  Probe
             # the midpoint, or ``lo`` once the midpoint rounds onto an
@@ -201,7 +201,8 @@ class OwnerDrivenExact(CoSKQAlgorithm):
                     lo = value
                 else:
                     best_set, best_diam = found, value
-        return best_set, self._evaluate(query, best_set)
+        members = stream.objects(best_set)
+        return members, self._evaluate(query, members)
 
     def _lens_state(
         self,
@@ -221,7 +222,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         indices in stream order, with the exact owner distances the lens
         computed.
         """
-        lens = stream.lens(stream.objects[owner], r, budget, want)
+        lens = stream.lens(owner, r, budget, want)
         if lens is None:
             return None
         hits, owner_d = lens
@@ -242,12 +243,13 @@ class OwnerDrivenExact(CoSKQAlgorithm):
 
     def _probe(
         self, stream: OwnerStream, owner: int, tables: CoverTables, cap: float
-    ) -> Tuple[Optional[List[SpatialObject]], float]:
+    ) -> Tuple[Optional[List[int]], float]:
         """Try covering under a diameter cap.
 
-        Returns ``(set, its realized diameter)`` on success and ``(None,
-        the smallest rejected distance)`` on failure — no cap below that
-        distance can succeed (:func:`find_constrained_cover`).
+        Returns ``(the set's stream indices, its realized diameter)`` on
+        success and ``(None, the smallest rejected distance)`` on failure
+        — no cap below that distance can succeed
+        (:func:`find_constrained_cover`).
         """
         self._bump("cover_probes")
         xs = stream.xs
@@ -258,5 +260,4 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         if cover is None:
             return None, beyond
         members = [owner] + cover
-        objects = stream.objects
-        return [objects[i] for i in members], pairwise_max_at(members, xs, ys)
+        return members, pairwise_max_at(members, xs, ys)

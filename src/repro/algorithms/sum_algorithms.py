@@ -51,7 +51,7 @@ class _SumBase(CoSKQAlgorithm):
         # the same traces collapse to the same cheapest carrier.
         q_mask = mask_of(query.keywords)
         best_by_trace: Dict[int, Tuple[float, SpatialObject]] = {}
-        for obj in self.context.inverted.relevant_objects(query.keywords):
+        for obj in self.context.dataset.relevant_objects(query.keywords):
             mask = mask_of(obj.keywords) & q_mask
             dist = query.location.distance_to(obj.location)
             cur = best_by_trace.get(mask)

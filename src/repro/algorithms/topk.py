@@ -67,7 +67,7 @@ class TopKCoSKQ(CoSKQAlgorithm):
         """
         self._reset_counters()
         self.context.check_feasible(query)
-        relevant = self.context.inverted.relevant_objects(query.keywords)
+        relevant = self.context.dataset.relevant_objects(query.keywords)
         qdist = {o.oid: query.location.distance_to(o.location) for o in relevant}
         # Keyword bookkeeping runs on signature bitmasks throughout: the
         # mask↔set bijection makes every cover test, branch choice and

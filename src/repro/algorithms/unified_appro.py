@@ -40,12 +40,13 @@ min       1 (exact)
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Tuple
 
 from repro.algorithms.base import CoSKQAlgorithm, NNSet
 from repro.algorithms.owner_appro import OwnerStream, greedy_completion_near
 from repro.cost.base import QueryAggregate
-from repro.index.signatures import shared_keywords
+from repro.geometry.point import Point
+from repro.index.signatures import query_bits
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
@@ -79,14 +80,14 @@ class UnifiedAppro(CoSKQAlgorithm):
     def solve(self, query: Query) -> CoSKQResult:
         self._reset_counters()
         stream = OwnerStream(self.context, query, self._checkpoint)
-        nn = NNSet.from_stream(query, stream)
+        nn = NNSet.from_stream(query, stream, self.context.dataset)
         best: List[SpatialObject] = list(nn.objects)
         best_cost = self._evaluate(query, best)
         aggregate = self.cost.query_aggregate
         # MIN contributors may sit arbitrarily close to the query; for
         # MAX/SUM the farthest member can never be inside C(q, d_f).
         min_contributor_dist = 0.0 if aggregate is QueryAggregate.MIN else nn.d_f
-        for dist, contributor in stream:
+        for contributor, (dist, _, _) in enumerate(stream):
             if dist < min_contributor_dist:
                 continue
             if self.cost.combine(dist, 0.0) >= best_cost:
@@ -107,58 +108,70 @@ class UnifiedAppro(CoSKQAlgorithm):
         self,
         query: Query,
         stream: OwnerStream,
-        contributor: SpatialObject,
+        contributor: int,
         dist: float,
         aggregate: QueryAggregate,
     ) -> List[SpatialObject] | None:
-        uncovered = query.keywords - contributor.keywords
+        """The contributor's set: stream entry ``contributor`` plus its completion."""
+        dataset = self.context.dataset
+        full = (1 << len(query.keywords)) - 1
+        uncovered = full & ~stream.masks[contributor]
         if not uncovered:
-            return [contributor]
+            return stream.objects((contributor,))
         if aggregate is QueryAggregate.MIN:
             # Keep the contributor nearest: completion anywhere, chosen
             # close to the contributor to control the diameter.
-            candidates = self.context.inverted.relevant_objects(uncovered)
+            bits = query_bits(query.keywords)
+            wanted = [t for t, bit in bits.items() if bit & uncovered]
+            candidates = []
+            for oid in dataset.relevant_oids(wanted):
+                mask = 0
+                for k in dataset.keywords_of(oid):
+                    mask |= bits.get(k, 0)
+                candidates.append((dataset.xs[oid], dataset.ys[oid], oid, mask))
         else:
-            candidates = stream.in_disk(dist, stream.mask_of(uncovered))
+            xs, ys, oids, masks = stream.xs, stream.ys, stream.oids, stream.masks
+            candidates = [
+                (xs[i], ys[i], oids[i], masks[i]) for i in stream.in_disk(dist, uncovered)
+            ]
         self._bump("candidates_scanned", len(candidates))
         if aggregate is QueryAggregate.SUM:
             completion = self._ratio_greedy(query, uncovered, candidates)
         else:
-            completion = greedy_completion_near(contributor, uncovered, candidates)
+            completion = greedy_completion_near(
+                stream.xs[contributor], stream.ys[contributor], uncovered, candidates
+            )
         if completion is None:
             return None
-        return [contributor] + completion
+        return stream.objects((contributor,)) + [dataset[oid] for oid in completion]
 
     def _ratio_greedy(
         self,
         query: Query,
-        uncovered: frozenset,
-        candidates: List[SpatialObject],
-    ) -> List[SpatialObject] | None:
-        """Weighted-set-cover greedy: cheapest distance per new keyword."""
-        remaining = set(uncovered)
-        chosen: List[SpatialObject] = []
-        chosen_ids: set[int] = set()
+        remaining: int,
+        candidates: List[Tuple[float, float, int, int]],
+    ) -> List[int] | None:
+        """Weighted-set-cover greedy: cheapest distance per new keyword.
+
+        ``candidates`` are ``(x, y, oid, mask)`` rows; returns the chosen
+        oids, or None when they cannot cover ``remaining``.
+        """
+        location = query.location
+        chosen: List[int] = []
         while remaining:
             self._checkpoint()
             best = None
             best_key = None
-            for obj in candidates:
-                if obj.oid in chosen_ids:
-                    continue
-                gained = shared_keywords(obj.keywords, remaining)
+            for x, y, oid, mask in candidates:
+                gained = mask & remaining
                 if not gained:
                     continue
-                key = (
-                    query.location.distance_to(obj.location) / len(gained),
-                    obj.oid,
-                )
+                key = (location.distance_to(Point(x, y)) / gained.bit_count(), oid)
                 if best_key is None or key < best_key:
                     best_key = key
-                    best = obj
+                    best = (oid, mask)
             if best is None:
                 return None
-            chosen.append(best)
-            chosen_ids.add(best.oid)
-            remaining -= best.keywords
+            chosen.append(best[0])
+            remaining &= ~best[1]
         return chosen

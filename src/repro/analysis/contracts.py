@@ -56,8 +56,10 @@ ORACLE_RELEVANT_LIMIT = 40
 #: costs are assembled through different arithmetic orders per solver.
 COST_TOLERANCE = 1e-6
 
-#: Memo of optimal costs keyed by (dataset id, query, cost identity).
-_oracle_memo: Dict[Tuple[int, Query, str], float] = {}
+#: Memo of ``(dataset, optimal cost)`` keyed by (dataset id, query, cost
+#: identity).  Each entry holds its dataset, so no other dataset can be
+#: given that id while the entry stands.
+_oracle_memo: Dict[Tuple[int, Query, str], Tuple[object, float]] = {}
 
 
 def enabled() -> bool:
@@ -77,14 +79,13 @@ def _oracle_cost(algorithm: CoSKQAlgorithm, query: Query) -> Optional[float]:
     if isinstance(algorithm, BruteForceExact):
         return None  # it IS the oracle
     context = algorithm.context
-    relevant = context.inverted.relevant_objects(query.keywords)
-    if len(relevant) > ORACLE_RELEVANT_LIMIT:
+    if len(context.dataset.relevant_oids(query.keywords)) > ORACLE_RELEVANT_LIMIT:
         return None
     key = (id(context.dataset), query, _cost_identity(algorithm.cost))
     if key not in _oracle_memo:
         oracle = BruteForceExact(context, algorithm.cost)
-        _oracle_memo[key] = oracle.solve(query).cost
-    return _oracle_memo[key]
+        _oracle_memo[key] = (context.dataset, oracle.solve(query).cost)
+    return _oracle_memo[key][1]
 
 
 def _ratio_applicable(algorithm: CoSKQAlgorithm) -> Optional[float]:

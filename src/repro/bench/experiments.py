@@ -283,7 +283,9 @@ def experiment_scalability(scale: Scale) -> str:
         if size > len(base):
             return scale_dataset(base, size, seed=scale.seed)
         return Dataset(
-            base.objects[:size], base.vocabulary, name="%s-%d" % (base.name, size)
+            map(base.__getitem__, range(size)),
+            base.vocabulary,
+            name="%s-%d" % (base.name, size),
         )
 
     smallest = sized(min(scale.scalability_sizes))

@@ -139,7 +139,9 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
     dataset = generate_profile(_profile_for(spec, organic), seed=spec.seed)
     if spec.size > organic:
         dataset = scale_dataset(dataset, spec.size, seed=spec.seed)
-    return Dataset(dataset.objects, dataset.vocabulary, name=spec.name)
+    # Built here and shared with no one yet, so renaming it is safe.
+    dataset.name = spec.name
+    return dataset
 
 
 class _HashWriter:

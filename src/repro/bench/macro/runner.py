@@ -4,10 +4,10 @@ The runner owns the measurement discipline:
 
 - **Index builds are not query latency.**  One
   :class:`~repro.algorithms.base.SearchContext` is built per dataset and
-  shared by every workload over it; the build of both its indexes (the
-  spatial one and the inverted one the feasibility check reads) is
+  shared by every workload over it; the build of its spatial index is
   timed separately and reported as ``index_build_s`` on the dataset
-  entry.
+  entry (the keyword postings the feasibility check reads are built
+  with the dataset, at load).
 - **Cold vs warm is explicit.**  A ``cold`` workload times the first
   (and only) pass over its queries against uncached state.  A ``warm``
   workload puts a :class:`~repro.parallel.cache.ResultCache` in front of
@@ -166,8 +166,8 @@ def _sharded_workload(
 
     provenance: "Counter[str]" = Counter()
     build_started = time.perf_counter()
-    # Built outside the timed pass; the inverted index is the dataset
-    # context's, already built.
+    # Built outside the timed pass; the keyword postings are the
+    # dataset's, built at load.
     sharded_context = context.with_index(
         ShardedIndexFactory(spec.shards).build(
             dataset, max_entries=context.max_entries
@@ -269,9 +269,8 @@ def run_profile(
         )
         build_started = time.perf_counter()
         context = SearchContext(dataset)
-        # Build both indexes now so workload latencies never pay for them.
+        # Build the index now so workload latencies never pay for it.
         context.index
-        context.inverted
         index_build_s = time.perf_counter() - build_started
         datasets[spec.name] = dataset
         contexts[spec.name] = context

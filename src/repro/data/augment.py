@@ -16,7 +16,7 @@ Two transformations the evaluation needs:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List
 
 from repro.geometry.point import Point
 from repro.model.dataset import Dataset
@@ -48,17 +48,22 @@ def scale_dataset(
     if target_size == len(dataset):
         return dataset
     rng = substream(seed, "scale/%s/%d" % (dataset.name, target_size))
-    originals = dataset.objects
-    objects: List[SpatialObject] = list(originals)
-    for oid in range(len(originals), target_size):
-        donor_location = rng.choice(originals).location
-        donor_keywords = rng.choice(originals).keywords
-        location = Point(
-            donor_location.x + rng.gauss(0.0, jitter),
-            donor_location.y + rng.gauss(0.0, jitter),
-        )
-        objects.append(SpatialObject(oid, location, donor_keywords))
-    return Dataset(objects, dataset.vocabulary, name="%s-x%d" % (dataset.name, target_size))
+    donors = range(len(dataset))
+    xs, ys = dataset.xs, dataset.ys
+
+    def grown() -> Iterator[SpatialObject]:
+        # Each object is built as the new dataset packs it, so they are
+        # never all held at once.
+        yield from dataset
+        for oid in range(len(dataset), target_size):
+            at = rng.choice(donors)
+            keywords = frozenset(dataset.keywords_of(rng.choice(donors)))
+            location = Point(
+                xs[at] + rng.gauss(0.0, jitter), ys[at] + rng.gauss(0.0, jitter)
+            )
+            yield SpatialObject(oid, location, keywords)
+
+    return Dataset(grown(), dataset.vocabulary, name="%s-x%d" % (dataset.name, target_size))
 
 
 def densify_keywords(
@@ -75,14 +80,14 @@ def densify_keywords(
     wants.
     """
     current_mean = (
-        sum(len(o.keywords) for o in dataset.objects) / len(dataset)
+        len(dataset.keyword_ids) / len(dataset)
         if len(dataset)
         else 0.0
     )
     if target_mean_keywords <= current_mean:
         return dataset
     rng = substream(seed, "densify/%s/%g" % (dataset.name, target_mean_keywords))
-    originals = dataset.objects
+    originals = list(dataset)
     objects: List[SpatialObject] = []
     for obj in originals:
         target = len(obj.keywords) * target_mean_keywords / max(current_mean, 1e-9)

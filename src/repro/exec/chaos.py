@@ -36,7 +36,6 @@ from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.index.protocol import SpatialTextIndex
 from repro.model.dataset import Dataset
-from repro.model.objects import SpatialObject
 from repro.utils.rng import substream
 
 __all__ = ["FaultPlan", "ChaosIndex", "chaos_context"]
@@ -145,7 +144,7 @@ class ChaosIndex:
 
     def nearest_relevant_iter(
         self, point: Point, keywords: FrozenSet[int], within: Circle | None = None
-    ) -> Iterator[Tuple[float, SpatialObject]]:
+    ) -> Iterator[Tuple[float, int, int]]:
         self._intercept("nearest_relevant_iter")
         return self.inner.nearest_relevant_iter(point, keywords, within)
 
@@ -158,8 +157,8 @@ def chaos_context(
 ) -> SearchContext:
     """A context whose spatial index is sabotaged by ``plan``.
 
-    The inverted index (pure keyword lookups) is shared unwrapped, so
-    feasibility checks stay truthful — chaos targets the spatial search
+    The dataset's keyword postings (pure keyword lookups) are shared
+    unwrapped, so feasibility checks stay truthful — chaos targets the spatial search
     path, which is where the interesting failures live.
     """
     return context.with_index(ChaosIndex(context.index, plan, clock=clock))

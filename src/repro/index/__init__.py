@@ -1,6 +1,5 @@
-"""Spatial-textual indexing: inverted index, keyword trees, signatures."""
+"""Spatial-textual indexing: keyword trees, the linear-scan oracle, signatures."""
 
-from repro.index.inverted import InvertedIndex
 from repro.index.keyword_trees import DEFAULT_MAX_ENTRIES, KeywordTreeIndex
 from repro.index.neighbors import LinearScanIndex
 from repro.index.protocol import SpatialTextIndex
@@ -8,7 +7,6 @@ from repro.index.signatures import mask_of
 
 __all__ = [
     "SpatialTextIndex",
-    "InvertedIndex",
     "KeywordTreeIndex",
     "LinearScanIndex",
     "DEFAULT_MAX_ENTRIES",

@@ -11,7 +11,10 @@ carriers are STR-packed into a tree of their own, so a query reads only
 the carriers of its keywords and no index holds a vocabulary-wide
 keyword summary.
 
-Every tree lives in flat arrays shared by the whole index:
+The index is built over a dataset's columns
+(:class:`~repro.model.dataset.Dataset`), or over a subset of its oids
+(a shard's members), and every tree lives in flat arrays shared by the
+whole index:
 
 - the objects sorted by ``(x, y, oid)``, so the layout is a function
   of the object set alone; an object's position in that order is its
@@ -28,7 +31,7 @@ Coordinates and MBRs are ``array("d")``; every id column (ranks, oids,
 entries, ranges, child ids, roots, keyword slots and offsets) is a
 4-byte ``array("i")``, which raises :class:`OverflowError` on an id
 past ``2**31 - 1`` instead of wrapping.  The slots, offsets and entries
-are the posting layout of :func:`~repro.index.inverted.group_by_keyword`
+are the posting layout of :func:`~repro.model.dataset.group_by_keyword`
 over the ranks.
 
 A keyword with at most ``max_entries`` carriers has no node at all: its
@@ -42,12 +45,12 @@ import heapq
 import math
 from array import array
 from bisect import bisect_left
-from operator import attrgetter
-from typing import FrozenSet, Iterable, Iterator, List, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.index.inverted import group_by_keyword
+from repro.index.signatures import query_bits
+from repro.model.dataset import Dataset, group_by_keyword
 from repro.model.objects import SpatialObject
 
 __all__ = ["DEFAULT_MAX_ENTRIES", "KeywordTreeIndex"]
@@ -60,7 +63,7 @@ class KeywordTreeIndex:
 
     __slots__ = (
         "max_entries",
-        "_objects",
+        "_dataset",
         "_xs",
         "_ys",
         "_oids",
@@ -78,25 +81,32 @@ class KeywordTreeIndex:
         "_kids",
     )
 
-    def __init__(self, objects: Iterable[SpatialObject], max_entries: int):
+    def __init__(
+        self,
+        dataset: Dataset,
+        max_entries: int,
+        oids: Optional[Iterable[int]] = None,
+    ):
         if max_entries < 4:
             raise ValueError("max_entries must be at least 4")
         self.max_entries = max_entries
-        # The (x, y, oid) order from three stable sorts, last key first:
-        # no key tuple per object.  Coordinates are finite, so this is
-        # the tuple order, with -0.0 and 0.0 tying.
-        ranked = list(objects)
-        ranked.sort(key=attrgetter("oid"))
-        ranked.sort(key=attrgetter("location.y"))
-        ranked.sort(key=attrgetter("location.x"))
-        self._objects: List[SpatialObject] = ranked
-        xs = self._xs = array("d", [o.location.x for o in ranked])
-        ys = self._ys = array("d", [o.location.y for o in ranked])
-        self._oids = array("i", [o.oid for o in ranked])
+        self._dataset = dataset
+        # The (x, y, oid) order from three stable sorts over the
+        # coordinate columns, last key first.  Coordinates are finite, so
+        # this is the tuple order, with -0.0 and 0.0 tying.
+        ranked = list(range(len(dataset))) if oids is None else sorted(oids)
+        ranked.sort(key=dataset.ys.__getitem__)
+        ranked.sort(key=dataset.xs.__getitem__)
+        by_rank = self._oids = array("i", ranked)
+        del ranked
+        xs = self._xs = array("d", map(dataset.xs.__getitem__, by_rank))
+        ys = self._ys = array("d", map(dataset.ys.__getitem__, by_rank))
         # Each keyword's carriers by ascending rank, so by x, as STR
         # needs them; a multi-leaf keyword's range is then rewritten in
         # place into its leaf order.
-        keywords, offsets, entries = group_by_keyword([o.keywords for o in ranked])
+        keywords, offsets, entries = group_by_keyword(
+            dataset.keyword_ids, dataset.keyword_offsets, by_rank
+        )
         self._keywords, self._offsets, self._entries = keywords, offsets, entries
         # -1 marks a single leaf; a multi-leaf keyword's root is set once
         # the levels above its leaves are stacked.
@@ -138,9 +148,9 @@ class KeywordTreeIndex:
 
     @classmethod
     def build(
-        cls, dataset: Iterable[SpatialObject], max_entries: int = DEFAULT_MAX_ENTRIES
+        cls, dataset: Dataset, max_entries: int = DEFAULT_MAX_ENTRIES
     ) -> "KeywordTreeIndex":
-        """Index every object of ``dataset`` (a ``Dataset`` or any object list)."""
+        """Index every object of ``dataset``."""
         return cls(dataset, max_entries)
 
     # -- construction helpers -------------------------------------------------
@@ -187,24 +197,27 @@ class KeywordTreeIndex:
     # -- the stream -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._objects)
+        return len(self._oids)
 
     def nearest_relevant_iter(
         self, point: Point, keywords: FrozenSet[int], within: Circle | None = None
-    ) -> Iterator[Tuple[float, SpatialObject]]:
-        """Objects carrying any keyword of ``keywords``, by ascending distance.
+    ) -> Iterator[Tuple[float, int, int]]:
+        """``(distance, oid, mask)`` of the carriers of ``keywords``, by ascending distance.
 
         One best-first heap over the roots of the query keywords' trees.
-        Entries are keyed ``(hypot(px - x, py - y), 1, oid, rank)`` and
-        nodes ``(mindist, 0, node, 0)`` (a root enters at 0.0): a node's
-        key is a lower bound of its entries' distances and sorts before
-        an entry at the same distance, so every entry at a distance is in the heap before the
-        first of them pops and the stream has the total ``(distance,
-        oid)`` order.  An object carrying several query keywords is an
-        entry of each of their trees under bit-identical keys (its
-        doubles are stored once), so its copies pop back to back and
-        only the first is yielded.  ``within`` keeps only the objects in
-        that closed disk; no solver passes it.
+        Entries are keyed ``(hypot(px - x, py - y), 1, oid, bit)`` and
+        nodes ``(mindist, 0, node, bit)`` (a root enters at 0.0), where
+        ``bit`` is the tree's query keyword's stream bit
+        (:func:`~repro.index.signatures.query_bits`): a node's key is a
+        lower bound of its entries' distances and sorts before an entry
+        at the same distance, so every entry at a distance is in the
+        heap before the first of them pops and the stream has the total
+        ``(distance, oid)`` order.  An object carrying several query
+        keywords is an entry of each of their trees under keys that
+        differ only in the bit (its doubles are stored once), so its
+        copies pop back to back and are yielded once, with their bits
+        ORed into ``mask``.  ``within`` keeps only the objects in that
+        closed disk; no solver passes it.
         """
         px = point.x
         py = point.y
@@ -216,31 +229,31 @@ class KeywordTreeIndex:
         lo, hi, leaves, kids = self._lo, self._hi, self._leaves, self._kids
         ids, offsets, roots = self._keywords, self._offsets, self._roots
         heap: List[Tuple[float, int, int, int]] = []
-        for k in keywords:
+        for k, bit in query_bits(keywords).items():
             slot = bisect_left(ids, k)
             if slot == len(ids) or ids[slot] != k:
                 continue
             root = roots[slot]
             if root < 0:
                 for r in entries[offsets[slot] : offsets[slot + 1]]:
-                    heap.append((hypot(px - xs[r], py - ys[r]), 1, oids[r], r))
+                    heap.append((hypot(px - xs[r], py - ys[r]), 1, oids[r], bit))
             else:
-                heap.append((0.0, 0, root, 0))
+                heap.append((0.0, 0, root, bit))
         heapq.heapify(heap)
-        objects = self._objects
-        last = None
+        dataset = self._dataset
         while heap:
-            dist, is_entry, tag, r = heappop(heap)
+            dist, is_entry, tag, bit = heappop(heap)
             if is_entry:
-                if tag == last:
-                    continue
-                last = tag
-                obj = objects[r]
-                if within is None or within.contains(obj.location):
-                    yield dist, obj
+                # The object's other copies, if any, are next.
+                while heap and heap[0][2] == tag and heap[0][1]:
+                    bit |= heappop(heap)[3]
+                if within is None or within.contains(
+                    Point(dataset.xs[tag], dataset.ys[tag])
+                ):
+                    yield dist, tag, bit
             elif tag < leaves:
                 for r in entries[lo[tag] : hi[tag]]:
-                    heappush(heap, (hypot(px - xs[r], py - ys[r]), 1, oids[r], r))
+                    heappush(heap, (hypot(px - xs[r], py - ys[r]), 1, oids[r], bit))
             else:
                 for c in kids[lo[tag] : hi[tag]]:
                     # The clamped offsets from the point to the child's box.
@@ -254,7 +267,7 @@ class KeywordTreeIndex:
                         dy = y0[c] - py
                     elif py > y1[c]:
                         dy = py - y1[c]
-                    heappush(heap, (hypot(dx, dy), 0, c, 0))
+                    heappush(heap, (hypot(dx, dy), 0, c, bit))
 
     # -- introspection ------------------------------------------------------------
 
@@ -270,19 +283,27 @@ class KeywordTreeIndex:
         return tallest
 
     def all_objects(self) -> Iterator[SpatialObject]:
-        return iter(self._objects)
+        """The indexed objects in rank order, each built as it is reached."""
+        return map(self._dataset.__getitem__, self._oids)
 
     def check_invariants(self) -> None:
         """Raise AssertionError on any structural or summary violation."""
-        objects = self._objects
-        for rank, obj in enumerate(objects):
-            # Exact mirror check: the columns hold the objects' own doubles.
-            assert self._xs[rank] == obj.location.x, "x column diverges"
-            assert self._ys[rank] == obj.location.y, "y column diverges"
-            assert self._oids[rank] == obj.oid, "oid column diverges"
+        dataset = self._dataset
+        oids = list(self._oids)
+        assert len(set(oids)) == len(oids), "an object is ranked twice"
         expected: dict = {}
-        for rank, obj in enumerate(objects):
-            for k in obj.keywords:
+        for rank, oid in enumerate(oids):
+            # Exact mirror check: the columns hold the dataset's own doubles.
+            assert self._xs[rank] == dataset.xs[oid], "x column diverges"
+            assert self._ys[rank] == dataset.ys[oid], "y column diverges"
+            if rank:
+                previous = oids[rank - 1]
+                assert (dataset.xs[previous], dataset.ys[previous], previous) <= (
+                    dataset.xs[oid],
+                    dataset.ys[oid],
+                    oid,
+                ), "ranks are not in (x, y, oid) order"
+            for k in dataset.keywords_of(oid):
                 expected.setdefault(k, []).append(rank)
         assert list(self._keywords) == sorted(expected), "keyword slots drifted"
         assert len(self._offsets) == len(self._keywords) + 1

@@ -9,11 +9,17 @@ them.  :class:`SpatialTextIndex` pins that contract down as a
 instead of by inheritance.
 
 The contract is one query: the relevant objects around a point as a
-``(distance, oid)``-ordered stream.  Every solver reads the index
-through it.  ``N(q)`` is the stream's first carrier of each query
-keyword (:meth:`repro.algorithms.base.NNSet.from_stream`), ``NN(p, t)``
-the first entry of a single-keyword stream, and the disk ``C(q, r)``
-the stream's prefix up to ``r``.
+``(distance, oid)``-ordered stream of ``(distance, oid, mask)`` items.
+Bit ``i`` of ``mask`` is set when the object carries the ``i``-th
+smallest query keyword (:func:`repro.index.signatures.query_bits`), so a
+consumer learns which query keywords an entry covers without reading
+its keyword set, and builds a
+:class:`~repro.model.objects.SpatialObject` (``dataset[oid]``) only for
+the objects it returns.  Every solver reads the index through it.
+``N(q)`` is the stream's first carrier of each query keyword
+(:meth:`repro.algorithms.base.NNSet.from_stream`), ``NN(p, t)`` the
+first entry of a single-keyword stream, and the disk ``C(q, r)`` the
+stream's prefix up to ``r``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from typing import FrozenSet, Iterator, Protocol, Tuple, runtime_checkable
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.model.dataset import Dataset
-from repro.model.objects import SpatialObject
 
 __all__ = ["SpatialTextIndex"]
 
@@ -47,9 +52,12 @@ class SpatialTextIndex(Protocol):
 
     def nearest_relevant_iter(
         self, point: Point, keywords: FrozenSet[int], within: Circle | None = None
-    ) -> Iterator[Tuple[float, SpatialObject]]:
-        """Objects carrying a keyword of ``keywords``, in ``(distance, oid)`` order.
+    ) -> Iterator[Tuple[float, int, int]]:
+        """``(distance, oid, mask)`` of the carriers of ``keywords``, in ``(distance, oid)`` order.
 
-        ``within``, when given, keeps only objects in that closed disk.
+        Each object comes once; ``mask`` holds the stream bits
+        (:func:`~repro.index.signatures.query_bits`) of the query
+        keywords it carries.  ``within``, when given, keeps only objects
+        in that closed disk.
         """
         ...

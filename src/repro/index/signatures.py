@@ -24,6 +24,13 @@ ints are exact), so every mask predicate returns *exactly* the boolean
 the set expression returns — pruning decisions, candidate orderings and
 tie-breaks are those of the set algebra.
 
+A query's stream uses a second, dense bit assignment
+(:func:`query_bits`): bit ``i`` stands for the ``i``-th smallest query
+keyword, so a stream mask has one bit per query keyword and stays a
+small int however large the vocabulary is.  Every stream producer
+(the indexes) and consumer (``N(q)`` and the owner stream) takes its
+bits from there.
+
 This module is the sanctioned home for keyword-set algebra in the index
 and solver packages; inline ``isdisjoint``/``issubset``/``&`` keyword
 ops there are barred by lint rule R9 (``docs/STATIC_ANALYSIS.md``).
@@ -31,10 +38,12 @@ ops there are barred by lint rule R9 (``docs/STATIC_ANALYSIS.md``).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator
+from typing import Dict, FrozenSet, Iterable, Iterator, List
 
 __all__ = [
     "mask_of",
+    "query_bits",
+    "query_keyword_of_bit",
     "bits_of",
     "covers",
     "overlaps",
@@ -51,6 +60,16 @@ def mask_of(keywords: Iterable[int]) -> int:
     for t in keywords:
         mask |= 1 << t
     return mask
+
+
+def query_bits(keywords: Iterable[int]) -> Dict[int, int]:
+    """Each query keyword's stream bit: ``1 << i`` for the ``i``-th smallest."""
+    return {t: 1 << i for i, t in enumerate(sorted(keywords))}
+
+
+def query_keyword_of_bit(keywords: Iterable[int]) -> List[int]:
+    """The query keyword of each stream bit position (:func:`query_bits`)."""
+    return sorted(keywords)
 
 
 # -- reading masks -------------------------------------------------------------

@@ -5,15 +5,39 @@ indexes are built over one, the generators produce one, the benchmark
 harness sweeps over several.  A simple line-oriented text format
 (``x<TAB>y<TAB>word word ...``) supports saving/loading so experiments are
 repeatable without regenerating data.
+
+A dataset is stored as flat columns indexed by oid, not as one Python
+object graph per object: the coordinates ``xs`` and ``ys`` as
+``array("d")``, and every object's keyword ids, ascending, back to back
+in one ``array("i")`` that ``keyword_offsets`` (``n + 1`` entries) cuts
+into objects.  ``dataset[oid]`` builds the object's
+:class:`~repro.model.objects.SpatialObject` on demand.  The keyword →
+oids postings (:class:`Postings`) are built once, with the columns, so a
+dataset is immutable after construction and safe to share read-only
+across threads.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import DatasetFormatError
 from repro.geometry.mbr import MBR
@@ -21,7 +45,7 @@ from repro.geometry.point import Point
 from repro.model.objects import SpatialObject
 from repro.model.vocabulary import Vocabulary
 
-__all__ = ["Dataset", "DatasetStatistics", "text_lines"]
+__all__ = ["Dataset", "DatasetStatistics", "Postings", "group_by_keyword", "text_lines"]
 
 
 def text_lines(path: str | Path) -> Iterator[str]:
@@ -44,6 +68,63 @@ def text_lines(path: str | Path) -> Iterator[str]:
             yield line
 
 
+def group_by_keyword(
+    ids: Sequence[int], offsets: Sequence[int], rows: Optional[Sequence[int]] = None
+) -> Tuple[array, array, array]:
+    """Group positions by keyword, by counting sort over keyword columns.
+
+    Position ``p`` carries the keyword ids ``ids[offsets[row]:offsets[row
+    + 1]]`` of row ``row = rows[p]``; without ``rows`` every row is its
+    own position.  The columns are read in place.  Returns ``(keywords,
+    offsets, positions)``, all ``array("i")``: the ids carried at any
+    position, ascending; and for the keyword at slot ``s``,
+    ``positions[offsets[s]:offsets[s + 1]]`` lists, ascending, the
+    positions that carry it.  An id or position past ``2**31 - 1``
+    raises :class:`OverflowError`.
+    """
+    if rows is None:
+        rows = range(len(offsets) - 1)
+        counts: Dict[int, int] = dict(Counter(ids))
+    else:
+        counts = dict(
+            Counter(chain.from_iterable(ids[offsets[r] : offsets[r + 1]] for r in rows))
+        )
+    # Turn each keyword's count into the next free position of its
+    # range; the second pass drops every position into place.
+    keywords = array("i", sorted(counts))
+    slots = array("i", [0])
+    total = 0
+    for k in keywords:
+        counts[k], total = total, total + counts[k]
+        slots.append(total)
+    positions = array("i", [0]) * total
+    for pos, r in enumerate(rows):
+        for k in ids[offsets[r] : offsets[r + 1]]:
+            at = counts[k]
+            positions[at] = pos
+            counts[k] = at + 1
+    return keywords, slots, positions
+
+
+class Postings(NamedTuple):
+    """Keyword → oids posting lists in three flat ``array("i")``.
+
+    The layout of :func:`group_by_keyword`: the carried keyword ids
+    ascending, one offset per keyword, and the oids of every posting
+    list, each ascending, back to back.
+    """
+
+    keywords: array
+    offsets: array
+    oids: array
+
+    def slot(self, k: int) -> int:
+        """The slot of keyword ``k``, or -1 when no object carries it."""
+        keywords = self.keywords
+        at = bisect_left(keywords, k)
+        return at if at < len(keywords) and keywords[at] == k else -1
+
+
 @dataclass(frozen=True, slots=True)
 class DatasetStatistics:
     """The dataset statistics reported in the paper's Table 1."""
@@ -63,56 +144,98 @@ class DatasetStatistics:
         }
 
 
+def _checked_rows(
+    objects: Iterable[SpatialObject], vocabulary_size: int
+) -> Iterator[Tuple[float, float, FrozenSet[int]]]:
+    """``(x, y, keywords)`` of each object, refusing malformed ones.
+
+    A bad keyword id would fail untyped inside the index build (or, as
+    ``True``, pass for 1), and the oids must be the rows.
+    """
+    for expected_oid, obj in enumerate(objects):
+        if obj.oid != expected_oid:
+            raise DatasetFormatError(
+                "object ids must be dense and ordered; found oid %d at "
+                "position %d" % (obj.oid, expected_oid)
+            )
+        keywords = obj.keywords
+        if not isinstance(keywords, frozenset):
+            raise DatasetFormatError(
+                "object %d: keywords must be a frozenset of keyword ids, "
+                "got %r" % (expected_oid, keywords)
+            )
+        for k in keywords:
+            # ``type`` rather than ``isinstance``: bool is an int.
+            if type(k) is not int or not 0 <= k < vocabulary_size:
+                raise DatasetFormatError(
+                    "object %d: keyword id %r is not an int in [0, %d)"
+                    % (expected_oid, k, vocabulary_size)
+                )
+        yield obj.location.x, obj.location.y, keywords
+
+
 class Dataset:
     """An immutable-after-construction collection of geo-textual objects."""
 
-    __slots__ = ("name", "objects", "vocabulary", "_mbr")
+    __slots__ = (
+        "name",
+        "vocabulary",
+        "xs",
+        "ys",
+        "keyword_ids",
+        "keyword_offsets",
+        "postings",
+        "_mbr",
+    )
 
     def __init__(
         self,
-        objects: Sequence[SpatialObject],
+        objects: Iterable[SpatialObject],
         vocabulary: Vocabulary,
         name: str = "dataset",
     ):
-        self.name = name
-        self.objects: List[SpatialObject] = list(objects)
-        self.vocabulary = vocabulary
-        self._mbr: MBR | None = None
-        # Every index, context and solver takes a Dataset, so this one
-        # pass is where malformed objects are refused: a NaN coordinate
-        # would otherwise get an answer, and a bad keyword id would fail
-        # untyped inside the index build (or, as ``True``, pass for 1).
-        size = len(vocabulary)
+        self._set_columns(name, vocabulary, _checked_rows(objects, len(vocabulary)))
+
+    def _set_columns(
+        self,
+        name: str,
+        vocabulary: Vocabulary,
+        rows: Iterable[Tuple[float, float, Iterable[int]]],
+    ) -> None:
+        """Pack ``(x, y, keyword ids)`` rows, by oid, and group the postings.
+
+        Every index, context and solver takes a Dataset, so this is where
+        a non-finite coordinate is refused; it would otherwise get an
+        answer.
+        """
+        xs = array("d")
+        ys = array("d")
+        keyword_ids = array("i")
+        keyword_offsets = array("i", [0])
         isfinite = math.isfinite
-        for expected_oid, obj in enumerate(self.objects):
-            if obj.oid != expected_oid:
-                raise DatasetFormatError(
-                    "object ids must be dense and ordered; found oid %d at "
-                    "position %d" % (obj.oid, expected_oid)
-                )
-            keywords = obj.keywords
-            if not isinstance(keywords, frozenset):
-                raise DatasetFormatError(
-                    "object %d: keywords must be a frozenset of keyword ids, "
-                    "got %r" % (expected_oid, keywords)
-                )
-            for k in keywords:
-                # ``type`` rather than ``isinstance``: bool is an int.
-                if type(k) is not int or not 0 <= k < size:
-                    raise DatasetFormatError(
-                        "object %d: keyword id %r is not an int in [0, %d)"
-                        % (expected_oid, k, size)
-                    )
-            location = obj.location
+        for oid, (x, y, keywords) in enumerate(rows):
             try:
-                finite = isfinite(location.x) and isfinite(location.y)
+                finite = isfinite(x) and isfinite(y)
             except TypeError:  # not a real number at all
                 finite = False
             if not finite:
                 raise DatasetFormatError(
                     "object %d: coordinates must be finite numbers, got (%r, %r)"
-                    % (expected_oid, location.x, location.y)
+                    % (oid, x, y)
                 )
+            xs.append(x)
+            ys.append(y)
+            keyword_ids.extend(sorted(keywords))
+            keyword_offsets.append(len(keyword_ids))
+        self.name = name
+        self.vocabulary = vocabulary
+        self.xs = xs
+        self.ys = ys
+        self.keyword_ids = keyword_ids
+        self.keyword_offsets = keyword_offsets
+        # A dataset's oids are its rows, so the grouped positions are oids.
+        self.postings = Postings(*group_by_keyword(keyword_ids, keyword_offsets))
+        self._mbr: MBR | None = None
 
     # -- construction helpers ---------------------------------------------
 
@@ -121,52 +244,106 @@ class Dataset:
         records: Iterable[tuple[float, float, Iterable[str]]],
         name: str = "dataset",
     ) -> "Dataset":
-        """Build a dataset from ``(x, y, words)`` records, interning words."""
+        """Build a dataset from ``(x, y, words)`` records, interning words.
+
+        Keyword ids are assigned in first-seen word order; a word
+        repeated within a record counts once.
+        """
         vocabulary = Vocabulary()
-        objects: List[SpatialObject] = []
-        for oid, (x, y, words) in enumerate(records):
-            # Copied from a set, a frozenset's table is sized to its
-            # members; grown element by element it over-allocates (a
-            # 5-member one takes 32 slots instead of 16).
-            keyword_ids = frozenset({vocabulary.add(w) for w in words})
-            objects.append(SpatialObject(oid, Point(x, y), keyword_ids))
-        return Dataset(objects, vocabulary, name=name)
+        intern = vocabulary.add
+        dataset = Dataset.__new__(Dataset)
+        dataset._set_columns(
+            name,
+            vocabulary,
+            ((x, y, {intern(w) for w in words}) for x, y, words in records),
+        )
+        return dataset
 
     # -- basic protocol ------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self.xs)
+
+    def _build(self, oid: int) -> SpatialObject:
+        offsets = self.keyword_offsets
+        return SpatialObject(
+            oid,
+            Point(self.xs[oid], self.ys[oid]),
+            frozenset(self.keyword_ids[offsets[oid] : offsets[oid + 1]]),
+        )
 
     def __iter__(self) -> Iterator[SpatialObject]:
-        return iter(self.objects)
+        """The objects in oid order, each built as it is reached."""
+        return map(self._build, range(len(self.xs)))
 
     def __getitem__(self, oid: int) -> SpatialObject:
-        return self.objects[oid]
+        """The object ``oid``, built from the columns.
+
+        Raises :class:`IndexError` outside ``[0, len)``: an oid is not a
+        list position, so ``-1`` names no object.
+        """
+        if not 0 <= oid < len(self.xs):
+            raise IndexError("oid %r is not in [0, %d)" % (oid, len(self.xs)))
+        return self._build(oid)
+
+    def keywords_of(self, oid: int) -> array:
+        """The keyword ids of object ``oid``, ascending (a column slice)."""
+        offsets = self.keyword_offsets
+        return self.keyword_ids[offsets[oid] : offsets[oid + 1]]
 
     def __repr__(self) -> str:
         return "Dataset(%r, %d objects, %d words)" % (
             self.name,
-            len(self.objects),
+            len(self),
             len(self.vocabulary),
         )
+
+    # -- the postings --------------------------------------------------------
+
+    def missing_keywords(self, keyword_ids: Iterable[int]) -> FrozenSet[int]:
+        """The subset of ``keyword_ids`` carried by no object at all."""
+        slot = self.postings.slot
+        return frozenset(k for k in keyword_ids if slot(k) < 0)
+
+    def relevant_oids(self, keyword_ids: Iterable[int]) -> List[int]:
+        """The oids of :meth:`relevant_objects`, in its order."""
+        postings = self.postings
+        offsets, oids = postings.offsets, postings.oids
+        seen: set[int] = set()
+        out: List[int] = []
+        for k in keyword_ids:
+            slot = postings.slot(k)
+            if slot < 0:
+                continue
+            for oid in oids[offsets[slot] : offsets[slot + 1]]:
+                if oid not in seen:
+                    seen.add(oid)
+                    out.append(oid)
+        return out
+
+    def relevant_objects(self, keyword_ids: Iterable[int]) -> List[SpatialObject]:
+        """All objects carrying at least one keyword of ``keyword_ids``.
+
+        This is the paper's relevant-object set ``O_q``; each object is
+        returned once even if it matches several keywords, in the order
+        of ``keyword_ids`` and, per keyword, by ascending oid.
+        """
+        return list(map(self._build, self.relevant_oids(keyword_ids)))
 
     # -- derived data ----------------------------------------------------------
 
     def mbr(self) -> MBR:
         """The bounding rectangle of all object locations (cached)."""
         if self._mbr is None:
-            if not self.objects:
+            if not len(self):
                 raise DatasetFormatError("empty dataset has no MBR")
-            self._mbr = MBR.from_points(o.location for o in self.objects)
+            self._mbr = MBR(min(self.xs), min(self.ys), max(self.xs), max(self.ys))
         return self._mbr
 
     def keyword_frequencies(self) -> Dict[int, int]:
         """Map keyword id → number of objects carrying it."""
-        freq: Dict[int, int] = {}
-        for obj in self.objects:
-            for k in obj.keywords:
-                freq[k] = freq.get(k, 0) + 1
-        return freq
+        keywords, offsets, _ = self.postings
+        return {k: offsets[s + 1] - offsets[s] for s, k in enumerate(keywords)}
 
     def keywords_by_frequency(self) -> List[int]:
         """Keyword ids sorted by descending document frequency.
@@ -179,14 +356,11 @@ class Dataset:
 
     def statistics(self) -> DatasetStatistics:
         """Table-1 style statistics of this dataset."""
-        num_words = sum(len(o.keywords) for o in self.objects)
-        used_words = set()
-        for obj in self.objects:
-            used_words.update(obj.keywords)
-        n = len(self.objects)
+        num_words = len(self.keyword_ids)
+        n = len(self)
         return DatasetStatistics(
             num_objects=n,
-            num_unique_words=len(used_words),
+            num_unique_words=len(self.postings.keywords),
             num_words=num_words,
             avg_keywords_per_object=(num_words / n) if n else 0.0,
         )
@@ -195,11 +369,11 @@ class Dataset:
 
     def dump(self, stream: io.TextIOBase) -> None:
         """Write the dataset in the line-oriented text format."""
-        for obj in self.objects:
-            words = sorted(self.vocabulary.word_of(k) for k in obj.keywords)
-            stream.write(
-                "%r\t%r\t%s\n" % (obj.location.x, obj.location.y, " ".join(words))
-            )
+        word_of = self.vocabulary.word_of
+        ids, offsets = self.keyword_ids, self.keyword_offsets
+        for oid, (x, y) in enumerate(zip(self.xs, self.ys)):
+            words = sorted(map(word_of, ids[offsets[oid] : offsets[oid + 1]]))
+            stream.write("%r\t%r\t%s\n" % (x, y, " ".join(words)))
 
     def save(self, path: str | Path) -> None:
         """Write the dataset to ``path`` in the text format."""

@@ -174,14 +174,13 @@ class QueryService:
     # -- startup ----------------------------------------------------------------
 
     def warm(self) -> None:
-        """Build the index and inverted index once, before serving.
+        """Build the spatial index once, before serving.
 
         Serving without warming still works (the first requests race the
         lazy build and the winner's result is cached atomically), but a
         warmed daemon answers its first request at steady-state latency.
         """
         self._search_context.index  # noqa: B018 - build for effect
-        self._search_context.inverted
 
     # -- the request path --------------------------------------------------------
 

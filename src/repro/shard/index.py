@@ -114,13 +114,13 @@ class ShardedIndex:
         max_entries: int = 16,
         num_shards: int = DEFAULT_NUM_SHARDS,
     ) -> "ShardedIndex":
-        """STR-partition ``dataset`` and index each tile's member list."""
-        tiles = str_partition(list(dataset), num_shards)
+        """STR-partition ``dataset`` and index each tile's member oids."""
+        tiles = str_partition(dataset, num_shards)
         shards = [
             Shard(
                 shard_id,
-                KeywordTreeIndex.build(members, max_entries=max_entries),
-                summarize(shard_id, members),
+                KeywordTreeIndex(dataset, max_entries, members),
+                summarize(shard_id, dataset, members),
             )
             for shard_id, members in enumerate(tiles)
         ]
@@ -165,13 +165,14 @@ class ShardedIndex:
 
     def nearest_relevant_iter(
         self, point: Point, keywords: FrozenSet[int], within: Circle | None = None
-    ) -> Iterator[Tuple[float, SpatialObject]]:
-        """Ascending-distance merge of the shards' relevant streams.
+    ) -> Iterator[Tuple[float, int, int]]:
+        """Ascending-distance merge of the shards' ``(distance, oid, mask)`` streams.
 
         Heap entries are ``(key, kind, tiebreak, payload)`` where a stub
         (``kind=0``, tiebreak ``shard_id``) holds the un-started shard
-        traversal and an entry (``kind=1``, tiebreak ``oid``) holds one
-        pulled object plus its generator.  Shard ids and oids are unique,
+        traversal and an entry (``kind=1``, tiebreak the item's ``oid``)
+        holds one pulled item, passed through unchanged, plus its
+        generator.  Shard ids and oids are unique,
         so the first three fields are always a unique sort key and the
         payloads are never compared.  A popped object's key is a lower
         bound for every remaining heap element, and a stub sorts before
@@ -228,13 +229,13 @@ class ShardedIndex:
                 )
                 first = next(stream, None)
                 if first is not None:
-                    heapq.heappush(heap, (first[0], 1, first[1].oid, (first, stream)))
+                    heapq.heappush(heap, (first[0], 1, first[1], (first, stream)))
                 continue
             (item, stream) = payload  # type: ignore[misc]
             yield item
             after = next(stream, None)
             if after is not None:
-                heapq.heappush(heap, (after[0], 1, after[1].oid, (after, stream)))
+                heapq.heappush(heap, (after[0], 1, after[1], (after, stream)))
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -252,7 +253,7 @@ class ShardedIndex:
             shard.tree.check_invariants()
             summary = shard.summary
             assert summary.count == len(shard.tree), "summary count drifted"
-            union_mask = 0
+            keywords: set = set()
             for obj in shard.tree.all_objects():
                 assert summary.mbr.contains_point(obj.location), (
                     "object %d escapes its shard MBR" % obj.oid
@@ -262,8 +263,8 @@ class ShardedIndex:
                     % (obj.oid, seen[obj.oid], shard.shard_id)
                 )
                 seen[obj.oid] = shard.shard_id
-                union_mask |= mask_of(obj.keywords)
-            assert union_mask == summary.kw_mask, "summary mask drifted"
+                keywords.update(obj.keywords)
+            assert mask_of(keywords) == summary.kw_mask, "summary mask drifted"
         assert len(seen) == self._size, "facade size drifted"
 
     def __repr__(self) -> str:

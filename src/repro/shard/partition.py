@@ -9,7 +9,9 @@ it into near-equal tiles.  Every object lands in exactly one tile, and
 tiles are spatially compact — which is what makes the per-shard MBR a
 useful pruning bound.
 
-Each shard carries a :class:`ShardSummary`: its MBR, its keyword union
+Tiles are lists of oids, cut from the dataset's coordinate columns, so
+no per-object Python object is built.  Each shard carries a
+:class:`ShardSummary`: its MBR, its keyword union
 (as a signature mask) and its object count.  The summary is the *only*
 thing the query engine reads before deciding to touch a shard, so it is
 deliberately tiny and immutable — safe to share read-only across
@@ -29,12 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence
+from typing import List, Sequence, Set
 
 from repro.errors import InvalidParameterError
 from repro.geometry.mbr import MBR
 from repro.index.signatures import mask_of
-from repro.model.objects import SpatialObject
+from repro.model.dataset import Dataset
 
 __all__ = ["ShardSummary", "str_partition", "summarize"]
 
@@ -62,31 +64,35 @@ def _near_equal_cuts(total: int, parts: int) -> List[int]:
     return [base + (1 if i < remainder else 0) for i in range(parts)]
 
 
-def str_partition(
-    objects: Sequence[SpatialObject], num_shards: int
-) -> List[List[SpatialObject]]:
-    """Split ``objects`` into ``min(num_shards, len(objects))`` STR tiles.
+def str_partition(dataset: Dataset, num_shards: int) -> List[List[int]]:
+    """Split the oids of ``dataset`` into ``min(num_shards, len(dataset))`` STR tiles.
 
-    Ties in coordinates are broken by ``oid`` so the partition is a pure
-    function of the object set (no dependence on input order).
+    Slices are cut in ``(x, y, oid)`` order and tiles in ``(y, x, oid)``
+    order, each from stable sorts over the coordinate columns, so ties
+    in coordinates are broken by oid and the partition is a pure
+    function of the object set.
     """
     if num_shards < 1:
         raise InvalidParameterError("num_shards must be >= 1")
-    pool = list(objects)
-    if not pool:
+    n = len(dataset)
+    if not n:
         return []
-    shards_wanted = min(num_shards, len(pool))
+    x_of = dataset.xs.__getitem__
+    y_of = dataset.ys.__getitem__
+    shards_wanted = min(num_shards, n)
     slices = max(1, round(math.sqrt(shards_wanted)))  # repro: noqa(R8) — tile-grid arithmetic, not a distance
-    by_x = sorted(pool, key=lambda o: (o.location.x, o.location.y, o.oid))
-    slice_sizes = _near_equal_cuts(len(pool), slices)
+    # Stable sorts, last key first.
+    by_x = list(range(n))
+    by_x.sort(key=y_of)
+    by_x.sort(key=x_of)
+    slice_sizes = _near_equal_cuts(n, slices)
     tile_counts = _near_equal_cuts(shards_wanted, slices)
-    shards: List[List[SpatialObject]] = []
+    shards: List[List[int]] = []
     start = 0
     for slice_size, tiles in zip(slice_sizes, tile_counts):
-        band = sorted(
-            by_x[start : start + slice_size],
-            key=lambda o: (o.location.y, o.location.x, o.oid),
-        )
+        band = sorted(by_x[start : start + slice_size])
+        band.sort(key=x_of)
+        band.sort(key=y_of)
         start += slice_size
         if tiles == 0:
             continue
@@ -97,14 +103,18 @@ def str_partition(
     return shards
 
 
-def summarize(shard_id: int, members: Sequence[SpatialObject]) -> ShardSummary:
-    """The pruning summary of one shard (non-empty member list)."""
+def summarize(shard_id: int, dataset: Dataset, members: Sequence[int]) -> ShardSummary:
+    """The pruning summary of one shard (a non-empty list of member oids)."""
     if not members:
         raise InvalidParameterError("cannot summarize an empty shard")
-    keywords: FrozenSet[int] = frozenset().union(*(o.keywords for o in members))
+    xs = [dataset.xs[oid] for oid in members]
+    ys = [dataset.ys[oid] for oid in members]
+    keywords: Set[int] = set()
+    for oid in members:
+        keywords.update(dataset.keywords_of(oid))
     return ShardSummary(
         shard_id=shard_id,
-        mbr=MBR.from_points(o.location for o in members),
+        mbr=MBR(min(xs), min(ys), max(xs), max(ys)),
         kw_mask=mask_of(keywords),
         count=len(members),
     )

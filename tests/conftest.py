@@ -318,7 +318,8 @@ def cover_inputs(owner, candidates, keywords):
     xs, ys = pack_objects(candidates)
     masks = [mask_of(c.keywords) for c in candidates]
     owner_d = [owner.distance_to(c.location) for c in candidates]
+    oids = [c.oid for c in candidates]
     tables = cover_tables(
-        mask_of(keywords), range(len(candidates)), owner_d, xs, ys, masks, candidates
+        mask_of(keywords), range(len(candidates)), owner_d, xs, ys, masks, oids
     )
     return tables, xs, ys, masks

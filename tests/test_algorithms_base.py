@@ -9,6 +9,7 @@ from repro.errors import InfeasibleQueryError, InvalidParameterError
 from repro.exec import FaultPlan, chaos_context
 from repro.index.keyword_trees import KeywordTreeIndex
 from repro.index.neighbors import LinearScanIndex
+from repro.model import dataset as dataset_module
 from repro.model.query import Query
 
 
@@ -32,6 +33,32 @@ class TestSearchContext:
         tiny_context.check_feasible(Query.create(0, 0, [0]))
         with pytest.raises(InfeasibleQueryError):
             tiny_context.check_feasible(Query.create(0, 0, [0, 40_000]))
+
+    def test_postings_are_built_once_per_dataset(
+        self, tiny_dataset, tiny_queries, monkeypatch
+    ):
+        """Contexts, siblings and solves read the dataset's postings.
+
+        The dataset groups its keyword postings when it is built; a second
+        context over it, a ``with_index`` sibling and every registry
+        solver through either build none again.
+        """
+        built = []
+        group = dataset_module.group_by_keyword
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return group(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_module, "group_by_keyword", counted)
+        first = SearchContext(tiny_dataset)
+        second = SearchContext(tiny_dataset)
+        sibling = first.with_index(first.index)
+        for context in (first, second, sibling):
+            assert context.inverted is tiny_dataset.postings
+            for name in ALGORITHM_NAMES:
+                make_algorithm(name, context).solve(tiny_queries[0])
+        assert built == []
 
 
 class TestNNSet:

@@ -74,10 +74,10 @@ class TestMaxSumExact:
         keyword = tiny_dataset.keywords_by_frequency()[0]
         query = Query.create(500, 500, [keyword])
         result = MaxSumExact(tiny_context).solve(query)
-        nn = next(
+        _, oid, _ = next(
             tiny_context.index.nearest_relevant_iter(query.location, query.keywords)
         )
-        assert close(result.cost, MaxSumCost().evaluate(query, [nn[1]]))
+        assert close(result.cost, MaxSumCost().evaluate(query, [tiny_dataset[oid]]))
 
     def test_infeasible_query_raises(self, tiny_context):
         with pytest.raises(InfeasibleQueryError):

@@ -44,7 +44,7 @@ class TestRanking:
         # top-3 cost sequence.
         cost = MaxSumCost()
         for query in tiny_queries[:4]:
-            relevant = tiny_context.inverted.relevant_objects(query.keywords)
+            relevant = tiny_context.dataset.relevant_objects(query.keywords)
             all_costs = sorted(
                 cost.evaluate(query, c) for c in iter_covers(query.keywords, relevant)
             )
@@ -54,7 +54,7 @@ class TestRanking:
 
     def test_k_larger_than_universe(self, tiny_context, tiny_queries):
         query = tiny_queries[0]
-        relevant = tiny_context.inverted.relevant_objects(query.keywords)
+        relevant = tiny_context.dataset.relevant_objects(query.keywords)
         total = sum(1 for _ in iter_covers(query.keywords, relevant))
         topk = TopKCoSKQ(tiny_context, MaxSumCost(), k=total + 50).solve_topk(query)
         assert len(topk) == total

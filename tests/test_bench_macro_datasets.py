@@ -66,7 +66,7 @@ class TestDeterminism:
         big = build_dataset(DatasetSpec("ladder", "uniform", 500, seed=13))
         assert len(big) == 500
         assert datasets_module.ORGANIC_CAP > 500  # grown via generator here
-        for lhs, rhs in zip(small.objects[:400], big.objects[:400]):
+        for lhs, rhs in zip(small, list(big)[:400]):
             assert lhs.location == rhs.location
 
 

@@ -18,7 +18,8 @@ from repro.bench.cli import main as bench_main
 from repro.bench.macro import PROFILES, runner, validate_summary
 from repro.bench.macro.datasets import DatasetSpec
 from repro.bench.macro.workloads import Profile, WorkloadSpec
-from repro.index.inverted import InvertedIndex
+from repro.index import keyword_trees
+from repro.model import dataset as dataset_module
 from repro.tools.macro_cli import main as macro_main
 
 
@@ -83,15 +84,16 @@ class TestSmokeRun:
 
 class TestTimedPasses:
     def test_no_index_is_built_inside_a_timed_pass(self, tmp_path, monkeypatch):
-        """Index builds are set-up: every InvertedIndex exists before timing."""
+        """Index builds are set-up: every keyword grouping (the dataset's
+        postings, each keyword tree's) is built before timing."""
         timing = []
         built_while_timing = []
-        build = InvertedIndex.__init__
+        build = dataset_module.group_by_keyword
         timed_pass = runner._timed_pass
 
-        def counted_build(self, *args, **kwargs):
+        def counted_build(*args, **kwargs):
             built_while_timing.append(bool(timing))
-            build(self, *args, **kwargs)
+            return build(*args, **kwargs)
 
         def flagged_pass(*args, **kwargs):
             timing.append(True)
@@ -100,7 +102,8 @@ class TestTimedPasses:
             finally:
                 timing.pop()
 
-        monkeypatch.setattr(InvertedIndex, "__init__", counted_build)
+        monkeypatch.setattr(dataset_module, "group_by_keyword", counted_build)
+        monkeypatch.setattr(keyword_trees, "group_by_keyword", counted_build)
         monkeypatch.setattr(runner, "_timed_pass", flagged_pass)
         profile = Profile(
             name="timed-passes",

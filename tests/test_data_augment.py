@@ -34,7 +34,7 @@ class TestScaleDataset:
         scaled = scale_dataset(base, 600, seed=2, jitter=1.0)
         rect = base.mbr()
         slack = 10.0  # jitter can step slightly outside the original MBR
-        for obj in scaled.objects[len(base):]:
+        for obj in list(scaled)[len(base):]:
             assert rect.min_x - slack <= obj.location.x <= rect.max_x + slack
             assert rect.min_y - slack <= obj.location.y <= rect.max_y + slack
             assert obj.keywords  # copied from a donor, never empty

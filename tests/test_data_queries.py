@@ -7,7 +7,6 @@ import pytest
 from repro.data.generators import uniform_dataset
 from repro.data.queries import QueryWorkload, generate_queries
 from repro.errors import InvalidParameterError
-from repro.index.inverted import InvertedIndex
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +50,8 @@ class TestGeneration:
             assert q.keywords <= band
 
     def test_queries_always_coverable(self, ds):
-        inverted = InvertedIndex(ds)
         for q in generate_queries(ds, 6, 20, seed=4):
-            assert not inverted.missing_keywords(q.keywords)
+            assert not ds.missing_keywords(q.keywords)
 
     def test_determinism(self, ds):
         a = generate_queries(ds, 3, 10, seed=5)

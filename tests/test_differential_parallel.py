@@ -32,7 +32,7 @@ WORKER_COUNTS = (1, 2, 4)
 def poisoned_batch(dataset, queries):
     """The queries plus one that asks for a keyword nothing carries."""
     base = queries[0]
-    missing = max(k for o in dataset.objects for k in o.keywords) + 1
+    missing = max(dataset.keyword_ids) + 1
     poisoned = Query(base.location, base.keywords | {missing})
     return list(queries) + [poisoned]
 

@@ -208,22 +208,22 @@ class TestSTRPartitionProperties:
             num_objects, 6, mean_keywords=2.0, seed=seed, name="str%d" % seed
         )
         objects = list(dataset)
-        tiles = str_partition(objects, num_shards)
+        tiles = str_partition(dataset, num_shards)
         # Exactly min(requested, n) non-empty tiles.
         assert len(tiles) == min(num_shards, len(objects))
         assert all(tiles)
         # Every object lands in exactly one tile.
-        seen = sorted(o.oid for tile in tiles for o in tile)
+        seen = sorted(oid for tile in tiles for oid in tile)
         assert seen == sorted(o.oid for o in objects)
-        summaries = [summarize(i, tile) for i, tile in enumerate(tiles)]
+        summaries = [summarize(i, dataset, tile) for i, tile in enumerate(tiles)]
         for summary, tile in zip(summaries, tiles):
             assert summary.count == len(tile)
             # The summary MBR contains its members...
-            assert all(summary.mbr.contains_point(o.location) for o in tile)
+            assert all(summary.mbr.contains_point(dataset[oid].location) for oid in tile)
             # ...and the union mask is the OR of the member masks.
             union = 0
-            for o in tile:
-                union |= mask_of(o.keywords)
+            for oid in tile:
+                union |= mask_of(dataset[oid].keywords)
             assert union == summary.kw_mask
         # The shard MBRs jointly tile the dataset extent.
         extent = MBR.from_points([o.location for o in objects])
@@ -237,7 +237,7 @@ class TestSTRPartitionProperties:
     def test_rejects_bad_shard_counts(self):
         dataset = uniform_dataset(5, 4, mean_keywords=2.0, seed=1, name="bad")
         with pytest.raises(InvalidParameterError):
-            str_partition(list(dataset), 0)
+            str_partition(dataset, 0)
         with pytest.raises(InvalidParameterError):
             ShardedIndex.build(dataset, num_shards=-1)
 

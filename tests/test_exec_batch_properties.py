@@ -163,7 +163,7 @@ def parallel_fixture():
 
     dataset, context, queries = make_random_instance(53, num_objects=40, vocab=8)
     clean = queries[0]
-    missing = max(k for o in dataset.objects for k in o.keywords) + 1
+    missing = max(dataset.keyword_ids) + 1
     poisoned = Query(clean.location, clean.keywords | {missing})
     solver = make_algorithm("maxsum-appro", context)
 

@@ -15,6 +15,7 @@ from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
 from repro.model.vocabulary import Vocabulary
+from repro.shard import ShardedIndex
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +35,20 @@ def oracle(ds):
 
 def first_entry(index, point, keyword):
     """``NN(point, t)`` as ``(distance, oid)``: the single-keyword stream's head."""
-    for dist, obj in index.nearest_relevant_iter(point, frozenset((keyword,))):
-        return dist, obj.oid
+    for dist, oid, _ in index.nearest_relevant_iter(point, frozenset((keyword,))):
+        return dist, oid
     return None
 
 
+def stream_mask(keywords, query):
+    """The stream mask of ``keywords``: bit ``i`` for the ``i``-th smallest query keyword."""
+    return sum(1 << i for i, t in enumerate(sorted(query)) if t in keywords)
+
+
 def brute_stream(objects, point, keywords):
+    """``(distance, oid, mask)`` of every carrier, by ``(distance, oid)``."""
     return sorted(
-        (point.distance_to(o.location), o.oid)
+        (point.distance_to(o.location), o.oid, stream_mask(o.keywords, keywords))
         for o in objects
         if not o.keywords.isdisjoint(keywords)
     )
@@ -80,11 +87,11 @@ class TestStructure:
     def test_member_list_with_sparse_oids(self, ds):
         """A shard indexes a member list whose oids are not dense."""
         members = [o for o in ds if o.oid % 3 == 0]
-        index = KeywordTreeIndex.build(members, max_entries=4)
+        index = KeywordTreeIndex(ds, 4, [o.oid for o in reversed(members)])
         index.check_invariants()
         point = Point(400.0, 600.0)
         keywords = frozenset({1, 2, 5})
-        got = [(d, o.oid) for d, o in index.nearest_relevant_iter(point, keywords)]
+        got = list(index.nearest_relevant_iter(point, keywords))
         assert got == brute_stream(members, point, keywords)
 
     def test_id_columns_are_four_bytes(self, tree):
@@ -95,12 +102,6 @@ class TestStructure:
         for name in ("_xs", "_ys", "_x0", "_y0", "_x1", "_y1"):
             assert getattr(tree, name).typecode == "d", name
 
-    @pytest.mark.parametrize("oid, keyword", [(2**31, 0), (0, 2**31)])
-    def test_an_id_past_four_bytes_raises(self, oid, keyword):
-        """An oid or keyword id too wide for the columns fails, never wraps."""
-        members = [SpatialObject(oid, Point(0.0, 0.0), frozenset({keyword}))]
-        with pytest.raises(OverflowError):
-            KeywordTreeIndex.build(members)
 
 
 class TestInvariantChecks:
@@ -137,26 +138,27 @@ class TestKeywordNN:
         assert first_entry(tree, Point(0, 0), 99999) is None
         assert list(tree.nearest_relevant_iter(Point(0, 0), frozenset({-1, 99999}))) == []
 
-    def test_nearest_relevant_iter_sorted_and_relevant(self, tree):
+    def test_nearest_relevant_iter_sorted_and_relevant(self, ds, tree):
         keywords = frozenset({0, 1})
         hits = list(tree.nearest_relevant_iter(Point(500, 500), keywords))
-        distances = [d for d, _ in hits]
+        distances = [d for d, _, _ in hits]
         assert distances == sorted(distances)
-        assert all(not o.keywords.isdisjoint(keywords) for _, o in hits)
+        assert all(
+            mask == stream_mask(ds[oid].keywords, keywords) != 0 for _, oid, mask in hits
+        )
 
     def test_nearest_relevant_iter_within_disk(self, tree, oracle):
         keywords = frozenset({0, 1, 2})
         disk = Circle(Point(500, 500), 150.0)
-        got = [o.oid for _, o in tree.nearest_relevant_iter(Point(100, 100), keywords, within=disk)]
-        expected = [
-            o.oid
-            for _, o in oracle.nearest_relevant_iter(Point(100, 100), keywords, within=disk)
-        ]
-        assert got == expected
+        got = list(tree.nearest_relevant_iter(Point(100, 100), keywords, within=disk))
+        expected = list(
+            oracle.nearest_relevant_iter(Point(100, 100), keywords, within=disk)
+        )
+        assert got == expected and got
 
     def test_nearest_relevant_iter_exhaustive(self, ds, tree):
         keywords = frozenset({3})
-        got = {o.oid for _, o in tree.nearest_relevant_iter(Point(0, 0), keywords)}
+        got = {oid for _, oid, _ in tree.nearest_relevant_iter(Point(0, 0), keywords)}
         expected = {o.oid for o in ds if 3 in o.keywords}
         assert got == expected
 
@@ -220,33 +222,47 @@ class TestPropertyBased:
     )
     @settings(max_examples=60, deadline=None)
     def test_shared_carriers_stream_once(self, rows, px, py, keywords, fanout):
-        """Objects carrying several query keywords come out once, in order."""
+        """Objects carrying several query keywords come out once, in order,
+        with the bits of every query keyword they carry.
+
+        The keyword trees, the linear scan and the sharded facade at 1, 3
+        and 9 shards each yield exactly the brute-force ``(distance, oid,
+        mask)`` list.
+        """
         dataset = dataset_of(rows)
         index = KeywordTreeIndex.build(dataset, max_entries=fanout)
         index.check_invariants()
         point = Point(px, py)
-        got = [(d, o.oid) for d, o in index.nearest_relevant_iter(point, keywords)]
-        assert got == brute_stream(dataset.objects, point, keywords)
+        expected = brute_stream(dataset, point, keywords)
+        backends = [index, LinearScanIndex(dataset)] + [
+            ShardedIndex.build(dataset, max_entries=fanout, num_shards=shards)
+            for shards in (1, 3, 9)
+        ]
+        for backend in backends:
+            got = list(backend.nearest_relevant_iter(point, keywords))
+            assert got == expected, backend
 
     @given(
         rows=st.lists(
             st.tuples(
                 st.sampled_from([-1.5, -0.0, 0.0, 2.0]),
                 st.sampled_from([-0.0, 0.0, 1.0]),
-                st.integers(0, 2**31 - 1),
                 st.frozensets(st.integers(0, VOCAB - 1), min_size=1, max_size=3),
             ),
             max_size=40,
-            unique_by=lambda row: row[2],
         ),
+        picks=st.lists(st.integers(0, 39), unique=True),
         fanout=st.integers(4, 6),
     )
     @settings(max_examples=60, deadline=None)
-    def test_rank_order_is_x_y_oid(self, rows, fanout):
-        """Repeated coordinates, signed zeros, sparse oids in any order."""
-        members = [SpatialObject(oid, Point(x, y), kw) for x, y, oid, kw in rows]
-        index = KeywordTreeIndex.build(members, max_entries=fanout)
+    def test_rank_order_is_x_y_oid(self, rows, picks, fanout):
+        """Repeated coordinates, signed zeros, sparse member oids in any order."""
+        dataset = dataset_of(rows)
+        oids = [oid for oid in picks if oid < len(dataset)]
+        index = KeywordTreeIndex(dataset, fanout, oids)
         index.check_invariants()
+        members = [dataset[oid] for oid in oids]
         expected = sorted(members, key=lambda o: (o.location.x, o.location.y, o.oid))
         assert list(index.all_objects()) == expected
         assert list(index._oids) == [o.oid for o in expected]
+        assert list(index._xs) == [o.location.x for o in expected]

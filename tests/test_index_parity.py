@@ -7,8 +7,8 @@ objects in the total ``(distance, oid)`` order.  The solvers read
 ``N(q)``, ``NN(p, t)`` and ``C(q, r)`` from that order, ties included,
 so the suite compares exact sequences:
 
-- every backend yields the brute-force ``(distance, oid)`` list, with
-  and without a ``within`` disk, on random instances and on the
+- every backend yields the brute-force ``(distance, oid, mask)`` list,
+  with and without a ``within`` disk, on random instances and on the
   tie-laden one;
 - ``SearchContext.nn_set`` equals a brute-force ``N(q)`` on every
   backend — per keyword, the carrier with the smallest
@@ -47,17 +47,20 @@ def make_dataset(seed: int, num_objects: int = 50, vocab: int = 7) -> Dataset:
 
 
 def stream_of(index, point, keywords, within=None):
-    """The index's ``(distance, oid)`` sequence, exactly as streamed."""
-    return [
-        (dist, obj.oid)
-        for dist, obj in index.nearest_relevant_iter(point, keywords, within)
-    ]
+    """The index's ``(distance, oid, mask)`` sequence, exactly as streamed."""
+    return list(index.nearest_relevant_iter(point, keywords, within))
 
 
 def brute_stream(dataset, point, keywords, within=None):
+    """Bit ``i`` of a mask is the ``i``-th smallest query keyword."""
+    order = sorted(keywords)
     return sorted(
-        (point.distance_to(o.location), o.oid)
-        for o in dataset.objects
+        (
+            point.distance_to(o.location),
+            o.oid,
+            sum(1 << i for i, t in enumerate(order) if t in o.keywords),
+        )
+        for o in dataset
         if not o.keywords.isdisjoint(keywords)
         and (within is None or within.contains(o.location))
     )
@@ -68,7 +71,7 @@ def brute_nn(dataset, query):
     return {
         t: min(
             (query.location.distance_to(o.location), o.oid)
-            for o in dataset.objects
+            for o in dataset
             if t in o.keywords
         )
         for t in query.keywords

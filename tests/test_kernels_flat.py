@@ -153,9 +153,9 @@ class TestPacking:
 
     def test_pack_objects_uses_locations(self):
         dataset, _, _ = make_random_instance(17, num_objects=40)
-        xs, ys = pack_objects(dataset.objects)
-        assert list(xs) == [o.location.x for o in dataset.objects]
-        assert list(ys) == [o.location.y for o in dataset.objects]
+        xs, ys = pack_objects(dataset)
+        assert list(xs) == [o.location.x for o in dataset]
+        assert list(ys) == [o.location.y for o in dataset]
 
 
 # -- the cover search's pair check and realized diameter ------------------------
@@ -165,7 +165,7 @@ class TestPacking:
 def owner_instance():
     """An owner (index 0) and its candidates, packed like an owner stream."""
     dataset, _, _ = make_random_instance(29, num_objects=30, vocab=8)
-    objects = dataset.objects
+    objects = list(dataset)
     xs, ys = pack_objects(objects)
     return objects, xs, ys
 

@@ -1,17 +1,24 @@
 """Tests for datasets: construction, statistics, serialization."""
 
+import gc
 import io
 import math
 import platform
-import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms.base import SearchContext
+from repro.bench.macro.datasets import DatasetSpec, build_dataset
 from repro.errors import DatasetFormatError
 from repro.geometry.point import Point
+from repro.index.keyword_trees import KeywordTreeIndex
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
 from repro.model.vocabulary import Vocabulary
+from repro.shard import ShardedIndex
 
 
 def sample_dataset():
@@ -162,23 +169,99 @@ class TestSerialization:
 
     @pytest.mark.skipif(
         platform.python_implementation() != "CPython",
-        reason="frozenset table sizes are a CPython detail",
+        reason="tracemalloc sizes are a CPython detail",
     )
-    def test_loaded_keyword_sets_are_right_sized(self, tmp_path):
-        """A loaded keyword set takes no more room than a copy of a set.
+    def test_loaded_dataset_retains_under_100_bytes_per_object(self, tmp_path):
+        """The columns, postings and vocabulary of a loaded dataset, not
+        one Python object graph per object (about 500 bytes each)."""
+        spec = DatasetSpec("hotel-4k", "hotel", 4000, seed=5)
+        path = tmp_path / "hotel.tsv"
+        build_dataset(spec).save(path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = Dataset.load(path)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 4000
+        assert retained / len(loaded) < 100
 
-        Grown element by element, a 5- to 7-member frozenset would take a
-        32-slot table where 16 slots hold it.
-        """
-        path = tmp_path / "wide.tsv"
-        lines = []
-        for n in (5, 6, 7):
-            words = " ".join("w%d" % i for i in range(n))
-            lines.append("%d.0\t0.0\t%s\n" % (n, words))
-        path.write_text("".join(lines))
+    def test_oid_outside_the_dataset_raises(self):
+        """An oid is not a list position: ``-1`` names no object."""
+        ds = sample_dataset()
+        for oid in (-1, len(ds)):
+            with pytest.raises(IndexError):
+                ds[oid]
+        assert ds[len(ds) - 1].oid == len(ds) - 1
+
+
+class TestColumns:
+    def test_loading_and_indexing_build_no_objects(self, tmp_path, monkeypatch):
+        """Loading, keyword trees, an 8-shard facade and the postings all
+        read the columns; a ``SpatialObject`` is built only on demand."""
+        path = tmp_path / "uniform.tsv"
+        build_dataset(DatasetSpec("u", "uniform", 600, seed=3)).save(path)
+        built = []
+        init = SpatialObject.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["oid"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpatialObject, "__init__", counted)
         loaded = Dataset.load(path)
-        assert sorted(len(o.keywords) for o in loaded) == [5, 6, 7]
-        for obj in loaded:
-            assert sys.getsizeof(obj.keywords) <= sys.getsizeof(
-                frozenset(set(obj.keywords))
-            )
+        KeywordTreeIndex.build(loaded)
+        ShardedIndex.build(loaded, num_shards=8)
+        assert SearchContext(loaded).inverted is not None
+        assert built == []
+        assert loaded[7].oid == 7 and built == [7]
+
+    def test_columns_hold_sorted_keyword_ids(self):
+        ds = sample_dataset()
+        assert ds.keyword_ids.typecode == "i" and ds.xs.typecode == "d"
+        assert list(ds.keyword_offsets) == [0, 2, 3, 6]
+        for oid in range(len(ds)):
+            ids = list(ds.keywords_of(oid))
+            assert ids == sorted(ds[oid].keywords)
+
+
+#: Coordinates with signed zeros and repeats; words with repeats.
+coordinates = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e-300, 12345.678])
+line_words = st.lists(st.sampled_from(["a", "b", "c", "dd", "e"]), min_size=1, max_size=6)
+object_line = st.tuples(coordinates, coordinates, line_words)
+noise_line = st.sampled_from(["", "# a comment", "#\tcomment\twith tabs"])
+text_lines_strategy = st.lists(st.one_of(object_line, noise_line), max_size=30)
+
+
+class TestLoaderProperty:
+    @given(text_lines_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_parse_matches_the_oracle_and_dumps_canonically(self, lines):
+        text = [
+            line if isinstance(line, str) else "%r\t%r\t%s" % (line[0], line[1], " ".join(line[2]))
+            for line in lines
+        ]
+        ds = Dataset.parse(text)
+        # The oracle: first-seen interning, repeated words collapsed.
+        ids = {}
+        rows = [line for line in lines if not isinstance(line, str)]
+        expected = []
+        for oid, (x, y, words) in enumerate(rows):
+            keywords = frozenset(ids.setdefault(w, len(ids)) for w in words)
+            expected.append((oid, repr(x), repr(y), keywords))
+        assert list(ds.vocabulary) == list(ids)
+        assert len(ds) == len(rows)
+        got = [
+            (o.oid, repr(o.location.x), repr(o.location.y), o.keywords)
+            for o in map(ds.__getitem__, range(len(ds)))
+        ]
+        assert got == expected
+        assert [(o.oid, o.keywords) for o in ds] == [(e[0], e[3]) for e in expected]
+        out = io.StringIO()
+        ds.dump(out)
+        assert out.getvalue() == "".join(
+            "%r\t%r\t%s\n" % (x, y, " ".join(sorted(set(words)))) for x, y, words in rows
+        )

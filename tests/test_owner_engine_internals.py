@@ -264,29 +264,22 @@ class TestDiameterSearch:
 
 
 class TestGreedyCompletionNear:
-    def _obj(self, oid, x, y, keywords):
-        return SpatialObject(oid, Point(x, y), frozenset(keywords))
+    """Candidates are ``(x, y, oid, mask)`` rows; the anchor sits at the origin."""
 
     def test_picks_nearest_first(self):
-        anchor = self._obj(9, 0, 0, [])
-        near = self._obj(0, 1, 0, [1])
-        far = self._obj(1, 5, 0, [1, 2])
-        got = greedy_completion_near(anchor, frozenset({1, 2}), [far, near])
-        assert [o.oid for o in got] == [0, 1]
+        near = (1.0, 0.0, 0, 0b01)
+        far = (5.0, 0.0, 1, 0b11)
+        assert greedy_completion_near(0.0, 0.0, 0b11, [far, near]) == [0, 1]
 
     def test_returns_none_when_uncoverable(self):
-        anchor = self._obj(9, 0, 0, [])
-        only = self._obj(0, 1, 0, [1])
-        assert greedy_completion_near(anchor, frozenset({1, 2}), [only]) is None
+        only = (1.0, 0.0, 0, 0b01)
+        assert greedy_completion_near(0.0, 0.0, 0b11, [only]) is None
 
     def test_empty_uncovered(self):
-        anchor = self._obj(9, 0, 0, [])
-        assert greedy_completion_near(anchor, frozenset(), []) == []
+        assert greedy_completion_near(0.0, 0.0, 0, []) == []
 
     def test_skips_objects_covering_nothing_new(self):
-        anchor = self._obj(9, 0, 0, [])
-        a = self._obj(0, 1, 0, [1])
-        duplicate = self._obj(1, 2, 0, [1])
-        b = self._obj(2, 3, 0, [2])
-        got = greedy_completion_near(anchor, frozenset({1, 2}), [a, duplicate, b])
-        assert [o.oid for o in got] == [0, 2]
+        a = (1.0, 0.0, 0, 0b01)
+        duplicate = (2.0, 0.0, 1, 0b01)
+        b = (3.0, 0.0, 2, 0b10)
+        assert greedy_completion_near(0.0, 0.0, 0b11, [a, duplicate, b]) == [0, 2]

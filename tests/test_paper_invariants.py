@@ -105,7 +105,7 @@ class TestCostRelations:
         # For any set: max(a,b) ≤ a+b ≤ 2·max(a,b); with the α=0.5
         # weighting, dia(S) ∈ [maxsum(S), 2·maxsum(S)].
         context, query = random_instance(seed)
-        relevant = context.inverted.relevant_objects(query.keywords)[:6]
+        relevant = context.dataset.relevant_objects(query.keywords)[:6]
         if not relevant:
             return
         maxsum = MaxSumCost().evaluate(query, relevant)

@@ -267,3 +267,22 @@ class TestParseFailures:
         report = run_analysis([FIXTURE, broken], PERMISSIVE)
         rules = {v.rule for v in report.violations}
         assert "PARSE" in rules and "R7" in rules
+
+
+class TestRuntimeContracts:
+    def test_oracle_optimum_is_never_another_datasets(self):
+        """The oracle memo is keyed by dataset id; a freed dataset's id
+        must not serve its optimum to the next dataset given that id."""
+        from repro.algorithms.base import SearchContext
+        from repro.algorithms.maxsum_exact import MaxSumExact
+        from repro.analysis import contracts
+        from repro.model.dataset import Dataset
+        from repro.model.query import Query
+
+        query = Query.create(0.0, 0.0, [0, 1])
+        costs = []
+        for far in (1.0, 100.0, 1.0, 100.0):
+            dataset = Dataset.from_records([(0.0, 0.0, ["a"]), (far, 0.0, ["b"])])
+            costs.append(contracts._oracle_cost(MaxSumExact(SearchContext(dataset)), query))
+            del dataset
+        assert costs == [1.0, 100.0, 1.0, 100.0]
