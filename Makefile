@@ -27,12 +27,13 @@ check: lint
 	$(MAKE) contracts
 	python -m pytest perf/ -q
 
-# Runtime contracts (docs/STATIC_ANALYSIS.md) over the suites that solve
-# with every registered algorithm: each solve() is checked for
-# feasibility, honest cost, and optimality or its ratio.
+# Runtime contracts (docs/STATIC_ANALYSIS.md) over the differential
+# matrix's suites that solve with every registered algorithm: each
+# solve() is checked for feasibility, honest cost, and optimality or its
+# ratio.
 contracts:
 	REPRO_CHECK_CONTRACTS=1 PYTHONPATH=src python -m pytest -x -q \
-		tests/test_registry_conformance.py \
+		tests/test_differential_matrix.py tests/test_registry_conformance.py \
 		tests/test_differential_shard.py tests/test_kernels_differential.py
 
 # The resilience/chaos suite alone (docs/ROBUSTNESS.md).
@@ -49,7 +50,8 @@ serve-check:
 		tests/test_serve_client.py tests/test_serve_chaos.py \
 		tests/test_cache_concurrency.py
 
-# The parallel-engine gate: differential + metamorphic + property suites
+# The parallel-engine gate: the differential matrix's forked-pool and
+# result-cache cells, and the batch and chaos property suites
 # (docs/PARALLELISM.md).
 parallel-check:
 	PYTHONPATH=src python -m pytest -q tests/test_differential_parallel.py \
@@ -59,26 +61,26 @@ parallel-check:
 # The kernels gate: the flat-kernel property suite (each kernel against
 # a naive math.hypot loop), the cover search that runs on the kernels
 # over owner-stream indices (its unit tests and its properties against
-# the brute-force cover enumeration), and the differential suite
-# holding every solver to its golden answers over the keyword trees
-# (docs/PERFORMANCE.md).
+# the brute-force cover enumeration), and the differential matrix's
+# plain cell holding every solver to its golden answers over the
+# keyword trees (docs/PERFORMANCE.md).
 kernels-check:
 	PYTHONPATH=src python -m pytest -q tests/test_kernels_flat.py \
 		tests/test_cover.py tests/test_owner_engine_internals.py \
 		tests/test_kernels_differential.py
 
 # The signatures gate: mask/set bijection properties, the keyword-tree
-# vs linear-scan index parity suite, and the differential suite holding
-# every solver to its golden answers over LinearScanIndex
+# vs linear-scan index parity suite, and the differential matrix's
+# LinearScanIndex cell holding every solver to its golden answers
 # (docs/PERFORMANCE.md).
 signatures-check:
 	PYTHONPATH=src python -m pytest -q tests/test_signatures.py \
 		tests/test_index_parity.py tests/test_signatures_differential.py
 
-# The sharding gate: the differential suite proving the scatter-gather
-# engine and the ShardedIndex facade bit-identical to a single index
-# for every solver and cost, under per-shard chaos and across threads
-# (docs/SHARDING.md).
+# The sharding gate: the differential matrix's cells proving the
+# scatter-gather engine and the ShardedIndex facade bit-identical to a
+# single index for every solver and cost, and the shard layer's tests
+# of per-shard chaos and threads (docs/SHARDING.md).
 shard-check:
 	PYTHONPATH=src python -m pytest -q tests/test_differential_shard.py \
 		tests/test_bench_macro_diff.py

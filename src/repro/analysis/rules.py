@@ -595,7 +595,7 @@ def check_r8(module: ModuleInfo, config: AnalysisConfig) -> Iterator[Violation]:
     :mod:`repro.kernels`.  A solver that inlines its own
     ``math.sqrt(dx*dx + dy*dy)`` silently forks that definition — it
     rounds differently from ``hypot`` and bypasses the kernels' guarded
-    fast paths, so the differential suites stop being able to vouch for
+    fast paths, so the differential matrix stops being able to vouch for
     it.  Scoped by default to ``repro/algorithms/`` and ``repro/cost/``.
 
     Calls whose arguments are all literal constants (``math.sqrt(3.0)``

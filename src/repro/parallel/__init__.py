@@ -15,11 +15,12 @@ one query at a time; this package scales the same contract out:
 - :class:`~repro.parallel.spec.ChaosSpec` — per-query deterministic
   fault plans, so chaos batches fail identically at any worker count.
 
-The whole package is gated by a differential/metamorphic test suite:
-``tests/test_differential_parallel.py`` (cost identity vs the serial
-engine at 1/2/4 workers for every registry solver),
+The whole package is gated by the differential matrix's forked-pool
+cell, ``tests/test_differential_parallel.py`` (every registry solver's
+answers but the oracle's, at 1/2/4 workers, equal the serial engine's
+bit for bit), by
 ``tests/test_metamorphic_cache.py`` (order-invariance under caching) and
-``tests/test_exec_chaos.py`` (worker-count-independent failure sets).
+by ``tests/test_exec_chaos.py`` (worker-count-independent failure sets).
 See ``docs/PARALLELISM.md`` for the design notes.  The names below
 resolve on first use (:mod:`repro.utils.lazy`), so the result cache and
 the specs import without ``multiprocessing``.

@@ -23,8 +23,8 @@ Pickling constraints, made explicit:
 
 Failure semantics mirror :class:`~repro.exec.batch.BatchExecutor`
 exactly — same error types, same messages, same per-stage causes — which
-is what the differential suite (``tests/test_differential_parallel.py``)
-locks down.
+is what the differential matrix's forked-pool cell
+(``tests/test_differential_parallel.py``) locks down.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 :class:`ShardedIndex` STR-partitions a dataset (:mod:`repro.shard.partition`)
 and builds one :class:`~repro.index.keyword_trees.KeywordTreeIndex` per
 tile.  The facade conforms to :class:`~repro.index.protocol.SpatialTextIndex`,
-so every registered solver runs over it unchanged; the differential suite
-(``tests/test_differential_shard.py``) asserts the answers are
-bit-identical to a single index over the same data.
+so every registered solver runs over it unchanged; the differential
+matrix's facade cells (``tests/test_differential_shard.py``) assert the
+answers are bit-identical to a single index over the same data.
 
 The index protocol is one stream, and the facade keeps its single-tree
 contract with one merge discipline: ``nearest_relevant_iter`` is a lazy

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import solve_fn
 from repro.algorithms.base import NNSet, SearchContext
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
 from repro.cost.functions import DiaCost, MaxSumCost, cost_by_name
@@ -57,7 +58,7 @@ class TestSearchContext:
         for context in (first, second, sibling):
             assert context.inverted is tiny_dataset.postings
             for name in ALGORITHM_NAMES:
-                make_algorithm(name, context).solve(tiny_queries[0])
+                solve_fn(name, context)(tiny_queries[0])
         assert built == []
 
 
@@ -110,8 +111,7 @@ class TestRegistry:
     def test_every_algorithm_solves(self, tiny_context, tiny_queries):
         query = tiny_queries[0]
         for name in ALGORITHM_NAMES:
-            algorithm = make_algorithm(name, tiny_context)
-            result = algorithm.solve(query)
+            result = solve_fn(name, tiny_context)(query)
             assert result.is_feasible_for(query), name
 
     def test_unknown_name_raises(self, tiny_context):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import optimum
 from repro.algorithms.base import SearchContext
-from repro.algorithms.bruteforce import BruteForceExact
 from repro.algorithms.cao_appro import CaoAppro1, CaoAppro2
 from repro.algorithms.cao_exact import BranchBoundExact, CaoExact
 from repro.algorithms.nnset import NNSetAlgorithm
@@ -41,14 +41,14 @@ class TestNNSetAlgorithm:
         # counts.
         for query in tiny_queries:
             nn_result = NNSetAlgorithm(tiny_context, MaxCost()).solve(query)
-            optimal = BruteForceExact(tiny_context, MaxCost()).solve(query)
+            optimal = optimum(tiny_context, query, MaxCost())
             assert close(nn_result.cost, optimal.cost)
 
 
 class TestCaoAppro1:
     def test_three_approximation_for_maxsum(self, tiny_context, tiny_queries):
         for query in tiny_queries:
-            optimal = BruteForceExact(tiny_context, MaxSumCost()).solve(query)
+            optimal = optimum(tiny_context, query, MaxSumCost())
             got = CaoAppro1(tiny_context, MaxSumCost()).solve(query)
             assert got.is_feasible_for(query)
             assert got.cost <= 3.0 * optimal.cost + TOL
@@ -58,13 +58,13 @@ class TestCaoAppro1:
     def test_three_approximation_random(self, seed):
         context, queries = random_instance(seed)
         for query in queries:
-            optimal = BruteForceExact(context, MaxSumCost()).solve(query)
+            optimal = optimum(context, query, MaxSumCost())
             got = CaoAppro1(context, MaxSumCost()).solve(query)
             assert got.cost <= 3.0 * optimal.cost + TOL
 
     def test_dia_adaptation_bounded(self, tiny_context, tiny_queries):
         for query in tiny_queries:
-            optimal = BruteForceExact(tiny_context, DiaCost()).solve(query)
+            optimal = optimum(tiny_context, query, DiaCost())
             got = CaoAppro1(tiny_context, DiaCost()).solve(query)
             assert got.cost <= 3.0 * optimal.cost + TOL
 
@@ -72,7 +72,7 @@ class TestCaoAppro1:
 class TestCaoAppro2:
     def test_two_approximation_for_maxsum(self, tiny_context, tiny_queries):
         for query in tiny_queries:
-            optimal = BruteForceExact(tiny_context, MaxSumCost()).solve(query)
+            optimal = optimum(tiny_context, query, MaxSumCost())
             got = CaoAppro2(tiny_context, MaxSumCost()).solve(query)
             assert got.is_feasible_for(query)
             assert got.cost <= 2.0 * optimal.cost + TOL
@@ -82,7 +82,7 @@ class TestCaoAppro2:
     def test_two_approximation_random(self, seed):
         context, queries = random_instance(seed)
         for query in queries:
-            optimal = BruteForceExact(context, MaxSumCost()).solve(query)
+            optimal = optimum(context, query, MaxSumCost())
             got = CaoAppro2(context, MaxSumCost()).solve(query)
             assert got.cost <= 2.0 * optimal.cost + TOL
 
@@ -98,13 +98,13 @@ class TestCaoAppro2:
 class TestBranchBoundExact:
     def test_matches_bruteforce_maxsum(self, tiny_context, tiny_queries):
         for query in tiny_queries:
-            optimal = BruteForceExact(tiny_context, MaxSumCost()).solve(query)
+            optimal = optimum(tiny_context, query, MaxSumCost())
             got = CaoExact(tiny_context, MaxSumCost()).solve(query)
             assert close(got.cost, optimal.cost)
 
     def test_matches_bruteforce_dia(self, tiny_context, tiny_queries):
         for query in tiny_queries:
-            optimal = BruteForceExact(tiny_context, DiaCost()).solve(query)
+            optimal = optimum(tiny_context, query, DiaCost())
             got = CaoExact(tiny_context, DiaCost()).solve(query)
             assert close(got.cost, optimal.cost)
 
@@ -113,7 +113,7 @@ class TestBranchBoundExact:
     def test_matches_bruteforce_random(self, seed):
         context, queries = random_instance(seed)
         for query in queries:
-            optimal = BruteForceExact(context, MaxSumCost()).solve(query)
+            optimal = optimum(context, query, MaxSumCost())
             got = CaoExact(context, MaxSumCost()).solve(query)
             assert close(got.cost, optimal.cost)
 
@@ -124,7 +124,7 @@ class TestBranchBoundExact:
         # typed abort of the repro.exec taxonomy, not a raw RuntimeError.
         query = tiny_queries[0]
         nn_cost = NNSetAlgorithm(tiny_context, MaxSumCost()).solve(query).cost
-        exact_cost = BruteForceExact(tiny_context, MaxSumCost()).solve(query).cost
+        exact_cost = optimum(tiny_context, query, MaxSumCost()).cost
         if close(nn_cost, exact_cost):
             pytest.skip("N(q) already optimal here; no expansion needed")
         with pytest.raises(BudgetExceededError) as info:

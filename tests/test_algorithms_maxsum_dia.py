@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import optimum
 from repro.algorithms.base import SearchContext
-from repro.algorithms.bruteforce import BruteForceExact
 from repro.algorithms.cao_exact import CaoExact
 from repro.algorithms.dia_appro import DIA_APPRO_RATIO, DiaAppro
 from repro.algorithms.dia_exact import DiaExact
@@ -39,7 +39,7 @@ def random_instance(seed):
 class TestMaxSumExact:
     def test_matches_bruteforce_fixed(self, tiny_context, tiny_queries):
         for query in tiny_queries:
-            optimal = BruteForceExact(tiny_context, MaxSumCost()).solve(query)
+            optimal = optimum(tiny_context, query, MaxSumCost())
             got = MaxSumExact(tiny_context).solve(query)
             assert got.is_feasible_for(query)
             assert close(got.cost, optimal.cost)
@@ -49,7 +49,7 @@ class TestMaxSumExact:
     def test_matches_bruteforce_random(self, seed):
         context, queries = random_instance(seed)
         for query in queries:
-            optimal = BruteForceExact(context, MaxSumCost()).solve(query)
+            optimal = optimum(context, query, MaxSumCost())
             got = MaxSumExact(context).solve(query)
             assert close(got.cost, optimal.cost)
 
@@ -94,7 +94,7 @@ class TestMaxSumExact:
 class TestMaxSumAppro:
     def test_feasible_and_within_ratio(self, tiny_context, tiny_queries):
         for query in tiny_queries:
-            optimal = BruteForceExact(tiny_context, MaxSumCost()).solve(query)
+            optimal = optimum(tiny_context, query, MaxSumCost())
             got = MaxSumAppro(tiny_context).solve(query)
             assert got.is_feasible_for(query)
             assert got.cost >= optimal.cost - RELATIVE_TOLERANCE
@@ -105,7 +105,7 @@ class TestMaxSumAppro:
     def test_ratio_random(self, seed):
         context, queries = random_instance(seed)
         for query in queries:
-            optimal = BruteForceExact(context, MaxSumCost()).solve(query)
+            optimal = optimum(context, query, MaxSumCost())
             got = MaxSumAppro(context).solve(query)
             assert got.cost <= optimal.cost * MAXSUM_APPRO_RATIO + RELATIVE_TOLERANCE
 
@@ -124,7 +124,7 @@ class TestMaxSumAppro:
 class TestDia:
     def test_exact_matches_bruteforce_fixed(self, tiny_context, tiny_queries):
         for query in tiny_queries:
-            optimal = BruteForceExact(tiny_context, DiaCost()).solve(query)
+            optimal = optimum(tiny_context, query, DiaCost())
             got = DiaExact(tiny_context).solve(query)
             assert got.is_feasible_for(query)
             assert close(got.cost, optimal.cost)
@@ -134,13 +134,13 @@ class TestDia:
     def test_exact_matches_bruteforce_random(self, seed):
         context, queries = random_instance(seed)
         for query in queries:
-            optimal = BruteForceExact(context, DiaCost()).solve(query)
+            optimal = optimum(context, query, DiaCost())
             got = DiaExact(context).solve(query)
             assert close(got.cost, optimal.cost)
 
     def test_appro_within_sqrt3(self, tiny_context, tiny_queries):
         for query in tiny_queries:
-            optimal = BruteForceExact(tiny_context, DiaCost()).solve(query)
+            optimal = optimum(tiny_context, query, DiaCost())
             got = DiaAppro(tiny_context).solve(query)
             assert got.is_feasible_for(query)
             assert got.cost <= optimal.cost * DIA_APPRO_RATIO + RELATIVE_TOLERANCE

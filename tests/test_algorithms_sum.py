@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import optimum
 from repro.algorithms.base import SearchContext
-from repro.algorithms.bruteforce import BruteForceExact
 from repro.algorithms.sum_algorithms import SumExact, SumGreedy
 from repro.cost.functions import SumCost
 from repro.data.generators import uniform_dataset
@@ -31,7 +31,7 @@ def random_instance(seed):
 class TestSumExact:
     def test_matches_bruteforce_fixed(self, tiny_context, tiny_queries):
         for query in tiny_queries:
-            optimal = BruteForceExact(tiny_context, SumCost()).solve(query)
+            optimal = optimum(tiny_context, query, SumCost())
             got = SumExact(tiny_context).solve(query)
             assert got.is_feasible_for(query)
             assert close(got.cost, optimal.cost)
@@ -41,7 +41,7 @@ class TestSumExact:
     def test_matches_bruteforce_random(self, seed):
         context, queries = random_instance(seed)
         for query in queries:
-            optimal = BruteForceExact(context, SumCost()).solve(query)
+            optimal = optimum(context, query, SumCost())
             got = SumExact(context).solve(query)
             assert close(got.cost, optimal.cost)
 
@@ -66,7 +66,7 @@ class TestSumExact:
 class TestSumGreedy:
     def test_feasible_and_within_harmonic_bound(self, tiny_context, tiny_queries):
         for query in tiny_queries:
-            optimal = BruteForceExact(tiny_context, SumCost()).solve(query)
+            optimal = optimum(tiny_context, query, SumCost())
             got = SumGreedy(tiny_context).solve(query)
             assert got.is_feasible_for(query)
             bound = harmonic_number(query.size)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algorithms.bruteforce import BruteForceExact
+from conftest import optimum
 from repro.algorithms.cover import iter_covers
 from repro.algorithms.maxsum_exact import MaxSumExact
 from repro.algorithms.topk import TopKCoSKQ
@@ -61,7 +61,7 @@ class TestRanking:
 
     def test_sum_cost_ranking(self, tiny_context, tiny_queries):
         for query in tiny_queries[:3]:
-            optimal = BruteForceExact(tiny_context, SumCost()).solve(query)
+            optimal = optimum(tiny_context, query, SumCost())
             topk = TopKCoSKQ(tiny_context, SumCost(), k=2).solve_topk(query)
             assert abs(topk[0].cost - optimal.cost) <= TOL * max(1.0, optimal.cost)
             if len(topk) > 1:

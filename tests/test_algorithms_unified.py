@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import optimum
 from repro.algorithms.base import SearchContext
-from repro.algorithms.bruteforce import BruteForceExact
 from repro.algorithms.cao_exact import BranchBoundExact
 from repro.algorithms.owner_exact import OwnerDrivenExact
 from repro.algorithms.sum_algorithms import SumExact
@@ -64,7 +64,7 @@ class TestUnifiedExactCorrectness:
         context, queries = small
         cost = cost_by_name(name)
         for query in queries:
-            optimal = BruteForceExact(context, cost_by_name(name)).solve(query)
+            optimal = optimum(context, query, cost)
             got = UnifiedExact(context, cost).solve(query)
             assert got.is_feasible_for(query)
             assert close(got.cost, optimal.cost), name
@@ -79,7 +79,7 @@ class TestUnifiedExactCorrectness:
         for query in generate_queries(
             dataset, 3, 2, percentile_range=(0.0, 1.0), seed=seed + 1
         ):
-            optimal = BruteForceExact(context, cost_by_name(cost_name)).solve(query)
+            optimal = optimum(context, query, cost_by_name(cost_name))
             got = UnifiedExact(context, cost_by_name(cost_name)).solve(query)
             assert close(got.cost, optimal.cost)
 
@@ -87,9 +87,8 @@ class TestUnifiedExactCorrectness:
         context, queries = small
         for alpha, phi1, phi2 in INTERESTING_SETTINGS:
             cost = UnifiedCost(alpha, phi1, phi2)
-            oracle_cost = UnifiedCost(alpha, phi1, phi2)
             for query in queries[:2]:
-                optimal = BruteForceExact(context, oracle_cost).solve(query)
+                optimal = optimum(context, query, cost)
                 got = UnifiedExact(context, cost).solve(query)
                 assert close(got.cost, optimal.cost), cost.name
 
@@ -99,7 +98,7 @@ class TestUnifiedAppro:
     def test_within_proven_ratio(self, small, name):
         context, queries = small
         for query in queries:
-            optimal = BruteForceExact(context, cost_by_name(name)).solve(query)
+            optimal = optimum(context, query, cost_by_name(name))
             got = UnifiedAppro(context, cost_by_name(name)).solve(query)
             assert got.is_feasible_for(query)
             bound = ratio_bound_for(name, query.size)
@@ -108,7 +107,7 @@ class TestUnifiedAppro:
     def test_exact_for_max_cost(self, small):
         context, queries = small
         for query in queries:
-            optimal = BruteForceExact(context, cost_by_name("max")).solve(query)
+            optimal = optimum(context, query, cost_by_name("max"))
             got = UnifiedAppro(context, cost_by_name("max")).solve(query)
             assert close(got.cost, optimal.cost)
 
@@ -129,7 +128,7 @@ class TestUnifiedAppro:
         )
         for name in ("maxsum", "dia", "minmax", "summax"):
             for query in queries:
-                optimal = BruteForceExact(context, cost_by_name(name)).solve(query)
+                optimal = optimum(context, query, cost_by_name(name))
                 got = UnifiedAppro(context, cost_by_name(name)).solve(query)
                 bound = ratio_bound_for(name, query.size)
                 assert got.cost <= optimal.cost * bound + TOL, name

@@ -1,26 +1,30 @@
-"""Differential gate: the parallel engine must equal the serial engine.
+"""The differential matrix's forked-pool cell: pooled equals serial.
 
-For every registered solver, every worker count in {1, 2, 4} and several
-seeded datasets, a :class:`ParallelBatchExecutor` run must be
-indistinguishable from a serial :class:`BatchExecutor` run over the same
-batch: same solver label, same per-position answered/failed pattern,
-same costs, same failure types — including on poisoned batches where
-some queries are deliberately infeasible.
+For every registered solver but the oracle (which reads the dataset,
+never an engine), every worker count in {1, 2, 4} and the seeded golden
+instances, a :class:`ParallelBatchExecutor` run must be
+indistinguishable from the serial plain cell (``conftest.plain_cell``)
+over the same batch: same solver label, same per-position
+answered/failed pattern, same cost floats and object sets bit for bit,
+same failure types — the batch carries a query that asks for a keyword
+nothing carries.
 
-One pool is built per (dataset, workers) and reused for all 16 solvers
+One pool is built per (dataset, workers) and reused for all solvers
 (the spec rides along with each task), so the suite exercises the
 "dataset ships once, solvers rebuild worker-side" design while keeping
 pool startup cost linear in worker counts, not solver counts.
+
+Fallback chains must degrade alike pooled or serial, and a pooled
+report's positions must line up with its failures.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import make_random_instance
-from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
+from conftest import SOLVERS, assert_matches_plain, matrix_instance
+from repro.algorithms.base import SearchContext
 from repro.exec.batch import BatchExecutor, BatchReport
-from repro.model.query import Query
 from repro.parallel import ParallelBatchExecutor, SolverSpec, WorkerEnv
 
 TOLERANCE = 1e-9
@@ -29,31 +33,29 @@ SEEDS = (101, 202, 303)
 WORKER_COUNTS = (1, 2, 4)
 
 
-def poisoned_batch(dataset, queries):
-    """The queries plus one that asks for a keyword nothing carries."""
-    base = queries[0]
-    missing = max(dataset.keyword_ids) + 1
-    poisoned = Query(base.location, base.keywords | {missing})
-    return list(queries) + [poisoned]
-
-
 @pytest.fixture(scope="module", params=SEEDS)
 def batch_instance(request):
-    dataset, context, queries = make_random_instance(
-        request.param, num_objects=40, vocab=8
-    )
-    return dataset, context, poisoned_batch(dataset, queries)
+    """A golden instance's id, dataset and batch (the last query infeasible)."""
+    dataset, batch = matrix_instance(request.param)
+    return request.param, dataset, batch
 
 
-@pytest.fixture(scope="module")
-def serial_reports(batch_instance):
-    """One serial reference report per solver (shared across params)."""
-    dataset, context, batch = batch_instance
-    reports = {}
-    for name in ALGORITHM_NAMES:
-        solver = make_algorithm(name, context)
-        reports[name] = BatchExecutor(solver).run(batch)
-    return reports
+def parallel_cell(dataset, batch, workers):
+    """``{name: answers}`` of one forked pool serving every solver."""
+    out = {}
+    with ParallelBatchExecutor(WorkerEnv(dataset=dataset), workers=workers) as engine:
+        for name in SOLVERS:
+            report = engine.run(batch, SolverSpec(algorithm=name))
+            assert report.solver == name
+            assert report.answered + report.failed == report.total == len(batch)
+            failed = {failure.index: failure.error_type for failure in report.failures}
+            out[name] = [
+                failed[i]
+                if result is None
+                else (result.cost, tuple(sorted(o.oid for o in result.objects)))
+                for i, result in enumerate(report.results)
+            ]
+    return out
 
 
 def assert_reports_equal(serial: BatchReport, parallel: BatchReport) -> None:
@@ -78,13 +80,10 @@ def assert_reports_equal(serial: BatchReport, parallel: BatchReport) -> None:
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_every_solver_matches_serial(batch_instance, serial_reports, workers):
-    dataset, _, batch = batch_instance
-    env = WorkerEnv(dataset=dataset)
-    with ParallelBatchExecutor(env, workers=workers) as engine:
-        for name in ALGORITHM_NAMES:
-            report = engine.run(batch, SolverSpec(algorithm=name))
-            assert_reports_equal(serial_reports[name], report)
+def test_every_solver_matches_serial(batch_instance, workers):
+    instance_id, dataset, batch = batch_instance
+    for name, got in parallel_cell(dataset, batch, workers).items():
+        assert_matches_plain(instance_id, name, got)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -92,10 +91,10 @@ def test_resilient_chain_matches_serial(batch_instance, workers):
     """Fallback chains degrade identically whether pooled or serial."""
     from repro.exec import ExecutionPolicy, FallbackChain, ResilientExecutor
 
-    dataset, context, batch = batch_instance
+    _, dataset, batch = batch_instance
     chain_spec = "maxsum-exact -> maxsum-appro"
     serial_solver = ResilientExecutor(
-        FallbackChain.parse(chain_spec, context), ExecutionPolicy()
+        FallbackChain.parse(chain_spec, SearchContext(dataset)), ExecutionPolicy()
     )
     serial = BatchExecutor(serial_solver).run(batch)
     env = WorkerEnv(dataset=dataset)
@@ -106,7 +105,7 @@ def test_resilient_chain_matches_serial(batch_instance, workers):
 
 def test_alignment_invariants_hold(batch_instance):
     """answered + failed == total; results[i] is None ⇔ failure at i."""
-    dataset, _, batch = batch_instance
+    _, dataset, batch = batch_instance
     env = WorkerEnv(dataset=dataset)
     with ParallelBatchExecutor(env, workers=2) as engine:
         report = engine.run(batch, SolverSpec(algorithm="maxsum-appro"))

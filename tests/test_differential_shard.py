@@ -1,6 +1,7 @@
-"""Differential gate: the sharded index must be *bit-identical*.
+"""The differential matrix's shard cells, and the shard layer's own tests.
 
-Two claims are gated, mirroring the signatures/kernels differentials:
+Two claims are gated, each a cell of the differential matrix
+(``conftest.py``) held to the plain cell bit for bit:
 
 1. **Facade identity** — every registered solver, run directly over a
    :class:`~repro.shard.index.ShardedIndex` facade, returns the same
@@ -9,7 +10,13 @@ Two claims are gated, mirroring the signatures/kernels differentials:
 2. **Engine identity** — the :class:`~repro.shard.engine.ScatterGather`
    engine (mask pruning, restricted rerun) changes nothing either, for
    every solver and every cost function — the mask rule in
-   ``docs/SHARDING.md`` is exactly the claim this file enforces.
+   ``docs/SHARDING.md`` is exactly the claim this file enforces.  Under
+   every cost without a MIN aggregate the plain cell also meets the
+   oracle; the MIN ones meet it on the matrix's drawn instances
+   (``test_differential_matrix.py``).
+
+The oracle reads the dataset, never the index or the engine, so its
+cases hold the plain cell's answers to the golden record.
 
 On top sit per-shard chaos drills (a faulting shard surfaces the typed
 error; a zero-fault plan changes nothing), hypothesis properties of the
@@ -24,9 +31,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_instance, make_tie_instance
+from conftest import (
+    AXES,
+    COST_SOLVERS,
+    assert_matches_plain,
+    axis_answers,
+    check_against_oracle,
+    make_random_instance,
+    matrix_instance,
+    plain,
+)
 from repro.algorithms.base import SearchContext
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
+from repro.cost.base import QueryAggregate
 from repro.cost.functions import ALL_COSTS, cost_by_name
 from repro.data.generators import uniform_dataset
 from repro.errors import InjectedFaultError, InvalidParameterError
@@ -56,10 +73,8 @@ def instance(request):
 
 @pytest.fixture(scope="module", params=SEEDS + ("ties",))
 def identity_instance(request):
-    """The seeded instances plus the tie-laden one, for the identity gates."""
-    if request.param == "ties":
-        return make_tie_instance()
-    return make_random_instance(request.param, num_objects=40, vocab=8)
+    """The seeded golden instances plus the tie-laden one, by matrix id."""
+    return request.param
 
 
 def fingerprints(solver, queries):
@@ -73,13 +88,9 @@ def fingerprints(solver, queries):
 class TestFacadeIdentity:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_every_solver_over_the_facade(self, identity_instance, name):
-        dataset, context, queries = identity_instance
-        baseline = fingerprints(make_algorithm(name, context), queries)
         for num_shards in SHARD_COUNTS:
-            sharded = SearchContext(
-                dataset, index_cls=ShardedIndexFactory(num_shards)
-            )
-            assert fingerprints(make_algorithm(name, sharded), queries) == baseline
+            got = axis_answers("sharded-%d" % num_shards, identity_instance, name)
+            assert_matches_plain(identity_instance, name, got)
 
     def test_facade_invariants(self, instance):
         dataset, _, _ = instance
@@ -92,27 +103,23 @@ class TestFacadeIdentity:
 class TestEngineIdentity:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_every_solver_through_the_engine(self, identity_instance, name):
-        dataset, context, queries = identity_instance
-        baseline = fingerprints(make_algorithm(name, context), queries)
         for num_shards in SHARD_COUNTS:
-            sharded = SearchContext(
-                dataset, index_cls=ShardedIndexFactory(num_shards)
-            )
-            engine = ScatterGather(sharded, name)
-            assert fingerprints(engine, queries) == baseline
+            got = axis_answers("scatter-gather-%d" % num_shards, identity_instance, name)
+            assert_matches_plain(identity_instance, name, got)
 
     @pytest.mark.parametrize("cost_name", sorted(ALL_COSTS))
     def test_every_cost_through_the_engine(self, identity_instance, cost_name):
-        """The mask rule holds under every cost, MIN aggregates included."""
-        dataset, context, queries = identity_instance
-        for solver_name in ("maxsum-appro", "unified-exact"):
-            baseline = fingerprints(
-                make_algorithm(solver_name, context, cost_by_name(cost_name)),
-                queries,
-            )
-            sharded = SearchContext(dataset, index_cls=ShardedIndexFactory(4))
-            engine = ScatterGather(sharded, solver_name, cost=cost_by_name(cost_name))
-            assert fingerprints(engine, queries) == baseline
+        """The mask rule holds under every cost, MIN aggregates included.
+
+        Under a MIN aggregate the oracle also tries every extra object
+        per cover, half a second a cost on a 40-object instance, so
+        those costs meet the oracle on the drawn instances instead."""
+        dataset, queries = matrix_instance(identity_instance)
+        expected = {name: plain(identity_instance, name, cost_name) for name in COST_SOLVERS}
+        if cost_by_name(cost_name).query_aggregate is not QueryAggregate.MIN:
+            check_against_oracle(dataset, cost_name, queries, expected)
+        got = AXES["scatter-gather-4"](dataset, COST_SOLVERS, cost_name, queries)
+        assert got == expected
 
     def test_counters_reconcile_and_pruning_is_observable(self, instance):
         dataset, _, queries = instance

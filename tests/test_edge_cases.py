@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import optimum
 from repro.algorithms.base import SearchContext
-from repro.algorithms.bruteforce import BruteForceExact
 from repro.algorithms.dia_exact import DiaExact
 from repro.algorithms.maxsum_appro import MaxSumAppro
 from repro.algorithms.maxsum_exact import MaxSumExact
@@ -59,7 +59,7 @@ class TestColocated:
         context = SearchContext(ds)
         query = Query.from_words(0.0, 0.0, ["a", "b"], ds.vocabulary)
         exact = MaxSumExact(context).solve(query)
-        oracle = BruteForceExact(context, MaxSumCost()).solve(query)
+        oracle = optimum(context, query, MaxSumCost())
         assert close(exact.cost, oracle.cost)
 
 
@@ -77,7 +77,7 @@ class TestTies:
         )
         context = SearchContext(ds)
         query = Query.from_words(0.0, 0.0, ["a", "b"], ds.vocabulary)
-        oracle = BruteForceExact(context, MaxSumCost()).solve(query)
+        oracle = optimum(context, query, MaxSumCost())
         exact = MaxSumExact(context).solve(query)
         assert close(exact.cost, oracle.cost)
         appro = MaxSumAppro(context).solve(query)
@@ -114,7 +114,7 @@ class TestAlphaVariants:
         )[0]
         from repro.algorithms.owner_exact import OwnerDrivenExact
 
-        oracle = BruteForceExact(context, MaxSumCost(alpha=alpha)).solve(query)
+        oracle = optimum(context, query, MaxSumCost(alpha=alpha))
         exact = OwnerDrivenExact(context, cost).solve(query)
         assert close(exact.cost, oracle.cost)
 
@@ -143,7 +143,7 @@ class TestDegenerateQueries:
         context = SearchContext(ds)
         query = Query.from_words(1e6, 1e6, ["a", "b"], ds.vocabulary)
         exact = MaxSumExact(context).solve(query)
-        oracle = BruteForceExact(context, MaxSumCost()).solve(query)
+        oracle = optimum(context, query, MaxSumCost())
         assert close(exact.cost, oracle.cost)
 
     def test_dia_with_distant_query(self):
@@ -154,6 +154,6 @@ class TestDegenerateQueries:
         )
         context = SearchContext(ds)
         query = Query.from_words(1000.0, 1000.0, ["a", "b", "c"], ds.vocabulary)
-        oracle = BruteForceExact(context, DiaCost()).solve(query)
+        oracle = optimum(context, query, DiaCost())
         exact = DiaExact(context).solve(query)
         assert close(exact.cost, oracle.cost)

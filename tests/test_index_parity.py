@@ -13,11 +13,17 @@ so the suite compares exact sequences:
 - ``SearchContext.nn_set`` equals a brute-force ``N(q)`` on every
   backend — per keyword, the carrier with the smallest
   ``(distance, oid)``, also where carriers sit at exactly the same
-  distance.
+  distance;
+- the linear scan keeps no per-object state beside the dataset.
 """
 
 from __future__ import annotations
 
+import gc
+import platform
+import tracemalloc
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,3 +138,24 @@ class TestCrossBackendParity:
                     got = {t: (d, o.oid) for t, (d, o) in nn.by_keyword.items()}
                     assert got == brute_nn(data, query), name
                     assert nn.d_f == max(d for d, _ in got.values())
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython",
+    reason="tracemalloc sizes are a CPython detail",
+)
+def test_linear_scan_retains_under_1_byte_per_object():
+    """The scan reads the dataset's keyword columns; it keeps no
+    per-object state, such as a keyword mask as wide as the vocabulary."""
+    dataset = uniform_dataset(4000, 2000, mean_keywords=2.0, seed=5, name="wide")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = LinearScanIndex(dataset)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(index) == 4000
+    assert retained / len(dataset) < 1

@@ -123,6 +123,18 @@ class TestLensKernels:
         assert got_idx == inside
         assert list(got_d) == [math.hypot(cx - xs[i], cy - ys[i]) for i in inside]
 
+    @pytest.mark.parametrize("scale", [1.0, 1e152])
+    def test_lens_scan_keeps_a_carrier_exactly_at_the_cap(self, scale):
+        """The disk is closed: a carrier at exactly ``cap`` is inside it.
+
+        The property above meets this boundary only when it draws a cap
+        equal to a realized distance; this case always does.
+        """
+        xs, ys = _pack([(3.0 * scale, 4.0 * scale), (6.0 * scale, 8.0 * scale)])
+        cap = math.hypot(xs[0], ys[0])
+        got = lens_scan([[0, 1]], 1, 0, 2, 0.0, 0.0, xs, ys, cap)
+        assert got == ([0], array("d", [cap]))
+
     @given(pts=point_lists, owner=st.tuples(coords, coords),
            q=st.tuples(coords, coords), budget=caps)
     def test_lens_lower_bound_never_drops_a_member(self, pts, owner, q, budget):

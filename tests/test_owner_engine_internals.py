@@ -6,9 +6,8 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cover_inputs, make_near_tie_instance
+from conftest import cover_inputs, make_near_tie_instance, optimum
 from repro.algorithms.base import SearchContext
-from repro.algorithms.bruteforce import BruteForceExact
 from repro.algorithms.cover import find_constrained_cover, iter_covers
 from repro.algorithms.dia_exact import DiaExact
 from repro.algorithms.maxsum_exact import MaxSumExact
@@ -228,7 +227,7 @@ class TestDiameterSearch:
         result = MaxSumExact(context).solve(query)
         assert sorted(o.oid for o in result.objects) == [2, 3, 4]
         assert pairwise_max_distance(list(result.objects)) == 6.0
-        assert result.cost == BruteForceExact(context, MaxSumCost()).solve(query).cost
+        assert result.cost == optimum(context, query, MaxSumCost()).cost
         assert result.counters["bisection_probes"] <= 3
 
     def test_benchmark_counters_are_reported(self):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import optimum
 from repro.algorithms.base import SearchContext
-from repro.algorithms.bruteforce import BruteForceExact
 from repro.cost.base import pairwise_max_distance
 from repro.cost.functions import DiaCost, MaxSumCost
 from repro.data.generators import uniform_dataset
@@ -37,7 +37,7 @@ class TestDfBound:
         context, query = random_instance(seed)
         nn = context.nn_set(query)
         for cost in (MaxSumCost(), DiaCost()):
-            optimal = BruteForceExact(context, cost).solve(query)
+            optimal = optimum(context, query, cost)
             r = max(query.location.distance_to(o.location) for o in optimal.objects)
             assert r >= nn.d_f - TOL
 
@@ -48,7 +48,7 @@ class TestDfBound:
         context, query = random_instance(seed)
         nn = context.nn_set(query)
         for cost in (MaxSumCost(), DiaCost()):
-            optimal = BruteForceExact(context, cost).solve(query)
+            optimal = optimum(context, query, cost)
             assert optimal.cost >= cost.combine(nn.d_f, 0.0) - TOL
 
 
@@ -58,7 +58,7 @@ class TestOwnerDecomposition:
     def test_cost_is_combine_of_owner_distances(self, seed):
         context, query = random_instance(seed)
         for cost in (MaxSumCost(), DiaCost()):
-            optimal = BruteForceExact(context, cost).solve(query)
+            optimal = optimum(context, query, cost)
             r = max(query.location.distance_to(o.location) for o in optimal.objects)
             d12 = pairwise_max_distance(list(optimal.objects))
             assert optimal.cost == pytest.approx(cost.combine(r, d12))
@@ -69,7 +69,7 @@ class TestOwnerDecomposition:
         # Every member sits in C(q, r) and within d12 of every other —
         # the region restrictions of Steps 1–2.
         context, query = random_instance(seed)
-        optimal = BruteForceExact(context, MaxSumCost()).solve(query)
+        optimal = optimum(context, query, MaxSumCost())
         members = list(optimal.objects)
         r = max(query.location.distance_to(o.location) for o in members)
         d12 = pairwise_max_distance(members)
@@ -84,7 +84,7 @@ class TestOwnerDecomposition:
         # diam(S) ≥ max_t min_{carrier v of t in S-disk} d(v, owner):
         # the bisection's lower bracket.
         context, query = random_instance(seed)
-        optimal = BruteForceExact(context, MaxSumCost()).solve(query)
+        optimal = optimum(context, query, MaxSumCost())
         members = list(optimal.objects)
         owner = max(members, key=lambda o: query.location.distance_to(o.location))
         d12 = pairwise_max_distance(members)
@@ -118,6 +118,6 @@ class TestCostRelations:
         # cost*_dia ≥ cost*_maxsum (same inequality holds pointwise, and
         # minima preserve pointwise dominance).
         context, query = random_instance(seed)
-        maxsum_opt = BruteForceExact(context, MaxSumCost()).solve(query)
-        dia_opt = BruteForceExact(context, DiaCost()).solve(query)
+        maxsum_opt = optimum(context, query, MaxSumCost())
+        dia_opt = optimum(context, query, DiaCost())
         assert dia_opt.cost >= maxsum_opt.cost - TOL

@@ -1,10 +1,14 @@
-"""Registry-wide conformance: every registered algorithm actually works.
+"""Registry-wide conformance: the differential matrix's plain cell
+against the oracle.
 
 For each name in ``ALGORITHM_NAMES``, build the algorithm through the
-registry factory (paper-default cost), solve a tiny shared instance and
-check the result against the brute-force oracle *under the algorithm's
+registry factory (paper-default cost), take its plain-cell answers on
+the matrix's fixed inputs (the small conformance instance and every
+golden instance: the tie-laden, extreme and near-tie ones among them)
+and check them against the brute-force oracle *under the algorithm's
 own cost*:
 
+- every answer covers its query and costs what its objects cost;
 - ``exact = True``  → cost equals the optimum;
 - ``exact = False`` → cost is ≥ the optimum and, when the algorithm
   declares a ratio for its default cost, ≤ ratio × optimum.
@@ -17,96 +21,59 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_extreme_instance, make_near_tie_instance, make_tie_instance
+from conftest import (
+    MATRIX_INSTANCES,
+    check_covers_and_prices,
+    check_exactness,
+    check_ratio,
+    declared_ratio,
+    matrix_instance,
+    plain,
+)
 from repro.algorithms.base import SearchContext
-from repro.algorithms.bruteforce import BruteForceExact
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
-from repro.data.generators import uniform_dataset
-from repro.data.queries import generate_queries
-from repro.utils.floatcmp import float_geq, float_leq
-
-TOLERANCE = 1e-6
-
-#: Sum-family costs depend only on per-object query distances, so the
-#: minimal-subset convention differs; they are checked for optimality
-#: under their own cost like everything else.
 
 
-@pytest.fixture(scope="module")
-def instance():
-    # Vocab must be >= 8: the query generator samples 3-keyword queries
-    # from a percentile band that is too narrow on smaller vocabularies.
-    dataset = uniform_dataset(36, 8, mean_keywords=2.0, seed=7, name="conform")
+def plain_cells(name):
+    """``(solver, queries, answers)`` of ``name`` on every fixed input."""
+    for instance_id in MATRIX_INSTANCES:
+        dataset, queries = matrix_instance(instance_id)
+        solver = make_algorithm(name, SearchContext(dataset))
+        yield solver, queries, plain(instance_id, name)
+
+
+def ratio_names():
+    """The solvers that declare a ratio for their own default cost."""
+    dataset, _ = matrix_instance("conform")
     context = SearchContext(dataset)
-    queries = generate_queries(dataset, 3, 3, seed=9)
-    return dataset, context, queries
-
-
-@pytest.fixture(scope="module")
-def instances(instance):
-    """The shared instance plus the tie-laden one (colocated objects,
-    owners tied with other stream entries, a query on an object), the
-    extreme one (one object carrying every keyword, single-keyword
-    queries, squared distances overflowing to ``inf``) and the near-tie
-    one (two completions whose diameters differ by a relative 2e-10)."""
-    return [instance, make_tie_instance(), make_extreme_instance(), make_near_tie_instance()]
-
-
-def oracle_cost(context, query, cost):
-    return BruteForceExact(context, cost).solve(query).cost
+    return [
+        name
+        for name in ALGORITHM_NAMES
+        if declared_ratio(make_algorithm(name, context)) is not None
+    ]
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
-def test_registered_algorithm_solves(name, instance):
-    _, context, queries = instance
-    algorithm = make_algorithm(name, context)
-    for query in queries:
-        result = algorithm.solve(query)
-        assert result.objects, name
-        covered = frozenset().union(*(o.keywords for o in result.objects))
-        assert query.keywords <= covered, "%s returned infeasible set" % name
-        recomputed = algorithm.cost.evaluate(query, result.objects)
-        assert abs(recomputed - result.cost) <= TOLERANCE, name
+def test_registered_algorithm_solves(name):
+    for solver, queries, answered in plain_cells(name):
+        check_covers_and_prices(solver.context.dataset, queries, solver, answered)
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
-def test_exactness_claims_hold(name, instances):
-    for _, context, queries in instances:
-        algorithm = make_algorithm(name, context)
-        for query in queries:
-            result = algorithm.solve(query)
-            optimum = oracle_cost(context, query, algorithm.cost)
-            if algorithm.exact:
-                assert abs(result.cost - optimum) <= TOLERANCE, (
-                    "%s claims exact but %.9f != optimum %.9f"
-                    % (name, result.cost, optimum)
-                )
-            else:
-                assert float_geq(result.cost, optimum, TOLERANCE), (
-                    "%s beat the oracle: %.9f < %.9f" % (name, result.cost, optimum)
-                )
+def test_exactness_claims_hold(name):
+    for solver, queries, answered in plain_cells(name):
+        check_exactness(queries, solver, answered)
 
 
-@pytest.mark.parametrize("name", ALGORITHM_NAMES)
-def test_declared_ratios_respected(name, instances):
-    for _, context, queries in instances:
-        algorithm = make_algorithm(name, context)
-        ratio = getattr(algorithm, "ratio", None)
-        if ratio is None:
-            pytest.skip("%s declares no approximation ratio" % name)
-        if algorithm.ratio_cost != algorithm.cost.name:
-            pytest.skip("%s ratio applies to %s cost" % (name, algorithm.ratio_cost))
-        for query in queries:
-            result = algorithm.solve(query)
-            optimum = oracle_cost(context, query, algorithm.cost)
-            assert float_leq(result.cost, ratio * optimum, TOLERANCE), (
-                "%s exceeded its %.3f bound: %.9f > %.9f"
-                % (name, ratio, result.cost, ratio * optimum)
-            )
+@pytest.mark.parametrize("name", ratio_names())
+def test_declared_ratios_respected(name):
+    for solver, queries, answered in plain_cells(name):
+        check_ratio(queries, solver, answered)
 
 
-def test_every_registered_name_is_stable(instance):
-    _, context, _ = instance
+def test_every_registered_name_is_stable():
+    dataset, _ = matrix_instance("conform")
+    context = SearchContext(dataset)
     # Names round-trip: the instance's declared name matches its key,
     # so benchmark CSVs and the CLI agree on identity.
     for name in ALGORITHM_NAMES:

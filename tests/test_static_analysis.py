@@ -281,8 +281,8 @@ class TestRuntimeContracts:
 
         query = Query.create(0.0, 0.0, [0, 1])
         costs = []
-        for far in (1.0, 100.0, 1.0, 100.0):
+        for far in (1.0, 100.0, 2.0, 200.0):
             dataset = Dataset.from_records([(0.0, 0.0, ["a"]), (far, 0.0, ["b"])])
             costs.append(contracts._oracle_cost(MaxSumExact(SearchContext(dataset)), query))
             del dataset
-        assert costs == [1.0, 100.0, 1.0, 100.0]
+        assert costs == [1.0, 100.0, 2.0, 200.0]
