@@ -64,7 +64,7 @@ def main() -> None:
 
     # Keyword trees vs linear scan on the same N(q) lookups.
     linear = SearchContext(dataset, index_cls=LinearScanIndex)
-    rounds = 300
+    rounds = 50
     probes = [
         Query(Point(i % 1000, (i * 37) % 1000), query.keywords) for i in range(rounds)
     ]

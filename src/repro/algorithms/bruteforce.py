@@ -3,10 +3,12 @@
 Enumerates every irredundant cover of the query keywords over the
 relevant objects and scores it with the configured cost function.  For
 MIN-aggregate costs it additionally tries extending each cover by one
-extra relevant object, since a redundant-but-close object can lower the
-query component there (at most one extra can ever help: only the closest
+extra relevant object strictly nearer the query than the cover's nearest
+member, since such a redundant-but-close object can lower the query
+component there (at most one extra can ever help: only the closest
 chosen object contributes, and further extras merely inflate the
-diameter).
+diameter; an extra no nearer leaves the query component as it was and
+can only grow the diameter, so it never lowers the cost).
 
 Exponential; only usable on the small instances the property tests build,
 which is its entire purpose.
@@ -45,9 +47,12 @@ class BruteForceExact(CoSKQAlgorithm):
                 best_cost = cost_value
                 best = list(cover)
             if handles_min:
-                chosen_ids = {o.oid for o in cover}
+                # d(o, q) as the cost's query component computes it.
+                here = query.location
+                nearest = min(here.distance_to(o.location) for o in cover)
                 for extra in relevant:
-                    if extra.oid in chosen_ids:
+                    # A cover member is never strictly nearer than itself.
+                    if not here.distance_to(extra.location) < nearest:
                         continue
                     extended = cover + [extra]
                     cost_value = self._evaluate(query, extended)

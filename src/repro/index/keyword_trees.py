@@ -16,23 +16,24 @@ The index is built over a dataset's columns
 (a shard's members), and every tree lives in flat arrays shared by the
 whole index:
 
-- the objects sorted by ``(x, y, oid)``, so the layout is a function
-  of the object set alone; an object's position in that order is its
-  *rank*, and the ``x``/``y``/``oid`` columns are indexed by rank, so
-  each object's doubles are stored once however many keywords it
-  carries;
 - per keyword (a *slot*, keyword ids ascending), a range of the entry
-  array, which lists the ranks of the keyword's carriers in leaf order;
+  array, which lists the oids of the keyword's carriers in leaf order;
+  the slots, offsets and entries are the dataset's postings
+  (:attr:`~repro.model.dataset.Dataset.postings`), or
+  :func:`~repro.model.dataset.group_by_keyword` over the sorted member
+  oids, with each multi-leaf keyword's range rewritten into leaf order;
 - per node, its MBR and one child range: leaves (node ids below
   ``_leaves``) range over the entry array, internal nodes over a
   child-id array.
 
-Coordinates and MBRs are ``array("d")``; every id column (ranks, oids,
-entries, ranges, child ids, roots, keyword slots and offsets) is a
-4-byte ``array("i")``, which raises :class:`OverflowError` on an id
-past ``2**31 - 1`` instead of wrapping.  The slots, offsets and entries
-are the posting layout of :func:`~repro.model.dataset.group_by_keyword`
-over the ranks.
+An entry's coordinates are read from the dataset's own ``xs`` and
+``ys``, so no double is copied however many keywords an object carries.
+A multi-leaf keyword's carriers are STR-packed in ``(x, y, oid)``
+order, so the layout is a function of the object set alone.  MBRs are
+``array("d")``; every id column (a member list's oids, entries, ranges,
+child ids, roots, keyword slots and offsets) is a 4-byte
+``array("i")``, which raises :class:`OverflowError` on an id past
+``2**31 - 1`` instead of wrapping.
 
 A keyword with at most ``max_entries`` carriers has no node at all: its
 entry range is its single leaf.  The index is built once and read-only
@@ -64,9 +65,7 @@ class KeywordTreeIndex:
     __slots__ = (
         "max_entries",
         "_dataset",
-        "_xs",
-        "_ys",
-        "_oids",
+        "_members",
         "_keywords",
         "_offsets",
         "_roots",
@@ -91,22 +90,18 @@ class KeywordTreeIndex:
             raise ValueError("max_entries must be at least 4")
         self.max_entries = max_entries
         self._dataset = dataset
-        # The (x, y, oid) order from three stable sorts over the
-        # coordinate columns, last key first.  Coordinates are finite, so
-        # this is the tuple order, with -0.0 and 0.0 tying.
-        ranked = list(range(len(dataset))) if oids is None else sorted(oids)
-        ranked.sort(key=dataset.ys.__getitem__)
-        ranked.sort(key=dataset.xs.__getitem__)
-        by_rank = self._oids = array("i", ranked)
-        del ranked
-        xs = self._xs = array("d", map(dataset.xs.__getitem__, by_rank))
-        ys = self._ys = array("d", map(dataset.ys.__getitem__, by_rank))
-        # Each keyword's carriers by ascending rank, so by x, as STR
-        # needs them; a multi-leaf keyword's range is then rewritten in
-        # place into its leaf order.
-        keywords, offsets, entries = group_by_keyword(
-            dataset.keyword_ids, dataset.keyword_offsets, by_rank
-        )
+        # Each keyword's carriers by ascending oid; a multi-leaf
+        # keyword's range is then rewritten in place into its leaf order,
+        # so the entries are the tree's own copy.
+        if oids is None:
+            self._members = range(len(dataset))
+            keywords, offsets, entries = dataset.postings
+            entries = entries[:]
+        else:
+            self._members = array("i", sorted(oids))
+            keywords, offsets, entries = group_by_keyword(
+                dataset.keyword_ids, dataset.keyword_offsets, self._members
+            )
         self._keywords, self._offsets, self._entries = keywords, offsets, entries
         # -1 marks a single leaf; a multi-leaf keyword's root is set once
         # the levels above its leaves are stacked.
@@ -121,14 +116,21 @@ class KeywordTreeIndex:
         # Leaves first, for every keyword, so that ``id < _leaves`` tells
         # a leaf; the levels above are stacked once all leaves exist.
         stacked: List[Tuple[int, int, int]] = []
-        x_of = xs.__getitem__
+        ys = dataset.ys
+        x_of = dataset.xs.__getitem__
         y_of = ys.__getitem__
         for slot in range(len(keywords)):
             at, end = offsets[slot], offsets[slot + 1]
             if end - at <= max_entries:
                 continue
+            # The (x, y, oid) order that STR needs, from two stable sorts
+            # of the oid-ordered carriers, last key first.  Coordinates
+            # are finite, so this is the tuple order, with -0.0 and 0.0
+            # tying.
+            carriers = sorted(entries[at:end], key=y_of)
+            carriers.sort(key=x_of)
             first = len(self._lo)
-            for leaf in _str_tiles(entries[at:end], max_entries, y_of):
+            for leaf in _str_tiles(carriers, max_entries, y_of):
                 lo = at
                 at += len(leaf)
                 entries[lo:at] = array("i", leaf)
@@ -197,7 +199,7 @@ class KeywordTreeIndex:
     # -- the stream -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._oids)
+        return len(self._members)
 
     def nearest_relevant_iter(
         self, point: Point, keywords: FrozenSet[int], within: Circle | None = None
@@ -214,17 +216,16 @@ class KeywordTreeIndex:
         heap before the first of them pops and the stream has the total
         ``(distance, oid)`` order.  An object carrying several query
         keywords is an entry of each of their trees under keys that
-        differ only in the bit (its doubles are stored once), so its
-        copies pop back to back and are yielded once, with their bits
-        ORed into ``mask``.  ``within`` keeps only the objects in that
-        closed disk; no solver passes it.
+        differ only in the bit, so its copies pop back to back and are
+        yielded once, with their bits ORed into ``mask``.  ``within``
+        keeps only the objects in that closed disk; no solver passes it.
         """
         px = point.x
         py = point.y
         hypot = math.hypot
         heappush = heapq.heappush
         heappop = heapq.heappop
-        xs, ys, oids, entries = self._xs, self._ys, self._oids, self._entries
+        xs, ys, entries = self._dataset.xs, self._dataset.ys, self._entries
         x0, y0, x1, y1 = self._x0, self._y0, self._x1, self._y1
         lo, hi, leaves, kids = self._lo, self._hi, self._leaves, self._kids
         ids, offsets, roots = self._keywords, self._offsets, self._roots
@@ -235,25 +236,22 @@ class KeywordTreeIndex:
                 continue
             root = roots[slot]
             if root < 0:
-                for r in entries[offsets[slot] : offsets[slot + 1]]:
-                    heap.append((hypot(px - xs[r], py - ys[r]), 1, oids[r], bit))
+                for oid in entries[offsets[slot] : offsets[slot + 1]]:
+                    heap.append((hypot(px - xs[oid], py - ys[oid]), 1, oid, bit))
             else:
                 heap.append((0.0, 0, root, bit))
         heapq.heapify(heap)
-        dataset = self._dataset
         while heap:
             dist, is_entry, tag, bit = heappop(heap)
             if is_entry:
                 # The object's other copies, if any, are next.
                 while heap and heap[0][2] == tag and heap[0][1]:
                     bit |= heappop(heap)[3]
-                if within is None or within.contains(
-                    Point(dataset.xs[tag], dataset.ys[tag])
-                ):
+                if within is None or within.contains(Point(xs[tag], ys[tag])):
                     yield dist, tag, bit
             elif tag < leaves:
-                for r in entries[lo[tag] : hi[tag]]:
-                    heappush(heap, (hypot(px - xs[r], py - ys[r]), 1, oids[r], bit))
+                for oid in entries[lo[tag] : hi[tag]]:
+                    heappush(heap, (hypot(px - xs[oid], py - ys[oid]), 1, oid, bit))
             else:
                 for c in kids[lo[tag] : hi[tag]]:
                     # The clamped offsets from the point to the child's box.
@@ -283,28 +281,23 @@ class KeywordTreeIndex:
         return tallest
 
     def all_objects(self) -> Iterator[SpatialObject]:
-        """The indexed objects in rank order, each built as it is reached."""
-        return map(self._dataset.__getitem__, self._oids)
+        """The indexed objects in oid order, each built as it is reached."""
+        return map(self._dataset.__getitem__, self._members)
 
     def check_invariants(self) -> None:
         """Raise AssertionError on any structural or summary violation."""
         dataset = self._dataset
-        oids = list(self._oids)
-        assert len(set(oids)) == len(oids), "an object is ranked twice"
+        members = self._members
+        assert all(map(int.__lt__, members, members[1:])), (
+            "member oids are not ascending and distinct"
+        )
+        assert not members or 0 <= members[0] and members[-1] < len(dataset), (
+            "a member is not an oid of the dataset"
+        )
         expected: dict = {}
-        for rank, oid in enumerate(oids):
-            # Exact mirror check: the columns hold the dataset's own doubles.
-            assert self._xs[rank] == dataset.xs[oid], "x column diverges"
-            assert self._ys[rank] == dataset.ys[oid], "y column diverges"
-            if rank:
-                previous = oids[rank - 1]
-                assert (dataset.xs[previous], dataset.ys[previous], previous) <= (
-                    dataset.xs[oid],
-                    dataset.ys[oid],
-                    oid,
-                ), "ranks are not in (x, y, oid) order"
+        for oid in members:
             for k in dataset.keywords_of(oid):
-                expected.setdefault(k, []).append(rank)
+                expected.setdefault(k, []).append(oid)
         assert list(self._keywords) == sorted(expected), "keyword slots drifted"
         assert len(self._offsets) == len(self._keywords) + 1
         for slot, k in enumerate(self._keywords):
@@ -329,8 +322,9 @@ class KeywordTreeIndex:
         assert 1 <= hi - lo <= self.max_entries, "node fanout out of range"
         box = (self._x0[node], self._y0[node], self._x1[node], self._y1[node])
         if node < self._leaves:
-            for r in self._entries[lo:hi]:
-                x, y = self._xs[r], self._ys[r]
+            xs, ys = self._dataset.xs, self._dataset.ys
+            for oid in self._entries[lo:hi]:
+                x, y = xs[oid], ys[oid]
                 assert box[0] <= x <= box[2] and box[1] <= y <= box[3], (
                     "leaf MBR misses an entry"
                 )

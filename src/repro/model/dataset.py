@@ -71,16 +71,15 @@ def text_lines(path: str | Path) -> Iterator[str]:
 def group_by_keyword(
     ids: Sequence[int], offsets: Sequence[int], rows: Optional[Sequence[int]] = None
 ) -> Tuple[array, array, array]:
-    """Group positions by keyword, by counting sort over keyword columns.
+    """Group rows by keyword, by counting sort over keyword columns.
 
-    Position ``p`` carries the keyword ids ``ids[offsets[row]:offsets[row
-    + 1]]`` of row ``row = rows[p]``; without ``rows`` every row is its
-    own position.  The columns are read in place.  Returns ``(keywords,
-    offsets, positions)``, all ``array("i")``: the ids carried at any
-    position, ascending; and for the keyword at slot ``s``,
-    ``positions[offsets[s]:offsets[s + 1]]`` lists, ascending, the
-    positions that carry it.  An id or position past ``2**31 - 1``
-    raises :class:`OverflowError`.
+    Row ``r`` carries the keyword ids ``ids[offsets[r]:offsets[r + 1]]``;
+    without ``rows`` every row is grouped, in order.  The columns are
+    read in place.  Returns ``(keywords, offsets, grouped)``, all
+    ``array("i")``: the ids carried by any of ``rows``, ascending; and
+    for the keyword at slot ``s``, ``grouped[offsets[s]:offsets[s + 1]]``
+    lists the rows that carry it, in the order of ``rows``.  An id or
+    row past ``2**31 - 1`` raises :class:`OverflowError`.
     """
     if rows is None:
         rows = range(len(offsets) - 1)
@@ -89,21 +88,21 @@ def group_by_keyword(
         counts = dict(
             Counter(chain.from_iterable(ids[offsets[r] : offsets[r + 1]] for r in rows))
         )
-    # Turn each keyword's count into the next free position of its
-    # range; the second pass drops every position into place.
+    # Turn each keyword's count into the next free place of its range;
+    # the second pass drops every row into place.
     keywords = array("i", sorted(counts))
     slots = array("i", [0])
     total = 0
     for k in keywords:
         counts[k], total = total, total + counts[k]
         slots.append(total)
-    positions = array("i", [0]) * total
-    for pos, r in enumerate(rows):
+    grouped = array("i", [0]) * total
+    for r in rows:
         for k in ids[offsets[r] : offsets[r + 1]]:
             at = counts[k]
-            positions[at] = pos
+            grouped[at] = r
             counts[k] = at + 1
-    return keywords, slots, positions
+    return keywords, slots, grouped
 
 
 class Postings(NamedTuple):
@@ -233,7 +232,7 @@ class Dataset:
         self.ys = ys
         self.keyword_ids = keyword_ids
         self.keyword_offsets = keyword_offsets
-        # A dataset's oids are its rows, so the grouped positions are oids.
+        # A dataset's oids are its rows.
         self.postings = Postings(*group_by_keyword(keyword_ids, keyword_offsets))
         self._mbr: MBR | None = None
 

@@ -8,6 +8,7 @@ from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
 from repro.cost.functions import DiaCost, MaxSumCost, cost_by_name
 from repro.errors import InfeasibleQueryError, InvalidParameterError
 from repro.exec import FaultPlan, chaos_context
+from repro.index import keyword_trees
 from repro.index.keyword_trees import KeywordTreeIndex
 from repro.index.neighbors import LinearScanIndex
 from repro.model import dataset as dataset_module
@@ -38,11 +39,12 @@ class TestSearchContext:
     def test_postings_are_built_once_per_dataset(
         self, tiny_dataset, tiny_queries, monkeypatch
     ):
-        """Contexts, siblings and solves read the dataset's postings.
+        """Contexts, siblings, trees and solves read the dataset's postings.
 
         The dataset groups its keyword postings when it is built; a second
-        context over it, a ``with_index`` sibling and every registry
-        solver through either build none again.
+        context over it, a ``with_index`` sibling, the keyword trees they
+        index and every registry solver through either group none again.
+        Only a tree over a member list groups its members.
         """
         built = []
         group = dataset_module.group_by_keyword
@@ -52,6 +54,7 @@ class TestSearchContext:
             return group(*args, **kwargs)
 
         monkeypatch.setattr(dataset_module, "group_by_keyword", counted)
+        monkeypatch.setattr(keyword_trees, "group_by_keyword", counted)
         first = SearchContext(tiny_dataset)
         second = SearchContext(tiny_dataset)
         sibling = first.with_index(first.index)
@@ -60,6 +63,8 @@ class TestSearchContext:
             for name in ALGORITHM_NAMES:
                 solve_fn(name, context)(tiny_queries[0])
         assert built == []
+        KeywordTreeIndex(tiny_dataset, 4, [1, 0])
+        assert len(built) == 1
 
 
 class TestNNSet:

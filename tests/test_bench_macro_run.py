@@ -85,7 +85,7 @@ class TestSmokeRun:
 class TestTimedPasses:
     def test_no_index_is_built_inside_a_timed_pass(self, tmp_path, monkeypatch):
         """Index builds are set-up: every keyword grouping (the dataset's
-        postings, each keyword tree's) is built before timing."""
+        postings, each shard tree's members) is built before timing."""
         timing = []
         built_while_timing = []
         build = dataset_module.group_by_keyword

@@ -11,9 +11,7 @@ Two claims are gated, each a cell of the differential matrix
    engine (mask pruning, restricted rerun) changes nothing either, for
    every solver and every cost function — the mask rule in
    ``docs/SHARDING.md`` is exactly the claim this file enforces.  Under
-   every cost without a MIN aggregate the plain cell also meets the
-   oracle; the MIN ones meet it on the matrix's drawn instances
-   (``test_differential_matrix.py``).
+   every cost the plain cell also meets the oracle.
 
 The oracle reads the dataset, never the index or the engine, so its
 cases hold the plain cell's answers to the golden record.
@@ -43,8 +41,7 @@ from conftest import (
 )
 from repro.algorithms.base import SearchContext
 from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
-from repro.cost.base import QueryAggregate
-from repro.cost.functions import ALL_COSTS, cost_by_name
+from repro.cost.functions import ALL_COSTS
 from repro.data.generators import uniform_dataset
 from repro.errors import InjectedFaultError, InvalidParameterError
 from repro.exec.chaos import ChaosIndex, FaultPlan
@@ -109,15 +106,10 @@ class TestEngineIdentity:
 
     @pytest.mark.parametrize("cost_name", sorted(ALL_COSTS))
     def test_every_cost_through_the_engine(self, identity_instance, cost_name):
-        """The mask rule holds under every cost, MIN aggregates included.
-
-        Under a MIN aggregate the oracle also tries every extra object
-        per cover, half a second a cost on a 40-object instance, so
-        those costs meet the oracle on the drawn instances instead."""
+        """The mask rule holds under every cost, MIN aggregates included."""
         dataset, queries = matrix_instance(identity_instance)
         expected = {name: plain(identity_instance, name, cost_name) for name in COST_SOLVERS}
-        if cost_by_name(cost_name).query_aggregate is not QueryAggregate.MIN:
-            check_against_oracle(dataset, cost_name, queries, expected)
+        check_against_oracle(dataset, cost_name, queries, expected)
         got = AXES["scatter-gather-4"](dataset, COST_SOLVERS, cost_name, queries)
         assert got == expected
 

@@ -94,18 +94,17 @@ class TestGroupByKeyword:
         subset = [r for r in range(len(keyword_sets)) if rng.random() < 0.6]
         rng.shuffle(subset)
         for rows in (None, subset):
-            positions_rows = range(len(keyword_sets)) if rows is None else rows
             expected = {}
-            for pos, row in enumerate(positions_rows):
+            for row in range(len(keyword_sets)) if rows is None else rows:
                 for k in keyword_sets[row]:
-                    expected.setdefault(k, []).append(pos)
-            keywords, slots, positions = group_by_keyword(ids, offsets, rows)
-            assert [a.itemsize for a in (keywords, slots, positions)] == [4, 4, 4]
+                    expected.setdefault(k, []).append(row)
+            keywords, slots, grouped = group_by_keyword(ids, offsets, rows)
+            assert [a.itemsize for a in (keywords, slots, grouped)] == [4, 4, 4]
             assert list(keywords) == sorted(expected)
             assert len(slots) == len(keywords) + 1 and slots[0] == 0
-            assert slots[-1] == len(positions)
+            assert slots[-1] == len(grouped)
             got = {
-                k: list(positions[slots[slot] : slots[slot + 1]])
+                k: list(grouped[slots[slot] : slots[slot + 1]])
                 for slot, k in enumerate(keywords)
             }
             assert got == expected

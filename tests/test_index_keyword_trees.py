@@ -1,5 +1,8 @@
 """Tests for the keyword-tree index: its structure, the stream, NN(p, t), N(q)."""
 
+import math
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,24 +97,34 @@ class TestStructure:
         got = list(index.nearest_relevant_iter(point, keywords))
         assert got == brute_stream(members, point, keywords)
 
-    def test_id_columns_are_four_bytes(self, tree):
-        for name in (
-            "_oids", "_keywords", "_offsets", "_roots", "_entries", "_lo", "_hi", "_kids"
-        ):
-            assert getattr(tree, name).itemsize == 4, name
-        for name in ("_xs", "_ys", "_x0", "_y0", "_x1", "_y1"):
-            assert getattr(tree, name).typecode == "d", name
-
+    def test_id_columns_are_four_bytes(self, ds, tree):
+        members = KeywordTreeIndex(ds, 4, range(0, len(ds), 3))
+        assert members._members.itemsize == 4
+        for index in (tree, members):
+            for name in (
+                "_keywords", "_offsets", "_roots", "_entries", "_lo", "_hi", "_kids"
+            ):
+                assert getattr(index, name).itemsize == 4, name
+            for name in ("_x0", "_y0", "_x1", "_y1"):
+                assert getattr(index, name).typecode == "d", name
 
 
 class TestInvariantChecks:
     """``check_invariants`` catches each kind of drift it claims to check."""
 
-    def test_column_must_hold_the_objects_doubles(self, ds):
+    def test_leaf_mbr_must_hold_its_entries_doubles(self, ds):
         index = KeywordTreeIndex.build(ds, max_entries=4)
-        index._xs[7] = -1.0
-        with pytest.raises(AssertionError):
+        # Push leaf 0's left edge past its entries' x.
+        index._x0[0] = index._x1[0] + 1.0
+        with pytest.raises(AssertionError, match="leaf MBR"):
             index.check_invariants()
+
+    def test_members_must_be_ascending_distinct_oids(self, ds):
+        for members, message in (([5, 5, 9], "ascending"), ([5, len(ds)], "not an oid")):
+            index = KeywordTreeIndex(ds, 4, [5, 9])
+            index._members = array("i", members)
+            with pytest.raises(AssertionError, match=message):
+                index.check_invariants()
 
     def test_keyword_tree_must_hold_its_carriers_once(self, ds):
         index = KeywordTreeIndex.build(ds, max_entries=4)
@@ -256,13 +269,48 @@ class TestPropertyBased:
     )
     @settings(max_examples=60, deadline=None)
     def test_rank_order_is_x_y_oid(self, rows, picks, fanout):
-        """Repeated coordinates, signed zeros, sparse member oids in any order."""
+        """Repeated coordinates, signed zeros, sparse member oids in any order.
+
+        Each multi-leaf keyword's leaves are the STR tiles of its carriers
+        in ``(x, y, oid)`` order, and every entry is an oid.
+        """
         dataset = dataset_of(rows)
         oids = [oid for oid in picks if oid < len(dataset)]
         index = KeywordTreeIndex(dataset, fanout, oids)
         index.check_invariants()
-        members = [dataset[oid] for oid in oids]
-        expected = sorted(members, key=lambda o: (o.location.x, o.location.y, o.oid))
-        assert list(index.all_objects()) == expected
-        assert list(index._oids) == [o.oid for o in expected]
-        assert list(index._xs) == [o.location.x for o in expected]
+        assert len(index) == len(oids)
+        assert [o.oid for o in index.all_objects()] == sorted(oids)
+        for slot, k in enumerate(index._keywords):
+            lo, hi = index._offsets[slot], index._offsets[slot + 1]
+            carriers = sorted(
+                (oid for oid in oids if k in dataset[oid].keywords),
+                key=lambda oid: (dataset.xs[oid], dataset.ys[oid], oid),
+            )
+            if index._roots[slot] < 0:
+                assert sorted(index._entries[lo:hi]) == sorted(carriers)
+                continue
+            leaves = [
+                list(index._entries[index._lo[node] : index._hi[node]])
+                for node in range(index._leaves)
+                if lo <= index._lo[node] < hi
+            ]
+            assert leaves == str_tiles(dataset, carriers, fanout)
+
+
+def str_tiles(dataset, carriers, cap):
+    """The STR leaves of ``carriers``, given in ``(x, y, oid)`` order.
+
+    Vertical slices of ``cap * ceil(tiles / ceil(sqrt(tiles)))``
+    carriers, each ordered by ``(y, x, oid)`` and cut into runs of
+    ``cap``.
+    """
+    tiles = -(-len(carriers) // cap)
+    size = cap * -(-tiles // math.ceil(math.sqrt(tiles)))
+    leaves = []
+    for start in range(0, len(carriers), size):
+        band = sorted(
+            carriers[start : start + size],
+            key=lambda oid: (dataset.ys[oid], dataset.xs[oid], oid),
+        )
+        leaves.extend(band[run : run + cap] for run in range(0, len(band), cap))
+    return leaves
