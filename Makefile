@@ -44,19 +44,20 @@ chaos:
 # The serving gate (docs/SERVING.md): boots the daemon on an ephemeral
 # port and drives a mixed clean + chaos load through the real HTTP
 # stack — zero 5xx-without-taxonomy, zero infeasible answers, and
-# /stats totals reconciling bit-for-bit with the client-side tally.
+# /stats totals reconciling bit-for-bit with the client-side tally —
+# and holds /query to coskq-query's answers for the same flags.
 serve-check:
 	PYTHONPATH=src python -m pytest -q tests/test_serve_http.py \
 		tests/test_serve_client.py tests/test_serve_chaos.py \
-		tests/test_cache_concurrency.py
+		tests/test_cache_concurrency.py tests/test_entry_points.py
 
 # The parallel-engine gate: the differential matrix's forked-pool and
-# result-cache cells, and the batch and chaos property suites
-# (docs/PARALLELISM.md).
+# result-cache cells, the batch and chaos property suites, and the
+# entry points that share its recipe and runtime (docs/PARALLELISM.md).
 parallel-check:
 	PYTHONPATH=src python -m pytest -q tests/test_differential_parallel.py \
 		tests/test_metamorphic_cache.py tests/test_exec_batch_properties.py \
-		tests/test_exec_chaos.py
+		tests/test_exec_chaos.py tests/test_entry_points.py
 
 # The kernels gate: the flat-kernel property suite (each kernel against
 # a naive math.hypot loop), the cover search that runs on the kernels

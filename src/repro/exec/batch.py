@@ -13,13 +13,13 @@ None) so downstream aggregation stays index-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExecutionFailedError
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
 
-__all__ = ["QueryFailure", "BatchReport", "BatchExecutor"]
+__all__ = ["QueryFailure", "BatchReport", "BatchExecutor", "solve_isolated"]
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,40 @@ class BatchReport:
         return not self.failures
 
 
+def solve_isolated(
+    solve: Callable[[Query], CoSKQResult],
+    index: int,
+    query: Query,
+    label: str,
+    validate: bool,
+) -> Union[CoSKQResult, QueryFailure]:
+    """``solve(query)``, with any failure returned as a :class:`QueryFailure`.
+
+    ``validate`` also fails an infeasible answer (a solver bug then
+    registers as that query's failure, not a poisoned batch); ``label``
+    names the solver in that message.  Both batch engines isolate each
+    query through here, so they report identical failures.
+    """
+    try:
+        result = solve(query)
+        if validate and not result.is_feasible_for(query):
+            raise AssertionError(
+                "%s returned an infeasible set for %r" % (label, query)
+            )
+    except Exception as err:  # KeyboardInterrupt et al. still propagate
+        stage_failures: Tuple[object, ...] = ()
+        if isinstance(err, ExecutionFailedError):
+            stage_failures = err.failures
+        return QueryFailure(
+            index=index,
+            query=query,
+            error_type=type(err).__name__,
+            message=str(err),
+            stage_failures=stage_failures,
+        )
+    return result
+
+
 class BatchExecutor:
     """Run a solver over a workload without letting one query kill it.
 
@@ -105,27 +139,12 @@ class BatchExecutor:
             solver=str(getattr(self.solver, "name", type(self.solver).__name__))
         )
         for index, query in enumerate(queries):
-            try:
-                result = self.solver.solve(query)
-                if self.validate and not result.is_feasible_for(query):
-                    raise AssertionError(
-                        "%s returned an infeasible set for %r"
-                        % (report.solver, query)
-                    )
-            except Exception as err:  # KeyboardInterrupt et al. still propagate
+            outcome = solve_isolated(
+                self.solver.solve, index, query, report.solver, self.validate
+            )
+            if isinstance(outcome, QueryFailure):
                 report.results.append(None)
-                stage_failures: Tuple[object, ...] = ()
-                if isinstance(err, ExecutionFailedError):
-                    stage_failures = err.failures
-                report.failures.append(
-                    QueryFailure(
-                        index=index,
-                        query=query,
-                        error_type=type(err).__name__,
-                        message=str(err),
-                        stage_failures=stage_failures,
-                    )
-                )
+                report.failures.append(outcome)
             else:
-                report.results.append(result)
+                report.results.append(outcome)
         return report

@@ -94,7 +94,8 @@ class FallbackChain:
     Stages are any objects with ``solve(query)`` and a ``name`` — the
     Euclidean :class:`~repro.algorithms.base.CoSKQAlgorithm` family, the
     network solvers, or test doubles.  Build from instances, or
-    declaratively from registry names with :meth:`of` / :meth:`parse`.
+    declaratively from registry names with :meth:`of`; a chain spec
+    string is parsed by :attr:`repro.parallel.spec.SolverSpec.stage_names`.
     """
 
     def __init__(self, stages: Sequence[object]):
@@ -122,27 +123,6 @@ class FallbackChain:
         ``FallbackChain.of(ctx, "maxsum-exact", "maxsum-appro", "nn-set")``.
         """
         return cls([make_algorithm(name, context, cost=cost) for name in names])
-
-    @classmethod
-    def parse(
-        cls,
-        spec: str,
-        context: SearchContext,
-        cost: Optional[CostFunction] = None,
-    ) -> "FallbackChain":
-        """A chain from a comma/arrow-separated spec string.
-
-        Accepts ``"maxsum-exact,maxsum-appro,nn-set"`` (the CLI form) and
-        the arrow form used in docs (``"maxsum-exact->nn-set"``).
-        """
-        names = [
-            part.strip()
-            for part in spec.replace("->", ",").split(",")
-            if part.strip()
-        ]
-        if not names:
-            raise InvalidParameterError("empty fallback chain spec %r" % (spec,))
-        return cls.of(context, *names, cost=cost)
 
     @property
     def names(self) -> Tuple[str, ...]:

@@ -10,6 +10,11 @@ one query at a time; this package scales the same contract out:
 - :class:`~repro.parallel.spec.WorkerEnv` /
   :class:`~repro.parallel.spec.SolverSpec` — picklable recipes so the
   dataset ships once per worker and solvers rebuild worker-side;
+- :class:`~repro.parallel.worker.WorkerRuntime` — the one runtime: it
+  builds the context, the result cache and one clock from a
+  ``WorkerEnv`` and a fresh solver per query from a ``SolverSpec``
+  (none is memoized).  ``coskq-query`` (single and ``--batch``) and
+  ``coskq-serve`` solve through the same recipe and runtime;
 - :class:`~repro.parallel.cache.ResultCache` — cross-query answer
   reuse, selected by :class:`~repro.parallel.spec.CacheSpec`;
 - :class:`~repro.parallel.spec.ChaosSpec` — per-query deterministic

@@ -135,24 +135,16 @@ class ParallelBatchExecutor:
         cache_stats: Dict[str, int] = {}
         pids = set()
         for payload in payloads:
-            index = payload["index"]
             stats = payload["stats"]
             if stats is not None:
                 pids.add(payload["pid"])
                 for key, value in stats.items():
                     cache_stats[key] = cache_stats.get(key, 0) + value
-            if payload["ok"]:
-                results[index] = payload["result"]
+            outcome = payload["outcome"]
+            if isinstance(outcome, QueryFailure):
+                failures.append(outcome)
             else:
-                failures.append(
-                    QueryFailure(
-                        index=index,
-                        query=queries[index],
-                        error_type=payload["error_type"],
-                        message=payload["message"],
-                        stage_failures=tuple(payload["stage_failures"]),
-                    )
-                )
+                results[payload["index"]] = outcome
         failures.sort(key=lambda failure: failure.index)
         return BatchReport(
             solver=spec.label,

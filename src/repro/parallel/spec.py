@@ -10,7 +10,10 @@ indexes and (for resilient chains) clocks and budgets through pickle on
   configuration and an optional chaos schedule;
 - :class:`SolverSpec` — a tiny frozen description of one solver (a
   registry name or a fallback-chain spec plus policy knobs) that rides
-  along with each task and is built (then memoized) inside the worker;
+  along with each task; the runtime builds a fresh solver from it for
+  every query.  It is the one recipe behind ``coskq-query`` (single and
+  ``--batch``), the pool and ``coskq-serve``, and the only code that
+  turns names and limits into a chain, a policy and an executor;
 - :class:`CacheSpec` / :class:`ChaosSpec` — the cache and fault-plan
   configurations, reduced to primitives.
 
@@ -24,10 +27,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.algorithms.base import SearchContext
-from repro.algorithms.registry import make_algorithm
+from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
 from repro.cost.functions import cost_by_name
 from repro.errors import InvalidParameterError
 from repro.exec.chaos import FaultPlan
+from repro.exec.clock import Clock
+from repro.exec.executor import ResilientExecutor
 from repro.exec.fallback import FallbackChain
 from repro.exec.policy import ExecutionPolicy
 from repro.model.dataset import Dataset
@@ -75,8 +80,8 @@ class ChaosSpec:
     fail_rate: float = 0.0
     fail_nth: Tuple[int, ...] = ()
     #: Injected slowness: every ``latency_every``-th index call sleeps
-    #: ``latency_s`` on the plan's clock (virtual under a ManualClock).
-    #: ``latency_every=0`` disables it.
+    #: ``latency_s`` on the runtime's clock, the one its deadlines read
+    #: (virtual under a ManualClock).  ``latency_every=0`` disables it.
     latency_s: float = 0.0
     latency_every: int = 0
 
@@ -111,6 +116,12 @@ class SolverSpec:
     over a :class:`~repro.exec.fallback.FallbackChain` — deadlines and
     fallback degrade **per worker**, exactly as they do serially);
     otherwise the bare registry algorithm is built.
+
+    A spec is checked when it is made, so every front end refuses a
+    malformed one before it solves anything: the chain must name at
+    least one registered algorithm, the cost must be a known one and
+    the envelope one :class:`~repro.exec.policy.ExecutionPolicy`
+    accepts.
     """
 
     algorithm: str = "maxsum-exact"
@@ -120,6 +131,38 @@ class SolverSpec:
     work_budget: Optional[int] = None
     max_retries: int = 0
     always_answer: bool = True
+    #: The chain's stages: ``chain`` split on commas or arrows
+    #: (``"maxsum-exact,nn-set"``, ``"maxsum-exact -> nn-set"``), else
+    #: ``(algorithm,)``.
+    stage_names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: The envelope a resilient build runs its chain inside.
+    policy: ExecutionPolicy = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names: Tuple[str, ...] = (self.algorithm,)
+        if self.chain is not None:
+            names = tuple(
+                part.strip()
+                for part in self.chain.replace("->", ",").split(",")
+                if part.strip()
+            )
+        if not names:
+            raise InvalidParameterError("empty fallback chain spec %r" % (self.chain,))
+        for name in names:
+            if name not in ALGORITHM_NAMES:
+                raise InvalidParameterError(
+                    "unknown algorithm %r; known: %s" % (name, list(ALGORITHM_NAMES))
+                )
+        if self.cost is not None:
+            cost_by_name(self.cost)
+        policy = ExecutionPolicy(
+            deadline_ms=self.deadline_ms,
+            work_budget=self.work_budget,
+            max_retries=self.max_retries,
+            always_answer=self.always_answer,
+        )
+        object.__setattr__(self, "stage_names", names)
+        object.__setattr__(self, "policy", policy)
 
     @property
     def resilient(self) -> bool:
@@ -131,36 +174,23 @@ class SolverSpec:
         )
 
     @property
-    def stage_names(self) -> Tuple[str, ...]:
-        spec = self.chain if self.chain is not None else self.algorithm
-        return tuple(
-            part.strip()
-            for part in spec.replace("->", ",").split(",")
-            if part.strip()
-        )
-
-    @property
     def label(self) -> str:
         """The name the built solver will report (for batch alignment)."""
         if self.resilient:
             return "exec[%s]" % "|".join(self.stage_names)
         return self.algorithm
 
-    def build(self, context: SearchContext):
-        """Instantiate the described solver over ``context``."""
+    def build(self, context: SearchContext, clock: Optional[Clock] = None):
+        """Instantiate the described solver over ``context``.
+
+        ``clock`` is the time source of a resilient build's deadline; it
+        must be the clock any chaos latency in ``context`` sleeps on.
+        """
         cost = cost_by_name(self.cost) if self.cost is not None else None
         if not self.resilient:
             return make_algorithm(self.algorithm, context, cost=cost)
-        from repro.exec.executor import ResilientExecutor
-
         chain = FallbackChain.of(context, *self.stage_names, cost=cost)
-        policy = ExecutionPolicy(
-            deadline_ms=self.deadline_ms,
-            work_budget=self.work_budget,
-            max_retries=self.max_retries,
-            always_answer=self.always_answer,
-        )
-        return ResilientExecutor(chain, policy)
+        return ResilientExecutor(chain, self.policy, clock=clock)
 
 
 @dataclass(frozen=True)

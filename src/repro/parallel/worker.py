@@ -1,29 +1,36 @@
-"""The per-process worker runtime behind the parallel batch engine.
+"""The one solving runtime behind the batch engine, the CLI and the daemon.
 
-One :class:`WorkerRuntime` lives in each pool process (module global,
-installed by the pool initializer).  It builds the expensive state
-exactly once — dataset indexes, the result cache — and then serves
-``(index, spec, query)`` tasks, returning plain-dict payloads that the
-parent reassembles into a :class:`~repro.exec.batch.BatchReport`.
+A :class:`WorkerRuntime` turns a :class:`~repro.parallel.spec.WorkerEnv`
+into solving state — the single or sharded
+:class:`~repro.algorithms.base.SearchContext`, the result cache and one
+clock — and a :class:`~repro.parallel.spec.SolverSpec` into a fresh
+solver per query.  One lives in each pool process (module global,
+installed by the pool initializer), one serves ``coskq-query`` in
+process, and one sits behind each ``coskq-serve``
+:class:`~repro.serve.service.QueryService`.  It builds the expensive
+state exactly once and then serves ``(index, spec, query)`` tasks,
+returning plain-dict payloads that the parent reassembles into a
+:class:`~repro.exec.batch.BatchReport`.
 
 Pickling constraints, made explicit:
 
 - the :class:`~repro.parallel.spec.WorkerEnv` crosses the process
   boundary **once per worker** (``initargs``), not per task;
 - each task ships only ``(int, SolverSpec, Query)`` — a few hundred
-  bytes; solvers are rebuilt from the spec inside the worker and
-  memoized per spec;
-- each payload ships the :class:`~repro.model.result.CoSKQResult` (or a
-  typed failure record) plus the cache counters that task moved; live
-  exceptions never cross the boundary, so unpicklable tracebacks cannot
-  poison the pool;
+  bytes; a solver is rebuilt from the spec for every query, never
+  shared, because it carries counters and an attached budget;
+- each payload ships the :class:`~repro.model.result.CoSKQResult` or its
+  :class:`~repro.exec.batch.QueryFailure` plus the cache counters that
+  task moved; live exceptions never cross the boundary, so unpicklable
+  tracebacks cannot poison the pool;
 - under the ``fork`` start method the parent may pre-build a runtime
   (:func:`prepare_inherited_runtime`) that children adopt by token,
   skipping the per-worker index build entirely.
 
-Failure semantics mirror :class:`~repro.exec.batch.BatchExecutor`
-exactly — same error types, same messages, same per-stage causes — which
-is what the differential matrix's forked-pool cell
+Each query is isolated by :func:`~repro.exec.batch.solve_isolated`, the
+routine :class:`~repro.exec.batch.BatchExecutor` uses — same error
+types, same messages, same per-stage causes — which is what the
+differential matrix's forked-pool cell
 (``tests/test_differential_parallel.py``) locks down.
 """
 
@@ -35,8 +42,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.algorithms.base import SearchContext
 from repro.cost.functions import cost_by_name
-from repro.errors import ExecutionFailedError
-from repro.exec.chaos import ChaosIndex
+from repro.exec.batch import solve_isolated
+from repro.exec.chaos import chaos_context
+from repro.exec.clock import Clock, MonotonicClock
 from repro.model.query import Query
 from repro.parallel.cache import CachedSolver, ResultCache
 from repro.parallel.spec import SolverSpec, WorkerEnv
@@ -58,11 +66,19 @@ _TOKENS = itertools.count(1)
 
 
 class WorkerRuntime:
-    """One process's solving state: context, caches, memoized solvers."""
+    """One process's solving state: context, result cache and clock.
 
-    def __init__(self, env: WorkerEnv, validate: bool = True):
+    ``clock`` is the one time source of every solver built here: chaos
+    latency sleeps on it and the resilient executor's deadline reads it,
+    so injected slowness always reaches the deadline.
+    """
+
+    def __init__(
+        self, env: WorkerEnv, validate: bool = True, clock: Optional[Clock] = None
+    ):
         self.env = env
         self.validate = validate
+        self.clock: Clock = clock if clock is not None else MonotonicClock()
         if env.shards > 0:
             self.context = SearchContext(
                 env.dataset,
@@ -75,48 +91,42 @@ class WorkerRuntime:
         self.result_cache: Optional[ResultCache] = None
         if env.cache.caches_results:
             self.result_cache = ResultCache(env.cache.result_capacity)
-        self._solvers: Dict[SolverSpec, object] = {}
 
     # -- solver construction ----------------------------------------------------
 
     def solver_for(self, spec: SolverSpec, query_index: int):
-        """The (memoized) solver for ``spec``; chaos rebuilds per query.
+        """A fresh solver for query ``query_index`` of ``spec``.
 
-        Chaos wraps the index with a fresh per-query
-        :class:`~repro.exec.chaos.ChaosIndex`, so every index call of
-        query ``i`` is intercepted by plan ``i`` regardless of which
-        worker runs it.
+        Chaos wraps the index in a fresh per-query
+        :class:`~repro.exec.chaos.ChaosIndex` on the runtime's clock, so
+        every index call of query ``i`` is intercepted by plan ``i``
+        regardless of which worker runs it.  Over shards, a bare spec
+        runs through the :class:`~repro.shard.engine.ScatterGather`
+        engine, so shard pruning happens inside the worker; resilient
+        chains run directly over the sharded facade (the facade conforms
+        to the index protocol, so their stages answer bit-identically).
+        With result caching on, a :class:`CachedSolver` goes in front.
         """
-        if self.env.chaos is not None:
-            plan = self.env.chaos.plan_for(query_index)
-            context = self.context.with_index(
-                ChaosIndex(self.context.index, plan)
-            )
-            return spec.build(context)
-        solver = self._solvers.get(spec)
-        if solver is None:
-            if self.env.shards > 0 and not spec.resilient:
-                # Bare registry solvers route through the scatter-gather
-                # engine so shard pruning happens inside the worker;
-                # resilient chains run directly over the sharded facade
-                # (their stages still answer bit-identically — the
-                # facade conforms to the index protocol — they just
-                # skip the per-query shard restriction).
-                from repro.shard.engine import ScatterGather
+        chaos = self.env.chaos
+        if chaos is not None:
+            plan = chaos.plan_for(query_index)
+            context = chaos_context(self.context, plan, clock=self.clock)
+            return spec.build(context, clock=self.clock)
+        if self.env.shards > 0 and not spec.resilient:
+            from repro.shard.engine import ScatterGather
 
-                cost = cost_by_name(spec.cost) if spec.cost is not None else None
-                solver = ScatterGather(self.context, spec.algorithm, cost=cost)
-            else:
-                solver = spec.build(self.context)
-            if self.result_cache is not None:
-                solver = CachedSolver(solver, self.result_cache, cost_name=spec.cost)
-            self._solvers[spec] = solver
+            cost = cost_by_name(spec.cost) if spec.cost is not None else None
+            solver = ScatterGather(self.context, spec.algorithm, cost=cost)
+        else:
+            solver = spec.build(self.context, clock=self.clock)
+        if self.result_cache is not None:
+            solver = CachedSolver(solver, self.result_cache, cost_name=spec.cost)
         return solver
 
     # -- one task ---------------------------------------------------------------
 
     def solve(self, index: int, spec: SolverSpec, query: Query) -> Dict[str, object]:
-        """One isolated solve; failures become payload fields, not raises.
+        """One isolated solve; a failure becomes the payload's outcome.
 
         The payload's ``stats`` are the cache counters this one solve
         moved (None when caching is off), so the parent sums them into
@@ -124,34 +134,18 @@ class WorkerRuntime:
         """
         cache = self.result_cache
         before = cache.stats_dict("result_") if cache is not None else {}
-        payload: Dict[str, object]
-        try:
-            solver = self.solver_for(spec, index)
-            result = solver.solve(query)
-            if self.validate and not result.is_feasible_for(query):
-                raise AssertionError(
-                    "%s returned an infeasible set for %r" % (spec.label, query)
-                )
-        except Exception as err:  # KeyboardInterrupt et al. still propagate
-            stage_failures: Tuple[object, ...] = ()
-            if isinstance(err, ExecutionFailedError):
-                stage_failures = err.failures
-            payload = {
-                "ok": False,
-                "index": index,
-                "result": None,
-                "error_type": type(err).__name__,
-                "message": str(err),
-                "stage_failures": stage_failures,
-            }
-        else:
-            payload = {"ok": True, "index": index, "result": result}
-        payload["pid"] = os.getpid()
-        payload["stats"] = None
+        outcome = solve_isolated(
+            lambda q: self.solver_for(spec, index).solve(q),
+            index,
+            query,
+            spec.label,
+            self.validate,
+        )
+        stats = None
         if cache is not None:
             after = cache.stats_dict("result_")
-            payload["stats"] = {key: after[key] - before[key] for key in after}
-        return payload
+            stats = {key: after[key] - before[key] for key in after}
+        return {"index": index, "outcome": outcome, "pid": os.getpid(), "stats": stats}
 
 
 # -- fork inheritance ---------------------------------------------------------

@@ -210,5 +210,4 @@ def create_server(
     """A warmed server on ``config.host:config.port`` (port 0 = ephemeral)."""
     config = config if config is not None else ServerConfig()
     service = QueryService(dataset, config, clock=clock)
-    service.warm()
     return CoSKQServer((config.host, config.port), service)

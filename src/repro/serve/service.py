@@ -3,13 +3,18 @@
 :class:`QueryService` is everything the daemon does minus the sockets,
 so the whole degradation surface is testable without binding a port:
 
-- the index is built **once** (``warm()``), shared read-only by every
-  request thread — sound because lint rules R7/R10 pin solvers to a
-  read-only index, and the result cache carries its own lock;
-- each request builds its *own* fallback chain and
-  :class:`~repro.exec.executor.ResilientExecutor` (solvers are stateful
-  per solve — counters, budgets — so instances are never shared across
-  threads; construction is cheap, the index is not rebuilt);
+- the service holds one :class:`~repro.parallel.worker.WorkerRuntime`
+  built from its :class:`~repro.serve.config.ServerConfig`, the runtime
+  the batch engine and ``coskq-query`` use: the index is built **once**,
+  at construction, and shared read-only by every request thread —
+  sound because lint rules R7/R10 pin solvers to a read-only index, and
+  the result cache carries its own lock;
+- each request maps onto a :class:`~repro.parallel.spec.SolverSpec`,
+  and the runtime builds its *own* fallback chain and
+  :class:`~repro.exec.executor.ResilientExecutor` from it (solvers are
+  stateful per solve — counters, budgets — so instances are never
+  shared across threads; construction is cheap, the index is not
+  rebuilt);
 - requests degrade instead of erroring: a deadline-expired request
   returns the best fallback answer with its
   :class:`~repro.exec.fallback.ExecutionProvenance` serialized in the
@@ -21,7 +26,8 @@ so the whole degradation surface is testable without binding a port:
 - under a :class:`~repro.parallel.spec.ChaosSpec`, request ``n`` solves
   against an index sabotaged by the deterministic plan ``plan_for(n)``
   — each request gets a fresh plan and wrapper, so chaos is
-  thread-safe and order-independent by construction.
+  thread-safe and order-independent by construction, and injected
+  latency sleeps on the service's clock, the one its deadlines read.
 
 ``handle_query`` **never raises**: every exception — including an
 unexpected one — becomes a JSON error response carrying the failure's
@@ -36,8 +42,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.algorithms.base import SearchContext
-from repro.cost.functions import cost_by_name
 from repro.errors import (
     CoSKQError,
     DeadlineExceededError,
@@ -46,19 +50,18 @@ from repro.errors import (
     InvalidParameterError,
     UnknownKeywordError,
 )
-from repro.exec.chaos import chaos_context
 from repro.exec.clock import Clock, MonotonicClock
-from repro.exec.executor import ResilientExecutor
-from repro.exec.fallback import ExecutionProvenance, FallbackChain
-from repro.exec.policy import ExecutionPolicy
+from repro.exec.fallback import ExecutionProvenance
 from repro.model.dataset import Dataset
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
-from repro.parallel.cache import CachedSolver, ResultCache
+from repro.parallel.cache import ResultCache
+from repro.parallel.spec import CacheSpec, SolverSpec, WorkerEnv
+from repro.parallel.worker import WorkerRuntime
 from repro.serve.admission import AdmissionController
 from repro.serve.config import ServerConfig
 from repro.serve.stats import ServerStats
-from repro.shard.index import ShardedIndex, ShardedIndexFactory
+from repro.shard.index import ShardedIndex
 
 __all__ = [
     "OUTCOME_STATUS",
@@ -147,21 +150,18 @@ class QueryService:
         self.config = config if config is not None else ServerConfig()
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self.dataset = dataset
-        if self.config.shards > 0:
-            self._search_context = SearchContext(
+        self.runtime = WorkerRuntime(
+            WorkerEnv(
                 dataset,
                 max_entries=self.config.max_entries,
-                index_cls=ShardedIndexFactory(self.config.shards),
-            )
-        else:
-            self._search_context = SearchContext(
-                dataset, max_entries=self.config.max_entries
-            )
-        self.result_cache: Optional[ResultCache] = None
-        if self.config.caches_results:
-            self.result_cache = ResultCache(
-                capacity=self.config.result_cache_capacity
-            )
+                cache=CacheSpec(
+                    self.config.cache_mode, self.config.result_cache_capacity
+                ),
+                chaos=self.config.chaos,
+                shards=self.config.shards,
+            ),
+            clock=self.clock,
+        )
         self.admission = AdmissionController(
             self.config.max_inflight, retry_after_s=self.config.retry_after_s
         )
@@ -170,17 +170,6 @@ class QueryService:
         )
         self._sequence = itertools.count(1)
         self._started = self.clock.now()
-
-    # -- startup ----------------------------------------------------------------
-
-    def warm(self) -> None:
-        """Build the spatial index once, before serving.
-
-        Serving without warming still works (the first requests race the
-        lazy build and the winner's result is cached atomically), but a
-        warmed daemon answers its first request at steady-state latency.
-        """
-        self._search_context.index  # noqa: B018 - build for effect
 
     # -- the request path --------------------------------------------------------
 
@@ -219,8 +208,8 @@ class QueryService:
             query = Query.from_words(
                 request["x"], request["y"], request["keywords"], self.dataset.vocabulary
             )
-            solver, cost_name = self._build_solver(request, request_id)
-            result = solver.solve(query)
+            spec = self._spec(request)
+            result = self.runtime.solver_for(spec, request_id).solve(query)
             provenance = result.provenance
             degraded = bool(provenance is not None and provenance.degraded)
             outcome = "degraded" if degraded else "ok"
@@ -238,7 +227,7 @@ class QueryService:
                     "outcome": outcome,
                     "request_id": request_id,
                     "cost": result.cost,
-                    "cost_name": cost_name,
+                    "cost_name": spec.cost,
                     "algorithm": result.algorithm,
                     "objects": self._objects_payload(query, result),
                     "provenance": (
@@ -350,46 +339,22 @@ class QueryService:
             raise InvalidParameterError("max_retries must be between 0 and 8")
         return document
 
-    def _build_solver(self, request: Dict[str, object], request_id: int):
-        """A fresh per-request executor under the request's envelope."""
+    def _spec(self, request: Dict[str, object]) -> SolverSpec:
+        """The request's solver recipe: its fields over the server's defaults."""
         config = self.config
-        context = self._search_context
-        if config.chaos is not None:
-            context = chaos_context(
-                context, config.chaos.plan_for(request_id), clock=self.clock
-            )
-        cost_name = request.get("cost")
-        if cost_name is None:
-            cost_name = config.cost
-        cost = cost_by_name(cost_name) if cost_name is not None else None
-        chain_spec = request.get("chain")
-        if chain_spec is None:
-            chain_spec = config.chain
-        chain = FallbackChain.parse(str(chain_spec), context, cost=cost)
-        deadline_ms = config.clamp_deadline(request.get("deadline_ms"))
-        work_budget = request.get("work_budget")
-        if work_budget is None:
-            work_budget = config.work_budget
-        max_retries = request.get("max_retries")
-        if max_retries is None:
-            max_retries = config.max_retries
-        policy = ExecutionPolicy(
-            deadline_ms=deadline_ms,
-            work_budget=work_budget,
-            max_retries=int(max_retries),
+
+        def field_or_default(name: str):
+            value = request.get(name)
+            return getattr(config, name) if value is None else value
+
+        return SolverSpec(
+            chain=field_or_default("chain"),
+            cost=field_or_default("cost"),
+            deadline_ms=config.clamp_deadline(request.get("deadline_ms")),
+            work_budget=field_or_default("work_budget"),
+            max_retries=field_or_default("max_retries"),
             always_answer=config.always_answer,
         )
-        solver = ResilientExecutor(chain, policy, clock=self.clock)
-        if self.result_cache is not None:
-            return (
-                CachedSolver(
-                    solver,
-                    self.result_cache,
-                    cost_name=str(cost_name) if cost_name else "paper-default",
-                ),
-                cost_name,
-            )
-        return solver, cost_name
 
     def _objects_payload(
         self, query: Query, result: CoSKQResult
@@ -498,11 +463,16 @@ class QueryService:
         return payload
 
     @property
+    def result_cache(self) -> Optional[ResultCache]:
+        """The runtime's result cache, or None when caching is off."""
+        return self.runtime.result_cache
+
+    @property
     def sharded_index(self) -> Optional[ShardedIndex]:
         """The raw sharded facade, or None when serving a single index."""
         if self.config.shards <= 0:
             return None
-        index = self._search_context.index
+        index = self.runtime.context.index
         assert isinstance(index, ShardedIndex)
         return index
 

@@ -19,6 +19,12 @@ The dataset file uses the library's text format — one object per line,
 process-parallel engine (:mod:`repro.parallel`) with per-query failure
 isolation — the exit code is 0 only when every query answered.
 
+Both modes turn the same flags into one
+:class:`~repro.parallel.spec.SolverSpec`, so a malformed flag is refused
+with one ``error:`` line before anything is solved, and solve through a
+:class:`~repro.parallel.worker.WorkerRuntime` — the recipe and runtime
+``coskq-serve`` uses too.
+
 Exit codes (scriptable; also tabulated in ``docs/ROBUSTNESS.md``):
 
 ====  ==========================================================
@@ -26,7 +32,8 @@ code  meaning
 ====  ==========================================================
 0     answered
 1     library error outside the execution taxonomy (bad dataset,
-      infeasible query, unknown keyword, I/O failure)
+      malformed solver flag, infeasible query, unknown keyword, I/O
+      failure)
 2     usage error (bad flag combination)
 3     ``SearchAbortedError`` — a solver stopped mid-search
 4     ``DeadlineExceededError`` — the wall-clock deadline expired
@@ -49,8 +56,7 @@ import math
 import sys
 from typing import List, Optional
 
-from repro.algorithms.base import SearchContext
-from repro.algorithms.registry import ALGORITHM_NAMES, make_algorithm
+from repro.algorithms.registry import ALGORITHM_NAMES
 from repro.algorithms.topk import TopKCoSKQ
 from repro.cost.functions import ALL_COSTS, cost_by_name
 from repro.errors import (
@@ -64,7 +70,8 @@ from repro.errors import (
 )
 from repro.model.dataset import Dataset
 from repro.model.query import Query
-from repro.parallel.spec import CACHE_MODES
+from repro.parallel.spec import CACHE_MODES, CacheSpec, SolverSpec, WorkerEnv
+from repro.parallel.worker import WorkerRuntime
 
 __all__ = ["main", "exit_code_for", "EXIT_CODES"]
 
@@ -229,25 +236,12 @@ def _print_result(result, dataset: Dataset, query: Query, rank: Optional[int]) -
         )
 
 
-def _run_batch(args: argparse.Namespace, dataset: Dataset) -> int:
+def _run_batch(args: argparse.Namespace, dataset: Dataset, spec: SolverSpec) -> int:
     """--batch mode: the whole file through the parallel engine."""
     from repro.data.queries import load_query_file
-    from repro.parallel import (
-        CacheSpec,
-        ParallelBatchExecutor,
-        SolverSpec,
-        WorkerEnv,
-    )
+    from repro.parallel.executor import ParallelBatchExecutor
 
     queries = load_query_file(args.batch, dataset.vocabulary)
-    spec = SolverSpec(
-        algorithm=args.algorithm,
-        chain=args.fallback,
-        cost=args.cost,
-        deadline_ms=args.deadline_ms,
-        work_budget=args.budget,
-        always_answer=not args.hard_deadline,
-    )
     env = WorkerEnv(
         dataset=dataset, cache=CacheSpec(mode=args.cache), shards=args.shards
     )
@@ -258,7 +252,8 @@ def _run_batch(args: argparse.Namespace, dataset: Dataset) -> int:
         if result is not None:
             objects = " ".join(str(obj.oid) for obj in result.objects)
             print(
-                "query #%d: cost %.6g, objects [%s]" % (index, result.cost, objects)
+                "query #%d: cost %.6g, objects [%s], answered by %s"
+                % (index, result.cost, objects, result.algorithm)
             )
     for failure in report.failures:
         print(str(failure), file=sys.stderr)
@@ -300,6 +295,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("--workers/--cache only apply to --batch runs", file=sys.stderr)
             return 2
     try:
+        spec = SolverSpec(
+            algorithm=args.algorithm,
+            chain=args.fallback,
+            cost=args.cost,
+            deadline_ms=args.deadline_ms,
+            work_budget=args.budget,
+            always_answer=not args.hard_deadline,
+        )
+        if spec.resilient and args.top is not None:
+            print(
+                "--top cannot be combined with --fallback/--deadline-ms/--budget",
+                file=sys.stderr,
+            )
+            return 2
         if args.demo:
             from repro.data.generators import hotel_like
 
@@ -307,75 +316,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             dataset = Dataset.load(args.dataset)
         if args.batch is not None:
-            return _run_batch(args, dataset)
-        if args.shards > 0:
-            from repro.shard import ShardedIndexFactory
-
-            context = SearchContext(
-                dataset, index_cls=ShardedIndexFactory(args.shards)
-            )
-        else:
-            context = SearchContext(dataset)
+            return _run_batch(args, dataset, spec)
+        runtime = WorkerRuntime(WorkerEnv(dataset=dataset, shards=args.shards))
         x, y = args.at
         query = Query.from_words(x, y, args.keywords, dataset.vocabulary)
-        cost = cost_by_name(args.cost) if args.cost else None
-        resilient = (
-            args.fallback is not None
-            or args.deadline_ms is not None
-            or args.budget is not None
-            or args.hard_deadline
-        )
-        if resilient and args.top is not None:
-            print(
-                "--top cannot be combined with --fallback/--deadline-ms/--budget",
-                file=sys.stderr,
-            )
-            return 2
-        if resilient:
-            from repro.exec import (
-                ExecutionPolicy,
-                FallbackChain,
-                ResilientExecutor,
-            )
-
-            spec = args.fallback if args.fallback is not None else args.algorithm
-            chain = FallbackChain.parse(spec, context, cost=cost)
-            policy = ExecutionPolicy(
-                deadline_ms=args.deadline_ms,
-                work_budget=args.budget,
-                always_answer=not args.hard_deadline,
-            )
-            result = ResilientExecutor(chain, policy).solve(query)
-            _print_result(result, dataset, query, None)
-            provenance = result.provenance
-            if provenance is not None:
-                print("  [%s]" % provenance.describe())
-            return 0
         if args.top is not None:
-            topk = TopKCoSKQ(
-                context,
-                cost if cost is not None else cost_by_name("maxsum"),
-                k=args.top,
-            )
+            cost = cost_by_name(args.cost or "maxsum")
+            topk = TopKCoSKQ(runtime.context, cost, k=args.top)
             for rank, result in enumerate(topk.solve_topk(query), start=1):
                 _print_result(result, dataset, query, rank)
-        else:
-            if args.shards > 0:
-                from repro.shard import ScatterGather
-
-                algorithm = ScatterGather(context, args.algorithm, cost=cost)
-            else:
-                algorithm = make_algorithm(args.algorithm, context, cost=cost)
-            result = algorithm.solve(query)
-            _print_result(result, dataset, query, None)
-            if args.shards > 0:
-                print(
-                    "  [shards: scanned %d of %d]"
-                    % (
-                        result.counters.get("shards_scanned", 0),
-                        result.counters.get("shards_total", 0),
-                    )
+            return 0
+        result = runtime.solver_for(spec, 0).solve(query)
+        _print_result(result, dataset, query, None)
+        if result.provenance is not None:
+            print("  [%s]" % result.provenance.describe())
+        elif args.shards > 0:
+            print(
+                "  [shards: scanned %d of %d]"
+                % (
+                    result.counters.get("shards_scanned", 0),
+                    result.counters.get("shards_total", 0),
                 )
+            )
         return 0
     except ExecutionError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -92,13 +92,12 @@ def test_resilient_chain_matches_serial(batch_instance, workers):
     from repro.exec import ExecutionPolicy, FallbackChain, ResilientExecutor
 
     _, dataset, batch = batch_instance
-    chain_spec = "maxsum-exact -> maxsum-appro"
+    spec = SolverSpec(chain="maxsum-exact -> maxsum-appro")
     serial_solver = ResilientExecutor(
-        FallbackChain.parse(chain_spec, SearchContext(dataset)), ExecutionPolicy()
+        FallbackChain.of(SearchContext(dataset), *spec.stage_names), ExecutionPolicy()
     )
     serial = BatchExecutor(serial_solver).run(batch)
     env = WorkerEnv(dataset=dataset)
-    spec = SolverSpec(chain=chain_spec)
     with ParallelBatchExecutor(env, spec, workers=workers) as engine:
         assert_reports_equal(serial, engine.run(batch))
 

@@ -299,6 +299,37 @@ class TestChaosAcrossWorkers:
         )
         assert [_drive(chaos.plan_for(2), 20)] == [masks[2]]
 
+    def test_injected_latency_reaches_the_deadline(self, tiny_dataset, tiny_queries):
+        """Chaos latency sleeps on the clock the batch engine's deadline reads."""
+        import time
+
+        from repro.parallel import (
+            ChaosSpec,
+            ParallelBatchExecutor,
+            SolverSpec,
+            WorkerEnv,
+            WorkerRuntime,
+        )
+
+        spec = SolverSpec(chain="maxsum-exact,maxsum-appro,nn-set", deadline_ms=50.0)
+        slow = ChaosSpec(seed=1, latency_s=10.0, latency_every=1)
+        runtime = WorkerRuntime(WorkerEnv(tiny_dataset, chaos=slow), clock=ManualClock())
+        stages = [
+            runtime.solver_for(spec, index).solve(query).provenance.answered_by
+            for index, query in enumerate(tiny_queries)
+        ]
+        assert stages == ["nn-set"] * len(tiny_queries)
+
+        spec = SolverSpec(chain=spec.chain, deadline_ms=20.0)
+        slow = ChaosSpec(seed=1, latency_s=0.05, latency_every=1)
+        with ParallelBatchExecutor(WorkerEnv(tiny_dataset, chaos=slow), spec, workers=2) as engine:
+            engine.run([])  # build the index before the clock starts
+            started = time.perf_counter()
+            report = engine.run(tiny_queries[:3])
+            elapsed = time.perf_counter() - started
+        assert [r.provenance.answered_by for r in report.results] == ["nn-set"] * 3
+        assert elapsed < 0.5
+
     def test_result_cache_under_chaos_is_rejected(self, tiny_dataset):
         from repro.parallel import CacheSpec, ChaosSpec, WorkerEnv
 

@@ -143,7 +143,9 @@ class TestFallbackChain:
         ],
     )
     def test_parse_accepts_comma_and_arrow_forms(self, tiny_context, spec):
-        chain = FallbackChain.parse(spec, tiny_context)
+        from repro.parallel.spec import SolverSpec
+
+        chain = FallbackChain.of(tiny_context, *SolverSpec(chain=spec).stage_names)
         assert chain.names == ("maxsum-exact", "maxsum-appro", "nn-set")
 
     def test_stage_ratio(self, tiny_context):
