@@ -85,11 +85,9 @@ class SearchContext:
     def __init__(
         self,
         dataset: Dataset,
-        max_entries: int = 16,
         index_cls: Type[SpatialTextIndex] = KeywordTreeIndex,
     ):
         self.dataset = dataset
-        self.max_entries = max_entries
         self._index_cls = index_cls
         self._index: Optional[SpatialTextIndex] = None
 
@@ -103,9 +101,7 @@ class SearchContext:
         next access simply rebuilds from scratch.
         """
         if self._index is None:
-            built = self._index_cls.build(
-                self.dataset, max_entries=self.max_entries
-            )
+            built = self._index_cls.build(self.dataset)
             self._index = built
         return self._index
 
@@ -126,9 +122,7 @@ class SearchContext:
         shard views — do not affect feasibility.  Used by
         :func:`repro.exec.chaos.chaos_context` and the shard engine.
         """
-        clone = SearchContext(
-            self.dataset, max_entries=self.max_entries, index_cls=self._index_cls
-        )
+        clone = SearchContext(self.dataset, index_cls=self._index_cls)
         clone._index = index
         return clone
 

@@ -57,6 +57,7 @@ from repro.algorithms.base import CoSKQAlgorithm, NNSet, SearchContext
 from repro.algorithms.cover import CoverTables, cover_tables, find_constrained_cover
 from repro.algorithms.owner_appro import OwnerRingApproximation, OwnerStream
 from repro.cost.base import CostFunction, QueryAggregate
+from repro.errors import InvalidParameterError
 from repro.kernels import pairwise_max_at
 from repro.model.objects import SpatialObject
 from repro.model.query import Query
@@ -68,7 +69,8 @@ class OwnerDrivenExact(CoSKQAlgorithm):
     """Exact CoSKQ search by distance-owner enumeration.
 
     Requires a cost whose query aggregate is MAX (MaxSum, Dia, Max —
-    the costs the owner decomposition applies to).
+    the costs the owner decomposition applies to); any other cost is
+    refused with :class:`~repro.errors.InvalidParameterError`.
 
     ``candidates_scanned`` (a work unit under an execution budget)
     counts the candidates of the owners whose candidates carry every
@@ -91,7 +93,7 @@ class OwnerDrivenExact(CoSKQAlgorithm):
         cover_node_budget: int = 2_000_000,
     ):
         if cost.query_aggregate is not QueryAggregate.MAX:
-            raise ValueError(
+            raise InvalidParameterError(
                 "owner-driven exact search needs a MAX query aggregate; "
                 "got %s" % cost.query_aggregate
             )

@@ -694,7 +694,7 @@ def check_r9(module: ModuleInfo, config: AnalysisConfig) -> Iterator[Violation]:
                         module.relpath,
                         node.lineno,
                         "subset-ordering comparison on a keyword set; route "
-                        "through repro.index.signatures (covers/covers_all)",
+                        "through repro.index.signatures (covers_all)",
                     )
                     break
 

@@ -169,9 +169,7 @@ def _sharded_workload(
     # Built outside the timed pass; the keyword postings are the
     # dataset's, built at load.
     sharded_context = context.with_index(
-        ShardedIndexFactory(spec.shards).build(
-            dataset, max_entries=context.max_entries
-        )
+        ShardedIndexFactory(spec.shards).build(dataset)
     )
     shard_build_s = time.perf_counter() - build_started
     engine = ScatterGather(sharded_context, spec.solver)

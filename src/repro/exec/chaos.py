@@ -16,10 +16,11 @@ before delegating each call.  The index protocol is one stream
   ``fail_rate(1.0)`` is a dead backend (only giving up with
   ``ExecutionFailedError``, or an answer that needs no index, escapes
   it);
-- ``latency(seconds, every=k)`` — every k-th call sleeps on the plan's
-  clock before proceeding; with a
-  :class:`~repro.exec.clock.ManualClock` the "latency" is virtual, so
-  deadline behavior is testable with zero real waiting.
+- ``latency(seconds, every=k)`` — every k-th call sleeps on the
+  wrapper's clock before proceeding: real time by default, the clock a
+  :class:`~repro.exec.executor.ResilientExecutor` reads by default; with
+  a :class:`~repro.exec.clock.ManualClock` passed to both the "latency"
+  is virtual, so deadline behavior is testable with zero real waiting.
 
 Everything is observable: the wrapper logs ``(method, call_number)``
 per call and the plan records which call numbers it sabotaged.
@@ -31,7 +32,7 @@ from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.algorithms.base import SearchContext
 from repro.errors import InjectedFaultError, InvalidParameterError
-from repro.exec.clock import Clock, ManualClock
+from repro.exec.clock import Clock, MonotonicClock
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.index.protocol import SpatialTextIndex
@@ -120,13 +121,13 @@ class ChaosIndex:
     ):
         self.inner = inner
         self.plan = plan
-        self.clock: Clock = clock if clock is not None else ManualClock()
+        self.clock: Clock = clock if clock is not None else MonotonicClock()
         self.calls = 0
         #: ``(method, call_number)`` per intercepted call, in order.
         self.call_log: List[Tuple[str, int]] = []
 
     @classmethod
-    def build(cls, dataset: Dataset, max_entries: int = 16) -> "ChaosIndex":
+    def build(cls, dataset: Dataset) -> "ChaosIndex":
         """Chaos wraps a built index; direct builds are a usage error."""
         raise InvalidParameterError(
             "ChaosIndex wraps an existing index: ChaosIndex(inner, plan)"

@@ -15,8 +15,8 @@ Semantics, precisely:
 - the **work budget** is per attempt: every stage/retry gets a fresh
   counter (work limits exist to bound one search, not to ration the
   chain);
-- **transient** errors (``policy.retry_on``, e.g. injected chaos
-  faults) are retried up to ``max_retries`` times on the same stage;
+- **transient** errors (injected chaos faults) are retried up to
+  ``max_retries`` times on the same stage;
 - **deterministic** aborts (budget, deadline) and other library errors
   degrade immediately — retrying a deterministic blow-up cannot help;
 - :class:`~repro.errors.InfeasibleQueryError` propagates untouched: no
@@ -90,7 +90,13 @@ class ResilientExecutor:
         failures: List[StageFailure] = []
         last_index = len(self.chain) - 1
         for index, stage in enumerate(self.chain):
-            exempt = policy.always_answer and index == last_index
+            # Only an approximation is exempt: an exact last stage is
+            # exponential in the worst case, so it stays bound.
+            exempt = (
+                policy.always_answer
+                and index == last_index
+                and not getattr(stage, "exact", False)
+            )
             attempts = 0
             while True:
                 attempts += 1
@@ -130,18 +136,14 @@ class ResilientExecutor:
     ):
         """One budgeted solve; returns the result or the failure.
 
-        ``exempt`` (the ``always_answer`` last stage) lifts both the
-        deadline and the work budget: the last resort exists to answer,
-        and it is cheap by construction.  Returning (not raising) the
-        exception keeps the retry/degrade decision in one place in
-        :meth:`solve`.
+        ``exempt`` (the ``always_answer`` last stage, when it is an
+        approximation) lifts both the deadline and the work budget: the
+        last resort exists to answer, and it is cheap by construction.
+        Returning (not raising) the exception keeps the retry/degrade
+        decision in one place in :meth:`solve`.
         """
         if exempt:
-            budget = Budget(
-                clock=self.clock,
-                started=started,
-                checkpoint_interval=self.policy.checkpoint_interval,
-            )
+            budget = Budget(clock=self.clock, started=started)
         else:
             budget = self.policy.budget(self.clock, started, deadline_at)
         try:

@@ -20,8 +20,8 @@ therefore bounded by one checkpoint interval of work, which is the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.errors import (
     BudgetExceededError,
@@ -120,24 +120,23 @@ class ExecutionPolicy:
     - ``work_budget`` — work-unit limit per solve attempt (each stage
       and each retry gets a fresh allowance);
     - ``max_retries`` — extra attempts per stage after a transient
-      failure (an exception listed in ``retry_on``);
-    - ``retry_on`` — exception types treated as transient; budget and
+      failure (an :class:`~repro.errors.InjectedFaultError`); budget and
       deadline aborts are never retried (retrying a deterministic
       blow-up cannot help), they degrade to the next stage instead;
-    - ``checkpoint_interval`` — work units between deadline probes;
     - ``always_answer`` — run the chain's last stage with neither the
-      deadline nor the work budget, so the cheap last resort can still
-      answer after slow stages ate the whole allowance.  Set False to
-      make the limits a hard wall for every stage.
+      deadline nor the work budget when it is an approximation, so the
+      cheap last resort can still answer after slow stages ate the whole
+      allowance.  An exact last stage stays bound: its search is
+      exponential in the worst case.  Set False to make the limits a
+      hard wall for every stage.
+
+    Every budget probes the deadline every
+    :data:`DEFAULT_CHECKPOINT_INTERVAL` work units.
     """
 
     deadline_ms: Optional[float] = None
     work_budget: Optional[int] = None
     max_retries: int = 0
-    retry_on: Tuple[Type[BaseException], ...] = field(
-        default=(InjectedFaultError,)
-    )
-    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
     always_answer: bool = True
 
     def __post_init__(self) -> None:
@@ -150,8 +149,6 @@ class ExecutionPolicy:
             raise InvalidParameterError("work_budget must be >= 0")
         if self.max_retries < 0:
             raise InvalidParameterError("max_retries must be >= 0")
-        if self.checkpoint_interval < 1:
-            raise InvalidParameterError("checkpoint_interval must be >= 1")
 
     def budget(
         self,
@@ -165,9 +162,8 @@ class ExecutionPolicy:
             deadline_at=deadline_at,
             clock=clock,
             started=started,
-            checkpoint_interval=self.checkpoint_interval,
         )
 
     def is_transient(self, error: BaseException) -> bool:
         """Whether ``error`` is worth retrying on the same stage."""
-        return isinstance(error, self.retry_on)
+        return isinstance(error, InjectedFaultError)

@@ -2,12 +2,10 @@
 
 from repro.geometry.circle import Circle
 from repro.geometry.mbr import MBR
-from repro.geometry.point import Point, diameter, distance
+from repro.geometry.point import Point
 
 __all__ = [
     "Point",
     "MBR",
     "Circle",
-    "distance",
-    "diameter",
 ]

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from repro.kernels import flat as _flat
-
-__all__ = ["Point", "distance", "diameter"]
+__all__ = ["Point"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -42,35 +40,3 @@ class Point:
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
-
-
-def distance(a: Point, b: Point) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
-#: Below this size the scalar quadratic scan beats packing coordinates
-#: first; CoSKQ result sets (≤ |q.ψ| members) usually sit under it.
-_PACK_THRESHOLD = 8
-
-
-def diameter(points: Sequence[Point]) -> float:
-    """The maximum pairwise distance of ``points`` (0.0 for fewer than 2).
-
-    Quadratic scan; the CoSKQ result sets this is applied to have at most
-    ``|q.psi|`` members, so a convex-hull rotating-calipers pass would be
-    slower in practice.  Larger inputs route through the bit-identical
-    flat-array kernel (:func:`repro.kernels.flat.pairwise_max`).
-    """
-    n = len(points)
-    if n >= _PACK_THRESHOLD:
-        xs, ys = _flat.pack_points(points)
-        return _flat.pairwise_max(xs, ys)
-    best = 0.0
-    for i in range(n):
-        pi = points[i]
-        for j in range(i + 1, n):
-            d = pi.distance_to(points[j])
-            if d > best:
-                best = d
-    return best

@@ -38,8 +38,8 @@ class LinearScanIndex:
         self._dataset = dataset
 
     @classmethod
-    def build(cls, dataset: Dataset, max_entries: int | None = None) -> "LinearScanIndex":
-        """Signature-compatible with :meth:`KeywordTreeIndex.build`."""
+    def build(cls, dataset: Dataset) -> "LinearScanIndex":
+        """Index every object of ``dataset`` (nothing to build)."""
         return cls(dataset)
 
     def __len__(self) -> int:

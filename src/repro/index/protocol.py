@@ -42,7 +42,7 @@ class SpatialTextIndex(Protocol):
     """
 
     @classmethod
-    def build(cls, dataset: Dataset, max_entries: int = ...) -> "SpatialTextIndex":
+    def build(cls, dataset: Dataset) -> "SpatialTextIndex":
         """Construct the index over every object of ``dataset``."""
         ...
 

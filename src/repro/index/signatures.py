@@ -45,7 +45,6 @@ __all__ = [
     "query_bits",
     "query_keyword_of_bit",
     "bits_of",
-    "covers",
     "overlaps",
     "shared_keywords",
     "covers_all",
@@ -84,11 +83,6 @@ def bits_of(mask: int) -> Iterator[int]:
 
 
 # -- predicates ----------------------------------------------------------------
-
-
-def covers(required_mask: int, carried_mask: int) -> bool:
-    """``required ⊆ carried`` on masks (``issubset``)."""
-    return required_mask & ~carried_mask == 0
 
 
 def overlaps(a_mask: int, b_mask: int) -> bool:

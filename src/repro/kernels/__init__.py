@@ -20,7 +20,6 @@ from repro.kernels.flat import (
     lens_scan,
     max_distance_from,
     pack_objects,
-    pack_points,
     pairwise_max,
     pairwise_max_at,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "lens_scan",
     "max_distance_from",
     "pack_objects",
-    "pack_points",
     "pairwise_max",
     "pairwise_max_at",
 ]

@@ -39,7 +39,6 @@ from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "pack_points",
     "pack_objects",
     "max_distance_from",
     "pairwise_max",
@@ -64,16 +63,6 @@ _GUARD_HI = 1.0 + 1e-9
 _NORMAL_FLOOR = 1e-300
 
 # -- packing -------------------------------------------------------------------
-
-
-def pack_points(points: Iterable) -> Tuple[array, array]:
-    """Pack an iterable of points into parallel ``(xs, ys)`` arrays."""
-    xs = array("d")
-    ys = array("d")
-    for p in points:
-        xs.append(p.x)
-        ys.append(p.y)
-    return xs, ys
 
 
 def pack_objects(objects: Iterable) -> Tuple[array, array]:

@@ -54,14 +54,12 @@ class ParallelBatchExecutor:
         env: WorkerEnv,
         spec: Optional[SolverSpec] = None,
         workers: int = 1,
-        validate: bool = True,
     ):
         if workers < 1:
             raise InvalidParameterError("workers must be >= 1, got %d" % workers)
         self.env = env
         self.spec = spec if spec is not None else SolverSpec()
         self.workers = workers
-        self.validate = validate
         self._pool: Optional[ProcessPoolExecutor] = None
         self._local: Optional[WorkerRuntime] = None
 
@@ -69,7 +67,7 @@ class ParallelBatchExecutor:
 
     def _local_runtime(self) -> WorkerRuntime:
         if self._local is None:
-            self._local = WorkerRuntime(self.env, self.validate)
+            self._local = WorkerRuntime(self.env)
         return self._local
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -77,13 +75,11 @@ class ParallelBatchExecutor:
             context = multiprocessing.get_context()
             token: Optional[int] = None
             if context.get_start_method() == "fork":
-                token = worker_mod.prepare_inherited_runtime(
-                    self.env, self.validate
-                )
+                token = worker_mod.prepare_inherited_runtime(self.env)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_initialize,
-                initargs=(self.env, self.validate, token),
+                initargs=(self.env, token),
             )
         return self._pool
 

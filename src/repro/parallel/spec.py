@@ -6,8 +6,8 @@ indexes and (for resilient chains) clocks and budgets through pickle on
 *every task*.  The parallel engine therefore ships *recipes*:
 
 - :class:`WorkerEnv` — everything a worker builds **once** in its
-  initializer: the dataset, the index parameters, the cache
-  configuration and an optional chaos schedule;
+  initializer: the dataset, the shard count, the cache configuration
+  and an optional chaos schedule;
 - :class:`SolverSpec` — a tiny frozen description of one solver (a
   registry name or a fallback-chain spec plus policy knobs) that rides
   along with each task; the runtime builds a fresh solver from it for
@@ -46,18 +46,15 @@ CACHE_MODES = ("none", "full")
 
 @dataclass(frozen=True)
 class CacheSpec:
-    """Whether a worker reuses whole answers, and how many it keeps."""
+    """Whether a worker reuses whole answers."""
 
     mode: str = "none"
-    result_capacity: int = 1024
 
     def __post_init__(self) -> None:
         if self.mode not in CACHE_MODES:
             raise InvalidParameterError(
                 "unknown cache mode %r; known: %s" % (self.mode, list(CACHE_MODES))
             )
-        if self.result_capacity < 1:
-            raise InvalidParameterError("result cache capacity must be >= 1")
 
     @property
     def caches_results(self) -> bool:
@@ -204,7 +201,6 @@ class WorkerEnv:
     """
 
     dataset: Dataset
-    max_entries: int = 16
     cache: CacheSpec = field(default_factory=CacheSpec)
     chaos: Optional[ChaosSpec] = None
     #: ``> 0`` builds a :class:`~repro.shard.index.ShardedIndex` with

@@ -73,24 +73,19 @@ class WorkerRuntime:
     so injected slowness always reaches the deadline.
     """
 
-    def __init__(
-        self, env: WorkerEnv, validate: bool = True, clock: Optional[Clock] = None
-    ):
+    def __init__(self, env: WorkerEnv, clock: Optional[Clock] = None):
         self.env = env
-        self.validate = validate
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         if env.shards > 0:
             self.context = SearchContext(
-                env.dataset,
-                max_entries=env.max_entries,
-                index_cls=ShardedIndexFactory(env.shards),
+                env.dataset, index_cls=ShardedIndexFactory(env.shards)
             )
         else:
-            self.context = SearchContext(env.dataset, max_entries=env.max_entries)
+            self.context = SearchContext(env.dataset)
         self.context.index  # force the build so it is paid once, not mid-batch
         self.result_cache: Optional[ResultCache] = None
         if env.cache.caches_results:
-            self.result_cache = ResultCache(env.cache.result_capacity)
+            self.result_cache = ResultCache()
 
     # -- solver construction ----------------------------------------------------
 
@@ -139,7 +134,7 @@ class WorkerRuntime:
             index,
             query,
             spec.label,
-            self.validate,
+            validate=True,
         )
         stats = None
         if cache is not None:
@@ -151,7 +146,7 @@ class WorkerRuntime:
 # -- fork inheritance ---------------------------------------------------------
 
 
-def prepare_inherited_runtime(env: WorkerEnv, validate: bool) -> int:
+def prepare_inherited_runtime(env: WorkerEnv) -> int:
     """Pre-build a runtime in the parent for fork children to adopt.
 
     Returns a token; children whose initializer receives the same token
@@ -161,7 +156,7 @@ def prepare_inherited_runtime(env: WorkerEnv, validate: bool) -> int:
     """
     global _INHERITED
     token = next(_TOKENS)
-    _INHERITED = (token, WorkerRuntime(env, validate))
+    _INHERITED = (token, WorkerRuntime(env))
     return token
 
 
@@ -171,14 +166,14 @@ def discard_inherited_runtime() -> None:
     _INHERITED = None
 
 
-def _initialize(env: WorkerEnv, validate: bool, token: Optional[int]) -> None:
+def _initialize(env: WorkerEnv, token: Optional[int]) -> None:
     """Pool initializer: adopt the inherited runtime or build afresh."""
     global _RUNTIME
     inherited = _INHERITED
     if token is not None and inherited is not None and inherited[0] == token:
         _RUNTIME = inherited[1]
     else:
-        _RUNTIME = WorkerRuntime(env, validate)
+        _RUNTIME = WorkerRuntime(env)
 
 
 def _run_task(index: int, spec: SolverSpec, query: Query) -> Dict[str, object]:

@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import InvalidParameterError
-from repro.parallel.spec import CACHE_MODES, ChaosSpec
+from repro.parallel.spec import CacheSpec, ChaosSpec, SolverSpec
 
 __all__ = [
     "ServerConfig",
     "DEFAULT_CHAIN",
     "DEFAULT_DEADLINE_MS",
     "DEFAULT_MAX_INFLIGHT",
-    "DEFAULT_LATENCY_WINDOW",
 ]
 
 #: The default degradation order: exact answer when time permits, the
@@ -37,9 +36,6 @@ DEFAULT_DEADLINE_MS = 250.0
 #: Default admission bound: requests solving concurrently before the
 #: controller starts shedding with 429.
 DEFAULT_MAX_INFLIGHT = 32
-
-#: Default latency ring-buffer size for the ``/stats`` percentiles.
-DEFAULT_LATENCY_WINDOW = 2048
 
 
 def _finite_positive(value: float) -> bool:
@@ -66,6 +62,12 @@ class ServerConfig:
     under chaos is rejected for the same reason
     :class:`~repro.parallel.spec.WorkerEnv` rejects it — a cached answer
     would skip the fault plan.
+
+    The config is checked when it is made: ``spec`` is the
+    :class:`~repro.parallel.spec.SolverSpec` of the default request and
+    ``cache`` the :class:`~repro.parallel.spec.CacheSpec`, so a
+    malformed chain, cost, envelope or cache mode is refused before a
+    daemon starts.
     """
 
     host: str = "127.0.0.1"
@@ -80,9 +82,6 @@ class ServerConfig:
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     retry_after_s: float = 0.05
     cache_mode: str = "none"
-    result_cache_capacity: int = 1024
-    latency_window: int = DEFAULT_LATENCY_WINDOW
-    max_entries: int = 16
     #: ``> 0`` serves a :class:`~repro.shard.index.ShardedIndex` with
     #: that many STR shards behind the same request path; the immutable
     #: shard summaries are shared read-only across request threads
@@ -92,40 +91,36 @@ class ServerConfig:
     #: Log one line per request to stderr (off by default: the load
     #: generator would drown the terminal).
     verbose: bool = False
+    #: The default request's solver recipe, built from the fields above.
+    spec: SolverSpec = field(init=False, repr=False, compare=False)
+    #: The result-cache recipe of ``cache_mode``.
+    cache: CacheSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.shards < 0:
-            raise InvalidParameterError("shards must be >= 0")
         if self.max_inflight < 0:
             raise InvalidParameterError("max_inflight must be >= 0 (0 = drain)")
-        if self.deadline_ms is not None and not _finite_positive(self.deadline_ms):
-            raise InvalidParameterError("deadline_ms must be finite and positive")
         if self.max_deadline_ms is not None and not _finite_positive(
             self.max_deadline_ms
         ):
             raise InvalidParameterError("max_deadline_ms must be finite and positive")
-        if self.work_budget is not None and self.work_budget < 0:
-            raise InvalidParameterError("work_budget must be >= 0")
-        if self.max_retries < 0:
-            raise InvalidParameterError("max_retries must be >= 0")
         if not _finite_positive(self.retry_after_s):
             raise InvalidParameterError("retry_after_s must be finite and positive")
-        if self.cache_mode not in CACHE_MODES:
-            raise InvalidParameterError(
-                "unknown cache mode %r; known: %s"
-                % (self.cache_mode, list(CACHE_MODES))
-            )
-        if self.latency_window < 1:
-            raise InvalidParameterError("latency_window must be >= 1")
-        if self.chaos is not None and self.caches_results:
+        spec = SolverSpec(
+            chain=self.chain,
+            cost=self.cost,
+            deadline_ms=self.deadline_ms,
+            work_budget=self.work_budget,
+            max_retries=self.max_retries,
+            always_answer=self.always_answer,
+        )
+        cache = CacheSpec(self.cache_mode)
+        if self.chaos is not None and cache.caches_results:
             raise InvalidParameterError(
                 "result caching under chaos is unsound: a cached answer "
                 "skips the fault plan (see docs/PARALLELISM.md)"
             )
-
-    @property
-    def caches_results(self) -> bool:
-        return self.cache_mode == "full"
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "cache", cache)
 
     def clamp_deadline(self, deadline_ms: Optional[float]) -> Optional[float]:
         """A per-request deadline override, held under the server cap."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -56,7 +56,7 @@ from repro.model.dataset import Dataset
 from repro.model.query import Query
 from repro.model.result import CoSKQResult
 from repro.parallel.cache import ResultCache
-from repro.parallel.spec import CacheSpec, SolverSpec, WorkerEnv
+from repro.parallel.spec import SolverSpec, WorkerEnv
 from repro.parallel.worker import WorkerRuntime
 from repro.serve.admission import AdmissionController
 from repro.serve.config import ServerConfig
@@ -153,21 +153,19 @@ class QueryService:
         self.runtime = WorkerRuntime(
             WorkerEnv(
                 dataset,
-                max_entries=self.config.max_entries,
-                cache=CacheSpec(
-                    self.config.cache_mode, self.config.result_cache_capacity
-                ),
+                cache=self.config.cache,
                 chaos=self.config.chaos,
                 shards=self.config.shards,
             ),
             clock=self.clock,
         )
+        # Build the default request's solver once: a stage that cannot
+        # take the configured cost refuses it here, not on every request.
+        self.config.spec.build(self.runtime.context)
         self.admission = AdmissionController(
             self.config.max_inflight, retry_after_s=self.config.retry_after_s
         )
-        self.stats = ServerStats(
-            latency_window=self.config.latency_window, clock=self.clock
-        )
+        self.stats = ServerStats(clock=self.clock)
         self._sequence = itertools.count(1)
         self._started = self.clock.now()
 
@@ -341,19 +339,15 @@ class QueryService:
 
     def _spec(self, request: Dict[str, object]) -> SolverSpec:
         """The request's solver recipe: its fields over the server's defaults."""
-        config = self.config
-
-        def field_or_default(name: str):
-            value = request.get(name)
-            return getattr(config, name) if value is None else value
-
-        return SolverSpec(
-            chain=field_or_default("chain"),
-            cost=field_or_default("cost"),
-            deadline_ms=config.clamp_deadline(request.get("deadline_ms")),
-            work_budget=field_or_default("work_budget"),
-            max_retries=field_or_default("max_retries"),
-            always_answer=config.always_answer,
+        overrides = {
+            name: request[name]
+            for name in ("chain", "cost", "work_budget", "max_retries")
+            if request.get(name) is not None
+        }
+        return replace(
+            self.config.spec,
+            deadline_ms=self.config.clamp_deadline(request.get("deadline_ms")),
+            **overrides,
         )
 
     def _objects_payload(

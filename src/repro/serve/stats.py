@@ -41,6 +41,9 @@ OUTCOMES = (
 #: Percentiles reported by :meth:`ServerStats.snapshot`.
 _PERCENTILES = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
 
+#: How many of the most recent request latencies the percentiles read.
+_LATENCY_WINDOW = 2048
+
 
 class ServerStats:
     """All serving counters behind one lock.
@@ -52,13 +55,7 @@ class ServerStats:
     reconciliation argument.
     """
 
-    def __init__(
-        self,
-        latency_window: int = 2048,
-        clock: Optional[Clock] = None,
-    ):
-        if latency_window < 1:
-            raise InvalidParameterError("latency_window must be >= 1")
+    def __init__(self, clock: Optional[Clock] = None):
         self._lock = threading.Lock()
         self._clock: Clock = clock if clock is not None else MonotonicClock()
         self._started = self._clock.now()
@@ -67,7 +64,7 @@ class ServerStats:
         self.by_status: "Counter[int]" = Counter()
         self.by_stage: "Counter[str]" = Counter()
         self.by_failure: "Counter[str]" = Counter()
-        self._latencies: "deque[float]" = deque(maxlen=latency_window)
+        self._latencies: "deque[float]" = deque(maxlen=_LATENCY_WINDOW)
 
     def record(
         self,

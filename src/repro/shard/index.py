@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 from repro.errors import InvalidParameterError
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.index.keyword_trees import KeywordTreeIndex
+from repro.index.keyword_trees import DEFAULT_MAX_ENTRIES, KeywordTreeIndex
 from repro.index.signatures import mask_of
 from repro.model.dataset import Dataset
 from repro.model.objects import SpatialObject
@@ -111,7 +111,7 @@ class ShardedIndex:
     def build(
         cls,
         dataset: Dataset,
-        max_entries: int = 16,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
         num_shards: int = DEFAULT_NUM_SHARDS,
     ) -> "ShardedIndex":
         """STR-partition ``dataset`` and index each tile's member oids."""
@@ -278,11 +278,11 @@ class ShardedIndexFactory:
     """An ``index_cls`` stand-in binding a shard count.
 
     :class:`~repro.algorithms.base.SearchContext` builds its index via
-    ``index_cls.build(dataset, max_entries=...)``; an instance of this
-    class slots into that call while carrying ``num_shards``, so the
-    sharded backend needs no SearchContext changes.  Instances are tiny
-    and picklable — they ride inside :class:`~repro.parallel.spec.WorkerEnv`
-    derived state into pool workers.
+    ``index_cls.build(dataset)``; an instance of this class slots into
+    that call while carrying ``num_shards``, so the sharded backend needs
+    no SearchContext changes.  Instances are tiny and picklable — they
+    ride inside :class:`~repro.parallel.spec.WorkerEnv` derived state
+    into pool workers.
     """
 
     def __init__(self, num_shards: int = DEFAULT_NUM_SHARDS):
@@ -290,10 +290,8 @@ class ShardedIndexFactory:
             raise InvalidParameterError("num_shards must be >= 1")
         self.num_shards = num_shards
 
-    def build(self, dataset: Dataset, max_entries: int = 16) -> ShardedIndex:
-        return ShardedIndex.build(
-            dataset, max_entries=max_entries, num_shards=self.num_shards
-        )
+    def build(self, dataset: Dataset) -> ShardedIndex:
+        return ShardedIndex.build(dataset, num_shards=self.num_shards)
 
     def __repr__(self) -> str:
         return "ShardedIndexFactory(num_shards=%d)" % self.num_shards

@@ -44,9 +44,11 @@ code  meaning
 
 Subclass checks run most-specific-first, so a deadline abort exits 4
 even though it is also a ``SearchAbortedError``.  With the default
-``always_answer`` policy the resilient path degrades instead of
-failing; ``--hard-deadline`` makes the envelope a hard wall for every
-stage, which is how the non-zero taxonomy exits become reachable.
+``always_answer`` policy a chain that ends in an approximation degrades
+instead of failing; an exact last stage (a lone exact ``--algorithm``
+under ``--deadline-ms``, or a ``--fallback`` ending in one) stays bound
+and exits 7 when it runs out of time, and ``--hard-deadline`` makes the
+envelope a hard wall for every stage.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ import math
 import sys
 from typing import List, Optional
 
+from repro.algorithms.base import SearchContext
 from repro.algorithms.registry import ALGORITHM_NAMES
 from repro.algorithms.topk import TopKCoSKQ
 from repro.cost.functions import ALL_COSTS, cost_by_name
@@ -213,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "make --deadline-ms/--budget a hard wall for every stage "
-            "(disables the always-answer exemption of the last stage)"
+            "(disables the always-answer exemption of an approximate "
+            "last stage)"
         ),
     )
     return parser
@@ -245,6 +249,9 @@ def _run_batch(args: argparse.Namespace, dataset: Dataset, spec: SolverSpec) -> 
     env = WorkerEnv(
         dataset=dataset, cache=CacheSpec(mode=args.cache), shards=args.shards
     )
+    # Build the solver once before the engine starts (this context
+    # builds no index): a stage that cannot take the cost refuses it here.
+    spec.build(SearchContext(dataset))
     with ParallelBatchExecutor(env, spec, workers=args.workers) as engine:
         report = engine.run(queries)
     print(report.summary())

@@ -142,7 +142,6 @@ class TestResilienceUnderChaos:
         chain = FallbackChain.of(ctx, "maxsum-exact", "maxsum-appro", "nn-set")
         policy = ExecutionPolicy(
             deadline_ms=500.0, work_budget=3, max_retries=1,
-            checkpoint_interval=8,
         )
         executor = ResilientExecutor(chain, policy, clock=clock)
         query = tiny_queries[1]
@@ -202,13 +201,26 @@ class TestResilienceUnderChaos:
         plan = FaultPlan().latency(1.0, every=1)  # every index call costs 1s
         ctx = chaos_context(tiny_context, plan, clock=clock)
         chain = FallbackChain.of(ctx, "maxsum-exact", "nn-set")
-        policy = ExecutionPolicy(deadline_ms=500.0, checkpoint_interval=1)
+        policy = ExecutionPolicy(deadline_ms=500.0)
         executor = ResilientExecutor(chain, policy, clock=clock)
         result = executor.solve(tiny_queries[0])
         prov = result.provenance
         assert prov.degraded is True
         assert prov.answered_by == "nn-set"  # exempt last stage still answers
         assert prov.failures[0].error_type == "DeadlineExceededError"
+
+    def test_default_clock_latency_reaches_the_deadline(
+        self, tiny_context, tiny_queries
+    ):
+        """With no clock passed, chaos latency and the deadline share real time."""
+        plan = FaultPlan().latency(0.05, every=1)
+        ctx = chaos_context(tiny_context, plan)
+        chain = FallbackChain.of(ctx, "maxsum-exact", "nn-set")
+        executor = ResilientExecutor(chain, ExecutionPolicy(deadline_ms=20.0))
+        for query in tiny_queries[:3]:
+            prov = executor.solve(query).provenance
+            assert prov.answered_by == "nn-set"
+            assert prov.failures[0].error_type == "DeadlineExceededError"
 
     def test_same_seed_same_outcome_end_to_end(self, tiny_context, tiny_queries):
         """A full chaos run is reproducible from its seed."""

@@ -321,6 +321,22 @@ class TestDeadlineBetweenStages:
         assert result.cost == answer.cost
         assert result.object_ids == answer.object_ids
 
+    def test_exact_last_stage_keeps_the_deadline(self):
+        """Only an approximation is exempt: a lone exact stage stays bound."""
+        clock = ManualClock()
+        slow = _SlowStage("slow", clock, 10.0)
+        slow.exact = True
+        executor = ResilientExecutor(
+            FallbackChain([slow]),
+            ExecutionPolicy(deadline_ms=500.0, always_answer=True),
+            clock=clock,
+        )
+        with pytest.raises(ExecutionFailedError) as info:
+            executor.solve(Query.create(0.0, 0.0, [0]))
+        assert [f.error_type for f in info.value.failures] == [
+            "DeadlineExceededError"
+        ]
+
     def test_hard_wall_lists_every_starved_stage(self):
         clock = ManualClock()
         slow = _SlowStage("slow", clock, 10.0)

@@ -129,7 +129,6 @@ class TestExecutionPolicy:
         assert policy.deadline_ms is None
         assert policy.work_budget is None
         assert policy.max_retries == 0
-        assert policy.checkpoint_interval == DEFAULT_CHECKPOINT_INTERVAL
         assert policy.always_answer is True
 
     def test_validation(self):
@@ -144,15 +143,13 @@ class TestExecutionPolicy:
             ExecutionPolicy(work_budget=-5)
         with pytest.raises(InvalidParameterError):
             ExecutionPolicy(max_retries=-1)
-        with pytest.raises(InvalidParameterError):
-            ExecutionPolicy(checkpoint_interval=0)
 
     def test_budget_factory_threads_policy_through(self):
         clock = ManualClock()
-        policy = ExecutionPolicy(work_budget=9, checkpoint_interval=7)
+        policy = ExecutionPolicy(work_budget=9)
         budget = policy.budget(clock, started=clock.now(), deadline_at=None)
         assert budget.work_limit == 9
-        assert budget.checkpoint_interval == 7
+        assert budget.checkpoint_interval == DEFAULT_CHECKPOINT_INTERVAL
         assert budget.deadline_at is None
 
     def test_transient_classification(self):
@@ -160,8 +157,3 @@ class TestExecutionPolicy:
         assert policy.is_transient(InjectedFaultError("keyword_nn", 3))
         assert not policy.is_transient(BudgetExceededError("work", 1, 2))
         assert not policy.is_transient(RuntimeError("boom"))
-
-    def test_retry_on_is_configurable(self):
-        policy = ExecutionPolicy(retry_on=(OSError,))
-        assert policy.is_transient(OSError("transient io"))
-        assert not policy.is_transient(InjectedFaultError("keyword_nn", 1))

@@ -1,12 +1,10 @@
 """Unit and property tests for the point/distance primitives."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.point import Point, diameter, distance
+from repro.geometry.point import Point
 
 coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -40,41 +38,18 @@ class TestPoint:
             Point(0, 0).x = 1  # type: ignore[misc]
 
 
-class TestFreeFunctions:
-    def test_distance_matches_method(self):
-        a, b = Point(0, 1), Point(1, 0)
-        assert distance(a, b) == pytest.approx(a.distance_to(b))
-
-    def test_diameter_of_fewer_than_two_points(self):
-        assert diameter([]) == 0.0
-        assert diameter([Point(5, 5)]) == 0.0
-
-    def test_diameter_known_value(self):
-        pts = [Point(0, 0), Point(1, 0), Point(0, 2)]
-        assert diameter(pts) == pytest.approx(math.sqrt(5))
-
-
 class TestMetricProperties:
     @given(points, points)
     def test_symmetry(self, a, b):
-        assert distance(a, b) == pytest.approx(distance(b, a))
+        assert a.distance_to(b) == pytest.approx(b.distance_to(a))
 
     @given(points, points)
     def test_non_negativity_and_identity(self, a, b):
-        d = distance(a, b)
+        d = a.distance_to(b)
         assert d >= 0.0
         if a == b:
             assert d == 0.0
 
     @given(points, points, points)
     def test_triangle_inequality(self, a, b, c):
-        assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-7
-
-    @given(st.lists(points, min_size=2, max_size=8))
-    def test_diameter_is_max_pairwise(self, pts):
-        expected = max(
-            distance(pts[i], pts[j])
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
-        )
-        assert diameter(pts) == pytest.approx(expected)
+        assert a.distance_to(c) <= a.distance_to(b) + b.distance_to(c) + 1e-7

@@ -179,7 +179,8 @@ class TestKeywordNN:
 class TestNNSet:
     def test_nearest_neighbor_set(self, ds):
         query = Query.create(500, 500, [0, 1, 2])
-        got = SearchContext(ds, max_entries=6).nn_set(query)
+        tree = KeywordTreeIndex.build(ds, max_entries=6)
+        got = SearchContext(ds).with_index(tree).nn_set(query)
         expected = SearchContext(ds, index_cls=LinearScanIndex).nn_set(query)
         assert got.by_keyword == expected.by_keyword
         assert got.d_f == expected.d_f

@@ -22,6 +22,7 @@ from __future__ import annotations
 import gc
 import platform
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -35,14 +36,15 @@ from repro.geometry.point import Point
 from repro.index import KeywordTreeIndex, LinearScanIndex
 from repro.model.dataset import Dataset
 from repro.model.query import Query
-from repro.shard import ShardedIndexFactory
+from repro.shard import ShardedIndex
 
+#: Each backend's build over a dataset, the trees at fan-out 4.
 BACKENDS = {
-    "KeywordTreeIndex": KeywordTreeIndex,
-    "LinearScanIndex": LinearScanIndex,
-    "ShardedIndex-1": ShardedIndexFactory(1),
-    "ShardedIndex-4": ShardedIndexFactory(4),
-    "ShardedIndex-16": ShardedIndexFactory(16),
+    "KeywordTreeIndex": partial(KeywordTreeIndex.build, max_entries=4),
+    "LinearScanIndex": LinearScanIndex.build,
+    "ShardedIndex-1": partial(ShardedIndex.build, max_entries=4, num_shards=1),
+    "ShardedIndex-4": partial(ShardedIndex.build, max_entries=4, num_shards=4),
+    "ShardedIndex-16": partial(ShardedIndex.build, max_entries=4, num_shards=16),
 }
 
 
@@ -97,7 +99,7 @@ class TestCrossBackendParity:
         within = Circle(Point(0.5, 0.5), 0.35) if windowed else None
         expected = brute_stream(dataset, point, keywords, within)
         for name, backend in BACKENDS.items():
-            index = backend.build(dataset, max_entries=4)
+            index = backend(dataset)
             assert stream_of(index, point, keywords, within) == expected, name
 
     def test_tie_instance_streams_agree(self):
@@ -105,7 +107,7 @@ class TestCrossBackendParity:
         # Several objects lie exactly on this disk's rim.
         rim = Circle(Point(0.0, 0.0), 5.0)
         for name, backend in BACKENDS.items():
-            index = backend.build(dataset, max_entries=4)
+            index = backend(dataset)
             for query in queries:
                 for within in (None, rim):
                     assert stream_of(
@@ -132,7 +134,7 @@ class TestCrossBackendParity:
             instances.append((random, queries))
         for data, queries in instances:
             for name, backend in BACKENDS.items():
-                context = SearchContext(data, max_entries=4, index_cls=backend)
+                context = SearchContext(data).with_index(backend(data))
                 for query in queries:
                     nn = context.nn_set(query)
                     got = {t: (d, o.oid) for t, (d, o) in nn.by_keyword.items()}

@@ -28,7 +28,6 @@ from repro.kernels.flat import (
     lens_scan,
     max_distance_from,
     pack_objects,
-    pack_points,
     pairwise_max,
     pairwise_max_at,
 )
@@ -159,9 +158,9 @@ class TestLensKernels:
 class TestPacking:
     def test_pack_points_roundtrip(self):
         pts = [Point(1.5, -2.0), Point(0.0, 7.25)]
-        xs, ys = pack_points(pts)
-        assert list(xs) == [1.5, 0.0]
-        assert list(ys) == [-2.0, 7.25]
+        xs, ys = array("d", [1.5, 0.0]), array("d", [-2.0, 7.25])
+        assert list(map(Point, xs, ys)) == pts
+        assert pairwise_max(xs, ys) == pts[0].distance_to(pts[1])
 
     def test_pack_objects_uses_locations(self):
         dataset, _, _ = make_random_instance(17, num_objects=40)

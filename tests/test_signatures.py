@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.index.signatures import (
     bits_of,
-    covers,
     covers_all,
     mask_of,
     overlaps,
@@ -46,10 +45,6 @@ class TestMaskBijection:
     @given(keyword_sets, keyword_sets)
     def test_overlaps_is_not_isdisjoint(self, a, b):
         assert overlaps(mask_of(a), mask_of(b)) == (not a.isdisjoint(b))
-
-    @given(keyword_sets, keyword_sets)
-    def test_covers_is_issubset(self, a, b):
-        assert covers(mask_of(a), mask_of(b)) == (a <= b)
 
     @given(keyword_sets, keyword_sets)
     def test_and_is_intersection(self, a, b):
